@@ -165,6 +165,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     source = parse_source_spec(args.source, seed=args.seed)
     digits = source.take(args.n)
     _write_output("".join(f"{d}\n" for d in digits).encode(), args.out)

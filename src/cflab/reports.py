@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 from .cfcore import Word, cylinder_interval, format_rational, format_word
 from .measure import BoundedMeasure, measure_of_cylinder
@@ -27,8 +28,22 @@ CSV_COLUMNS = (
 )
 
 
+# Rationals with a part longer than this render in a bounded form; 8192 bits
+# is about 2466 decimal digits, inside the interpreter's default limit on
+# int-to-str conversion, which this module leaves alone.
+EXACT_RATIONAL_BITS = 8192
+
+
 def _json_bytes(obj: dict) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def _bounded_rational(x: Fraction) -> str:
+    """Exact "p/q" text, or an approximation plus part sizes when p or q is huge."""
+    num_bits, den_bits = x.numerator.bit_length(), x.denominator.bit_length()
+    if max(num_bits, den_bits) <= EXACT_RATIONAL_BITS:
+        return format_rational(x)
+    return f"~{float(x)!r} ({num_bits}-bit/{den_bits}-bit rational)"
 
 
 def measure_report(w: Word, with_interval: bool = False) -> dict:
@@ -49,9 +64,9 @@ def bounded_measure_report(bm: BoundedMeasure, **extra) -> dict:
     report = dict(extra)
     report.update(
         {
-            "log2_arg": format_rational(bm.lower.arg),
+            "log2_arg": _bounded_rational(bm.lower.arg),
             "float": round(bm.float_value, 6),
-            "tail_log2_arg": format_rational(bm.tail_bound.arg),
+            "tail_log2_arg": _bounded_rational(bm.tail_bound.arg),
             "bracket": [lo, hi],
         }
     )

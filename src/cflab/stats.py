@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cfcore import Word, word
 from .streams import DigitSource
@@ -145,26 +145,29 @@ def joint_occurrence_count(digits: Sequence[int], k: int) -> int:
 
 
 def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
-    """Digits at 1-based positions b, b+k, b+2k, ... of the source."""
+    """Digits at 1-based positions b, b+k, b+2k, ... of the source.
+
+    Works chunk by chunk: each source chunk is sliced, and the phase of the
+    progression carries over to the next chunk.
+    """
     if b < 1:
         raise ValueError("need b >= 1")
     if k < 2:
         raise ValueError("need k >= 2")
-    out = DigitSource("ap-select", f"ap(b={b},k={k}):{source.label}")
 
-    def gen():
-        try:
-            for _ in range(b - 1):
-                next(source)
-            while True:
-                yield next(source)
-                for _ in range(k - 1):
-                    next(source)
-        except StopIteration:
-            out.precision_exhausted = source.precision_exhausted
-            return
+    def gen() -> Iterator[Sequence[int]]:
+        skip = b - 1  # digits to pass over before the next selected one
+        for chunk in source.chunks():
+            size = len(chunk)
+            if skip >= size:
+                skip -= size
+                continue
+            yield chunk[skip::k]
+            skip = (skip - size) % k
+        out.precision_exhausted = source.precision_exhausted
 
-    return out._bind(gen())
+    out = DigitSource("ap-select", f"ap(b={b},k={k}):{source.label}", gen())
+    return out
 
 
 @dataclass

@@ -1,87 +1,166 @@
 """Pull-based digit sources: rationals, periodic words, interval-refined reals.
 
-A DigitSource is a single-consumer iterator of partial quotients with a bit
+A DigitSource is a single-consumer stream of partial quotients with a bit
 of provenance (kind, label, emitted count).  Construction parameters fully
 determine the digit sequence, seeds included.  Sources are not safe for
 concurrent pulls; hand one off between workers or build independent ones.
 
-Interval-refined sources never emit an uncertified digit: a digit comes out
-only when both interval endpoints agree on floor(1/x), and the stream ends
-with `precision_exhausted` set the moment they disagree.  A wrong silent
-digit is the failure mode all of this is built to prevent.
+Chunks.  A source wraps an iterator of chunks: sequences of digits (lists
+or tuples; empty ones are skipped) that no consumer mutates.  The stream
+is the concatenation of its chunks and where they split carries no
+meaning, so every consumer gives the same result for any chunking.
+`take(n)` hands out min(n, remaining) digits as a fresh list, cutting a
+chunk where needed and keeping its rest for the next call; `chunks()` hands
+out the rest of the stream run by run.  `emitted` counts the digits handed
+out either way.  `limit` cuts a chunk and `stats.select_ap` slices each one,
+so a pipeline never holds more than a chunk beyond what its consumer took.
+
+Certification.  Interval-refined sources never emit an uncertified digit:
+a digit comes out only when both interval endpoints agree on floor(1/x),
+and the stream ends with `precision_exhausted` set the moment they
+disagree.  A wrong silent digit is the failure mode all of this is built
+to prevent.
+
+Batched extraction (Lehmer, "Euclid's algorithm for large numbers", 1938;
+Knuth, TAOCP vol. 2, 4.5.2).  Rather than one big-int division per digit,
+`_interval_digits` widens the current interval outward to endpoints of
+about EXTRACT_BITS bits, runs the Gauss steps on those small integers, and
+applies the batch's 2x2 matrix to the exact endpoints once.  This changes
+no digit.  floor(1/x) is monotone, so a digit on which both endpoints of the
+widened interval agree holds on all of it, hence on the exact interval it
+contains: exactly the digit the one-step rule would certify there.  A batch
+stops where the widened interval straddles a cell boundary; if it certified
+nothing, one exact step decides whether the exact interval still yields a
+digit or its digits end right there, as they did under the one-step rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .cfcore import Word, cf_of_rational, format_word, word
 
 RANDOM_BLOCK_BITS = 4096
+# Bit width of the widened endpoints a batch runs on: wider batches certify
+# more digits per big-int update, but each small step costs more.
+EXTRACT_BITS = 192
+# Periodic sources repeat their period into chunks of about this many digits.
+PERIODIC_CHUNK_DIGITS = 1024
 
 
 class DigitSource:
-    """Stateful digit iterator; see module docstring for the contract."""
+    """Stateful digit stream over chunks; see module docstring for the contract."""
 
-    __slots__ = ("kind", "label", "emitted", "precision_exhausted", "_it")
+    __slots__ = ("kind", "label", "emitted", "precision_exhausted", "_chunks", "_chunk", "_pos")
 
-    def __init__(self, kind: str, label: str):
+    def __init__(self, kind: str, label: str, chunks: Iterator[Sequence[int]]):
         self.kind = kind
         self.label = label
         self.emitted = 0
         self.precision_exhausted = False
-        self._it: Iterator[int] | None = None
+        self._chunks = chunks
+        self._chunk: Sequence[int] = ()
+        self._pos = 0
 
-    def _bind(self, it: Iterator[int]) -> "DigitSource":
-        self._it = it
-        return self
+    def _pull(self, most: int | None = None) -> Sequence[int]:
+        """The next run of at most `most` digits (the rest of a chunk if None).
 
-    def __iter__(self) -> "DigitSource":
-        return self
+        Empty once the stream has ended.  A chunk cut short stays pending
+        for the next pull.
+        """
+        chunk, pos = self._chunk, self._pos
+        while pos >= len(chunk):
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                self._chunk, self._pos = (), 0
+                return ()
+            pos = 0
+        end = len(chunk) if most is None else min(len(chunk), pos + most)
+        self._chunk, self._pos = chunk, end
+        self.emitted += end - pos
+        return chunk if pos == 0 and end == len(chunk) else chunk[pos:end]
 
-    def __next__(self) -> int:
-        digit = next(self._it)
-        self.emitted += 1
-        return digit
+    def chunks(self) -> Iterator[Sequence[int]]:
+        """The rest of the stream as non-empty runs of digits, never to be mutated."""
+        while chunk := self._pull():
+            yield chunk
 
     def take(self, n: int) -> list[int]:
         """Pull up to n digits (fewer if the source ends first)."""
-        out = []
-        for digit in self:
-            out.append(digit)
-            if len(out) >= n:
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        out: list[int] = []
+        while len(out) < n:
+            chunk = self._pull(n - len(out))
+            if not chunk:
                 break
+            out += chunk
         return out
 
     def __repr__(self) -> str:
         return f"DigitSource({self.label!r}, emitted={self.emitted})"
 
 
-def _interval_digits(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> Iterator[int]:
-    """Digits certified for every x in [lo_n/lo_d, hi_n/hi_d] within (0, 1].
+def _interval_digits(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> list[int]:
+    """Digits certified for every x in [lo_n/lo_d, hi_n/hi_d] within [0, 1].
 
     Gauss step: digit a = floor(1/x); both endpoints must agree on a.  The
     refinement x -> 1/x - a swaps orientation, so the endpoint pairs trade
-    places each round.  Returns (via StopIteration) when no further digit is
-    certifiable: the lower endpoint reached 0, or the endpoints disagree.
+    places each round.  The digits end where no further one is certifiable:
+    the lower endpoint reached 0, or the endpoints disagree.  Steps run in
+    batches on widened small endpoints (see the module docstring).
     """
-    while True:
-        if lo_n <= 0:
-            return
+    digits: list[int] = []
+    append = digits.append
+    while lo_n > 0:
+        shift = max(lo_d.bit_length(), hi_d.bit_length()) - EXTRACT_BITS
+        if shift > 0:
+            # round the lower endpoint down and the upper one strictly up, so
+            # the widened interval contains the exact one and has width > 0
+            ln = ln0 = lo_n >> shift
+            ld = ld0 = ((lo_d - 1) >> shift) + 1
+            hn = hn0 = (hi_n >> shift) + 1
+            hd = hd0 = hi_d >> shift
+            start = len(digits)
+            while ln:
+                a = hd // hn
+                rem = ld - a * ln  # the lower endpoint agrees on a iff 0 <= rem < ln
+                if not 0 <= rem < ln:
+                    break
+                append(a)
+                ln, ld, hn, hd = hd - a * hn, hn, rem, ln
+            steps = len(digits) - start
+            if steps:
+                if steps & 1:  # an odd batch leaves the endpoints swapped
+                    ln, ld, hn, hd = hn, hd, ln, ld
+                    lo_n, lo_d, hi_n, hi_d = hi_n, hi_d, lo_n, lo_d
+                # the batch maps each widened endpoint (column) to its image:
+                # M [[ln0, hn0], [ld0, hd0]] = [[ln, hn], [ld, hd]]; solve for
+                # M once instead of carrying it through every step
+                det = ln0 * hd0 - hn0 * ld0
+                p = (ln * hd0 - hn * ld0) // det
+                q = (hn * ln0 - ln * hn0) // det
+                r = (ld * hd0 - hd * ld0) // det
+                t = (hd * ln0 - ld * hn0) // det
+                lo_n, lo_d = p * lo_n + q * lo_d, r * lo_n + t * lo_d
+                hi_n, hi_d = p * hi_n + q * hi_d, r * hi_n + t * hi_d
+                continue
         a = hi_d // hi_n
         if a < 1 or a != lo_d // lo_n:
-            return
-        yield a
+            break
+        append(a)
         lo_n, lo_d, hi_n, hi_d = hi_d - a * hi_n, hi_n, lo_d - a * lo_n, lo_n
+    return digits
 
 
 def source_rational(num: int, den: int) -> DigitSource:
     """Finite source emitting the canonical expansion of num/den."""
     digits = cf_of_rational(num, den)
-    return DigitSource("rational", f"rational:{num}/{den}")._bind(iter(digits))
+    return DigitSource("rational", f"rational:{num}/{den}", iter((digits,)))
 
 
 def source_periodic(prefix: Word, period: Word) -> DigitSource:
@@ -91,13 +170,12 @@ def source_periodic(prefix: Word, period: Word) -> DigitSource:
     if len(period) == 0:
         raise ValueError("period must be non-empty")
 
-    def gen() -> Iterator[int]:
-        yield from prefix
-        while True:
-            yield from period
+    def gen() -> Iterator[Word]:
+        yield prefix
+        yield from itertools.repeat(period * max(1, PERIODIC_CHUNK_DIGITS // len(period)))
 
     label = f"periodic:{format_word(prefix)};{format_word(period)}"
-    return DigitSource("periodic", label)._bind(gen())
+    return DigitSource("periodic", label, gen())
 
 
 def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
@@ -118,13 +196,12 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     lo = max(d - ulp, Fraction(0))
     hi = min(d + ulp, Fraction(1))
 
-    src = DigitSource("decimal-interval", f"decimal:{decimal}:e{ulp_exponent}")
-
-    def gen() -> Iterator[int]:
-        yield from _interval_digits(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    def gen() -> Iterator[list[int]]:
+        yield _interval_digits(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
         src.precision_exhausted = True
 
-    return src._bind(gen())
+    src = DigitSource("decimal-interval", f"decimal:{decimal}:e{ulp_exponent}", gen())
+    return src
 
 
 def source_concat_normal() -> DigitSource:
@@ -135,15 +212,13 @@ def source_concat_normal() -> DigitSource:
     construction; its statistics are validated empirically, not proven.
     """
 
-    def gen() -> Iterator[int]:
-        q = 2
-        while True:
+    def gen() -> Iterator[Word]:
+        for q in itertools.count(2):
             for p in range(1, q):
                 if math.gcd(p, q) == 1:
-                    yield from cf_of_rational(p, q)
-            q += 1
+                    yield cf_of_rational(p, q)
 
-    return DigitSource("concat-normal", "concat-normal")._bind(gen())
+    return DigitSource("concat-normal", "concat-normal", gen())
 
 
 def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitSource:
@@ -154,36 +229,40 @@ def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitS
     2**-block_bits, and emits that interval's certified digits by the same
     endpoints-agree rule as the decimal source.  When a block's precision is
     spent the next block takes over, so the stream itself never runs dry.
+    Each block's digits form one chunk.  Seeds must be >= 0: random.Random
+    seeds from |seed|, so a negative seed would replay its positive twin.
     """
+    if seed < 0:
+        raise ValueError(f"random source seed must be >= 0, got {seed}")
     if block_bits < 64:
         raise ValueError("block_bits must be >= 64")
 
-    def gen() -> Iterator[int]:
-        block = 0
+    def gen() -> Iterator[list[int]]:
         scale = 1 << block_bits
-        while True:
+        for block in itertools.count():
             m = random.Random((seed << 64) + block).getrandbits(block_bits)
-            yield from _interval_digits(m, scale, m + 1, scale)
-            block += 1
+            yield _interval_digits(m, scale, m + 1, scale)
 
-    return DigitSource("random-real", f"random:seed={seed}")._bind(gen())
+    return DigitSource("random-real", f"random:seed={seed}", gen())
 
 
 def limit(source: DigitSource, n: int) -> DigitSource:
-    """A view of `source` that ends after at most n digits."""
+    """A view of `source` that ends after at most n digits.
+
+    The chunk that crosses n is cut; its rest stays pending in `source`.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    out = DigitSource(source.kind, source.label)
 
-    def gen() -> Iterator[int]:
-        for _ in range(n):
-            try:
-                yield next(source)
-            except StopIteration:
-                break
+    def gen() -> Iterator[Sequence[int]]:
+        left = n
+        while left > 0 and (chunk := source._pull(left)):
+            left -= len(chunk)
+            yield chunk
         out.precision_exhausted = source.precision_exhausted
 
-    return out._bind(gen())
+    out = DigitSource(source.kind, source.label, gen())
+    return out
 
 
 def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:

@@ -67,6 +67,27 @@ def test_expand_bad_spec(capsys):
     assert code == 2
 
 
+def test_expand_zero_digits(capsys):
+    code, out, _ = run(capsys, "expand", "rational:7/16", "--n", "0")
+    assert code == 0
+    assert out == ""
+
+
+def test_expand_negative_n_is_usage_error(capsys):
+    code, out, err = run(capsys, "expand", "rational:7/16", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--n must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [["random:seed=-1"], ["random", "--seed", "-1"]])
+def test_expand_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "expand", *argv, "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
 # ----------------------------------------------------------------- verify
 
 @pytest.mark.parametrize(
@@ -93,6 +114,21 @@ def test_verify_writes_report(capsys, tmp_path):
     assert "tail_log2_arg" in report and "bracket" in report
     lo, hi = report["bracket"]
     assert lo < hi
+
+
+def test_verify_report_with_huge_argument(capsys, tmp_path):
+    # at cap 5000 the lower bound's argument has ~20k-bit parts, past the
+    # interpreter's int-to-str limit; the report renders it in bounded form
+    out_path = tmp_path / "joint.json"
+    code, out, err = run(capsys, "verify", "joint-k2", "--cap", "5000", "--out", str(out_path))
+    assert code == 0, err
+    assert "pass" in out
+    report = json.loads(out_path.read_text())
+    assert report["passed"] is True
+    assert report["log2_arg"].startswith("~1.13")
+    assert report["log2_arg"].endswith("-bit rational)")
+    assert report["tail_log2_arg"] == "5002/5001"
+    assert len(out_path.read_bytes()) < 2000
 
 
 # ----------------------------------------------------------------- pillai

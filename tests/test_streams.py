@@ -1,16 +1,21 @@
 """Digit-source behavior: exactness, certification soundness, determinism.
 
-The interval extractor is checked against an independent oracle: the
+The interval extractor is checked against two independent oracles: the
 certified digits of [lo, hi] must equal the longest common prefix of the
-plain Euclidean expansions of the two endpoints.
+plain Euclidean expansions of the two endpoints, and they must equal what
+the one-step loop below (one exact division per digit) emits.  Chunked
+consumers are checked against plain list slicing over arbitrary chunkings.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cflab import (
+    DigitSource,
     cf_of_rational,
     cylinder_interval,
     iter_words,
@@ -24,7 +29,27 @@ from cflab import (
     source_rational,
     value_of,
 )
+from cflab import streams
 from cflab.streams import _interval_digits
+
+
+def one_step_interval_digits(lo_n, lo_d, hi_n, hi_d):
+    """Reference extractor: one exact Gauss step, and one big division, per digit."""
+    while True:
+        if lo_n <= 0:
+            return
+        a = hi_d // hi_n
+        if a < 1 or a != lo_d // lo_n:
+            return
+        yield a
+        lo_n, lo_d, hi_n, hi_d = hi_d - a * hi_n, hi_n, lo_d - a * lo_n, lo_n
+
+
+def assert_matches_one_step(lo: Fraction, hi: Fraction) -> list[int]:
+    args = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    got = _interval_digits(*args)
+    assert got == list(one_step_interval_digits(*args)), (lo, hi)
+    return got
 
 
 def euclid_digits(x: Fraction) -> list[int]:
@@ -187,6 +212,228 @@ def test_random_extractor_agrees_with_direct_expansion_oracle():
         if got:
             iv = cylinder_interval(tuple(got))
             assert iv.lo <= lo and hi <= iv.hi
+
+
+# ------------------------------------------- batched extractor vs one step
+
+# Small batch widths force many batches, cut-short batches and exact
+# fallback steps even on short intervals; None keeps the module's width.
+BATCH_WIDTHS = [8, 33, None]
+
+
+@pytest.fixture(params=BATCH_WIDTHS, ids=lambda b: f"batch{b or 'default'}")
+def batch_bits(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(streams, "EXTRACT_BITS", request.param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.sampled_from([64, 65, 100, 512, 4096]), seed=st.integers(0, 2**64))
+def test_batched_extractor_matches_one_step_on_dyadic_blocks(bits, seed):
+    m = random.Random(seed).getrandbits(bits)
+    scale = 1 << bits
+    assert_matches_one_step(Fraction(m, scale), Fraction(m + 1, scale))
+
+
+@pytest.mark.parametrize("bits", [64, 65, 100, 512, 4096])
+def test_batched_extractor_matches_one_step_at_each_width(batch_bits, bits):
+    rng = random.Random(bits)
+    scale = 1 << bits
+    for _ in range(20):
+        m = rng.getrandbits(bits)
+        assert_matches_one_step(Fraction(m, scale), Fraction(m + 1, scale))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mantissa=st.integers(1, 10**300 - 1),
+    places=st.integers(1, 300),
+    ulp_exponent=st.integers(-40, -5),
+)
+def test_batched_extractor_matches_one_step_on_decimal_intervals(mantissa, places, ulp_exponent):
+    # long decimals give endpoints with unrelated large denominators, so the
+    # batched path runs; short ones exercise the small-integer path
+    d = Fraction(mantissa % 10**places or 1, 10**places)
+    ulp = Fraction(10) ** ulp_exponent
+    lo, hi = max(d - ulp, Fraction(0)), min(d + ulp, Fraction(1))
+    digits = assert_matches_one_step(lo, hi)
+    text = f"0.{d.numerator * 10**places // d.denominator:0{places}d}"
+    src = source_decimal_interval(text, ulp_exponent)
+    assert src.take(10**6) == digits
+    assert src.precision_exhausted
+
+
+EDGE_TINY = Fraction(1, 1 << 4000)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (Fraction(1, 3), Fraction(1, 3) + EDGE_TINY),  # lower endpoint exactly 1/a
+        (Fraction(1, 3) - EDGE_TINY, Fraction(1, 3)),  # upper endpoint exactly 1/a
+        (Fraction(1, 7) - EDGE_TINY, Fraction(1, 7) + EDGE_TINY),  # straddles 1/a
+        (Fraction(0), EDGE_TINY),  # lower endpoint 0
+        (Fraction(0), Fraction(1, 2)),
+        (Fraction(1) - EDGE_TINY, Fraction(1)),  # upper endpoint 1
+        (Fraction(1), Fraction(1)),
+        (Fraction(355, 1133), Fraction(355, 1133)),  # zero width
+        (Fraction(3**2000, 5**1400), Fraction(3**2000, 5**1400)),  # zero width, huge
+        (Fraction(2**3000 - 1, 2**3000), Fraction(2**3000 - 1, 2**3000)),
+    ],
+)
+def test_batched_extractor_edge_intervals(batch_bits, lo, hi):
+    assert 0 <= lo <= hi <= 1
+    digits = assert_matches_one_step(lo, hi)
+    if lo == hi and lo > 0:
+        assert digits == euclid_digits(lo)
+
+
+@pytest.mark.parametrize(
+    "lo_n,lo_d,hi_n,hi_d",
+    [
+        # unreduced endpoints that sit exactly on a cell boundary, so the
+        # widened small endpoints land on it too
+        (2**4000, 3 * 2**4000, 2**4000 + 1, 3 * 2**4000),  # lower is 1/3
+        (1 << 4094, 1 << 4096, (1 << 4094) + 1, 1 << 4096),  # dyadic block at 1/4
+        ((1 << 4094) - 1, 1 << 4096, 1 << 4094, 1 << 4096),  # dyadic block up to 1/4
+        (5 * 2**3000 - 1, 7 * 2**3000, 5 * 2**3000, 7 * 2**3000),  # upper is 5/7
+    ],
+)
+def test_batched_extractor_unreduced_boundary_endpoints(batch_bits, lo_n, lo_d, hi_n, hi_d):
+    got = _interval_digits(lo_n, lo_d, hi_n, hi_d)
+    assert got == list(one_step_interval_digits(lo_n, lo_d, hi_n, hi_d))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**62), block_bits=st.sampled_from([64, 65, 100, 512]))
+def test_random_stream_is_the_one_step_stream(seed, block_bits):
+    expected: list[int] = []
+    scale = 1 << block_bits
+    block = 0
+    while len(expected) < 3000:
+        m = random.Random((seed << 64) + block).getrandbits(block_bits)
+        expected += one_step_interval_digits(m, scale, m + 1, scale)
+        block += 1
+    assert source_random_real(seed, block_bits).take(3000) == expected[:3000]
+
+
+def test_random_rejects_negative_seed():
+    # random.Random seeds from |seed|: seed=-1 would replay seed=1
+    with pytest.raises(ValueError, match="seed"):
+        source_random_real(-1)
+    with pytest.raises(ValueError, match="seed"):
+        parse_source_spec("random:seed=-1")
+    with pytest.raises(ValueError, match="seed"):
+        parse_source_spec("random", seed=-5)
+    assert source_random_real(0).take(5) == source_random_real(0).take(5)
+
+
+# ------------------------------------------------------- chunks and seams
+
+def chunked(digits: list[int], cuts) -> DigitSource:
+    """A source over `digits` split at the given cut offsets."""
+    bounds = sorted({0, len(digits), *(c for c in cuts if 0 < c < len(digits))})
+    chunks = [digits[i:j] for i, j in zip(bounds, bounds[1:])]
+    return DigitSource("test", "test", iter(chunks))
+
+
+def ones_chunks(digits: list[int]) -> DigitSource:
+    return chunked(digits, range(len(digits)))
+
+
+def test_take_zero_and_negative():
+    src = source_rational(7, 16)
+    assert src.take(0) == []
+    assert src.emitted == 0
+    with pytest.raises(ValueError):
+        src.take(-3)
+    assert src.take(5) == [2, 3, 2]
+    assert source_random_real(1).take(0) == []
+
+
+def test_take_continues_across_cut_chunks():
+    digits = list(range(1, 41))
+    for src in (chunked(digits, [7, 8, 20]), ones_chunks(digits), chunked(digits, [])):
+        got = []
+        for n in (3, 5, 0, 1, 13, 2, 100):
+            part = src.take(n)
+            got += part
+            assert src.emitted == len(got)
+            assert len(part) == min(n, 40 - (len(got) - len(part)))
+        assert got == digits
+        assert src.take(5) == []
+        assert src.emitted == 40
+
+
+def test_take_returns_fresh_lists():
+    src = source_periodic((), (1, 2))
+    first = src.take(4)
+    first[0] = 99
+    assert src.take(4) == [1, 2, 1, 2]
+    assert source_periodic((), (1, 2)).take(4) == [1, 2, 1, 2]
+
+
+def test_limit_cuts_chunk_and_leaves_rest():
+    digits = list(range(1, 21))
+    base = chunked(digits, [8, 15])
+    assert limit(base, 10).take(100) == digits[:10]
+    assert base.emitted == 10
+    assert base.take(100) == digits[10:]
+    assert limit(ones_chunks(digits), 7).take(100) == digits[:7]
+    assert limit(chunked(digits, [8]), 8).take(100) == digits[:8]
+    assert limit(chunked(digits, [8]), 0).take(100) == []
+
+
+@pytest.mark.parametrize(
+    "b,k,cuts",
+    [
+        (5, 2, [3, 9]),  # b > k
+        (11, 3, [4, 17]),  # b longer than the first chunk
+        (2, 3, range(60)),  # chunks of length 1
+        (1, 2, [1, 2, 3]),
+        (3, 7, [6, 13, 14]),  # chunk shorter than k
+        (60, 2, [10]),  # b past the end
+    ],
+)
+def test_select_ap_seams(b, k, cuts):
+    digits = list(range(1, 61))
+    assert select_ap(chunked(digits, cuts), b, k).take(100) == digits[b - 1 :: k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    digits=st.lists(st.integers(1, 9), max_size=80),
+    cuts=st.lists(st.integers(0, 80), max_size=20),
+    n=st.integers(0, 90),
+    b=st.integers(1, 12),
+    k=st.integers(2, 6),
+    b2=st.integers(1, 4),
+    k2=st.integers(2, 4),
+)
+@example(digits=list(range(1, 10)), cuts=[2, 4], n=8, b=5, k=2, b2=1, k2=2)
+def test_chunked_pipeline_equals_list_slicing(digits, cuts, n, b, k, b2, k2):
+    prefix = digits[:n]
+    selected = prefix[b - 1 :: k]
+    src = chunked(digits, cuts)
+    chain = select_ap(limit(src, n), b, k)
+    assert chain.take(len(prefix) + 1) == selected
+    assert chain.emitted == len(selected)
+    composed = select_ap(select_ap(chunked(digits, cuts), b, k), b2, k2)
+    direct = select_ap(chunked(digits, cuts), b + (b2 - 1) * k, k * k2)
+    assert composed.take(100) == direct.take(100) == digits[b - 1 :: k][b2 - 1 :: k2]
+
+
+def test_precision_exhausted_through_limit_and_select_ap():
+    text = "0.6180339887498948482045868343656381177203"
+    certified = source_decimal_interval(text, -30).take(1000)
+    assert 20 < len(certified) < 1000
+    chain = select_ap(limit(source_decimal_interval(text, -30), 1000), 2, 3)
+    assert chain.take(1000) == certified[1::3]
+    assert chain.precision_exhausted
+    # a limit that stops inside the certified digits never sees exhaustion
+    short = select_ap(limit(source_decimal_interval(text, -30), 10), 2, 3)
+    assert short.take(1000) == certified[1:10:3]
+    assert not short.precision_exhausted
 
 
 # ------------------------------------------------------ wrappers, specs

@@ -123,24 +123,32 @@ def convergents(w: Word) -> list[Convergent]:
     return out
 
 
-def value_of(w: Word) -> Fraction:
-    """Exact value of [0; w] in (0, 1]."""
+def convergent_pair(w: Word) -> tuple[int, int, int, int]:
+    """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; w] by the convergent recurrence.
+
+    p_n/q_n is the word's value.  Raising the last digit by one gives
+    (p_n + p_{n-1})/(q_n + q_{n-1}), the cylinder's other endpoint.  Each
+    pair is coprime (p_n q_{n-1} - p_{n-1} q_n = +-1), so q_n is the reduced
+    denominator of the value.
+    """
     _require_nonempty(w)
     p_prev, q_prev, p, q = 1, 0, 0, 1
     for a in w:
         p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+    return p, q, p_prev, q_prev
+
+
+def value_of(w: Word) -> Fraction:
+    """Exact value of [0; w] in (0, 1]."""
+    p, q, _, _ = convergent_pair(w)
     return Fraction(p, q)
-
-
-def _bumped(w: Word) -> Word:
-    return w[:-1] + (w[-1] + 1,)
 
 
 def cylinder_interval(w: Word) -> CylinderInterval:
     """Exact endpoints of the cylinder of reals starting with w."""
-    _require_nonempty(w)
-    own = value_of(w)
-    bumped = value_of(_bumped(w))
+    p, q, p_prev, q_prev = convergent_pair(w)
+    own = Fraction(p, q)
+    bumped = Fraction(p + p_prev, q + q_prev)
     if len(w) % 2:
         lo, hi = bumped, own
     else:
@@ -153,20 +161,25 @@ def denominator_dominance(n: Word) -> bool:
 
     The inequality must hold for every admissible word; the function exists
     so that the claim can be machine-checked exhaustively rather than trusted.
+    Both denominators come from one recurrence pass over n: with (p, q, p',
+    q') = convergent_pair(n), prepending a digit 1 maps (p, q) to (q, q + p)
+    and appending one adds (p', q'), so q([0;1,1,n]) = 2q + p and
+    q([0;1,n,1]) = q + p + q' + p'.
     """
     _require_nonempty(n)
     if n[-1] < 2:
         raise ValueError("last digit must be >= 2")
-    q_left = value_of((1, 1) + n).denominator
-    q_right = value_of((1,) + n + (1,)).denominator
+    p, q, p_prev, q_prev = convergent_pair(n)
+    q_left = 2 * q + p
+    q_right = q + p + q_prev + p_prev
     return q_left > q_right
 
 
 def iter_words(max_digit: int, max_len: int, min_len: int = 1) -> Iterator[Word]:
     """Enumerate all words with digits in 1..max_digit and lengths min_len..max_len.
 
-    Order is by length, then lexicographic; deterministic for sharded
-    verification runs.
+    Order is by length, then lexicographic, so a verification scan always
+    reports the same first counterexample.
     """
     if max_digit < 1:
         return

@@ -179,7 +179,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "joint-k2":
-        result = run_joint_k2(cap=args.cap, jobs=args.jobs)
+        result = run_joint_k2(cap=args.cap)
         print(result.summary())
         if args.out:
             report = bounded_measure_report(
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
         "dominance": run_dominance,
         "pairwise": run_pairwise,
     }[args.suite]
-    result = runner(args.max_digit, args.max_len, jobs=args.jobs)
+    result = runner(args.max_digit, args.max_len)
     print(result.summary())
     if args.out:
         report = {

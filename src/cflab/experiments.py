@@ -168,6 +168,8 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         raise ValueError("need k >= 2 and b >= 1")
     pattern: Word = (1, 1)
     mode = ModeDescriptor.overlap()
+    # first, so a refused k/cap fails before any digit is drawn
+    joint = joint_pattern_measure(config.k, config.cap)
     selected = select_ap(limit(config.build_source(), config.n), config.b, config.k)
     stats = frequency_report(
         selected,
@@ -178,7 +180,6 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         jobs=config.jobs,
     )
     freq = _float(stats.frequency(pattern, mode))
-    joint = joint_pattern_measure(config.k, config.cap, jobs=config.jobs)
     bracket_lo, bracket_hi = joint.bracket()
     gamma_11 = measure_of_cylinder(pattern).float
     dist_joint = max(0.0, bracket_lo - freq, freq - bracket_hi)

@@ -4,6 +4,15 @@ A cylinder measure is log2 of a rational > 1, so it is stored as that
 rational (the "arg") and every comparison or sum is exact integer work:
 adding measures multiplies args, comparing measures cross-multiplies.
 Floats appear only when rendering reports.
+
+The cylinder kernel is integer-only.  `_cylinder_arg` reads the arg of
+C_w straight off the convergent recurrence as an unreduced pair (num, den)
+of positive integers, with no Fraction built.  For positive b and d,
+a/b < c/d iff a*d < c*b and a/b == c/d iff a*d == c*b, so the reversal and
+pairwise checks decide equality and strict order by cross-multiplying the
+pairs, exactly, without reducing either one.  The joint measure multiplies
+its integer terms in a balanced product tree; only reports and
+`measure_of_cylinder` see reduced Fractions.
 """
 
 from __future__ import annotations
@@ -13,8 +22,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .cfcore import Word, cylinder_interval, reverse, value_of
+from .cfcore import Word, convergent_pair, reverse, value_of
 
 _ONE = Fraction(1)
 
@@ -83,14 +93,27 @@ class LogRational:
 MEASURE_FULL = LogRational(Fraction(2))  # the whole space, log2(2) = 1
 
 
+def _cylinder_arg(w: Word) -> tuple[int, int]:
+    """The arg (1 + hi)/(1 + lo) of gamma(C_w) as an unreduced pair (num, den).
+
+    With p/q the word's value and p'/q' = (p + p_{n-1})/(q + q_{n-1}) the
+    bumped endpoint, 1 + p/q = (q + p)/q; odd |w| puts p/q on top, even
+    |w| puts p'/q' on top.  Both parts are positive.
+    """
+    p, q, p_prev, q_prev = convergent_pair(w)
+    p2, q2 = p + p_prev, q + q_prev
+    if len(w) % 2:
+        return (q + p) * q2, q * (q2 + p2)
+    return (q2 + p2) * q, q2 * (q + p)
+
+
 def measure_of_cylinder(w: Word) -> LogRational:
     """gamma(C_w) = log2((1 + hi)/(1 + lo)) over the cylinder's endpoints.
 
     This is the closed form of (1/ln 2) * integral of dx/(1+x) over the
     cylinder interval.
     """
-    iv = cylinder_interval(w)
-    return LogRational((1 + iv.hi) / (1 + iv.lo))
+    return LogRational(Fraction(*_cylinder_arg(w)))
 
 
 def measure_sum(a: LogRational, b: LogRational) -> LogRational:
@@ -146,36 +169,32 @@ def pairwise_cylinder_inequality(n: Word) -> PairVerdict:
     if len(n) == 0:
         raise ValueError("padding word must be non-empty")
     if n[-1] >= 2:
-        left = measure_of_cylinder((1,) + n + (1,))
-        right = measure_of_cylinder((1, 1) + n)
-        if measure_compare(left, right) != 1:
+        left, right = (1,) + n + (1,), (1, 1) + n
+        left_num, left_den = _cylinder_arg(left)
+        right_num, right_den = _cylinder_arg(right)
+        if left_num * right_den <= right_num * left_den:
             raise MeasureContradiction(
-                f"expected gamma(C_[1,{n},1]) > gamma(C_[1,1,{n}]), got {left} vs {right}"
+                f"expected gamma(C_[1,{n},1]) > gamma(C_[1,1,{n}]), got "
+                f"{measure_of_cylinder(left)} vs {measure_of_cylinder(right)}"
             )
         return PairVerdict.STRICT_GREATER
     m = n[:-1]
-    left = measure_of_cylinder((1,) + m + (1, 1))
-    right = measure_of_cylinder((1, 1) + reverse(m) + (1,))
-    if left != right:
+    left, right = (1,) + m + (1, 1), (1, 1) + reverse(m) + (1,)
+    left_num, left_den = _cylinder_arg(left)
+    right_num, right_den = _cylinder_arg(right)
+    if left_num * right_den != right_num * left_den:
         raise MeasureContradiction(
-            f"expected reversal-paired equality for n={n}, got {left} vs {right}"
+            f"expected reversal-paired equality for n={n}, got "
+            f"{measure_of_cylinder(left)} vs {measure_of_cylinder(right)}"
         )
     return PairVerdict.PAIRED_EQUAL
 
 
 def reversal_equality_check(w: Word) -> bool:
     """True iff gamma(C_w) == gamma(C_reversed(w)) exactly."""
-    return measure_of_cylinder(w) == measure_of_cylinder(reverse(w))
-
-
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    return Fraction(x.numerator * (1 << bits) // x.denominator, 1 << bits)
-
-
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    scaled = x.numerator * (1 << bits)
-    q, r = divmod(scaled, x.denominator)
-    return Fraction(q + (1 if r else 0), 1 << bits)
+    num, den = _cylinder_arg(w)
+    rev_num, rev_den = _cylinder_arg(reverse(w))
+    return num * rev_den == rev_num * den
 
 
 def _outward_float(x: float, direction: int) -> float:
@@ -213,58 +232,68 @@ class BoundedMeasure:
         return lo <= x <= hi
 
 
-COMPRESS_BITS = 256
+# Most middle words a joint measure may enumerate.  k=3 at cap 1000 is the
+# largest k=3 run allowed (about three minutes on a 2-vCPU host with
+# Python 3.11); k=5 at the default cap 1000 (10**12 words) is refused up
+# front instead of running for days.
+MAX_MIDDLE_WORDS = 10**6
 
 
-def joint_pattern_measure(
-    k: int, cap: int, compress: bool = False, jobs: int = 1
-) -> BoundedMeasure:
+def _product_tree(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact reduced product of the positive fractions num/den in `terms`.
+
+    Equal-sized neighbours merge as in a binary counter, so the tree is
+    balanced and each big multiplication pairs operands of similar size
+    (Knuth, TAOCP vol. 2, 4.3.3), while only O(log n) nodes are held.  Each
+    node stays in lowest terms through the two cross gcds of reduced
+    factors, as in a Fraction product: gcd costs time quadratic in the
+    operand size, so many small gcds are cheaper than one of the unreduced
+    product.
+    """
+
+    def merge(a, b):
+        (size_a, n1, d1), (size_b, n2, d2) = a, b
+        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+        return size_a + size_b, (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+    stack = []  # (leaf count, num, den), leaf counts strictly decreasing
+    for num, den in terms:
+        g = math.gcd(num, den)
+        node = (1, num // g, den // g)
+        while stack and stack[-1][0] == node[0]:
+            node = merge(stack.pop(), node)
+        stack.append(node)
+    while len(stack) > 1:
+        node = stack.pop()
+        stack.append(merge(stack.pop(), node))
+    return Fraction(*stack[0][1:]) if stack else _ONE
+
+
+def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     """Bracket gamma(C_[1] intersect T^-k C_[1]) by enumerating middle digits.
 
-    lower sums gamma(C_[1,n1..n_{k-1},1]) over all middles in {1..cap}^(k-1)
-    (lexicographic order); the omitted mass is union-bounded by (k-1) copies
-    of the digit tail at cap, valid because the shift preserves the measure.
-
-    compress=True keeps the accumulated arg as an outward bracket with
-    denominators capped at 2**COMPRESS_BITS instead of exactly; the bracket
-    invariant is preserved, only tightness is lost.  jobs > 1 shards the
-    first middle digit; rational multiplication commutes, so the result is
-    identical for any job count.
+    lower sums gamma(C_[1,n1..n_{k-1},1]) over all middles in {1..cap}^(k-1);
+    the omitted mass is union-bounded by (k-1) copies of the digit tail at
+    cap, valid because the shift preserves the measure.  cap**(k-1) may not
+    exceed MAX_MIDDLE_WORDS.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     if cap < 1:
         raise ValueError("need cap >= 1")
-
-    def shard_product(first_digits: range) -> Fraction:
-        prod = _ONE
-        for n1 in first_digits:
-            for rest in itertools.product(range(1, cap + 1), repeat=k - 2):
-                prod *= measure_of_cylinder((1, n1) + rest + (1,)).arg
-        return prod
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = [(i * cap) // jobs for i in range(jobs + 1)]
-        shards = [range(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(shard_product, shards))
-        exact_lo = exact_hi = _ONE
-        for part in parts:
-            exact_lo *= part
-        exact_hi = exact_lo
-    else:
-        if compress:
-            exact_lo = exact_hi = _ONE
-            for middle in itertools.product(range(1, cap + 1), repeat=k - 1):
-                term = measure_of_cylinder((1,) + middle + (1,)).arg
-                exact_lo = _round_down(exact_lo * term, COMPRESS_BITS)
-                exact_hi = _round_up(exact_hi * term, COMPRESS_BITS)
-        else:
-            exact_lo = exact_hi = shard_product(range(1, cap + 1))
-
+    # cap**(k-1) is built only up to its first power past the limit
+    count = 1
+    for _ in range(k - 1 if cap > 1 else 0):
+        count *= cap
+        if count > MAX_MIDDLE_WORDS:
+            raise ValueError(
+                f"joint measure at k={k}, cap={cap} would enumerate "
+                f"cap**(k-1) = {cap}**{k - 1} middle words, "
+                f"more than the limit of {MAX_MIDDLE_WORDS}"
+            )
+    terms = (
+        _cylinder_arg((1,) + middle + (1,))
+        for middle in itertools.product(range(1, cap + 1), repeat=k - 1)
+    )
     tail_arg = Fraction(cap + 2, cap + 1) ** (k - 1)
-    # any rounding slack on the lower bound is folded into the tail bound
-    tail_arg *= exact_hi / exact_lo
-    return BoundedMeasure(LogRational(exact_lo), LogRational(tail_arg))
+    return BoundedMeasure(LogRational(_product_tree(terms)), LogRational(tail_arg))

@@ -38,24 +38,29 @@ def _json_bytes(obj: dict) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode()
 
 
-def _bounded_rational(x: Fraction) -> str:
-    """Exact "p/q" text, or an approximation plus part sizes when p or q is huge."""
+def _bounded_rational(x: Fraction, exact=format_rational) -> str:
+    """`exact(x)`, or an approximation plus part sizes when p or q is huge."""
     num_bits, den_bits = x.numerator.bit_length(), x.denominator.bit_length()
     if max(num_bits, den_bits) <= EXACT_RATIONAL_BITS:
-        return format_rational(x)
+        return exact(x)
     return f"~{float(x)!r} ({num_bits}-bit/{den_bits}-bit rational)"
+
+
+def _interval_text(w: Word) -> list[str]:
+    # str, not format_rational: an endpoint of 1 prints as "1"
+    iv = cylinder_interval(w)
+    return [_bounded_rational(iv.lo, str), _bounded_rational(iv.hi, str)]
 
 
 def measure_report(w: Word, with_interval: bool = False) -> dict:
     m = measure_of_cylinder(w)
     report = {
         "word": format_word(w),
-        "log2_arg": format_rational(m.arg),
+        "log2_arg": _bounded_rational(m.arg),
         "float": round(m.float, 6),
     }
     if with_interval:
-        iv = cylinder_interval(w)
-        report["interval"] = [str(iv.lo), str(iv.hi)]
+        report["interval"] = _interval_text(w)
     return report
 
 
@@ -75,10 +80,10 @@ def bounded_measure_report(bm: BoundedMeasure, **extra) -> dict:
 
 def measure_text(w: Word, with_interval: bool = False) -> str:
     m = measure_of_cylinder(w)
-    lines = [f"log2({format_rational(m.arg)}) ≈ {m.float:.6f}"]
+    lines = [f"log2({_bounded_rational(m.arg)}) ≈ {m.float:.6f}"]
     if with_interval:
-        iv = cylinder_interval(w)
-        lines.append(f"({iv.lo}, {iv.hi})")
+        lo, hi = _interval_text(w)
+        lines.append(f"({lo}, {hi})")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,6 @@ is ever expected.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cfcore import Word, denominator_dominance, format_word, iter_words
@@ -42,41 +41,23 @@ class VerifyResult:
         return line
 
 
-def _sharded_scan(words, check, jobs: int):
-    """Run `check` over words, returning (checked, first failing word).
+def _scan(words, check):
+    """Run `check` over words lazily, returning (checked, first failing word).
 
-    Shards preserve enumeration order, so the reported counterexample is
-    the same for any job count.
+    The scan stops at the first failure in enumeration order, and `checked`
+    counts the words examined up to and including it.
     """
-    words = list(words)
-    if jobs <= 1:
-        for w in words:
-            if not check(w):
-                return len(words), w
-        return len(words), None
-
-    bounds = [(i * len(words)) // jobs for i in range(jobs + 1)]
-    shards = [words[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def scan(shard):
-        for w in shard:
-            if not check(w):
-                return w
-        return None
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(scan, shards))
-    for hit in results:
-        if hit is not None:
-            return len(words), hit
-    return len(words), None
+    checked = 0
+    for w in words:
+        checked += 1
+        if not check(w):
+            return checked, w
+    return checked, None
 
 
-def run_reversal(max_digit: int, max_len: int, jobs: int = 1) -> VerifyResult:
+def run_reversal(max_digit: int, max_len: int) -> VerifyResult:
     """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
-    checked, bad = _sharded_scan(
-        iter_words(max_digit, max_len), reversal_equality_check, jobs
-    )
+    checked, bad = _scan(iter_words(max_digit, max_len), reversal_equality_check)
     return VerifyResult(
         "reversal",
         bad is None,
@@ -86,10 +67,10 @@ def run_reversal(max_digit: int, max_len: int, jobs: int = 1) -> VerifyResult:
     )
 
 
-def run_dominance(max_digit: int, max_len: int, jobs: int = 1) -> VerifyResult:
+def run_dominance(max_digit: int, max_len: int) -> VerifyResult:
     """Denominator dominance for every word with last digit >= 2."""
-    words = [w for w in iter_words(max_digit, max_len) if w[-1] >= 2]
-    checked, bad = _sharded_scan(words, denominator_dominance, jobs)
+    words = (w for w in iter_words(max_digit, max_len) if w[-1] >= 2)
+    checked, bad = _scan(words, denominator_dominance)
     return VerifyResult(
         "dominance",
         bad is None,
@@ -99,7 +80,7 @@ def run_dominance(max_digit: int, max_len: int, jobs: int = 1) -> VerifyResult:
     )
 
 
-def run_pairwise(max_digit: int, max_len: int, jobs: int = 1) -> VerifyResult:
+def run_pairwise(max_digit: int, max_len: int) -> VerifyResult:
     """Strict inequality / reversal pairing verdicts for every padding word."""
 
     def check(n: Word) -> bool:
@@ -111,7 +92,7 @@ def run_pairwise(max_digit: int, max_len: int, jobs: int = 1) -> VerifyResult:
         except MeasureContradiction:
             return False
 
-    checked, bad = _sharded_scan(iter_words(max_digit, max_len), check, jobs)
+    checked, bad = _scan(iter_words(max_digit, max_len), check)
     return VerifyResult(
         "pairwise",
         bad is None,
@@ -151,13 +132,13 @@ class JointK2Result:
         )
 
 
-def run_joint_k2(cap: int = 1000, jobs: int = 1) -> JointK2Result:
+def run_joint_k2(cap: int = 1000) -> JointK2Result:
     """Bracket the k=2 joint measure and check it against the closed form.
 
     Passes iff the bracket contains the oracle value and the exact lower
     bound already exceeds gamma(C_[1,1]) by rational comparison.
     """
-    bm = joint_pattern_measure(2, cap, jobs=jobs)
+    bm = joint_pattern_measure(2, cap)
     oracle = joint_k2_oracle()
     gamma_11 = measure_of_cylinder((1, 1))
     contains = bm.contains(oracle)

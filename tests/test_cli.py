@@ -40,6 +40,21 @@ def test_measure_csv(capsys):
     assert out.splitlines() == ["word,log2_arg,float", '"1,1",10/9,0.152003']
 
 
+def test_measure_huge_word_renders_bounded_rationals(capsys):
+    # 12000 ones give parts of about 8300 bits, past the interpreter's
+    # int-to-str limit; the report renders them in the bounded "~" form
+    ones = ",".join(["1"] * 12000)
+    code, out, err = run(capsys, "measure", ones, "--format", "json", "--interval")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["log2_arg"].startswith("~1.0") and report["log2_arg"].endswith("-bit rational)")
+    assert all(x.startswith("~0.618") for x in report["interval"])
+    assert report["float"] == 0.0
+    code, out, err = run(capsys, "measure", ones, "--interval")
+    assert code == 0, err
+    assert out.startswith("log2(~1.0") and "(~0.618" in out
+
+
 def test_measure_empty_word_is_usage_error(capsys):
     code, _, err = run(capsys, "measure", "")
     assert code == 2
@@ -250,6 +265,16 @@ def test_subsequence_reports_selected_length(capsys):
     report = json.loads(out)
     assert report["selected_n"] == (20000 - 3) // 2 + 1
     assert report["config"]["b"] == 3 and report["config"]["k"] == 2
+
+
+def test_subsequence_refuses_unbounded_joint_enumeration(capsys):
+    # k=5 at the default cap would enumerate 1000**4 middle words
+    code, out, err = run(
+        capsys, "subsequence", "--source", "random:seed=11", "--n", "300000", "--b", "3", "--k", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "k=5" in err and "cap=1000" in err and "1000**4 middle words" in err
 
 
 # --------------------------------------------------------- reproducibility

@@ -10,9 +10,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cflab import (
     BoundedMeasure,
+    cylinder_interval,
+    denominator_dominance,
     LogRational,
     MeasureContradiction,
     PairVerdict,
@@ -23,9 +27,34 @@ from cflab import (
     measure_of_cylinder,
     measure_sum,
     pairwise_cylinder_inequality,
+    reverse,
     reversal_equality_check,
+    value_of,
 )
-from cflab.measure import COMPRESS_BITS, MEASURE_FULL, unenumerated_children_measure
+from cflab import measure
+from cflab.measure import (
+    MAX_MIDDLE_WORDS,
+    MEASURE_FULL,
+    _cylinder_arg,
+    _product_tree,
+    unenumerated_children_measure,
+)
+
+
+def _oracle_arg(w):
+    """The cylinder arg as Fractions over the interval endpoints."""
+    iv = cylinder_interval(w)
+    return (1 + iv.hi) / (1 + iv.lo)
+
+
+def _sequential_product(fractions):
+    prod = Fraction(1)
+    for x in fractions:
+        prod *= x
+    return prod
+
+
+words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
 
 
 def test_logrational_invariants():
@@ -183,19 +212,96 @@ def test_joint_k3_bracket_is_consistent_with_k2_structure():
     assert bm.lower < measure_of_cylinder((1,))
 
 
-def test_joint_jobs_sharding_is_exact():
-    assert joint_pattern_measure(2, 200, jobs=4).lower == joint_pattern_measure(2, 200).lower
-    assert joint_pattern_measure(3, 12, jobs=3).lower == joint_pattern_measure(3, 12).lower
+def test_joint_product_tree_matches_sequential_product():
+    # the lower bound is the left-to-right product of the Fraction term args
+    for k, cap, middles in (
+        (2, 200, [(n,) for n in range(1, 201)]),
+        (3, 12, [(a, b) for a in range(1, 13) for b in range(1, 13)]),
+    ):
+        expected = _sequential_product(_oracle_arg((1,) + m + (1,)) for m in middles)
+        assert joint_pattern_measure(k, cap).lower.arg == expected
 
 
-def test_joint_compress_mode_preserves_bracket():
-    exact = joint_pattern_measure(2, 400)
-    packed = joint_pattern_measure(2, 400, compress=True)
-    assert packed.lower.arg.denominator <= 1 << COMPRESS_BITS
-    assert packed.lower <= exact.lower
-    assert exact.upper <= packed.upper
-    # compression slack is tiny next to the genuine tail
-    assert packed.upper.float - exact.upper.float < 1e-60
+def test_joint_refuses_too_many_middle_words():
+    for k, cap in ((5, 1000), (3, 1001), (2, MAX_MIDDLE_WORDS + 1), (10**12, 2)):
+        with pytest.raises(ValueError) as exc:
+            joint_pattern_measure(k, cap)
+        message = str(exc.value)
+        assert f"k={k}" in message and f"cap={cap}" in message
+        assert f"{cap}**{k - 1} middle words" in message
+
+
+def test_joint_middle_word_limit_boundary(monkeypatch):
+    monkeypatch.setattr(measure, "MAX_MIDDLE_WORDS", 9)
+    joint_pattern_measure(3, 3)
+    joint_pattern_measure(2, 9)
+    joint_pattern_measure(40, 1)
+    for k, cap in ((3, 4), (2, 10), (4, 3)):
+        with pytest.raises(ValueError):
+            joint_pattern_measure(k, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+@example((1,))
+@example((10**6,) * 40)
+def test_cylinder_arg_matches_interval_oracle(w):
+    num, den = _cylinder_arg(w)
+    assert num > 0 and den > 0
+    assert Fraction(num, den) == _oracle_arg(w)
+    assert measure_of_cylinder(w).arg == _oracle_arg(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+            st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+        ),
+        max_size=300,
+    )
+)
+@example([])
+@example([(6, 4), (2, 3), (9, 9)])
+def test_product_tree_matches_left_to_right_product(terms):
+    expected = _sequential_product(Fraction(n, d) for n, d in terms)
+    assert _product_tree(terms) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(words)
+@example((1,))
+@example((2, 1))
+def test_reversal_verdict_matches_fraction_oracle(w):
+    assert reversal_equality_check(w) is (_oracle_arg(w) == _oracle_arg(reverse(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, st.booleans())
+@example((1,), True)
+@example((3,), False)
+def test_pairwise_verdict_matches_fraction_oracle(n, last_digit_one):
+    # last_digit_one forces the reversal-pairing case
+    if last_digit_one:
+        n = n + (1,)
+    if n[-1] >= 2:
+        assert _oracle_arg((1,) + n + (1,)) > _oracle_arg((1, 1) + n)
+        expected = PairVerdict.STRICT_GREATER
+    else:
+        m = n[:-1]
+        assert _oracle_arg((1,) + m + (1, 1)) == _oracle_arg((1, 1) + reverse(m) + (1,))
+        expected = PairVerdict.PAIRED_EQUAL
+    assert pairwise_cylinder_inequality(n) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(words.filter(lambda w: w[-1] >= 2))
+@example((2,))
+def test_denominator_dominance_matches_value_denominators(n):
+    q_left = value_of((1, 1) + n).denominator
+    q_right = value_of((1,) + n + (1,)).denominator
+    assert denominator_dominance(n) is (q_left > q_right)
 
 
 def test_measure_contradiction_is_assertion_like():

@@ -1,0 +1,54 @@
+"""Verification scans: lazy enumeration, first counterexample, `checked` counts."""
+
+import pytest
+
+from cflab import iter_words, verify
+
+
+@pytest.mark.parametrize(
+    "runner,check_name,family",
+    [
+        (verify.run_reversal, "reversal_equality_check", list(iter_words(3, 3))),
+        (
+            verify.run_dominance,
+            "denominator_dominance",
+            [w for w in iter_words(3, 3) if w[-1] >= 2],
+        ),
+    ],
+)
+def test_failed_scan_counts_words_up_to_the_first_counterexample(
+    monkeypatch, runner, check_name, family
+):
+    bad = {family[9], family[20]}
+    seen = []
+
+    def check(w):
+        seen.append(w)
+        return w not in bad
+
+    monkeypatch.setattr(verify, check_name, check)
+    result = runner(3, 3)
+    assert not result.passed
+    assert result.counterexample == family[9]
+    assert result.checked == 10 == len(seen)
+    assert seen == family[:10]
+    assert "10 cases checked" in result.summary()
+
+
+def test_failed_pairwise_scan_stops_at_the_contradiction(monkeypatch):
+    family = list(iter_words(3, 2))
+
+    def inequality(n):
+        if n == family[5]:
+            raise verify.MeasureContradiction("planted")
+        return verify.PairVerdict.STRICT_GREATER if n[-1] >= 2 else verify.PairVerdict.PAIRED_EQUAL
+
+    monkeypatch.setattr(verify, "pairwise_cylinder_inequality", inequality)
+    result = verify.run_pairwise(3, 2)
+    assert (result.passed, result.checked, result.counterexample) == (False, 6, family[5])
+
+
+def test_passing_scan_counts_the_whole_family():
+    assert verify.run_reversal(3, 3).checked == 3 + 9 + 27
+    assert verify.run_dominance(3, 3).checked == (3 + 9 + 27) * 2 // 3
+    assert verify.run_pairwise(3, 2).checked == 3 + 9

@@ -24,7 +24,6 @@ from .measure import (
     joint_pattern_measure,
     measure_compare,
     measure_of_cylinder,
-    measure_sum,
     pairwise_cylinder_inequality,
     reversal_equality_check,
 )
@@ -36,7 +35,6 @@ from .stats import (
     count_disjoint,
     count_overlapping,
     frequency_report,
-    joint_occurrence_count,
     select_ap,
 )
 from .streams import (

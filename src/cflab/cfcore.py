@@ -175,13 +175,13 @@ def denominator_dominance(n: Word) -> bool:
     return q_left > q_right
 
 
-def iter_words(max_digit: int, max_len: int, min_len: int = 1) -> Iterator[Word]:
-    """Enumerate all words with digits in 1..max_digit and lengths min_len..max_len.
+def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
+    """Enumerate all words with digits in 1..max_digit and lengths 1..max_len.
 
     Order is by length, then lexicographic, so a verification scan always
     reports the same first counterexample.
     """
     if max_digit < 1:
         return
-    for length in range(min_len, max_len + 1):
+    for length in range(1, max_len + 1):
         yield from itertools.product(range(1, max_digit + 1), repeat=length)

@@ -47,7 +47,7 @@ def _write_output(data: bytes, out: str | None) -> None:
 def _add_common(parser: argparse.ArgumentParser, format_default: str | None = None) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default=format_default)
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count; never changes results")
+    parser.add_argument("--jobs", type=int, default=1, help="no effect; kept for compatibility")
     parser.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
     parser.add_argument("--config", default=None, help="key=value file; flags override it")
 
@@ -224,9 +224,6 @@ def _experiment_config(args, patterns) -> ExperimentConfig:
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
         tolerance=args.tolerance,
-        fmt=args.format,
-        out=args.out,
-        jobs=args.jobs,
     )
 
 
@@ -287,6 +284,8 @@ def main(argv: list[str] | None = None) -> int:
             _load_config_defaults(argv, _subparser_for(parser, command))
         args = parser.parse_args(argv)
         _coerce_config_types(args)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 Both experiments take a fully explicit config and return a plain report
 dict; every semantic parameter is echoed into the report header so a rerun
-of the same config yields byte-identical output.  Execution knobs (job
-count, output path) deliberately stay out of the echo, since they cannot
-change any reported number.
+of the same config yields byte-identical output.  `jobs` is accepted for
+compatibility and read by nothing: counting is one sequential fold.  It
+stays out of the echo, since it cannot change any reported number.
 """
 
 from __future__ import annotations
@@ -40,12 +40,10 @@ class ExperimentConfig:
     seed: int | None = None
     checkpoint_every: int | None = None
     tolerance: float = DEFAULT_TOLERANCE
-    fmt: str = "json"
-    out: str | None = None
-    jobs: int = 1
+    jobs: int = 1  # accepted, never read
 
     def echo(self, *, with_ap: bool) -> dict:
-        """Semantic parameters only; job count and output path are excluded."""
+        """Semantic parameters only; the job count is excluded."""
         base = {
             "source": self.source,
             "n": self.n,
@@ -67,10 +65,6 @@ class ExperimentConfig:
         return parse_source_spec(self.source, seed=self.seed)
 
 
-def _float(x: Fraction | float) -> float:
-    return float(x)
-
-
 def _stat_rows(stats: StreamStats, patterns: list[Word], modes: list[ModeDescriptor]) -> list[dict]:
     rows = []
     gammas = {w: measure_of_cylinder(w).float for w in patterns}
@@ -88,9 +82,9 @@ def _stat_rows(stats: StreamStats, patterns: list[Word], modes: list[ModeDescrip
                         "count": count,
                         "freq_num": freq.numerator,
                         "freq_den": freq.denominator,
-                        "freq_float": _float(freq),
+                        "freq_float": float(freq),
                         "gamma_float": gammas[w],
-                        "abs_err": abs(_float(freq) - gammas[w]),
+                        "abs_err": abs(float(freq) - gammas[w]),
                     }
                 )
     return rows
@@ -114,15 +108,14 @@ def run_pillai(config: ExperimentConfig) -> dict:
         modes,
         config.n,
         config.effective_checkpoint(),
-        jobs=config.jobs,
     )
     rows = _stat_rows(stats, config.patterns, modes)
     summary = []
     worst = VERDICT_CONSISTENT
     for w in config.patterns:
         gamma = measure_of_cylinder(w).float
-        overlap = _float(stats.frequency(w, modes[0]))
-        disjoint = _float(stats.frequency(w, modes[1]))
+        overlap = float(stats.frequency(w, modes[0]))
+        disjoint = float(stats.frequency(w, modes[1]))
         devs = {
             "dev_overlap_gamma": abs(overlap - gamma),
             "dev_disjoint_gamma": abs(disjoint - gamma),
@@ -177,9 +170,8 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         [mode],
         max(2, (config.n - config.b) // config.k + 1),
         config.effective_checkpoint(),
-        jobs=config.jobs,
     )
-    freq = _float(stats.frequency(pattern, mode))
+    freq = float(stats.frequency(pattern, mode))
     bracket_lo, bracket_hi = joint.bracket()
     gamma_11 = measure_of_cylinder(pattern).float
     dist_joint = max(0.0, bracket_lo - freq, freq - bracket_hi)

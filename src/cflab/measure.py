@@ -90,9 +90,6 @@ class LogRational:
         return f"log2({self.arg.numerator}/{self.arg.denominator})"
 
 
-MEASURE_FULL = LogRational(Fraction(2))  # the whole space, log2(2) = 1
-
-
 def _cylinder_arg(w: Word) -> tuple[int, int]:
     """The arg (1 + hi)/(1 + lo) of gamma(C_w) as an unreduced pair (num, den).
 
@@ -114,11 +111,6 @@ def measure_of_cylinder(w: Word) -> LogRational:
     cylinder interval.
     """
     return LogRational(Fraction(*_cylinder_arg(w)))
-
-
-def measure_sum(a: LogRational, b: LogRational) -> LogRational:
-    """Measure of a disjoint union: args multiply."""
-    return a + b
 
 
 def measure_compare(a: LogRational, b: LogRational) -> int:

@@ -1,21 +1,26 @@
 """Streaming occurrence counters: overlapping, disjoint, aligned, AP-selected.
 
-Counting is a pure fold over the digit list, so chunked execution with a
-seam carry of |w|-1 digits merges back to the single-pass result exactly;
-`jobs` only changes the work partition, never a count.  Digit positions are
-1-based in reports to match the usual a1, a2, ... numbering, while start
-indices in code are plain 0-based offsets.
+Counting is a pure fold over the digit stream.  `frequency_report` pulls
+windows of at most COUNT_WINDOW digits, each prefixed with the last
+max|w|-1 digits of the one before (the seam carry), and every
+(pattern, mode) key keeps its next absolute start position, so a start is
+counted exactly once whatever the windows and chunks are, and memory stays
+O(window + checkpoints) for any n.  Digit positions are 1-based in reports
+to match the usual a1, a2, ... numbering, while start indices in code are
+plain 0-based offsets.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cfcore import Word, word
 from .streams import DigitSource
+
+# Most digits frequency_report pulls per window; windows also end at checkpoints.
+COUNT_WINDOW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,17 +138,6 @@ def admissible_positions(mode: ModeDescriptor, pattern_len: int, n: int) -> int:
     return (n - offset - pattern_len) // stride + 1
 
 
-def joint_occurrence_count(digits: Sequence[int], k: int) -> int:
-    """Overlapping [1,1] count on an AP-selected stream.
-
-    Named separately because the constant this estimates is the joint
-    measure of first-digit-1 at distance k, not the [1,1] cylinder measure.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    return count_overlapping(digits, (1, 1))
-
-
 def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
     """Digits at 1-based positions b, b+k, b+2k, ... of the source.
 
@@ -202,7 +196,6 @@ def frequency_report(
     modes: Sequence[ModeDescriptor],
     n: int,
     checkpoint_every: int,
-    jobs: int = 1,
 ) -> StreamStats:
     """Single pass over the first n digits, counting every pattern in every mode.
 
@@ -217,50 +210,44 @@ def frequency_report(
     if checkpoint_every < 1:
         raise ValueError("need checkpoint_every >= 1")
 
-    digits = source.take(n)
-    actual_n = len(digits)
-
-    modes_bound: dict[tuple[Word, ModeDescriptor], tuple[int, int]] = {}
-    for w in patterns:
-        for mode in modes:
-            stride = mode.bound_stride(len(w))
-            offset = mode.offset if mode.kind == "aligned" else 0
-            modes_bound[(w, mode)] = (stride, offset)
-
-    marks = list(range(checkpoint_every, actual_n + 1, checkpoint_every))
-    if not marks or marks[-1] != actual_n:
-        marks.append(actual_n)
-
-    counts = {key: 0 for key in modes_bound}
+    # each key's next uncounted admissible start, as an absolute position
+    next_start = {
+        (w, mode): mode.offset if mode.kind == "aligned" else 0
+        for w in patterns
+        for mode in modes
+    }
+    strides = {key: key[1].bound_stride(len(key[0])) for key in next_start}
+    seam = max(len(w) for w in patterns) - 1
+    counts = {key: 0 for key in next_start}
     checkpoints: list[tuple[int, dict]] = []
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        prev_stops = {key: 0 for key in modes_bound}
-        for mark in marks:
-            tasks = []
-            for key, (stride, offset) in modes_bound.items():
-                k = len(key[0])
-                stop = max(0, mark - k + 1)
-                tasks.append((key, _clamped(offset, stop, stride, prev_stops[key], stop)))
-                prev_stops[key] = stop
-            if pool is not None:
-                deltas = list(
-                    pool.map(lambda t: _count_positions(digits, t[0][0], t[1]), tasks)
-                )
-            else:
-                deltas = [_count_positions(digits, key[0], rng) for key, rng in tasks]
-            for (key, _), delta in zip(tasks, deltas):
-                counts[key] += delta
+    window: list[int] = []
+    pulled = 0
+    mark = min(checkpoint_every, n)
+    while pulled < n:
+        fresh = source.take(min(COUNT_WINDOW, mark - pulled))
+        if not fresh:
+            break
+        window = window[max(0, len(window) - seam) :] + fresh
+        pulled += len(fresh)
+        base = pulled - len(window)  # absolute position of window[0]
+        for key, start in next_start.items():
+            w, stride = key[0], strides[key]
+            stop = pulled - len(w) + 1  # starts whose match lies in the window
+            if start < stop:
+                starts = range(start - base, stop - base, stride)
+                counts[key] += _count_positions(window, w, starts)
+                next_start[key] = start + stride * len(starts)
+        if pulled == mark:
             checkpoints.append((mark, dict(counts)))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            mark = min(mark + checkpoint_every, n)
+    if not checkpoints or checkpoints[-1][0] != pulled:
+        checkpoints.append((pulled, dict(counts)))
 
     return StreamStats(
         source_label=source.label,
         requested_n=n,
-        n=actual_n,
-        truncated=actual_n < n,
+        n=pulled,
+        truncated=pulled < n,
         counts=counts,
         checkpoints=checkpoints,
     )
@@ -269,10 +256,10 @@ def frequency_report(
 def count_chunked(
     digits: Sequence[int], w: Word, mode: ModeDescriptor, jobs: int
 ) -> int:
-    """Chunk-parallel count; exactly equals the single-pass count.
+    """The count summed over `jobs` partitions of the start positions.
 
-    Chunks partition the start positions; a match may read up to |w|-1
-    digits past its chunk, which is the seam carry.
+    A match may read up to |w|-1 digits past its partition, which is the
+    seam carry, so the sum equals the single-pass count for every jobs.
     """
     w = _check_pattern(w)
     if jobs < 1:
@@ -280,12 +267,8 @@ def count_chunked(
     stride = mode.bound_stride(len(w))
     offset = mode.offset if mode.kind == "aligned" else 0
     stop = max(0, len(digits) - len(w) + 1)
-    if jobs == 1:
-        return _count_positions(digits, w, _clamped(offset, stop, stride, 0, stop))
     bounds = [(i * stop) // jobs for i in range(jobs + 1)]
-    ranges = [
-        _clamped(offset, stop, stride, lo, hi) for lo, hi in zip(bounds, bounds[1:])
-    ]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda r: _count_positions(digits, w, r), ranges))
-    return sum(parts)
+    return sum(
+        _count_positions(digits, w, _clamped(offset, stop, stride, lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    )

@@ -303,6 +303,32 @@ def test_reports_are_byte_identical_across_runs_and_jobs(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "0"],
+        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "-5"],
+        ["subsequence", "--source", "periodic:,2", "--n", "100", "--jobs", "0"],
+        ["measure", "1,1", "--jobs", "-3"],
+        ["expand", "rational:7/16", "--n", "3", "--jobs", "0"],
+        ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--jobs", "-1"],
+    ],
+)
+def test_jobs_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be >= 1" in err
+
+
+def test_jobs_below_one_from_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=100\npatterns=2\njobs=0\n")
+    code, _, err = run(capsys, "pillai", "--config", str(cfg))
+    assert code == 2
+    assert "--jobs must be >= 1" in err
+
+
 # ------------------------------------------------------------- config file
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -25,7 +25,6 @@ from cflab import (
     joint_pattern_measure,
     measure_compare,
     measure_of_cylinder,
-    measure_sum,
     pairwise_cylinder_inequality,
     reverse,
     reversal_equality_check,
@@ -34,11 +33,13 @@ from cflab import (
 from cflab import measure
 from cflab.measure import (
     MAX_MIDDLE_WORDS,
-    MEASURE_FULL,
     _cylinder_arg,
     _product_tree,
     unenumerated_children_measure,
 )
+
+
+MEASURE_FULL = LogRational(Fraction(2))  # the whole space, log2(2) = 1
 
 
 def _oracle_arg(w):
@@ -63,7 +64,7 @@ def test_logrational_invariants():
     zero = LogRational.zero()
     assert zero.arg == 1 and zero.float == 0.0
     ten_ninths = LogRational(Fraction(10, 9))
-    assert measure_sum(ten_ninths, zero) == ten_ninths
+    assert ten_ninths + zero == ten_ninths
     assert (ten_ninths - ten_ninths) == zero
     with pytest.raises(ValueError):
         zero - ten_ninths
@@ -81,10 +82,11 @@ def test_measure_of_cylinder_examples():
 
 
 def test_measure_sum_examples():
-    assert measure_sum(LogRational(Fraction(4, 3)), LogRational(Fraction(3, 2))) == MEASURE_FULL
-    assert measure_sum(
-        LogRational(Fraction(25, 24)), LogRational(Fraction(49, 48))
-    ) == LogRational(Fraction(1225, 1152))
+    # the measure of a disjoint union: args multiply
+    assert LogRational(Fraction(4, 3)) + LogRational(Fraction(3, 2)) == MEASURE_FULL
+    assert LogRational(Fraction(25, 24)) + LogRational(Fraction(49, 48)) == LogRational(
+        Fraction(1225, 1152)
+    )
 
 
 def test_measure_compare_examples():
@@ -107,8 +109,8 @@ def test_normalization_identity():
     for n_max in range(1, 101):
         total = LogRational.zero()
         for d in range(1, n_max + 1):
-            total = measure_sum(total, measure_of_cylinder((d,)))
-        assert measure_sum(total, digit_tail_measure(n_max)) == MEASURE_FULL
+            total += measure_of_cylinder((d,))
+        assert total + digit_tail_measure(n_max) == MEASURE_FULL
 
 
 def test_additivity_with_exact_remainder():
@@ -118,10 +120,10 @@ def test_additivity_with_exact_remainder():
         for n_max in (1, 5, 20):
             children = LogRational.zero()
             for d in range(1, n_max + 1):
-                children = measure_sum(children, measure_of_cylinder(w + (d,)))
+                children += measure_of_cylinder(w + (d,))
             assert children < parent
             remainder = unenumerated_children_measure(w, n_max)
-            assert measure_sum(children, remainder) == parent
+            assert children + remainder == parent
 
 
 def test_reversal_examples_and_exhaustive():

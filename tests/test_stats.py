@@ -6,23 +6,30 @@ power-of-two block containing it and reconciles the counters with that
 classification, boundary term and all.
 """
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflab import (
+    DigitSource,
     ModeDescriptor,
     count_aligned,
     count_chunked,
     count_disjoint,
     count_overlapping,
     frequency_report,
-    joint_occurrence_count,
+    parse_source_spec,
     select_ap,
     source_periodic,
     source_rational,
 )
+from cflab.stats import COUNT_WINDOW
 
 
 def naive_overlap(digits, w):
@@ -65,14 +72,6 @@ def test_count_aligned_examples():
     assert count_aligned([1, 2, 3, 4], 4, 2, (3, 4)) == 1
     with pytest.raises(ValueError):
         count_aligned([1, 2, 3], 2, 2, (1, 2))
-
-
-def test_joint_occurrence_count():
-    assert joint_occurrence_count([1, 1, 1], 2) == 2
-    assert joint_occurrence_count([1, 2, 1], 2) == 0
-    assert joint_occurrence_count([1, 1, 2, 1, 1], 3) == 2
-    with pytest.raises(ValueError):
-        joint_occurrence_count([1, 1], 1)
 
 
 # ----------------------------------------------------- oracle equivalence
@@ -241,14 +240,71 @@ def test_frequency_report_truncates_and_flags():
     assert stats.counts[((2,), ModeDescriptor.overlap())] == 2
 
 
-def test_frequency_report_jobs_equal():
-    src1 = source_periodic((3,), (1, 2, 1))
-    src2 = source_periodic((3,), (1, 2, 1))
-    modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint(), ModeDescriptor.aligned(4, 1)]
-    a = frequency_report(src1, [(1,), (1, 2)], modes, 5000, 999, jobs=1)
-    b = frequency_report(src2, [(1,), (1, 2)], modes, 5000, 999, jobs=8)
-    assert a.counts == b.counts
-    assert a.checkpoints == b.checkpoints
+@st.composite
+def fold_cases(draw):
+    chunks = draw(st.lists(st.lists(st.integers(1, 3), max_size=9), max_size=12))
+    patterns = draw(
+        st.lists(
+            st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    longest = max(map(len, patterns))
+    stride = draw(st.integers(longest, longest + 3))
+    offset = draw(st.integers(0, stride - longest))
+    total = sum(map(len, chunks))
+    n = draw(st.integers(longest, max(longest, total) + 5))
+    checkpoint_every = draw(st.integers(1, 25))
+    window = draw(st.sampled_from([1, 2, 3, 7, COUNT_WINDOW]))
+    return chunks, patterns, (stride, offset), n, checkpoint_every, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_frequency_report_fold_matches_list_counts(case):
+    # counts invariant under any chunking and any window, seams included
+    chunks, patterns, (stride, offset), n, checkpoint_every, window = case
+    overlap, disjoint = ModeDescriptor.overlap(), ModeDescriptor.disjoint()
+    aligned = ModeDescriptor.aligned(stride, offset)
+    source = DigitSource("test", "test", iter(chunks))
+    with mock.patch("cflab.stats.COUNT_WINDOW", window):
+        result = frequency_report(
+            source, patterns, [overlap, disjoint, aligned], n, checkpoint_every
+        )
+
+    digits = list(itertools.chain.from_iterable(chunks))[:n]
+    assert result.n == len(digits)
+    assert result.truncated == (len(digits) < n)
+    marks = list(range(checkpoint_every, len(digits) + 1, checkpoint_every))
+    if not marks or marks[-1] != len(digits):
+        marks.append(len(digits))
+    assert [mark for mark, _ in result.checkpoints] == marks
+    for mark, snapshot in result.checkpoints:
+        prefix = digits[:mark]
+        for w in patterns:
+            assert snapshot[(w, overlap)] == count_overlapping(prefix, w)
+            assert snapshot[(w, disjoint)] == count_aligned(prefix, len(w), 0, w)
+            assert snapshot[(w, aligned)] == count_aligned(prefix, stride, offset, w)
+    assert result.counts == result.checkpoints[-1][1]
+
+
+def test_frequency_report_memory_is_flat_in_n():
+    # a fixed checkpoint spacing keeps the snapshots negligible, so the
+    # peak is the window alone and must not grow with n
+    modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
+    peaks = []
+    for n in (200_000, 2_000_000):
+        source = parse_source_spec("periodic:,1")
+        tracemalloc.start()
+        try:
+            result = frequency_report(source, [(1,)], modes, n, 100_000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.counts[((1,), modes[0])] == n
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_frequency_report_validation():

@@ -44,26 +44,40 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode())
 
 
-def _add_common(parser: argparse.ArgumentParser, format_default: str | None = None) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default=format_default)
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--jobs", type=int, default=1, help="no effect; kept for compatibility")
-    parser.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
     parser.add_argument("--config", default=None, help="key=value file; flags override it")
 
 
-def _load_config_defaults(argv: list[str], subparser: argparse.ArgumentParser) -> None:
-    """Install key=value lines from the --config file as argument defaults.
+def _add_experiment(parser: argparse.ArgumentParser, expect_default: str) -> None:
+    """Options pillai and subsequence share; --source and --n are checked when run."""
+    parser.add_argument("--source")
+    parser.add_argument("--n", type=int, help="source digits to consume")
+    parser.add_argument("--checkpoint-every", type=int, default=None)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    parser.add_argument("--expect", choices=("consistent", "non-normal"), default=expect_default)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
+    _add_common(parser)
 
-    Explicit flags still win because argparse only falls back to defaults.
-    Keys supplied by the file also stop being required on the command line.
+
+def _config_tokens(argv: list[str]) -> list[tuple[str, str]]:
+    """(key, flag token) pairs for the key=value lines of the --config file in argv.
+
+    Keys are option dests (`-` or `_`); `patterns=a;b` gives one --pattern
+    token per word.  The `--flag=value` form keeps a value from taking the
+    next token.
     """
-    idx = argv.index("--config")
+    locator = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    locator.add_argument("--config")
     try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ValueError("--config needs a path") from None
-    defaults = {}
+        path = locator.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return []  # the full parse reports the malformed option
+    if path is None:
+        return []
+    pairs = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -71,19 +85,12 @@ def _load_config_defaults(argv: list[str], subparser: argparse.ArgumentParser) -
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"bad config line {line!r}")
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    known = {action.dest for action in subparser._actions}
-    unknown = set(defaults) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    subparser.set_defaults(**defaults)
-    for action in subparser._actions:
-        if action.dest in defaults:
-            action.required = False
-
-
-def _parse_patterns(raw: list[str]) -> list:
-    return [parse_word(text) for text in raw]
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key == "patterns":
+            pairs += [(key, f"--pattern={text}") for text in value.split(";")]
+        else:
+            pairs.append((key, f"--{key.replace('_', '-')}={value}"))
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,11 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="Gauss measure of a cylinder, exactly")
     p.add_argument("word", help="comma-separated partial quotients, e.g. 1,1")
     p.add_argument("--interval", action="store_true", help="also print the cylinder endpoints")
+    p.add_argument("--format", choices=("json", "csv"), default=None)
     _add_common(p)
 
     p = sub.add_parser("expand", help="dump digits of a source, one per line")
     p.add_argument("source", help="source spec, e.g. rational:7/16 or random:seed=42")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run an exhaustive exact verification suite")
@@ -114,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "pillai",
         help="overlapping vs disjoint block frequencies against cylinder measures",
     )
-    p.add_argument("--source", required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--pattern",
         action="append",
@@ -123,24 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="repeatable; comma-separated word",
     )
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--expect", choices=("consistent", "non-normal"), default="consistent")
-    _add_common(p, format_default="json")
+    _add_experiment(p, expect_default="consistent")
 
     p = sub.add_parser(
         "subsequence",
         help="[1,1] frequency along an arithmetic-progression subsequence",
     )
-    p.add_argument("--source", required=True)
-    p.add_argument("--n", type=int, required=True, help="source digits to consume")
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--expect", choices=("consistent", "non-normal"), default="non-normal")
-    _add_common(p, format_default="json")
+    _add_experiment(p, expect_default="non-normal")
 
     return parser
 
@@ -214,6 +213,9 @@ def _cmd_verify(args) -> int:
 
 
 def _experiment_config(args, patterns) -> ExperimentConfig:
+    missing = [flag for flag in ("--source", "--n") if getattr(args, flag[2:]) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     return ExperimentConfig(
         source=args.source,
         n=args.n,
@@ -237,10 +239,7 @@ def _finish_experiment(report: dict, args) -> int:
 def _cmd_pillai(args) -> int:
     if not args.patterns:
         raise ValueError("pillai needs at least one --pattern")
-    patterns = _parse_patterns(
-        args.patterns if isinstance(args.patterns, list) else str(args.patterns).split(";")
-    )
-    report = run_pillai(_experiment_config(args, patterns))
+    report = run_pillai(_experiment_config(args, [parse_word(text) for text in args.patterns]))
     return _finish_experiment(report, args)
 
 
@@ -257,46 +256,31 @@ _COMMANDS = {
     "subsequence": _cmd_subsequence,
 }
 
-_INT_KEYS = ("n", "b", "k", "cap", "jobs", "seed", "max_digit", "max_len", "checkpoint_every")
-
-
-def _coerce_config_types(args: argparse.Namespace) -> None:
-    # values sourced from a config file arrive as strings
-    for key in _INT_KEYS:
-        value = getattr(args, key, None)
-        if isinstance(value, str):
-            setattr(args, key, int(value))
-    tol = getattr(args, "tolerance", None)
-    if isinstance(tol, str):
-        args.tolerance = float(tol)
-    pats = getattr(args, "patterns", None)
-    if isinstance(pats, str):
-        args.patterns = pats.split(";")
-
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        command = argv[0] if argv and not argv[0].startswith("-") else None
-        if command in _COMMANDS and "--config" in argv:
-            # config defaults must be installed on the subparser before parsing
-            _load_config_defaults(argv, _subparser_for(parser, command))
-        args = parser.parse_args(argv)
-        _coerce_config_types(args)
+        pairs = _config_tokens(argv) if argv[:1] and argv[0] in _COMMANDS else []
+        # file values go right after the subcommand, so a flag given later wins
+        file_tokens = [token for key, token in pairs if key not in ("help", "config")]
+        args, extra = parser.parse_known_args(argv[:1] + file_tokens + argv[1:])
+        # a key is known only if it is the dest of an option this subcommand parsed
+        known = vars(args).keys() - {"config"}
+        unknown = {key for key, token in pairs if key not in known or token in extra}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        n_file = sum(key == "patterns" for key, _ in pairs)
+        if len(getattr(args, "patterns", None) or ()) > n_file:
+            args.patterns = args.patterns[n_file:]  # --pattern flags replace the file's list
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise LookupError(command)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ stays out of the echo, since it cannot change any reported number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +42,11 @@ class ExperimentConfig:
     checkpoint_every: int | None = None
     tolerance: float = DEFAULT_TOLERANCE
     jobs: int = 1  # accepted, never read
+
+    def __post_init__(self) -> None:
+        # a NaN or non-positive tolerance would flag every pattern whatever the data
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
     def echo(self, *, with_ap: bool) -> dict:
         """Semantic parameters only; the job count is excluded."""
@@ -159,6 +165,9 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     """
     if config.k < 2 or config.b < 1:
         raise ValueError("need k >= 2 and b >= 1")
+    if config.n < config.b + config.k:
+        # below b + k fewer than two digits are selected: not one [1,1] start
+        raise ValueError(f"need n >= b + k, got n={config.n}, b={config.b}, k={config.k}")
     pattern: Word = (1, 1)
     mode = ModeDescriptor.overlap()
     # first, so a refused k/cap fails before any digit is drawn
@@ -168,7 +177,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         selected,
         [pattern],
         [mode],
-        max(2, (config.n - config.b) // config.k + 1),
+        (config.n - config.b) // config.k + 1,
         config.effective_checkpoint(),
     )
     freq = float(stats.frequency(pattern, mode))

@@ -160,7 +160,7 @@ def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
             skip = (skip - size) % k
         out.precision_exhausted = source.precision_exhausted
 
-    out = DigitSource("ap-select", f"ap(b={b},k={k}):{source.label}", gen())
+    out = DigitSource(f"ap(b={b},k={k}):{source.label}", gen())
     return out
 
 
@@ -168,8 +168,6 @@ def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
 class StreamStats:
     """Counts for each (pattern, mode) over one pass of a digit stream."""
 
-    source_label: str
-    requested_n: int
     n: int
     truncated: bool
     counts: dict[tuple[Word, ModeDescriptor], int]
@@ -244,8 +242,6 @@ def frequency_report(
         checkpoints.append((pulled, dict(counts)))
 
     return StreamStats(
-        source_label=source.label,
-        requested_n=n,
         n=pulled,
         truncated=pulled < n,
         counts=counts,

@@ -1,7 +1,7 @@
 """Pull-based digit sources: rationals, periodic words, interval-refined reals.
 
 A DigitSource is a single-consumer stream of partial quotients with a bit
-of provenance (kind, label, emitted count).  Construction parameters fully
+of provenance (label, emitted count).  Construction parameters fully
 determine the digit sequence, seeds included.  Sources are not safe for
 concurrent pulls; hand one off between workers or build independent ones.
 
@@ -55,10 +55,9 @@ PERIODIC_CHUNK_DIGITS = 1024
 class DigitSource:
     """Stateful digit stream over chunks; see module docstring for the contract."""
 
-    __slots__ = ("kind", "label", "emitted", "precision_exhausted", "_chunks", "_chunk", "_pos")
+    __slots__ = ("label", "emitted", "precision_exhausted", "_chunks", "_chunk", "_pos")
 
-    def __init__(self, kind: str, label: str, chunks: Iterator[Sequence[int]]):
-        self.kind = kind
+    def __init__(self, label: str, chunks: Iterator[Sequence[int]]):
         self.label = label
         self.emitted = 0
         self.precision_exhausted = False
@@ -160,7 +159,7 @@ def _interval_digits(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> list[int]:
 def source_rational(num: int, den: int) -> DigitSource:
     """Finite source emitting the canonical expansion of num/den."""
     digits = cf_of_rational(num, den)
-    return DigitSource("rational", f"rational:{num}/{den}", iter((digits,)))
+    return DigitSource(f"rational:{num}/{den}", iter((digits,)))
 
 
 def source_periodic(prefix: Word, period: Word) -> DigitSource:
@@ -175,7 +174,7 @@ def source_periodic(prefix: Word, period: Word) -> DigitSource:
         yield from itertools.repeat(period * max(1, PERIODIC_CHUNK_DIGITS // len(period)))
 
     label = f"periodic:{format_word(prefix)};{format_word(period)}"
-    return DigitSource("periodic", label, gen())
+    return DigitSource(label, gen())
 
 
 def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
@@ -200,7 +199,7 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
         yield _interval_digits(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
         src.precision_exhausted = True
 
-    src = DigitSource("decimal-interval", f"decimal:{decimal}:e{ulp_exponent}", gen())
+    src = DigitSource(f"decimal:{decimal}:e{ulp_exponent}", gen())
     return src
 
 
@@ -218,7 +217,7 @@ def source_concat_normal() -> DigitSource:
                 if math.gcd(p, q) == 1:
                     yield cf_of_rational(p, q)
 
-    return DigitSource("concat-normal", "concat-normal", gen())
+    return DigitSource("concat-normal", gen())
 
 
 def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitSource:
@@ -243,7 +242,7 @@ def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitS
             m = random.Random((seed << 64) + block).getrandbits(block_bits)
             yield _interval_digits(m, scale, m + 1, scale)
 
-    return DigitSource("random-real", f"random:seed={seed}", gen())
+    return DigitSource(f"random:seed={seed}", gen())
 
 
 def limit(source: DigitSource, n: int) -> DigitSource:
@@ -261,7 +260,7 @@ def limit(source: DigitSource, n: int) -> DigitSource:
             yield chunk
         out.precision_exhausted = source.precision_exhausted
 
-    out = DigitSource(source.kind, source.label, gen())
+    out = DigitSource(source.label, gen())
     return out
 
 

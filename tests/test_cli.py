@@ -8,7 +8,10 @@ from cflab.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse reports usage errors by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -359,3 +362,119 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "pillai", "--config", str(cfg))
     assert code == 2
     assert "unknown config keys" in err
+
+
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=500\npatterns=2\nexpect=maybe\n")
+    code, out, err = run(capsys, "pillai", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'maybe'" in err
+
+
+def test_config_file_patterns_replaced_by_pattern_flags(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=500\npatterns=2;2,2\nexpect=non-normal\n")
+    code, out, err = run(capsys, "pillai", "--config", str(cfg), "--pattern", "1")
+    assert code == 0, err
+    assert json.loads(out)["config"]["patterns"] == ["1"]
+
+
+def test_config_equals_form_loads_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=500\npatterns=2\nexpect=non-normal\n")
+    code, out, err = run(capsys, "pillai", f"--config={cfg}")
+    assert code == 0, err
+    assert json.loads(out)["config"]["n"] == 500
+
+
+def test_config_without_path_is_usage_error(capsys):
+    code, out, err = run(capsys, "pillai", "--source", "periodic:,2", "--n", "100", "--config")
+    assert code == 2
+    assert out == ""
+    assert "argument --config: expected one argument" in err
+
+
+@pytest.mark.parametrize("line", ["help=x", "help=", "config=other.cfg", "command=subsequence"])
+def test_config_file_non_option_keys_are_unknown(tmp_path, capsys, line):
+    # help and config are never file keys; positionals cannot come from a file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"source=periodic:,2\nn=500\npatterns=2\n{line}\n")
+    code, out, err = run(capsys, "pillai", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys" in err
+
+
+def test_config_file_replays_flag_run(tmp_path, capsys):
+    flags = ["--source", "random:seed=3", "--n", "5000", "--b", "3", "--k", "3", "--cap", "20"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=random:seed=3\nn=5000\nb=3\nk=3\ncap=20\nformat=csv\n")
+    from_flags = run(capsys, "subsequence", *flags, "--format", "csv")
+    assert from_flags[0] == 0
+    assert run(capsys, "subsequence", "--config", str(cfg)) == from_flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--format", "csv"],
+        ["measure", "1,1", "--seed", "3"],
+        ["expand", "rational:7/16", "--n", "3", "--format", "json"],
+    ],
+)
+def test_options_a_subcommand_never_reads_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [["pillai", "--pattern", "1"], ["subsequence"]])
+def test_experiment_needs_source_and_n(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "required: --source, --n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pillai", "--source", "random:seed=1", "--n", "20000", "--pattern", "1"],
+        ["subsequence", "--source", "periodic:,1", "--n", "2000", "--cap", "10"],
+    ],
+)
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tolerance):
+    code, out, err = run(capsys, *argv, "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite and > 0" in err
+
+
+def test_tolerance_from_config_file_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=100\npatterns=2\ntolerance=nan\n")
+    code, _, err = run(capsys, "pillai", "--config", str(cfg))
+    assert code == 2
+    assert "tolerance must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("n,b,k", [(0, 1, 2), (2, 1, 2), (4, 3, 2), (5, 2, 4)])
+def test_subsequence_needs_one_selected_pair(capsys, n, b, k):
+    argv = ["--n", str(n), "--b", str(b), "--k", str(k), "--cap", "10"]
+    code, out, err = run(capsys, "subsequence", "--source", "periodic:,1", *argv)
+    assert code == 2
+    assert out == ""
+    assert "need n >= b + k" in err
+
+
+def test_subsequence_at_n_equal_b_plus_k_selects_two_digits(capsys):
+    argv = ["--n", "5", "--b", "3", "--k", "2", "--cap", "10"]
+    code, out, err = run(capsys, "subsequence", "--source", "periodic:,1", *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["selected_n"] == 2
+    assert report["rows"][-1]["count"] == 1

@@ -268,7 +268,7 @@ def test_frequency_report_fold_matches_list_counts(case):
     chunks, patterns, (stride, offset), n, checkpoint_every, window = case
     overlap, disjoint = ModeDescriptor.overlap(), ModeDescriptor.disjoint()
     aligned = ModeDescriptor.aligned(stride, offset)
-    source = DigitSource("test", "test", iter(chunks))
+    source = DigitSource("test", iter(chunks))
     with mock.patch("cflab.stats.COUNT_WINDOW", window):
         result = frequency_report(
             source, patterns, [overlap, disjoint, aligned], n, checkpoint_every

@@ -22,7 +22,6 @@ from .measure import (
     PairVerdict,
     digit_tail_measure,
     joint_pattern_measure,
-    measure_compare,
     measure_of_cylinder,
     pairwise_cylinder_inequality,
     reversal_equality_check,

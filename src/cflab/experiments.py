@@ -11,17 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cfcore import Word, format_word
 from .measure import joint_pattern_measure, measure_of_cylinder
-from .stats import (
-    ModeDescriptor,
-    StreamStats,
-    admissible_positions,
-    frequency_report,
-    select_ap,
-)
+from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
 from .streams import limit, parse_source_spec
 
 DEFAULT_TOLERANCE = 0.005
@@ -78,8 +71,7 @@ def _stat_rows(stats: StreamStats, patterns: list[Word], modes: list[ModeDescrip
         for w in patterns:
             for mode in modes:
                 count = snapshot[(w, mode)]
-                denom = admissible_positions(mode, len(w), mark)
-                freq = Fraction(count, denom) if denom else Fraction(0)
+                freq = mode.frequency(count, len(w), mark)
                 rows.append(
                     {
                         "n": mark,

@@ -44,10 +44,6 @@ class LogRational:
     def zero(cls) -> "LogRational":
         return cls(_ONE)
 
-    @classmethod
-    def of_ratio(cls, num: int, den: int) -> "LogRational":
-        return cls(Fraction(num, den))
-
     def __add__(self, other: "LogRational") -> "LogRational":
         return LogRational(self.arg * other.arg)
 
@@ -111,15 +107,6 @@ def measure_of_cylinder(w: Word) -> LogRational:
     cylinder interval.
     """
     return LogRational(Fraction(*_cylinder_arg(w)))
-
-
-def measure_compare(a: LogRational, b: LogRational) -> int:
-    """-1, 0, or 1 by exact cross-multiplication of the args."""
-    if a.arg < b.arg:
-        return -1
-    if a.arg > b.arg:
-        return 1
-    return 0
 
 
 def digit_tail_measure(n_max: int) -> LogRational:
@@ -287,5 +274,4 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
         _cylinder_arg((1,) + middle + (1,))
         for middle in itertools.product(range(1, cap + 1), repeat=k - 1)
     )
-    tail_arg = Fraction(cap + 2, cap + 1) ** (k - 1)
-    return BoundedMeasure(LogRational(_product_tree(terms)), LogRational(tail_arg))
+    return BoundedMeasure(LogRational(_product_tree(terms)), (k - 1) * digit_tail_measure(cap))

@@ -5,9 +5,14 @@ windows of at most COUNT_WINDOW digits, each prefixed with the last
 max|w|-1 digits of the one before (the seam carry), and every
 (pattern, mode) key keeps its next absolute start position, so a start is
 counted exactly once whatever the windows and chunks are, and memory stays
-O(window + checkpoints) for any n.  Digit positions are 1-based in reports
-to match the usual a1, a2, ... numbering, while start indices in code are
-plain 0-based offsets.
+O(window + checkpoints) for any n.
+
+A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
+of admissible starts and `frequency` divides a count by its denominator.
+The list counters and the reports go through those two, and
+`frequency_report` walks the same offset and stride window by window.
+Digit positions are 1-based in reports to match the usual a1, a2, ...
+numbering, while start indices in code are plain 0-based offsets.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ class ModeDescriptor:
 
     kind is one of "overlap", "disjoint", "aligned"; disjoint is the
     aligned mode with stride equal to the pattern length and offset 0, kept
-    distinct only for labeling and its n/k frequency denominator.
+    distinct only for labeling.
     """
 
     kind: str
@@ -63,6 +68,21 @@ class ModeDescriptor:
             )
         return self.stride
 
+    def starts(self, pattern_len: int, n: int) -> range:
+        """The admissible 0-based starts of a match lying inside n digits."""
+        stride = self.bound_stride(pattern_len)
+        return range(self.offset, max(self.offset, n - pattern_len + 1), stride)
+
+    def frequency(self, count: int, pattern_len: int, n: int) -> Fraction:
+        """count over n for overlap, else over len(starts); 0 when that is 0.
+
+        Overlap keeps the shift-count normalization n even though only
+        n - |w| + 1 starts fit; the difference is O(|w|/n) and the convention
+        matches the asymptotic definition being tested.
+        """
+        denom = n if self.kind == "overlap" else len(self.starts(pattern_len, n))
+        return Fraction(count, denom) if denom else Fraction(0)
+
     @property
     def name(self) -> str:
         if self.kind == "aligned":
@@ -84,14 +104,6 @@ def _count_positions(digits: Sequence[int], w: Sequence[int], positions: range) 
     return count
 
 
-def _clamped(start: int, stop: int, step: int, lo: int, hi: int) -> range:
-    """The sub-range of range(start, stop, step) with values in [lo, hi)."""
-    stop = min(stop, hi)
-    if start < lo:
-        start += step * ((lo - start + step - 1) // step)
-    return range(start, max(start, stop), step)
-
-
 def _check_pattern(w: Word) -> Word:
     w = word(w)
     if len(w) == 0:
@@ -102,40 +114,20 @@ def _check_pattern(w: Word) -> Word:
 def count_overlapping(digits: Sequence[int], w: Word) -> int:
     """Occurrences at every shift, fully contained in the digit list."""
     w = _check_pattern(w)
-    return _count_positions(digits, w, range(0, max(0, len(digits) - len(w) + 1)))
+    return _count_positions(digits, w, ModeDescriptor.overlap().starts(len(w), len(digits)))
 
 
 def count_aligned(digits: Sequence[int], stride: int, offset: int, w: Word) -> int:
     """Occurrences starting at offset within non-overlapping stride blocks."""
     w = _check_pattern(w)
-    if stride < 1:
-        raise ValueError("need stride >= 1")
-    if not 0 <= offset <= stride - len(w):
-        raise ValueError(f"offset {offset} out of range for stride {stride}, |w|={len(w)}")
-    stop = max(0, len(digits) - len(w) + 1)
-    return _count_positions(digits, w, range(offset, max(offset, stop), stride))
+    mode = ModeDescriptor.aligned(stride, offset)
+    return _count_positions(digits, w, mode.starts(len(w), len(digits)))
 
 
 def count_disjoint(digits: Sequence[int], w: Word) -> int:
     """Occurrences at shifts that are multiples of the pattern length."""
     w = _check_pattern(w)
-    return count_aligned(digits, len(w), 0, w)
-
-
-def admissible_positions(mode: ModeDescriptor, pattern_len: int, n: int) -> int:
-    """Denominator for frequencies: n for overlap, block count otherwise.
-
-    Overlap keeps the shift-count normalization n even though only
-    n - |w| + 1 starts fit; the difference is O(|w|/n) and the convention
-    matches the asymptotic definition being tested.
-    """
-    if mode.kind == "overlap":
-        return n
-    stride = mode.bound_stride(pattern_len)
-    offset = mode.offset if mode.kind == "aligned" else 0
-    if n < offset + pattern_len:
-        return 0
-    return (n - offset - pattern_len) // stride + 1
+    return _count_positions(digits, w, ModeDescriptor.disjoint().starts(len(w), len(digits)))
 
 
 def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
@@ -182,10 +174,7 @@ class StreamStats:
             count = self.counts[(w, mode)]
         else:
             count = dict(self.checkpoints)[at_n][(w, mode)]
-        denom = admissible_positions(mode, len(w), n)
-        if denom == 0:
-            return Fraction(0)
-        return Fraction(count, denom)
+        return mode.frequency(count, len(w), n)
 
 
 def frequency_report(
@@ -209,11 +198,7 @@ def frequency_report(
         raise ValueError("need checkpoint_every >= 1")
 
     # each key's next uncounted admissible start, as an absolute position
-    next_start = {
-        (w, mode): mode.offset if mode.kind == "aligned" else 0
-        for w in patterns
-        for mode in modes
-    }
+    next_start = {(w, mode): mode.offset for w in patterns for mode in modes}
     strides = {key: key[1].bound_stride(len(key[0])) for key in next_start}
     seam = max(len(w) for w in patterns) - 1
     counts = {key: 0 for key in next_start}
@@ -260,11 +245,9 @@ def count_chunked(
     w = _check_pattern(w)
     if jobs < 1:
         raise ValueError("need jobs >= 1")
-    stride = mode.bound_stride(len(w))
-    offset = mode.offset if mode.kind == "aligned" else 0
-    stop = max(0, len(digits) - len(w) + 1)
-    bounds = [(i * stop) // jobs for i in range(jobs + 1)]
+    starts = mode.starts(len(w), len(digits))
+    m = len(starts)
     return sum(
-        _count_positions(digits, w, _clamped(offset, stop, stride, lo, hi))
-        for lo, hi in zip(bounds, bounds[1:])
+        _count_positions(digits, w, starts[i * m // jobs : (i + 1) * m // jobs])
+        for i in range(jobs)
     )

@@ -42,7 +42,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cfcore import Word, cf_of_rational, format_word, word
+from .cfcore import Word, cf_of_rational, format_word, parse_rational, parse_word, word
 
 RANDOM_BLOCK_BITS = 4096
 # Bit width of the widened endpoints a batch runs on: wider batches certify
@@ -275,15 +275,13 @@ def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
     text = text.strip()
     kind, _, payload = text.partition(":")
     if kind == "rational":
-        frac = Fraction(payload)
+        frac = parse_rational(payload)
         return source_rational(frac.numerator, frac.denominator)
     if kind == "periodic":
         if ";" in payload:
             prefix_text, _, period_text = payload.partition(";")
         else:
             prefix_text, _, period_text = payload.partition(",")
-        from .cfcore import parse_word
-
         prefix = parse_word(prefix_text, allow_empty=True)
         period = parse_word(period_text, allow_empty=True)
         return source_periodic(prefix, period)

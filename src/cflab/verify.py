@@ -41,41 +41,39 @@ class VerifyResult:
         return line
 
 
-def _scan(words, check):
-    """Run `check` over words lazily, returning (checked, first failing word).
+def _scan(suite: str, words, check, detail: str) -> VerifyResult:
+    """Run `check` over words lazily and report the first failing word.
 
     The scan stops at the first failure in enumeration order, and `checked`
-    counts the words examined up to and including it.
+    counts the words examined up to and including it.  A family with no
+    words is a usage error, not a vacuous pass.
     """
     checked = 0
     for w in words:
         checked += 1
         if not check(w):
-            return checked, w
-    return checked, None
+            return VerifyResult(suite, False, checked, w, detail)
+    if not checked:
+        raise ValueError(f"{suite}: no words to check with {detail}")
+    return VerifyResult(suite, True, checked, None, detail)
 
 
 def run_reversal(max_digit: int, max_len: int) -> VerifyResult:
     """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
-    checked, bad = _scan(iter_words(max_digit, max_len), reversal_equality_check)
-    return VerifyResult(
+    return _scan(
         "reversal",
-        bad is None,
-        checked,
-        bad,
+        iter_words(max_digit, max_len),
+        reversal_equality_check,
         f"digits <= {max_digit}, length <= {max_len}",
     )
 
 
 def run_dominance(max_digit: int, max_len: int) -> VerifyResult:
     """Denominator dominance for every word with last digit >= 2."""
-    words = (w for w in iter_words(max_digit, max_len) if w[-1] >= 2)
-    checked, bad = _scan(words, denominator_dominance)
-    return VerifyResult(
+    return _scan(
         "dominance",
-        bad is None,
-        checked,
-        bad,
+        (w for w in iter_words(max_digit, max_len) if w[-1] >= 2),
+        denominator_dominance,
         f"digits <= {max_digit}, length <= {max_len}, last digit >= 2",
     )
 
@@ -92,12 +90,10 @@ def run_pairwise(max_digit: int, max_len: int) -> VerifyResult:
         except MeasureContradiction:
             return False
 
-    checked, bad = _scan(iter_words(max_digit, max_len), check)
-    return VerifyResult(
+    return _scan(
         "pairwise",
-        bad is None,
-        checked,
-        bad,
+        iter_words(max_digit, max_len),
+        check,
         f"digits <= {max_digit}, length <= {max_len}",
     )
 

@@ -106,6 +106,21 @@ def test_expand_negative_seed_is_usage_error(capsys, argv):
     assert "seed must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "rational:1/0", "--n", "3"],
+        ["pillai", "--source", "rational:1/0", "--n", "100", "--pattern", "1"],
+    ],
+)
+def test_zero_denominator_rational_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1/0" in err
+
+
 # ----------------------------------------------------------------- verify
 
 @pytest.mark.parametrize(
@@ -121,6 +136,25 @@ def test_verify_suites_pass(capsys, suite, flags):
     code, out, _ = run(capsys, "verify", suite, *flags)
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize(
+    "suite,max_digit,max_len",
+    [
+        ("reversal", 0, 2),
+        ("dominance", 3, -1),
+        ("dominance", 1, 3),  # words exist, but none ends in a digit >= 2
+        ("pairwise", 2, 0),
+    ],
+)
+def test_verify_empty_family_is_usage_error(capsys, suite, max_digit, max_len):
+    code, out, err = run(
+        capsys, "verify", suite, "--max-digit", str(max_digit), "--max-len", str(max_len)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"digits <= {max_digit}, length <= {max_len}" in err
 
 
 def test_verify_writes_report(capsys, tmp_path):

@@ -23,7 +23,6 @@ from cflab import (
     digit_tail_measure,
     iter_words,
     joint_pattern_measure,
-    measure_compare,
     measure_of_cylinder,
     pairwise_cylinder_inequality,
     reverse,
@@ -70,6 +69,10 @@ def test_logrational_invariants():
         zero - ten_ninths
     assert 3 * LogRational(Fraction(3, 2)) == LogRational(Fraction(27, 8))
     assert repr(ten_ninths) == "log2(10/9)"
+    # comparisons are exact cross-multiplications of the args
+    assert LogRational(Fraction(49, 48)) > LogRational(Fraction(56, 55))
+    assert LogRational(Fraction(21, 20)) == LogRational(Fraction(21, 20))
+    assert LogRational(Fraction(10, 9)) < LogRational(Fraction(4, 3))
 
 
 def test_measure_of_cylinder_examples():
@@ -87,12 +90,6 @@ def test_measure_sum_examples():
     assert LogRational(Fraction(25, 24)) + LogRational(Fraction(49, 48)) == LogRational(
         Fraction(1225, 1152)
     )
-
-
-def test_measure_compare_examples():
-    assert measure_compare(LogRational(Fraction(49, 48)), LogRational(Fraction(56, 55))) == 1
-    assert measure_compare(LogRational(Fraction(21, 20)), LogRational(Fraction(21, 20))) == 0
-    assert measure_compare(LogRational(Fraction(10, 9)), LogRational(Fraction(4, 3))) == -1
 
 
 def test_digit_tail_measure():

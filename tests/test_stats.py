@@ -13,7 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cflab import (
@@ -202,6 +202,26 @@ def test_chunked_counting_matches_single_pass():
             assert count_chunked(digits, w, mode, jobs) == count_aligned(digits, stride, 1, w)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=10),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(1, 12),
+)
+def test_chunked_counting_with_more_jobs_than_starts(digits, w, extra, shift, jobs):
+    # most of the jobs partitions are empty here, and some starts have no room
+    stride = len(w) + extra
+    offset = min(shift, extra)
+    assert count_chunked(digits, w, ModeDescriptor.overlap(), jobs) == naive_overlap(digits, w)
+    assert count_chunked(digits, w, ModeDescriptor.disjoint(), jobs) == naive_aligned(
+        digits, len(w), 0, w
+    )
+    mode = ModeDescriptor.aligned(stride, offset)
+    assert count_chunked(digits, w, mode, jobs) == naive_aligned(digits, stride, offset, w)
+
+
 # -------------------------------------------------------------- select_ap
 
 def test_select_ap_on_sources():
@@ -316,11 +336,50 @@ def test_frequency_report_validation():
         frequency_report(source_periodic((), (1,)), [(1,)], [ModeDescriptor.overlap()], 10, 0)
 
 
+@st.composite
+def mode_cases(draw):
+    length = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["overlap", "disjoint", "aligned"]))
+    if kind == "overlap":
+        mode, stride, offset = ModeDescriptor.overlap(), 1, 0
+    elif kind == "disjoint":
+        mode, stride, offset = ModeDescriptor.disjoint(), length, 0
+    else:
+        stride = draw(st.integers(length, length + 4))
+        offset = draw(st.integers(0, stride - length))
+        mode = ModeDescriptor.aligned(stride, offset)
+    n = draw(st.integers(0, 40))
+    count = draw(st.integers(0, 40))
+    return mode, stride, offset, length, n, count
+
+
+@settings(max_examples=400, deadline=None)
+@given(mode_cases())
+@example((ModeDescriptor.overlap(), 1, 0, 3, 2, 0))  # n < |w|
+@example((ModeDescriptor.disjoint(), 3, 0, 3, 2, 0))
+@example((ModeDescriptor.aligned(5, 2), 5, 2, 2, 3, 0))  # n < o + |w|, o = s - |w|
+@example((ModeDescriptor.aligned(5, 3), 5, 3, 2, 23, 4))  # o = s - |w|
+def test_mode_starts_and_frequency_match_definitions(case):
+    mode, stride, offset, length, n, count = case
+    starts = mode.starts(length, n)
+    assert list(starts) == [i for i in range(n) if i % stride == offset and i + length <= n]
+    if mode.kind == "overlap":
+        denom = n
+    elif mode.kind == "disjoint":
+        denom = n // length
+    else:
+        denom = (n - offset - length) // stride + 1 if n >= offset + length else 0
+    expected = Fraction(count, denom) if denom else Fraction(0)
+    assert mode.frequency(count, length, n) == expected
+
+
 def test_mode_descriptor_contracts():
     assert ModeDescriptor.disjoint().bound_stride(3) == 3
     assert ModeDescriptor.overlap().bound_stride(3) == 1
     assert ModeDescriptor.aligned(5, 2).name == "aligned(5,2)"
     with pytest.raises(ValueError):
         ModeDescriptor.aligned(3, 2).bound_stride(2)
+    with pytest.raises(ValueError):
+        ModeDescriptor.aligned(3, 2).starts(2, 10)
     with pytest.raises(ValueError):
         ModeDescriptor.aligned(0, 0)

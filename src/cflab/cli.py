@@ -14,7 +14,7 @@ import io
 import sys
 from pathlib import Path
 
-from .cfcore import parse_word
+from .cfcore import format_word, parse_word
 from .experiments import (
     DEFAULT_CAP,
     DEFAULT_TOLERANCE,
@@ -46,7 +46,6 @@ def _write_output(data: bytes, out: str | None) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--jobs", type=int, default=1, help="no effect; kept for compatibility")
     parser.add_argument("--config", default=None, help="key=value file; flags override it")
 
 
@@ -204,7 +203,7 @@ def _cmd_verify(args) -> int:
             "passed": result.passed,
             "checked": result.checked,
             "counterexample": (
-                None if result.counterexample is None else ",".join(map(str, result.counterexample))
+                None if result.counterexample is None else format_word(result.counterexample)
             ),
             "detail": result.detail,
         }
@@ -275,8 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         n_file = sum(key == "patterns" for key, _ in pairs)
         if len(getattr(args, "patterns", None) or ()) > n_file:
             args.patterns = args.patterns[n_file:]  # --pattern flags replace the file's list
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

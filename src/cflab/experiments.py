@@ -2,9 +2,8 @@
 
 Both experiments take a fully explicit config and return a plain report
 dict; every semantic parameter is echoed into the report header so a rerun
-of the same config yields byte-identical output.  `jobs` is accepted for
-compatibility and read by nothing: counting is one sequential fold.  It
-stays out of the echo, since it cannot change any reported number.
+of the same config yields byte-identical output.  `_stat_rows` alone turns
+counts into frequencies and measures; each summary reads the final rows.
 """
 
 from __future__ import annotations
@@ -15,12 +14,15 @@ from dataclasses import dataclass, field
 from .cfcore import Word, format_word
 from .measure import joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
-from .streams import limit, parse_source_spec
+from .streams import parse_source_spec
 
 DEFAULT_TOLERANCE = 0.005
 DEFAULT_CAP = 1000
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_NON_NORMAL = "NON_NORMAL"
+# Most rows a report may hold (checkpoints x patterns x modes); a report of
+# 10**4 rows peaks at about 39 MB (Python 3.11).
+MAX_REPORT_ROWS = 10**4
 
 
 @dataclass
@@ -34,12 +36,17 @@ class ExperimentConfig:
     seed: int | None = None
     checkpoint_every: int | None = None
     tolerance: float = DEFAULT_TOLERANCE
-    jobs: int = 1  # accepted, never read
+    jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
 
     def __post_init__(self) -> None:
         # a NaN or non-positive tolerance would flag every pattern whatever the data
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError(f"need checkpoint_every >= 1, got {self.checkpoint_every}")
+        for i, w in enumerate(self.patterns):
+            if w in self.patterns[:i]:
+                raise ValueError(f"pattern {format_word(w)} is given more than once")
 
     def echo(self, *, with_ap: bool) -> dict:
         """Semantic parameters only; the job count is excluded."""
@@ -64,7 +71,15 @@ class ExperimentConfig:
         return parse_source_spec(self.source, seed=self.seed)
 
 
+def _check_report_rows(config: ExperimentConfig, counted: int, keys: int) -> None:
+    """Refuse, before any work, a report of more than MAX_REPORT_ROWS rows."""
+    rows = -(-counted // config.effective_checkpoint()) * keys  # checkpoints x keys
+    if rows > MAX_REPORT_ROWS:
+        raise ValueError(f"the report would have {rows} rows, more than {MAX_REPORT_ROWS}")
+
+
 def _stat_rows(stats: StreamStats, patterns: list[Word], modes: list[ModeDescriptor]) -> list[dict]:
+    """One row per checkpoint, pattern and mode, in that order of nesting."""
     rows = []
     gammas = {w: measure_of_cylinder(w).float for w in patterns}
     for mark, snapshot in stats.checkpoints:
@@ -100,6 +115,7 @@ def run_pillai(config: ExperimentConfig) -> dict:
     if config.n < 10 * max(len(w) for w in config.patterns):
         raise ValueError("n must be at least 10x the longest pattern")
     modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
+    _check_report_rows(config, config.n, len(config.patterns) * len(modes))
     stats = frequency_report(
         config.build_source(),
         config.patterns,
@@ -110,10 +126,11 @@ def run_pillai(config: ExperimentConfig) -> dict:
     rows = _stat_rows(stats, config.patterns, modes)
     summary = []
     worst = VERDICT_CONSISTENT
-    for w in config.patterns:
-        gamma = measure_of_cylinder(w).float
-        overlap = float(stats.frequency(w, modes[0]))
-        disjoint = float(stats.frequency(w, modes[1]))
+    # the final checkpoint's rows, an (overlap, disjoint) pair per pattern
+    final = rows[-len(config.patterns) * len(modes) :]
+    for overlap_row, disjoint_row in zip(final[::2], final[1::2]):
+        gamma = overlap_row["gamma_float"]
+        overlap, disjoint = overlap_row["freq_float"], disjoint_row["freq_float"]
         devs = {
             "dev_overlap_gamma": abs(overlap - gamma),
             "dev_disjoint_gamma": abs(disjoint - gamma),
@@ -128,7 +145,7 @@ def run_pillai(config: ExperimentConfig) -> dict:
             worst = VERDICT_NON_NORMAL
         summary.append(
             {
-                "pattern": format_word(w),
+                "pattern": overlap_row["pattern"],
                 "gamma_float": gamma,
                 "overlap_freq": overlap,
                 "disjoint_freq": disjoint,
@@ -150,8 +167,8 @@ def run_pillai(config: ExperimentConfig) -> dict:
 def run_subsequence(config: ExperimentConfig) -> dict:
     """Frequency of [1,1] along the AP-selected stream vs the joint measure.
 
-    Consumes n source digits, selects positions b, b+k, b+2k, ..., and
-    compares the selected [1,1] frequency against both the bracketed joint
+    Selects positions b, b+k, b+2k, ... <= n of the source and compares
+    the selected [1,1] frequency against both the bracketed joint
     measure for distance k and gamma(C_[1,1]).  Verdict NON_NORMAL iff the
     frequency sits closer to the joint bracket than to gamma(C_[1,1]).
     """
@@ -162,23 +179,23 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         raise ValueError(f"need n >= b + k, got n={config.n}, b={config.b}, k={config.k}")
     pattern: Word = (1, 1)
     mode = ModeDescriptor.overlap()
-    # first, so a refused k/cap fails before any digit is drawn
+    selected_n = (config.n - config.b) // config.k + 1  # positions b + ik <= n
+    _check_report_rows(config, selected_n, 1)
+    # before the source is built, so a refused k/cap fails before any digit is drawn
     joint = joint_pattern_measure(config.k, config.cap)
-    selected = select_ap(limit(config.build_source(), config.n), config.b, config.k)
     stats = frequency_report(
-        selected,
+        select_ap(config.build_source(), config.b, config.k),
         [pattern],
         [mode],
-        (config.n - config.b) // config.k + 1,
+        selected_n,
         config.effective_checkpoint(),
     )
-    freq = float(stats.frequency(pattern, mode))
+    rows = _stat_rows(stats, [pattern], [mode])
+    freq, gamma_11 = rows[-1]["freq_float"], rows[-1]["gamma_float"]
     bracket_lo, bracket_hi = joint.bracket()
-    gamma_11 = measure_of_cylinder(pattern).float
     dist_joint = max(0.0, bracket_lo - freq, freq - bracket_hi)
     dist_gamma = abs(freq - gamma_11)
     verdict = VERDICT_NON_NORMAL if dist_joint < dist_gamma else VERDICT_CONSISTENT
-    rows = _stat_rows(stats, [pattern], [mode])
     return {
         "experiment": "subsequence",
         "config": config.echo(with_ap=True),

@@ -198,10 +198,6 @@ class BoundedMeasure:
     def upper(self) -> LogRational:
         return self.lower + self.tail_bound
 
-    @property
-    def float_value(self) -> float:
-        return self.lower.float
-
     def bracket(self) -> tuple[float, float]:
         """Outward-rounded float bracket [lo, hi] containing the true value."""
         return (_outward_float(self.lower.float, -1), _outward_float(self.upper.float, +1))

@@ -34,10 +34,6 @@ CSV_COLUMNS = (
 EXACT_RATIONAL_BITS = 8192
 
 
-def _json_bytes(obj: dict) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
-
-
 def _bounded_rational(x: Fraction, exact=format_rational) -> str:
     """`exact(x)`, or an approximation plus part sizes when p or q is huge."""
     num_bits, den_bits = x.numerator.bit_length(), x.denominator.bit_length()
@@ -70,7 +66,7 @@ def bounded_measure_report(bm: BoundedMeasure, **extra) -> dict:
     report.update(
         {
             "log2_arg": _bounded_rational(bm.lower.arg),
-            "float": round(bm.float_value, 6),
+            "float": round(bm.lower.float, 6),
             "tail_log2_arg": _bounded_rational(bm.tail_bound.arg),
             "bracket": [lo, hi],
         }
@@ -88,7 +84,7 @@ def measure_text(w: Word, with_interval: bool = False) -> str:
 
 
 def render_json(report: dict) -> bytes:
-    return _json_bytes(report)
+    return (json.dumps(report, indent=2) + "\n").encode()
 
 
 def render_experiment_csv(report: dict) -> bytes:

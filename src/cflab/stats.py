@@ -2,22 +2,23 @@
 
 Counting is a pure fold over the digit stream.  `frequency_report` pulls
 windows of at most COUNT_WINDOW digits, each prefixed with the last
-max|w|-1 digits of the one before (the seam carry), and every
-(pattern, mode) key keeps its next absolute start position, so a start is
-counted exactly once whatever the windows and chunks are, and memory stays
+max|w|-1 digits of the one before (the seam carry).  A window counts the
+admissible starts among the first `pulled` digits that were not admissible
+among the digits pulled before it, so a start is counted exactly once
+whatever the windows and chunks are, and memory stays
 O(window + checkpoints) for any n.
 
 A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
 of admissible starts and `frequency` divides a count by its denominator.
-The list counters and the reports go through those two, and
-`frequency_report` walks the same offset and stride window by window.
+The list counters and the fold take their starts from the first, and
+reports take their frequencies from the second.
 Digit positions are 1-based in reports to match the usual a1, a2, ...
 numbering, while start indices in code are plain 0-based offsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -158,23 +159,15 @@ def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
 
 @dataclass
 class StreamStats:
-    """Counts for each (pattern, mode) over one pass of a digit stream."""
+    """Counts for each (pattern, mode) over one pass of a digit stream.
+
+    checkpoints holds (digits counted, counts) in increasing order; the
+    last one is at n and holds the final counts.
+    """
 
     n: int
     truncated: bool
-    counts: dict[tuple[Word, ModeDescriptor], int]
-    checkpoints: list[tuple[int, dict[tuple[Word, ModeDescriptor], int]]] = field(
-        default_factory=list
-    )
-
-    def frequency(self, w: Word, mode: ModeDescriptor, at_n: int | None = None) -> Fraction:
-        """Exact occurrence frequency count/denominator at the final (or a checkpoint) length."""
-        n = self.n if at_n is None else at_n
-        if at_n is None:
-            count = self.counts[(w, mode)]
-        else:
-            count = dict(self.checkpoints)[at_n][(w, mode)]
-        return mode.frequency(count, len(w), n)
+    checkpoints: list[tuple[int, dict[tuple[Word, ModeDescriptor], int]]]
 
 
 def frequency_report(
@@ -197,11 +190,8 @@ def frequency_report(
     if checkpoint_every < 1:
         raise ValueError("need checkpoint_every >= 1")
 
-    # each key's next uncounted admissible start, as an absolute position
-    next_start = {(w, mode): mode.offset for w in patterns for mode in modes}
-    strides = {key: key[1].bound_stride(len(key[0])) for key in next_start}
+    counts = {(w, mode): 0 for w in patterns for mode in modes}
     seam = max(len(w) for w in patterns) - 1
-    counts = {key: 0 for key in next_start}
     checkpoints: list[tuple[int, dict]] = []
     window: list[int] = []
     pulled = 0
@@ -211,27 +201,21 @@ def frequency_report(
         if not fresh:
             break
         window = window[max(0, len(window) - seam) :] + fresh
-        pulled += len(fresh)
+        before, pulled = pulled, pulled + len(fresh)
         base = pulled - len(window)  # absolute position of window[0]
-        for key, start in next_start.items():
-            w, stride = key[0], strides[key]
-            stop = pulled - len(w) + 1  # starts whose match lies in the window
-            if start < stop:
-                starts = range(start - base, stop - base, stride)
-                counts[key] += _count_positions(window, w, starts)
-                next_start[key] = start + stride * len(starts)
+        for w, mode in counts:
+            # the starts whose match ends in fresh digits, shifted into the window
+            new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
+            counts[w, mode] += _count_positions(
+                window, w, range(new.start - base, new.stop - base, new.step)
+            )
         if pulled == mark:
             checkpoints.append((mark, dict(counts)))
             mark = min(mark + checkpoint_every, n)
     if not checkpoints or checkpoints[-1][0] != pulled:
         checkpoints.append((pulled, dict(counts)))
 
-    return StreamStats(
-        n=pulled,
-        truncated=pulled < n,
-        counts=counts,
-        checkpoints=checkpoints,
-    )
+    return StreamStats(n=pulled, truncated=pulled < n, checkpoints=checkpoints)
 
 
 def count_chunked(

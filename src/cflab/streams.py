@@ -50,6 +50,9 @@ RANDOM_BLOCK_BITS = 4096
 EXTRACT_BITS = 192
 # Periodic sources repeat their period into chunks of about this many digits.
 PERIODIC_CHUNK_DIGITS = 1024
+# Smallest exponent a decimal source takes: 10**exponent is built exactly,
+# and at e-1000000 that takes about 0.35 s (Python 3.11).
+MIN_DECIMAL_EXPONENT = -(10**6)
 
 
 class DigitSource:
@@ -183,7 +186,8 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     The value is only known to lie in [d - 10**ulp_exponent,
     d + 10**ulp_exponent] intersected with (0,1); digits are emitted while
     the whole interval agrees on them, then the source marks itself
-    precision-exhausted and stops.
+    precision-exhausted and stops.  The exponent must lie in
+    [MIN_DECIMAL_EXPONENT, -1]: from 0 up the interval covers all of (0, 1).
     """
     try:
         d = Fraction(decimal.strip())
@@ -191,6 +195,10 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
         raise ValueError(f"bad decimal text {decimal!r}: {exc}") from None
     if not 0 < d < 1:
         raise ValueError(f"decimal value must be in (0,1), got {d}")
+    if not MIN_DECIMAL_EXPONENT <= ulp_exponent < 0:
+        raise ValueError(
+            f"decimal exponent must be in [{MIN_DECIMAL_EXPONENT}, -1], got e{ulp_exponent}"
+        )
     ulp = Fraction(10) ** ulp_exponent
     lo = max(d - ulp, Fraction(0))
     hi = min(d + ulp, Fraction(1))

@@ -114,7 +114,6 @@ class JointK2Result:
     measure: BoundedMeasure
     oracle: float
     gamma_11_float: float
-    bracket_contains_oracle: bool
     exceeds_gamma_11: bool
     detail: str
 
@@ -137,19 +136,17 @@ def run_joint_k2(cap: int = 1000) -> JointK2Result:
     bm = joint_pattern_measure(2, cap)
     oracle = joint_k2_oracle()
     gamma_11 = measure_of_cylinder((1, 1))
-    contains = bm.contains(oracle)
     exceeds = bm.lower > gamma_11
     detail = (
-        f"lower {bm.float_value:.6f}, tail {bm.tail_bound.float:.6f}, "
+        f"lower {bm.lower.float:.6f}, tail {bm.tail_bound.float:.6f}, "
         f"exceeds gamma(C_11): {exceeds}"
     )
     return JointK2Result(
-        passed=contains and exceeds,
+        passed=bm.contains(oracle) and exceeds,
         cap=cap,
         measure=bm,
         oracle=oracle,
         gamma_11_float=gamma_11.float,
-        bracket_contains_oracle=contains,
         exceeds_gamma_11=exceeds,
         detail=detail,
     )

@@ -335,35 +335,18 @@ def test_reports_are_byte_identical_across_runs_and_jobs(tmp_path, capsys):
     paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
     assert run(capsys, *args, "--out", str(paths[0]))[0] == 0
     assert run(capsys, *args, "--out", str(paths[1]))[0] == 0
-    assert run(capsys, *args, "--jobs", "8", "--out", str(paths[2]))[0] == 0
+    assert run(capsys, *args, "--out", str(paths[2]))[0] == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "0"],
-        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "-5"],
-        ["subsequence", "--source", "periodic:,2", "--n", "100", "--jobs", "0"],
-        ["measure", "1,1", "--jobs", "-3"],
-        ["expand", "rational:7/16", "--n", "3", "--jobs", "0"],
-        ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--jobs", "-1"],
-    ],
-)
-def test_jobs_below_one_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "--jobs must be >= 1" in err
-
-
-def test_jobs_below_one_from_config_file_is_usage_error(tmp_path, capsys):
+def test_jobs_from_config_file_is_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("source=periodic:,2\nn=100\npatterns=2\njobs=0\n")
-    code, _, err = run(capsys, "pillai", "--config", str(cfg))
+    code, out, err = run(capsys, "pillai", "--config", str(cfg))
     assert code == 2
-    assert "--jobs must be >= 1" in err
+    assert out == ""
+    assert "unknown config keys: ['jobs']" in err
 
 
 # ------------------------------------------------------------- config file
@@ -456,13 +439,21 @@ def test_config_file_replays_flag_run(tmp_path, capsys):
         ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--format", "csv"],
         ["measure", "1,1", "--seed", "3"],
         ["expand", "rational:7/16", "--n", "3", "--format", "json"],
+        # --jobs is gone from every subcommand, whatever its value
+        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "0"],
+        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "-5"],
+        ["subsequence", "--source", "periodic:,2", "--n", "100", "--jobs", "0"],
+        ["measure", "1,1", "--jobs", "-3"],
+        ["expand", "rational:7/16", "--n", "3", "--jobs", "0"],
+        ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--jobs", "-1"],
     ],
 )
 def test_options_a_subcommand_never_reads_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "unrecognized arguments" in err
+    expected = "unrecognized arguments: --jobs" if "--jobs" in argv else "unrecognized arguments"
+    assert expected in err
 
 
 @pytest.mark.parametrize("argv", [["pillai", "--pattern", "1"], ["subsequence"]])
@@ -512,3 +503,72 @@ def test_subsequence_at_n_equal_b_plus_k_selects_two_digits(capsys):
     report = json.loads(out)
     assert report["selected_n"] == 2
     assert report["rows"][-1]["count"] == 1
+
+
+# ------------------------------------------------------------ input bounds
+
+def _one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pattern", "2", "--pattern", "2"],
+        ["--pattern", "1,2", "--pattern", "1", "--pattern", "1,2"],
+    ],
+)
+def test_repeated_pattern_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "pillai", "--source", "periodic:,2", "--n", "100", *argv)
+    _one_line_usage_error(code, out, err)
+    assert "is given more than once" in err and argv[1] in err
+
+
+def test_repeated_pattern_from_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=100\npatterns=2;1;2\n")
+    code, out, err = run(capsys, "pillai", "--config", str(cfg))
+    _one_line_usage_error(code, out, err)
+    assert "pattern 2 is given more than once" in err
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        # 6000 checkpoints x 1 pattern x 2 modes
+        (["pillai", "--pattern", "2", "--n", "6000", "--checkpoint-every", "1"], 12000),
+        # (60000 - 1) // 5 + 1 selected digits, each a checkpoint; k=5 at the
+        # default cap would also be refused, so the row bound comes first
+        (["subsequence", "--n", "60000", "--k", "5", "--checkpoint-every", "1"], 12000),
+    ],
+)
+def test_report_with_too_many_rows_is_usage_error(capsys, argv, rows):
+    code, out, err = run(capsys, *argv, "--source", "periodic:,2")
+    _one_line_usage_error(code, out, err)
+    assert f"the report would have {rows} rows" in err
+
+
+def test_report_row_limit_boundary(capsys, monkeypatch):
+    monkeypatch.setattr("cflab.experiments.MAX_REPORT_ROWS", 20)
+    argv = ["pillai", "--source", "periodic:,2", "--pattern", "2", "--checkpoint-every", "10"]
+    code, out, err = run(capsys, *argv, "--n", "100", "--format", "csv")
+    assert code == 1, err  # 10 checkpoints x 2 modes = 20 rows: allowed
+    assert sum(not line.startswith("#") for line in out.splitlines()) == 1 + 20
+    code, out, err = run(capsys, *argv, "--n", "101")
+    _one_line_usage_error(code, out, err)
+    assert "the report would have 22 rows, more than 20" in err
+
+
+@pytest.mark.parametrize("exponent", ["e0", "e5", "e-1000001"])
+@pytest.mark.parametrize("command", ["expand", "pillai"])
+def test_decimal_exponent_out_of_range_is_usage_error(capsys, exponent, command):
+    spec = f"decimal:0.6180339887:{exponent}"
+    if command == "expand":
+        argv = ["expand", spec, "--n", "3"]
+    else:
+        argv = ["pillai", "--source", spec, "--n", "100", "--pattern", "1"]
+    code, out, err = run(capsys, *argv)
+    _one_line_usage_error(code, out, err)
+    assert exponent in err

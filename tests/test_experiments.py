@@ -1,0 +1,65 @@
+"""Experiment reports against list oracles over the same digits."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cflab import (
+    count_disjoint,
+    count_overlapping,
+    measure_of_cylinder,
+    parse_source_spec,
+    value_of,
+)
+from cflab.experiments import ExperimentConfig, run_pillai, run_subsequence
+
+
+def _finite_spec(length: int, seed: int) -> str:
+    rng = random.Random(seed)
+    x = value_of(tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(length)))
+    return f"rational:{x.numerator}/{x.denominator}"
+
+
+# n cuts a source chunk: periodic chunks hold 1023 digits after the prefix,
+# random:seed=3 about 1200, and the finite expansion is one 40-digit chunk
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        ("periodic:3;1,2,1", 1500),
+        ("periodic:;1,1,2", 2500),
+        ("random:seed=3", 3000),
+        (_finite_spec(40, 5), 27),
+        (_finite_spec(40, 5), 60),  # past the end: a truncated report
+    ],
+)
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_subsequence_counts_match_list_oracle(spec, n, b, k):
+    selected = parse_source_spec(spec).take(n)[b - 1 :: k]
+    report = run_subsequence(ExperimentConfig(source=spec, n=n, b=b, k=k, cap=5))
+    assert report["selected_n"] == len(selected)
+    assert report["truncated"] == (len(selected) < (n - b) // k + 1)
+    final = report["rows"][-1]
+    assert final["n"] == len(selected)
+    assert final["count"] == count_overlapping(selected, (1, 1))
+    assert report["summary"]["selected_freq"] == final["freq_float"]
+
+
+@pytest.mark.parametrize(
+    "spec,n", [("random:seed=4", 5000), ("periodic:1;2,1", 777), (_finite_spec(40, 6), 300)]
+)
+def test_pillai_summary_is_the_final_rows(spec, n):
+    patterns = [(1,), (2,), (1, 1), (1, 2)]
+    report = run_pillai(ExperimentConfig(source=spec, n=n, patterns=patterns, checkpoint_every=97))
+    digits = parse_source_spec(spec).take(n)
+    final = {(row["pattern"], row["mode"]): row for row in report["rows"] if row["n"] == len(digits)}
+    assert len(final) == 2 * len(patterns)
+    for w, entry in zip(patterns, report["summary"]):
+        name = entry["pattern"]
+        overlap = Fraction(count_overlapping(digits, w), len(digits))
+        blocks = len(digits) // len(w)
+        disjoint = Fraction(count_disjoint(digits, w), blocks) if blocks else Fraction(0)
+        assert entry["overlap_freq"] == final[name, "overlap"]["freq_float"] == float(overlap)
+        assert entry["disjoint_freq"] == final[name, "disjoint"]["freq_float"] == float(disjoint)
+        assert entry["gamma_float"] == measure_of_cylinder(w).float

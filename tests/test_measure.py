@@ -189,7 +189,7 @@ def test_joint_k2_bracket_contains_closed_form():
     lo, hi = bm.bracket()
     assert lo <= oracle <= hi
     assert hi - lo < 0.002
-    assert bm.float_value == pytest.approx(0.178219, abs=1e-6)
+    assert bm.lower.float == pytest.approx(0.178219, abs=1e-6)
 
 
 def test_joint_k2_exceeds_gamma_11_exactly():

@@ -241,10 +241,13 @@ def test_frequency_report_periodic_ones():
         checkpoint_every=250,
     )
     assert stats.n == 1000 and not stats.truncated
-    assert stats.frequency((1, 1), ModeDescriptor.overlap()) == Fraction(999, 1000)
-    assert stats.frequency((1, 1), ModeDescriptor.disjoint()) == Fraction(500, 500)
-    assert [mark for mark, _ in stats.checkpoints] == [250, 500, 750, 1000]
-    assert stats.frequency((1, 1), ModeDescriptor.overlap(), at_n=250) == Fraction(249, 250)
+    overlap, disjoint = ModeDescriptor.overlap(), ModeDescriptor.disjoint()
+    final = stats.checkpoints[-1][1]
+    assert overlap.frequency(final[(1, 1), overlap], 2, 1000) == Fraction(999, 1000)
+    assert disjoint.frequency(final[(1, 1), disjoint], 2, 1000) == Fraction(500, 500)
+    at = dict(stats.checkpoints)
+    assert list(at) == [250, 500, 750, 1000]
+    assert overlap.frequency(at[250][(1, 1), overlap], 2, 250) == Fraction(249, 250)
 
 
 def test_frequency_report_truncates_and_flags():
@@ -257,7 +260,7 @@ def test_frequency_report_truncates_and_flags():
     )
     assert stats.truncated
     assert stats.n == 3
-    assert stats.counts[((2,), ModeDescriptor.overlap())] == 2
+    assert stats.checkpoints[-1] == (3, {((2,), ModeDescriptor.overlap()): 2})
 
 
 @st.composite
@@ -307,7 +310,7 @@ def test_frequency_report_fold_matches_list_counts(case):
             assert snapshot[(w, overlap)] == count_overlapping(prefix, w)
             assert snapshot[(w, disjoint)] == count_aligned(prefix, len(w), 0, w)
             assert snapshot[(w, aligned)] == count_aligned(prefix, stride, offset, w)
-    assert result.counts == result.checkpoints[-1][1]
+    assert result.checkpoints[-1][0] == result.n
 
 
 def test_frequency_report_memory_is_flat_in_n():
@@ -323,7 +326,7 @@ def test_frequency_report_memory_is_flat_in_n():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert result.counts[((1,), modes[0])] == n
+        assert result.checkpoints[-1][1][((1,), modes[0])] == n
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

@@ -30,7 +30,7 @@ from cflab import (
     value_of,
 )
 from cflab import streams
-from cflab.streams import _interval_digits
+from cflab.streams import MIN_DECIMAL_EXPONENT, _interval_digits
 
 
 def one_step_interval_digits(lo_n, lo_d, hi_n, hi_d):
@@ -123,6 +123,12 @@ def test_decimal_validation():
     for bad in ("1.5", "0", "1", "-0.25", "abc"):
         with pytest.raises(ValueError):
             source_decimal_interval(bad, -10)
+    # from e0 up the interval covers (0, 1); below the limit 10**e is too costly
+    for exponent in (0, 1, 999_999_999, MIN_DECIMAL_EXPONENT - 1):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            source_decimal_interval("0.3", exponent)
+    assert source_decimal_interval("0.3", -1).take(5) == []
+    assert source_decimal_interval("0.3", MIN_DECIMAL_EXPONENT).take(2) == [3]
 
 
 def test_decimal_certified_digits_are_prefix_of_true_word():

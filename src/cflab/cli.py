@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .reports import (
     render_json,
     render_report,
 )
-from .streams import parse_source_spec
+from .streams import limit, parse_source_spec
 from .verify import SUITES, run_joint_k2, run_dominance, run_pairwise, run_reversal
 
 USAGE_ERROR = 2
@@ -162,16 +163,34 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+def _write_digits(source, out) -> None:
+    """One line per digit, chunk by chunk, so memory stays flat in the digit count."""
+    for chunk in source.chunks():
+        out.write("".join(f"{d}\n" for d in chunk))
+    out.flush()
+
+
 def _cmd_expand(args) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
-    source = parse_source_spec(args.source, seed=args.seed)
-    digits = source.take(args.n)
-    _write_output("".join(f"{d}\n" for d in digits).encode(), args.out)
+    source = limit(parse_source_spec(args.source, seed=args.seed), args.n)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            _write_digits(source, out)
+    else:
+        try:
+            _write_digits(source, sys.stdout)
+        except BrokenPipeError:
+            # the reader left early, as in `cflab expand ... | head`: stop drawing
+            # digits, and let what is still buffered go nowhere at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
     if source.precision_exhausted:
-        print(f"note: precision exhausted after {len(digits)} digits", file=sys.stderr)
-    elif len(digits) < args.n:
-        print(f"note: source ended after {len(digits)} digits", file=sys.stderr)
+        print(f"note: precision exhausted after {source.emitted} digits", file=sys.stderr)
+    elif source.emitted < args.n:
+        print(f"note: source ended after {source.emitted} digits", file=sys.stderr)
     return 0
 
 

@@ -8,6 +8,17 @@ among the digits pulled before it, so a start is counted exactly once
 whatever the windows and chunks are, and memory stays
 O(window + checkpoints) for any n.
 
+Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
+CACM 1992).  The fold encodes each window once as bytes, writing every
+digit >= 255 as 255.  For a pattern whose digits are all below 255, the
+stride slice of the window offset by j is translated into a 0/1 indicator
+of w[j], one byte per start; the AND of these indicators over j < |w|, read
+as ints, has one set bit per match.  The stride slice covers every mode.
+A pattern with a digit >= 255 is counted on the digit list, since 255
+there stands for all larger digits.  The list counters and `count_chunked`
+keep that plain loop, so the tests check the fold against an independent
+path.
+
 A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
 of admissible starts and `frequency` divides a count by its denominator.
 The list counters and the fold take their starts from the first, and
@@ -103,6 +114,31 @@ def _count_positions(digits: Sequence[int], w: Sequence[int], positions: range) 
         if digits[s] == w0 and digits[s : s + k] == wl:
             count += 1
     return count
+
+
+def _encode(digits: Sequence[int]) -> bytes:
+    """The digits as bytes, each digit >= 255 written as 255.
+
+    A generator, not a list: a list of a whole window would add its 8 bytes
+    per digit to the peak memory of every run.
+    """
+    return bytes(d if d < 255 else 255 for d in digits)
+
+
+def _shift_and_count(buf: bytes, w: Word, positions: range) -> int:
+    """Matches of w, all digits below 255, at the given starts of an encoded window.
+
+    Shift-and as in the module docstring; the caller keeps every match inside buf.
+    """
+    a, b, c = positions.start, positions.stop, positions.step
+    if len(w) == 1:
+        return buf[a:b:c].count(w[0])
+    hits = -1
+    for j, d in enumerate(w):
+        table = bytearray(256)
+        table[d] = 1
+        hits &= int.from_bytes(buf[a + j : b + j : c].translate(table), "little")
+    return hits.bit_count()
 
 
 def _check_pattern(w: Word) -> Word:
@@ -201,14 +237,17 @@ def frequency_report(
         if not fresh:
             break
         window = window[max(0, len(window) - seam) :] + fresh
+        buf = _encode(window)
         before, pulled = pulled, pulled + len(fresh)
         base = pulled - len(window)  # absolute position of window[0]
         for w, mode in counts:
             # the starts whose match ends in fresh digits, shifted into the window
             new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
-            counts[w, mode] += _count_positions(
-                window, w, range(new.start - base, new.stop - base, new.step)
-            )
+            shifted = range(new.start - base, new.stop - base, new.step)
+            if max(w) < 255:
+                counts[w, mode] += _shift_and_count(buf, w, shifted)
+            else:
+                counts[w, mode] += _count_positions(window, w, shifted)
         if pulled == mark:
             checkpoints.append((mark, dict(counts)))
             mark = min(mark + checkpoint_every, n)

@@ -217,13 +217,21 @@ def source_concat_normal() -> DigitSource:
     Enumeration: denominators q = 2, 3, 4, ... and within each q the
     numerators p = 1..q-1 with gcd(p, q) = 1, ascending.  Deterministic by
     construction; its statistics are validated empirically, not proven.
+    Each denominator's expansions form one chunk, built by the Euclid loop
+    of `cf_of_rational` written inline.
     """
 
-    def gen() -> Iterator[Word]:
+    def gen() -> Iterator[list[int]]:
         for q in itertools.count(2):
+            chunk: list[int] = []
+            append = chunk.append
             for p in range(1, q):
                 if math.gcd(p, q) == 1:
-                    yield cf_of_rational(p, q)
+                    a, b = q, p
+                    while b:
+                        append(a // b)
+                        a, b = b, a % b
+            yield chunk
 
     return DigitSource("concat-normal", gen())
 

@@ -1,9 +1,15 @@
 """CLI contract: exit codes, output formats, reproducibility, config files."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import cflab
 from cflab.cli import main
 
 
@@ -89,6 +95,37 @@ def test_expand_zero_digits(capsys):
     code, out, _ = run(capsys, "expand", "rational:7/16", "--n", "0")
     assert code == 0
     assert out == ""
+
+
+def test_expand_memory_is_flat_in_n(tmp_path):
+    # digits are written chunk by chunk, so the peak must not grow with n
+    out = tmp_path / "digits.txt"
+    peaks = []
+    for n in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            assert main(["expand", "periodic:,1", "--n", str(n), "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == b"1\n" * n
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_expand_stops_quietly_when_the_reader_leaves():
+    # as in `cflab expand ... | head`: exit 0 and nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
+    argv = [sys.executable, "-m", "cflab.cli", "expand", "periodic:,1", "--n", "1000000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def test_expand_negative_n_is_usage_error(capsys):

@@ -264,11 +264,11 @@ def test_frequency_report_truncates_and_flags():
 
 
 @st.composite
-def fold_cases(draw):
-    chunks = draw(st.lists(st.lists(st.integers(1, 3), max_size=9), max_size=12))
+def fold_cases(draw, alphabet=st.integers(1, 3)):
+    chunks = draw(st.lists(st.lists(alphabet, max_size=9), max_size=12))
     patterns = draw(
         st.lists(
-            st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+            st.lists(alphabet, min_size=1, max_size=4).map(tuple),
             min_size=1,
             max_size=3,
             unique=True,
@@ -284,10 +284,7 @@ def fold_cases(draw):
     return chunks, patterns, (stride, offset), n, checkpoint_every, window
 
 
-@settings(max_examples=300, deadline=None)
-@given(fold_cases())
-def test_frequency_report_fold_matches_list_counts(case):
-    # counts invariant under any chunking and any window, seams included
+def check_fold(case):
     chunks, patterns, (stride, offset), n, checkpoint_every, window = case
     overlap, disjoint = ModeDescriptor.overlap(), ModeDescriptor.disjoint()
     aligned = ModeDescriptor.aligned(stride, offset)
@@ -311,6 +308,21 @@ def test_frequency_report_fold_matches_list_counts(case):
             assert snapshot[(w, disjoint)] == count_aligned(prefix, len(w), 0, w)
             assert snapshot[(w, aligned)] == count_aligned(prefix, stride, offset, w)
     assert result.checkpoints[-1][0] == result.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_frequency_report_fold_matches_list_counts(case):
+    # counts invariant under any chunking and any window, seams included
+    check_fold(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases(st.sampled_from([1, 2, 254, 255, 256, 10**20])))
+def test_frequency_report_fold_counts_digits_past_a_byte(case):
+    # windows are counted as bytes with 255 standing for every digit >= 255,
+    # and a pattern holding such a digit is counted on the digit list instead
+    check_fold(case)
 
 
 def test_frequency_report_memory_is_flat_in_n():

@@ -7,6 +7,8 @@ the one-step loop below (one exact division per digit) emits.  Chunked
 consumers are checked against plain list slicing over arbitrary chunkings.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -172,6 +174,22 @@ def test_concat_normal_first_emissions():
     again = source_concat_normal()
     again.take(4)
     assert again.emitted == 4
+
+
+def test_concat_normal_is_the_chain_of_rational_expansions():
+    n = 200_000
+    rationals = ((p, q) for q in itertools.count(2) for p in range(1, q) if math.gcd(p, q) == 1)
+    chained = itertools.chain.from_iterable(cf_of_rational(p, q) for p, q in rationals)
+    expected = list(itertools.islice(chained, n))
+    assert source_concat_normal().take(n) == expected
+    # takes that cut the per-denominator chunks see the same stream
+    for size in (1, 3, 4999):
+        src = source_concat_normal()
+        got: list[int] = []
+        while len(got) < n:
+            got += src.take(min(size, n - len(got)))
+            assert src.emitted == len(got)
+        assert got == expected
 
 
 def test_concat_normal_reproducible():

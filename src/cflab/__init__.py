@@ -1,11 +1,9 @@
 """Exact continued-fraction cylinder arithmetic and block-frequency experiments."""
 
 from .cfcore import (
-    Convergent,
     CylinderInterval,
     Word,
     cf_of_rational,
-    convergents,
     cylinder_interval,
     denominator_dominance,
     format_word,
@@ -18,8 +16,6 @@ from .cfcore import (
 from .measure import (
     BoundedMeasure,
     LogRational,
-    MeasureContradiction,
-    PairVerdict,
     digit_tail_measure,
     joint_pattern_measure,
     measure_of_cylinder,

@@ -1,4 +1,4 @@
-"""Exact continued-fraction words, convergents, values, and cylinder intervals.
+"""Exact continued-fraction words, the convergent recurrence, values, and cylinder intervals.
 
 A word is a finite tuple of partial quotients (a1, ..., an), every digit >= 1,
 standing for the continued fraction [0; a1, ..., an] in (0, 1].  All
@@ -13,16 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 Word = tuple[int, ...]
-
-
-class Convergent(NamedTuple):
-    p: int
-    q: int
-    index: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 class CylinderInterval(NamedTuple):
@@ -108,23 +98,12 @@ def cf_of_rational(num: int, den: int) -> Word:
     return tuple(digits)
 
 
-def convergents(w: Word) -> list[Convergent]:
-    """All convergents p_n/q_n of [0; w] via the standard recurrence.
-
-    Seeds p0=0, q0=1, p_{-1}=1, q_{-1}=0; then p_n = a_n p_{n-1} + p_{n-2}
-    and likewise for q.  The final convergent equals value_of(w).
-    """
-    _require_nonempty(w)
-    out = []
-    p_prev, q_prev, p, q = 1, 0, 0, 1
-    for i, a in enumerate(w, start=1):
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-        out.append(Convergent(p, q, i))
-    return out
-
-
 def convergent_pair(w: Word) -> tuple[int, int, int, int]:
     """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; w] by the convergent recurrence.
+
+    Seeds p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0; then p_i = a_i p_{i-1} +
+    p_{i-2}, and likewise for q.  This is the package's one recurrence:
+    values, cylinder endpoints and cylinder measures all read it.
 
     p_n/q_n is the word's value.  Raising the last digit by one gives
     (p_n + p_{n-1})/(q_n + q_{n-1}), the cylinder's other endpoint.  Each

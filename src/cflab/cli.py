@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cfcore import format_word, parse_word
+from .cfcore import parse_word
 from .experiments import (
     DEFAULT_CAP,
     DEFAULT_TOLERANCE,
@@ -24,15 +24,9 @@ from .experiments import (
     run_pillai,
     run_subsequence,
 )
-from .reports import (
-    bounded_measure_report,
-    measure_report,
-    measure_text,
-    render_json,
-    render_report,
-)
+from .reports import measure_report, measure_text, render_json, render_report
 from .streams import limit, parse_source_spec
-from .verify import SUITES, run_joint_k2, run_dominance, run_pairwise, run_reversal
+from .verify import SCANS, SUITES, run_joint_k2
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -50,12 +44,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value file; flags override it")
 
 
-def _add_experiment(parser: argparse.ArgumentParser, expect_default: str) -> None:
-    """Options pillai and subsequence share; --source and --n are checked when run."""
+def _add_experiment(parser: argparse.ArgumentParser, expect_default: str, tolerance: bool) -> None:
+    """Options pillai and subsequence share; --source and --n are checked when run.
+
+    Only pillai reads a tolerance, so only it registers --tolerance.
+    """
     parser.add_argument("--source")
     parser.add_argument("--n", type=int, help="source digits to consume")
     parser.add_argument("--checkpoint-every", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    if tolerance:
+        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument("--expect", choices=("consistent", "non-normal"), default=expect_default)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
@@ -130,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="repeatable; comma-separated word",
     )
-    _add_experiment(p, expect_default="consistent")
+    _add_experiment(p, expect_default="consistent", tolerance=True)
 
     p = sub.add_parser(
         "subsequence",
@@ -139,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_experiment(p, expect_default="non-normal")
+    _add_experiment(p, expect_default="non-normal", tolerance=False)
 
     return parser
 
@@ -195,38 +193,13 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "joint-k2":
+    if args.suite in SCANS:
+        result = SCANS[args.suite](args.max_digit, args.max_len)
+    else:
         result = run_joint_k2(cap=args.cap)
-        print(result.summary())
-        if args.out:
-            report = bounded_measure_report(
-                result.measure,
-                suite="joint-k2",
-                cap=args.cap,
-                oracle=result.oracle,
-                gamma_11_float=result.gamma_11_float,
-                passed=result.passed,
-            )
-            Path(args.out).write_bytes(render_json(report))
-        return 0 if result.passed else CHECK_FAILED
-    runner = {
-        "reversal": run_reversal,
-        "dominance": run_dominance,
-        "pairwise": run_pairwise,
-    }[args.suite]
-    result = runner(args.max_digit, args.max_len)
     print(result.summary())
     if args.out:
-        report = {
-            "suite": result.suite,
-            "passed": result.passed,
-            "checked": result.checked,
-            "counterexample": (
-                None if result.counterexample is None else format_word(result.counterexample)
-            ),
-            "detail": result.detail,
-        }
-        Path(args.out).write_bytes(render_json(report))
+        Path(args.out).write_bytes(render_json(result.report()))
     return 0 if result.passed else CHECK_FAILED
 
 
@@ -243,7 +216,7 @@ def _experiment_config(args, patterns) -> ExperimentConfig:
         cap=getattr(args, "cap", DEFAULT_CAP),
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
-        tolerance=args.tolerance,
+        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
     )
 
 

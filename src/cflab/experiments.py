@@ -49,7 +49,7 @@ class ExperimentConfig:
                 raise ValueError(f"pattern {format_word(w)} is given more than once")
 
     def echo(self, *, with_ap: bool) -> dict:
-        """Semantic parameters only; the job count is excluded."""
+        """The parameters the experiment reads; the AP run reads no patterns or tolerance."""
         base = {
             "source": self.source,
             "n": self.n,
@@ -59,6 +59,7 @@ class ExperimentConfig:
             "seed": self.seed,
         }
         if with_ap:
+            del base["patterns"], base["tolerance"]
             base.update({"b": self.b, "k": self.k, "cap": self.cap})
         return base
 

@@ -9,15 +9,15 @@ The cylinder kernel is integer-only.  `_cylinder_arg` reads the arg of
 C_w straight off the convergent recurrence as an unreduced pair (num, den)
 of positive integers, with no Fraction built.  For positive b and d,
 a/b < c/d iff a*d < c*b and a/b == c/d iff a*d == c*b, so the reversal and
-pairwise checks decide equality and strict order by cross-multiplying the
-pairs, exactly, without reducing either one.  The joint measure multiplies
-its integer terms in a balanced product tree; only reports and
-`measure_of_cylinder` see reduced Fractions.
+pairwise checks are plain predicates over words: each decides equality or
+strict order by cross-multiplying the pairs, exactly, without reducing
+either one.  The joint measure multiplies its integer terms in a balanced
+product tree; only reports and `measure_of_cylinder` see reduced
+Fractions.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -128,45 +128,23 @@ def unenumerated_children_measure(w: Word, n_max: int) -> LogRational:
     return LogRational((1 + hi) / (1 + lo))
 
 
-class PairVerdict(enum.Enum):
-    STRICT_GREATER = "STRICT_GREATER"
-    PAIRED_EQUAL = "PAIRED_EQUAL"
+def pairwise_cylinder_inequality(n: Word) -> bool:
+    """True iff the pairwise relation between C_[1,n,1] and C_[1,1,n] holds for n.
 
-
-class MeasureContradiction(AssertionError):
-    """An exhaustively checked inequality failed; treat as fatal."""
-
-
-def pairwise_cylinder_inequality(n: Word) -> PairVerdict:
-    """Compare gamma(C_[1,n,1]) against gamma(C_[1,1,n]) for one padding word n.
-
-    Last digit >= 2: the left measure must be strictly greater.  Last digit
-    1: with n = m + (1,), the term pairs off exactly against its reversal,
-    gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).  Any other outcome
-    contradicts the verified inequality family and raises.
+    Last digit >= 2: gamma(C_[1,n,1]) > gamma(C_[1,1,n]) strictly.  Last
+    digit 1: with n = m + (1,), the term pairs off exactly against its
+    reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
     """
     if len(n) == 0:
         raise ValueError("padding word must be non-empty")
     if n[-1] >= 2:
-        left, right = (1,) + n + (1,), (1, 1) + n
-        left_num, left_den = _cylinder_arg(left)
-        right_num, right_den = _cylinder_arg(right)
-        if left_num * right_den <= right_num * left_den:
-            raise MeasureContradiction(
-                f"expected gamma(C_[1,{n},1]) > gamma(C_[1,1,{n}]), got "
-                f"{measure_of_cylinder(left)} vs {measure_of_cylinder(right)}"
-            )
-        return PairVerdict.STRICT_GREATER
+        left_num, left_den = _cylinder_arg((1,) + n + (1,))
+        right_num, right_den = _cylinder_arg((1, 1) + n)
+        return left_num * right_den > right_num * left_den
     m = n[:-1]
-    left, right = (1,) + m + (1, 1), (1, 1) + reverse(m) + (1,)
-    left_num, left_den = _cylinder_arg(left)
-    right_num, right_den = _cylinder_arg(right)
-    if left_num * right_den != right_num * left_den:
-        raise MeasureContradiction(
-            f"expected reversal-paired equality for n={n}, got "
-            f"{measure_of_cylinder(left)} vs {measure_of_cylinder(right)}"
-        )
-    return PairVerdict.PAIRED_EQUAL
+    left_num, left_den = _cylinder_arg((1,) + m + (1, 1))
+    right_num, right_den = _cylinder_arg((1, 1) + reverse(m) + (1,))
+    return left_num * right_den == right_num * left_den
 
 
 def reversal_equality_check(w: Word) -> bool:

@@ -280,6 +280,13 @@ def limit(source: DigitSource, n: int) -> DigitSource:
     return out
 
 
+def _spec_int(part: str, what: str, spec: str) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"bad {what} in source spec {spec!r}") from None
+
+
 def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
     """Build a source from its CLI spec string.
 
@@ -305,13 +312,13 @@ def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
         decimal_text, sep, exp_text = payload.rpartition(":")
         if not sep:
             raise ValueError("decimal source needs an exponent, e.g. decimal:0.5:e-10")
-        exp_text = exp_text.lstrip("eE")
-        return source_decimal_interval(decimal_text, int(exp_text))
+        exponent = _spec_int(exp_text.lstrip("eE"), "exponent", text)
+        return source_decimal_interval(decimal_text, exponent)
     if kind == "concat-normal" and not payload:
         return source_concat_normal()
     if kind == "random":
         if payload.startswith("seed="):
-            return source_random_real(int(payload[len("seed=") :]))
+            return source_random_real(_spec_int(payload[len("seed=") :], "seed", text))
         if not payload and seed is not None:
             return source_random_real(seed)
         raise ValueError("random source needs seed=N (or a --seed flag)")

@@ -2,8 +2,11 @@
 
 Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
-bounds.  A single counterexample is reported with the offending word; none
-is ever expected.
+bounds.  The exact suites pass one plain predicate over words to `_scan`,
+which reports the first counterexample with the offending word; none is
+ever expected.  The suite names live here (`SCANS`, `SUITES`), and every
+result renders its own summary line and `--out` report, so the CLI holds
+no per-suite schema.
 """
 
 from __future__ import annotations
@@ -14,15 +17,12 @@ from dataclasses import dataclass
 from .cfcore import Word, denominator_dominance, format_word, iter_words
 from .measure import (
     BoundedMeasure,
-    MeasureContradiction,
-    PairVerdict,
     joint_pattern_measure,
     measure_of_cylinder,
     pairwise_cylinder_inequality,
     reversal_equality_check,
 )
-
-SUITES = ("reversal", "dominance", "pairwise", "joint-k2")
+from .reports import bounded_measure_report
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,17 @@ class VerifyResult:
         if self.counterexample is not None:
             line += f"; counterexample {format_word(self.counterexample)}"
         return line
+
+    def report(self) -> dict:
+        return {
+            "suite": self.suite,
+            "passed": self.passed,
+            "checked": self.checked,
+            "counterexample": (
+                None if self.counterexample is None else format_word(self.counterexample)
+            ),
+            "detail": self.detail,
+        }
 
 
 def _scan(suite: str, words, check, detail: str) -> VerifyResult:
@@ -79,21 +90,11 @@ def run_dominance(max_digit: int, max_len: int) -> VerifyResult:
 
 
 def run_pairwise(max_digit: int, max_len: int) -> VerifyResult:
-    """Strict inequality / reversal pairing verdicts for every padding word."""
-
-    def check(n: Word) -> bool:
-        expected = (
-            PairVerdict.STRICT_GREATER if n[-1] >= 2 else PairVerdict.PAIRED_EQUAL
-        )
-        try:
-            return pairwise_cylinder_inequality(n) is expected
-        except MeasureContradiction:
-            return False
-
+    """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
     return _scan(
         "pairwise",
         iter_words(max_digit, max_len),
-        check,
+        pairwise_cylinder_inequality,
         f"digits <= {max_digit}, length <= {max_len}",
     )
 
@@ -126,6 +127,16 @@ class JointK2Result:
             f"{self.detail})"
         )
 
+    def report(self) -> dict:
+        return bounded_measure_report(
+            self.measure,
+            suite="joint-k2",
+            cap=self.cap,
+            oracle=self.oracle,
+            gamma_11_float=self.gamma_11_float,
+            passed=self.passed,
+        )
+
 
 def run_joint_k2(cap: int = 1000) -> JointK2Result:
     """Bracket the k=2 joint measure and check it against the closed form.
@@ -150,3 +161,8 @@ def run_joint_k2(cap: int = 1000) -> JointK2Result:
         exceeds_gamma_11=exceeds,
         detail=detail,
     )
+
+
+# The predicate scans, by suite name; each runner takes (max_digit, max_len).
+SCANS = {"reversal": run_reversal, "dominance": run_dominance, "pairwise": run_pairwise}
+SUITES = (*SCANS, "joint-k2")

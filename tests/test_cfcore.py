@@ -12,7 +12,6 @@ import pytest
 
 from cflab import (
     cf_of_rational,
-    convergents,
     cylinder_interval,
     denominator_dominance,
     format_word,
@@ -22,6 +21,7 @@ from cflab import (
     value_of,
     word,
 )
+from cflab.cfcore import convergent_pair
 
 
 def nested_value(w):
@@ -86,15 +86,21 @@ def test_cf_of_rational_is_canonical_and_correct():
 
 # ------------------------------------------------------------ convergents
 
+def prefix_pairs(w):
+    """(p_i, q_i) for every non-empty prefix w[:i], from convergent_pair."""
+    return [convergent_pair(w[:i])[:2] for i in range(1, len(w) + 1)]
+
+
 def test_convergents_examples():
-    assert [(c.p, c.q) for c in convergents((1, 2, 3))] == [(1, 1), (2, 3), (7, 10)]
-    assert [(c.p, c.q) for c in convergents((2,))] == [(1, 2)]
-    assert [(c.p, c.q) for c in convergents((1, 1, 2))] == [(1, 1), (1, 2), (3, 5)]
+    assert prefix_pairs((1, 2, 3)) == [(1, 1), (2, 3), (7, 10)]
+    assert prefix_pairs((2,)) == [(1, 2)]
+    assert prefix_pairs((1, 1, 2)) == [(1, 1), (1, 2), (3, 5)]
+    assert convergent_pair((1, 2, 3)) == (7, 10, 2, 3)
 
 
 def test_convergents_rejects_empty():
     with pytest.raises(ValueError):
-        convergents(())
+        convergent_pair(())
     with pytest.raises(ValueError):
         value_of(())
     with pytest.raises(ValueError):
@@ -110,30 +116,29 @@ def test_value_examples():
 def test_convergents_against_nested_evaluation_exhaustive():
     # digits <= 6, length <= 6, every word: recurrence == bottom-up fraction
     for w in iter_words(6, 6):
-        cs = convergents(w)
-        assert cs[-1].value == nested_value(w)
-        assert value_of(w) == cs[-1].value
-        for i, c in enumerate(cs, start=1):
-            assert c.index == i
-            assert c.value == nested_value(w[:i])
-        qs = [c.q for c in cs]
-        assert all(q2 > q1 for q1, q2 in zip(qs[1:], qs[2:]))
+        pairs = prefix_pairs(w)
+        assert value_of(w) == nested_value(w)
+        for i, (p, q) in enumerate(pairs, start=1):
+            assert Fraction(p, q) == nested_value(w[:i])
+            assert convergent_pair(w[:i])[2:] == (pairs[i - 2] if i >= 2 else (0, 1))
+        qs = [q for _, q in pairs]
+        assert all(q2 > q1 for q1, q2 in zip(qs, qs[1:]))
 
 
 def test_convergents_are_reduced():
     import math
 
     for w in iter_words(5, 4):
-        for c in convergents(w):
-            assert math.gcd(c.p, c.q) == 1
+        for p, q in prefix_pairs(w):
+            assert math.gcd(p, q) == 1
 
 
 def test_reversed_word_value_is_denominator_ratio():
-    # classical fact used throughout: [0; an..a1] = q_{n-1}/q_n
+    # classical fact used throughout: [0; an..a1] = q_{n-1}/q_n, with q_n
+    # the reduced denominator of [0; a1..an] and q_0 = 1 that of [0;] = 0
     for w in iter_words(5, 5):
-        cs = convergents(w)
-        q_last = cs[-1].q
-        q_prev = cs[-2].q if len(cs) >= 2 else 1
+        q_last = nested_value(w).denominator
+        q_prev = nested_value(w[:-1]).denominator
         assert value_of(reverse(w)) == Fraction(q_prev, q_last)
 
 
@@ -159,9 +164,8 @@ def test_cylinder_orientation_by_parity():
 def test_cylinder_width_identity_exhaustive():
     # width = 1/(q_n (q_n + q_{n-1})), digits <= 6, length <= 6
     for w in iter_words(6, 6):
-        cs = convergents(w)
-        q_last = cs[-1].q
-        q_prev = cs[-2].q if len(cs) >= 2 else 1
+        q_last = nested_value(w).denominator
+        q_prev = nested_value(w[:-1]).denominator
         assert cylinder_interval(w).width == Fraction(1, q_last * (q_last + q_prev))
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cflab
+from cflab import verify
 from cflab.cli import main
 
 
@@ -144,18 +145,24 @@ def test_expand_negative_seed_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["expand", "rational:1/0", "--n", "3"],
-        ["pillai", "--source", "rational:1/0", "--n", "100", "--pattern", "1"],
+        (["expand", "rational:1/0", "--n", "3"], "1/0"),
+        (["pillai", "--source", "rational:1/0", "--n", "100", "--pattern", "1"], "1/0"),
+        (["expand", "random:seed=abc", "--n", "3"], "bad seed in source spec 'random:seed=abc'"),
+        (["expand", "random:seed=", "--n", "3"], "bad seed in source spec 'random:seed='"),
+        (
+            ["expand", "decimal:0.5:eabc", "--n", "3"],
+            "bad exponent in source spec 'decimal:0.5:eabc'",
+        ),
     ],
 )
-def test_zero_denominator_rational_is_usage_error(capsys, argv):
+def test_bad_source_spec_is_usage_error(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1/0" in err
+    assert named in err
 
 
 # ----------------------------------------------------------------- verify
@@ -192,6 +199,50 @@ def test_verify_empty_family_is_usage_error(capsys, suite, max_digit, max_len):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"digits <= {max_digit}, length <= {max_len}" in err
+
+
+def _scan_report(suite, passed, checked, counterexample, detail):
+    # the --out schema of the predicate scans, spelled out byte by byte
+    counterexample = "null" if counterexample is None else f'"{counterexample}"'
+    return (
+        "{\n"
+        f'  "suite": "{suite}",\n'
+        f'  "passed": {"true" if passed else "false"},\n'
+        f'  "checked": {checked},\n'
+        f'  "counterexample": {counterexample},\n'
+        f'  "detail": "{detail}"\n'
+        "}\n"
+    )
+
+
+SCAN_CASES = [
+    # suite, predicate, family size at digits <= 3 and length <= 3, index of (2,3) in it
+    ("reversal", "reversal_equality_check", 39, 9, "digits <= 3, length <= 3"),
+    ("dominance", "denominator_dominance", 26, 6, "digits <= 3, length <= 3, last digit >= 2"),
+    ("pairwise", "pairwise_cylinder_inequality", 39, 9, "digits <= 3, length <= 3"),
+]
+
+
+@pytest.mark.parametrize("suite,predicate,size,at,detail", SCAN_CASES)
+@pytest.mark.parametrize("fails", [False, True])
+def test_verify_scan_report_bytes(
+    capsys, tmp_path, monkeypatch, suite, predicate, size, at, detail, fails
+):
+    if fails:
+        real = getattr(verify, predicate)
+        monkeypatch.setattr(verify, predicate, lambda w: w != (2, 3) and real(w))
+    out_path = tmp_path / "scan.json"
+    argv = ["verify", suite, "--max-digit", "3", "--max-len", "3", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    if fails:
+        assert code == 1
+        assert out == f"{suite}: FAIL ({at} cases checked; {detail}); counterexample 2,3\n"
+        assert out_path.read_text() == _scan_report(suite, False, at, "2,3", detail)
+    else:
+        assert code == 0
+        assert out == f"{suite}: pass ({size} cases checked; {detail})\n"
+        assert out_path.read_text() == _scan_report(suite, True, size, None, detail)
 
 
 def test_verify_writes_report(capsys, tmp_path):
@@ -339,6 +390,8 @@ def test_subsequence_reports_selected_length(capsys):
     report = json.loads(out)
     assert report["selected_n"] == (20000 - 3) // 2 + 1
     assert report["config"]["b"] == 3 and report["config"]["k"] == 2
+    # the echo holds only what the AP run reads: no patterns, no tolerance
+    assert list(report["config"]) == ["source", "n", "checkpoint_every", "seed", "b", "k", "cap"]
 
 
 def test_subsequence_refuses_unbounded_joint_enumeration(capsys):
@@ -403,6 +456,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     report = json.loads(out)
     assert report["config"]["n"] == 500
     assert report["config"]["patterns"] == ["2", "2,2"]
+    assert list(report["config"]) == [
+        "source", "n", "patterns", "checkpoint_every", "tolerance", "seed"
+    ]
 
     # explicit flag beats the file
     code, out, _ = run(capsys, "pillai", "--config", str(cfg), "--n", "600")
@@ -502,26 +558,49 @@ def test_experiment_needs_source_and_n(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,expected",
     [
-        ["pillai", "--source", "random:seed=1", "--n", "20000", "--pattern", "1"],
-        ["subsequence", "--source", "periodic:,1", "--n", "2000", "--cap", "10"],
+        (
+            ["pillai", "--source", "random:seed=1", "--n", "20000", "--pattern", "1"],
+            "tolerance must be finite and > 0",
+        ),
+        # only pillai reads a tolerance
+        (
+            ["subsequence", "--source", "periodic:,1", "--n", "2000", "--cap", "10"],
+            "unrecognized arguments: --tolerance",
+        ),
     ],
 )
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
-def test_tolerance_must_be_finite_and_positive(capsys, argv, tolerance):
+def test_tolerance_must_be_finite_and_positive(capsys, argv, expected, tolerance):
     code, out, err = run(capsys, *argv, "--tolerance", tolerance)
     assert code == 2
     assert out == ""
-    assert "tolerance must be finite and > 0" in err
+    assert expected in err
 
 
-def test_tolerance_from_config_file_is_checked(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command,text,expected",
+    [
+        (
+            "pillai",
+            "source=periodic:,2\nn=100\npatterns=2\ntolerance=nan\n",
+            "tolerance must be finite and > 0",
+        ),
+        (
+            "subsequence",
+            "source=periodic:,1\nn=2000\ncap=10\ntolerance=0.01\n",
+            "unknown config keys: ['tolerance']",
+        ),
+    ],
+)
+def test_tolerance_from_config_file_is_checked(tmp_path, capsys, command, text, expected):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("source=periodic:,2\nn=100\npatterns=2\ntolerance=nan\n")
-    code, _, err = run(capsys, "pillai", "--config", str(cfg))
+    cfg.write_text(text)
+    code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == 2
-    assert "tolerance must be finite and > 0" in err
+    assert out == ""
+    assert expected in err
 
 
 @pytest.mark.parametrize("n,b,k", [(0, 1, 2), (2, 1, 2), (4, 3, 2), (5, 2, 4)])

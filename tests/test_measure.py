@@ -18,8 +18,6 @@ from cflab import (
     cylinder_interval,
     denominator_dominance,
     LogRational,
-    MeasureContradiction,
-    PairVerdict,
     digit_tail_measure,
     iter_words,
     joint_pattern_measure,
@@ -135,19 +133,18 @@ def test_reversal_examples_and_exhaustive():
 
 
 def test_pairwise_examples():
-    assert pairwise_cylinder_inequality((2,)) is PairVerdict.STRICT_GREATER
+    assert pairwise_cylinder_inequality((2,)) is True
     assert measure_of_cylinder((1, 2, 1)).arg == Fraction(49, 48)
     assert measure_of_cylinder((1, 1, 2)).arg == Fraction(56, 55)
-    assert pairwise_cylinder_inequality((1,)) is PairVerdict.PAIRED_EQUAL
-    assert pairwise_cylinder_inequality((3, 2)) is PairVerdict.STRICT_GREATER
+    assert pairwise_cylinder_inequality((1,)) is True
+    assert pairwise_cylinder_inequality((3, 2)) is True
     with pytest.raises(ValueError):
         pairwise_cylinder_inequality(())
 
 
 def test_pairwise_exhaustive():
     for n in iter_words(5, 3):
-        expected = PairVerdict.STRICT_GREATER if n[-1] >= 2 else PairVerdict.PAIRED_EQUAL
-        assert pairwise_cylinder_inequality(n) is expected
+        assert pairwise_cylinder_inequality(n) is True, n
 
 
 def test_pairwise_equal_case_is_exact_reversal_pairing():
@@ -157,7 +154,32 @@ def test_pairwise_equal_case_is_exact_reversal_pairing():
         left = measure_of_cylinder((1,) + m + (1, 1))
         right = measure_of_cylinder((1, 1) + m[::-1] + (1,))
         assert left == right
-        assert pairwise_cylinder_inequality(n) is PairVerdict.PAIRED_EQUAL
+        assert pairwise_cylinder_inequality(n) is True
+
+
+def _weighted_from_front(w):
+    return 1 + sum(i * d for i, d in enumerate(w, start=1)), 1
+
+
+def _weighted_from_back(w):
+    return _weighted_from_front(reverse(w))
+
+
+@pytest.mark.parametrize(
+    "fake_arg,n",
+    [
+        # equal args on both sides: the strict branch must refuse equality
+        pytest.param(lambda w: (2, 1), (2,), id="constant-2"),
+        pytest.param(lambda w: (2, 1), (3, 2), id="constant-3,2"),
+        # a position-weighted arg tells a word from its reversal, either way round
+        pytest.param(_weighted_from_front, (2, 1), id="front-2,1"),
+        pytest.param(_weighted_from_front, (3, 1, 1), id="front-3,1,1"),
+        pytest.param(_weighted_from_back, (2, 1), id="back-2,1"),
+    ],
+)
+def test_pairwise_is_false_when_the_relation_fails(monkeypatch, fake_arg, n):
+    monkeypatch.setattr(measure, "_cylinder_arg", fake_arg)
+    assert pairwise_cylinder_inequality(n) is False
 
 
 def test_joint_pattern_measure_small_cases():
@@ -289,12 +311,10 @@ def test_pairwise_verdict_matches_fraction_oracle(n, last_digit_one):
         n = n + (1,)
     if n[-1] >= 2:
         assert _oracle_arg((1,) + n + (1,)) > _oracle_arg((1, 1) + n)
-        expected = PairVerdict.STRICT_GREATER
     else:
         m = n[:-1]
         assert _oracle_arg((1,) + m + (1, 1)) == _oracle_arg((1, 1) + reverse(m) + (1,))
-        expected = PairVerdict.PAIRED_EQUAL
-    assert pairwise_cylinder_inequality(n) is expected
+    assert pairwise_cylinder_inequality(n) is True
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,7 +324,3 @@ def test_denominator_dominance_matches_value_denominators(n):
     q_left = value_of((1, 1) + n).denominator
     q_right = value_of((1,) + n + (1,)).denominator
     assert denominator_dominance(n) is (q_left > q_right)
-
-
-def test_measure_contradiction_is_assertion_like():
-    assert issubclass(MeasureContradiction, AssertionError)

@@ -14,6 +14,7 @@ from cflab import iter_words, verify
             "denominator_dominance",
             [w for w in iter_words(3, 3) if w[-1] >= 2],
         ),
+        (verify.run_pairwise, "pairwise_cylinder_inequality", list(iter_words(3, 3))),
     ],
 )
 def test_failed_scan_counts_words_up_to_the_first_counterexample(
@@ -33,19 +34,6 @@ def test_failed_scan_counts_words_up_to_the_first_counterexample(
     assert result.checked == 10 == len(seen)
     assert seen == family[:10]
     assert "10 cases checked" in result.summary()
-
-
-def test_failed_pairwise_scan_stops_at_the_contradiction(monkeypatch):
-    family = list(iter_words(3, 2))
-
-    def inequality(n):
-        if n == family[5]:
-            raise verify.MeasureContradiction("planted")
-        return verify.PairVerdict.STRICT_GREATER if n[-1] >= 2 else verify.PairVerdict.PAIRED_EQUAL
-
-    monkeypatch.setattr(verify, "pairwise_cylinder_inequality", inequality)
-    result = verify.run_pairwise(3, 2)
-    assert (result.passed, result.checked, result.counterexample) == (False, 6, family[5])
 
 
 def test_passing_scan_counts_the_whole_family():

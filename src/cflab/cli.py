@@ -9,24 +9,15 @@ failed or an experiment verdict contradicts the declared expectation,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from pathlib import Path
 
 from .cfcore import parse_word
-from .experiments import (
-    DEFAULT_CAP,
-    DEFAULT_TOLERANCE,
-    VERDICT_NON_NORMAL,
-    ExperimentConfig,
-    run_pillai,
-    run_subsequence,
-)
-from .reports import measure_report, measure_text, render_json, render_report
+from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, run_pillai, run_subsequence
+from .reports import render_json, render_measure, render_report
 from .streams import limit, parse_source_spec
-from .verify import SCANS, SUITES, run_joint_k2
+from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -47,13 +38,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_experiment(parser: argparse.ArgumentParser, expect_default: str, tolerance: bool) -> None:
     """Options pillai and subsequence share; --source and --n are checked when run.
 
-    Only pillai reads a tolerance, so only it registers --tolerance.
+    Only pillai reads a tolerance, so only it registers --tolerance.  Options
+    whose default the library owns have none here (see `_given`).
     """
     parser.add_argument("--source")
     parser.add_argument("--n", type=int, help="source digits to consume")
     parser.add_argument("--checkpoint-every", type=int, default=None)
     if tolerance:
-        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+        parser.add_argument("--tolerance", type=float)
     parser.add_argument("--expect", choices=("consistent", "non-normal"), default=expect_default)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
@@ -112,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive exact verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-digit", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--max-digit", type=int)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--cap", type=int)
     _add_common(p)
 
     p = sub.add_parser(
@@ -134,30 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
         "subsequence",
         help="[1,1] frequency along an arithmetic-progression subsequence",
     )
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--b", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--cap", type=int)
     _add_experiment(p, expect_default="non-normal", tolerance=False)
 
     return parser
 
 
+def _given(args, *names: str) -> dict:
+    """The options among `names` that the user set, by flag or config file.
+
+    An option left unset is not passed on, so the library's default holds.
+    """
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _cmd_measure(args) -> int:
-    w = parse_word(args.word)
-    if args.format == "json":
-        _write_output(render_json(measure_report(w, args.interval)), args.out)
-    elif args.format == "csv":
-        report = measure_report(w, args.interval)
-        if args.interval:
-            lo, hi = report.pop("interval")
-            report.update({"interval_lo": lo, "interval_hi": hi})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.keys())
-        writer.writerow(report.values())
-        _write_output(buf.getvalue().encode(), args.out)
-    else:
-        _write_output(measure_text(w, args.interval).encode(), args.out)
+    _write_output(render_measure(parse_word(args.word), args.interval, args.format), args.out)
     return 0
 
 
@@ -193,10 +179,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite in SCANS:
-        result = SCANS[args.suite](args.max_digit, args.max_len)
-    else:
-        result = run_joint_k2(cap=args.cap)
+    result = run_suite(args.suite, **_given(args, "max_digit", "max_len", "cap"))
     print(result.summary())
     if args.out:
         Path(args.out).write_bytes(render_json(result.report()))
@@ -207,17 +190,8 @@ def _experiment_config(args, patterns) -> ExperimentConfig:
     missing = [flag for flag in ("--source", "--n") if getattr(args, flag[2:]) is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    return ExperimentConfig(
-        source=args.source,
-        n=args.n,
-        patterns=patterns,
-        b=getattr(args, "b", 1),
-        k=getattr(args, "k", 2),
-        cap=getattr(args, "cap", DEFAULT_CAP),
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-    )
+    options = _given(args, "source", "n", "b", "k", "cap", "seed", "checkpoint_every", "tolerance")
+    return ExperimentConfig(patterns=patterns, **options)
 
 
 def _finish_experiment(report: dict, args) -> int:

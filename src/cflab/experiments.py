@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 from .cfcore import Word, format_word
-from .measure import joint_pattern_measure, measure_of_cylinder
+from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
 from .streams import parse_source_spec
 
-DEFAULT_TOLERANCE = 0.005
-DEFAULT_CAP = 1000
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_NON_NORMAL = "NON_NORMAL"
 # Most rows a report may hold (checkpoints x patterns x modes); a report of
@@ -35,7 +33,7 @@ class ExperimentConfig:
     cap: int = DEFAULT_CAP
     seed: int | None = None
     checkpoint_every: int | None = None
-    tolerance: float = DEFAULT_TOLERANCE
+    tolerance: float = 0.005
     jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
 
     def __post_init__(self) -> None:
@@ -182,10 +180,12 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     mode = ModeDescriptor.overlap()
     selected_n = (config.n - config.b) // config.k + 1  # positions b + ik <= n
     _check_report_rows(config, selected_n, 1)
-    # before the source is built, so a refused k/cap fails before any digit is drawn
+    # a bad spec fails before the joint measure, and a refused k/cap before
+    # any digit is drawn: building the source draws none
+    source = select_ap(config.build_source(), config.b, config.k)
     joint = joint_pattern_measure(config.k, config.cap)
     stats = frequency_report(
-        select_ap(config.build_source(), config.b, config.k),
+        source,
         [pattern],
         [mode],
         selected_n,

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cfcore import Word, convergent_pair, reverse, value_of
+from .cfcore import Word, convergent_pair, reverse
 
 _ONE = Fraction(1)
+# The cap on the middle digits of a joint measure when the caller sets none.
+DEFAULT_CAP = 1000
 
 
 class LogRational:
@@ -86,15 +88,17 @@ class LogRational:
         return f"log2({self.arg.numerator}/{self.arg.denominator})"
 
 
-def _cylinder_arg(w: Word) -> tuple[int, int]:
-    """The arg (1 + hi)/(1 + lo) of gamma(C_w) as an unreduced pair (num, den).
+def _cylinder_arg(w: Word, m: int = 1) -> tuple[int, int]:
+    """The arg (1 + hi)/(1 + lo) of the interval between [0; w] and [0; w, m].
 
-    With p/q the word's value and p'/q' = (p + p_{n-1})/(q + q_{n-1}) the
-    bumped endpoint, 1 + p/q = (q + p)/q; odd |w| puts p/q on top, even
-    |w| puts p'/q' on top.  Both parts are positive.
+    At m = 1 that interval is C_w, so this is the arg of gamma(C_w), as an
+    unreduced pair (num, den).  With p/q the word's value and
+    p'/q' = (m p + p_{n-1})/(m q + q_{n-1}) the value of w.m,
+    1 + p/q = (q + p)/q; odd |w| puts p/q on top, even |w| puts p'/q' on
+    top.  Both parts are positive.
     """
     p, q, p_prev, q_prev = convergent_pair(w)
-    p2, q2 = p + p_prev, q + q_prev
+    p2, q2 = m * p + p_prev, m * q + q_prev
     if len(w) % 2:
         return (q + p) * q2, q * (q2 + p2)
     return (q2 + p2) * q, q2 * (q + p)
@@ -119,13 +123,9 @@ def digit_tail_measure(n_max: int) -> LogRational:
 def unenumerated_children_measure(w: Word, n_max: int) -> LogRational:
     """Exact measure of {x in C_w : digit |w|+1 of x exceeds n_max}.
 
-    That set is the interval between value(w . (n_max+1)) and value(w),
-    so its measure comes straight from the endpoint arithmetic.
+    That set is the interval between value(w . (n_max+1)) and value(w).
     """
-    a = value_of(w)
-    b = value_of(w + (n_max + 1,))
-    lo, hi = (a, b) if a < b else (b, a)
-    return LogRational((1 + hi) / (1 + lo))
+    return LogRational(Fraction(*_cylinder_arg(w, n_max + 1)))
 
 
 def pairwise_cylinder_inequality(n: Word) -> bool:
@@ -187,8 +187,8 @@ class BoundedMeasure:
 
 # Most middle words a joint measure may enumerate.  k=3 at cap 1000 is the
 # largest k=3 run allowed (about three minutes on a 2-vCPU host with
-# Python 3.11); k=5 at the default cap 1000 (10**12 words) is refused up
-# front instead of running for days.
+# Python 3.11); k=5 at DEFAULT_CAP (10**12 words) is refused up front
+# instead of running for days.
 MAX_MIDDLE_WORDS = 10**6
 
 

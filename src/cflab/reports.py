@@ -74,32 +74,43 @@ def bounded_measure_report(bm: BoundedMeasure, **extra) -> dict:
     return report
 
 
-def measure_text(w: Word, with_interval: bool = False) -> str:
-    m = measure_of_cylinder(w)
-    lines = [f"log2({_bounded_rational(m.arg)}) ≈ {m.float:.6f}"]
-    if with_interval:
-        lo, hi = _interval_text(w)
-        lines.append(f"({lo}, {hi})")
-    return "\n".join(lines) + "\n"
-
-
 def render_json(report: dict) -> bytes:
     return (json.dumps(report, indent=2) + "\n").encode()
 
 
+def _csv_rows(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def render_measure(w: Word, with_interval: bool, fmt: str | None) -> bytes:
+    """`measure_report(w, with_interval)` as JSON, as CSV, or (fmt None) as text.
+
+    CSV splits the interval into interval_lo and interval_hi columns.
+    """
+    report = measure_report(w, with_interval)
+    if fmt == "json":
+        return render_json(report)
+    interval = report.pop("interval", None)
+    if fmt == "csv":
+        if interval:
+            report.update({"interval_lo": interval[0], "interval_hi": interval[1]})
+        return _csv_rows([report.keys(), report.values()]).encode()
+    text = f"log2({report['log2_arg']}) ≈ {report['float']:.6f}\n"
+    return (text + (f"({interval[0]}, {interval[1]})\n" if interval else "")).encode()
+
+
 def render_experiment_csv(report: dict) -> bytes:
     """Config echo as comment lines, then the fixed column schema."""
-    buf = io.StringIO()
+    comments = ""
     for key, value in report["config"].items():
         if isinstance(value, list):
             value = ";".join(str(v) for v in value)
-        buf.write(f"# {key}={value}\n")
-    buf.write(f"# verdict={report['verdict']}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report["rows"]:
-        writer.writerow([row[col] for col in CSV_COLUMNS])
-    return buf.getvalue().encode()
+        comments += f"# {key}={value}\n"
+    comments += f"# verdict={report['verdict']}\n"
+    rows = [[row[col] for col in CSV_COLUMNS] for row in report["rows"]]
+    return (comments + _csv_rows([CSV_COLUMNS, *rows])).encode()
 
 
 def render_report(report: dict, fmt: str) -> bytes:

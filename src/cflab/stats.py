@@ -260,17 +260,8 @@ def frequency_report(
 def count_chunked(
     digits: Sequence[int], w: Word, mode: ModeDescriptor, jobs: int
 ) -> int:
-    """The count summed over `jobs` partitions of the start positions.
-
-    A match may read up to |w|-1 digits past its partition, which is the
-    seam carry, so the sum equals the single-pass count for every jobs.
-    """
+    """The count of w over the mode's starts; `jobs` is checked and read by nothing."""
     w = _check_pattern(w)
     if jobs < 1:
         raise ValueError("need jobs >= 1")
-    starts = mode.starts(len(w), len(digits))
-    m = len(starts)
-    return sum(
-        _count_positions(digits, w, starts[i * m // jobs : (i + 1) * m // jobs])
-        for i in range(jobs)
-    )
+    return _count_positions(digits, w, mode.starts(len(w), len(digits)))

@@ -4,9 +4,10 @@ Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
 bounds.  The exact suites pass one plain predicate over words to `_scan`,
 which reports the first counterexample with the offending word; none is
-ever expected.  The suite names live here (`SCANS`, `SUITES`), and every
+ever expected.  `SUITES` maps each suite name to its runner and the
+options that runner reads, `run_suite` refuses any other option, and every
 result renders its own summary line and `--out` report, so the CLI holds
-no per-suite schema.
+no per-suite schema and no default.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from .cfcore import Word, denominator_dominance, format_word, iter_words
 from .measure import (
+    DEFAULT_CAP,
     BoundedMeasure,
     joint_pattern_measure,
     measure_of_cylinder,
@@ -23,6 +25,10 @@ from .measure import (
     reversal_equality_check,
 )
 from .reports import bounded_measure_report
+
+# The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
+MAX_DIGIT = 5
+MAX_LEN = 3
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ def _scan(suite: str, words, check, detail: str) -> VerifyResult:
     return VerifyResult(suite, True, checked, None, detail)
 
 
-def run_reversal(max_digit: int, max_len: int) -> VerifyResult:
+def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
     return _scan(
         "reversal",
@@ -79,7 +85,7 @@ def run_reversal(max_digit: int, max_len: int) -> VerifyResult:
     )
 
 
-def run_dominance(max_digit: int, max_len: int) -> VerifyResult:
+def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """Denominator dominance for every word with last digit >= 2."""
     return _scan(
         "dominance",
@@ -89,7 +95,7 @@ def run_dominance(max_digit: int, max_len: int) -> VerifyResult:
     )
 
 
-def run_pairwise(max_digit: int, max_len: int) -> VerifyResult:
+def run_pairwise(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
     return _scan(
         "pairwise",
@@ -138,7 +144,7 @@ class JointK2Result:
         )
 
 
-def run_joint_k2(cap: int = 1000) -> JointK2Result:
+def run_joint_k2(cap: int = DEFAULT_CAP) -> JointK2Result:
     """Bracket the k=2 joint measure and check it against the closed form.
 
     Passes iff the bracket contains the oracle value and the exact lower
@@ -163,6 +169,23 @@ def run_joint_k2(cap: int = 1000) -> JointK2Result:
     )
 
 
-# The predicate scans, by suite name; each runner takes (max_digit, max_len).
-SCANS = {"reversal": run_reversal, "dominance": run_dominance, "pairwise": run_pairwise}
-SUITES = (*SCANS, "joint-k2")
+# Each suite's runner and the keyword options it reads, by suite name.
+_BOUNDS = ("max_digit", "max_len")
+SUITES = {
+    "reversal": (run_reversal, _BOUNDS),
+    "dominance": (run_dominance, _BOUNDS),
+    "pairwise": (run_pairwise, _BOUNDS),
+    "joint-k2": (run_joint_k2, ("cap",)),
+}
+
+
+def run_suite(name: str, **options: int) -> VerifyResult | JointK2Result:
+    """Run suite `name` with the options given; any it does not read is a usage error.
+
+    An option left out takes the runner's default.
+    """
+    run, reads = SUITES[name]
+    stray = [f"--{key.replace('_', '-')}" for key in options if key not in reads]
+    if stray:
+        raise ValueError(f"verify {name} does not read {', '.join(stray)}")
+    return run(**options)

@@ -245,6 +245,18 @@ def test_verify_scan_report_bytes(
         assert out_path.read_text() == _scan_report(suite, True, size, None, detail)
 
 
+def test_verify_defaults_are_the_runners(capsys, tmp_path):
+    # with no bounds the scans check digits <= 5 and length <= 3: 5 + 25 + 125 words
+    code, out, err = run(capsys, "verify", "reversal")
+    assert (code, err) == (0, "")
+    assert out == "reversal: pass (155 cases checked; digits <= 5, length <= 3)\n"
+    out_path = tmp_path / "joint.json"
+    code, out, err = run(capsys, "verify", "joint-k2", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("joint-k2: pass (cap 1000; ")
+    assert json.loads(out_path.read_text())["cap"] == 1000
+
+
 def test_verify_writes_report(capsys, tmp_path):
     out_path = tmp_path / "joint.json"
     code, _, _ = run(capsys, "verify", "joint-k2", "--cap", "20", "--out", str(out_path))
@@ -394,6 +406,19 @@ def test_subsequence_reports_selected_length(capsys):
     assert list(report["config"]) == ["source", "n", "checkpoint_every", "seed", "b", "k", "cap"]
 
 
+def test_subsequence_bad_spec_fails_before_the_joint_measure(capsys, monkeypatch):
+    def joint_pattern_measure(k, cap):
+        raise AssertionError("the joint measure ran before the source spec was checked")
+
+    monkeypatch.setattr("cflab.experiments.joint_pattern_measure", joint_pattern_measure)
+    argv = ["--source", "martian:1", "--n", "100", "--k", "3", "--cap", "400"]
+    code, out, err = run(capsys, "subsequence", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "martian" in err
+
+
 def test_subsequence_refuses_unbounded_joint_enumeration(capsys):
     # k=5 at the default cap would enumerate 1000**4 middle words
     code, out, err = run(
@@ -527,26 +552,78 @@ def test_config_file_replays_flag_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,expected",
     [
-        ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--format", "csv"],
-        ["measure", "1,1", "--seed", "3"],
-        ["expand", "rational:7/16", "--n", "3", "--format", "json"],
+        (
+            ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--format", "csv"],
+            "cflab: error: unrecognized arguments: --format csv",
+        ),
+        (["measure", "1,1", "--seed", "3"], "cflab: error: unrecognized arguments: --seed 3"),
+        (
+            ["expand", "rational:7/16", "--n", "3", "--format", "json"],
+            "cflab: error: unrecognized arguments: --format json",
+        ),
         # --jobs is gone from every subcommand, whatever its value
-        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "0"],
-        ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "-5"],
-        ["subsequence", "--source", "periodic:,2", "--n", "100", "--jobs", "0"],
-        ["measure", "1,1", "--jobs", "-3"],
-        ["expand", "rational:7/16", "--n", "3", "--jobs", "0"],
-        ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--jobs", "-1"],
+        (
+            ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "0"],
+            "cflab: error: unrecognized arguments: --jobs 0",
+        ),
+        (
+            ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2", "--jobs", "-5"],
+            "cflab: error: unrecognized arguments: --jobs -5",
+        ),
+        (
+            ["subsequence", "--source", "periodic:,2", "--n", "100", "--jobs", "0"],
+            "cflab: error: unrecognized arguments: --jobs 0",
+        ),
+        (["measure", "1,1", "--jobs", "-3"], "cflab: error: unrecognized arguments: --jobs -3"),
+        (
+            ["expand", "rational:7/16", "--n", "3", "--jobs", "0"],
+            "cflab: error: unrecognized arguments: --jobs 0",
+        ),
+        (
+            ["verify", "reversal", "--max-digit", "2", "--max-len", "2", "--jobs", "-1"],
+            "cflab: error: unrecognized arguments: --jobs -1",
+        ),
+        # verify registers the options of every suite; each suite reads only its own
+        (
+            ["verify", "reversal", "--max-digit", "2", "--max-len", "1", "--cap", "7"],
+            "error: verify reversal does not read --cap",
+        ),
+        (
+            ["verify", "joint-k2", "--cap", "10", "--max-digit", "9"],
+            "error: verify joint-k2 does not read --max-digit",
+        ),
+        (
+            ["verify", "joint-k2", "--max-len", "0", "--max-digit", "9"],
+            "error: verify joint-k2 does not read --max-digit, --max-len",
+        ),
     ],
 )
-def test_options_a_subcommand_never_reads_are_rejected(capsys, argv):
+def test_options_a_subcommand_never_reads_are_rejected(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    expected = "unrecognized arguments: --jobs" if "--jobs" in argv else "unrecognized arguments"
-    assert expected in err
+    # argparse prints its usage block first; every other usage error is one line
+    assert err.startswith("usage: cflab ") or err.count("\n") == 1
+    assert err.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize(
+    "suite,text,expected",
+    [
+        ("reversal", "max_digit=2\nmax-len=1\ncap=7\n", "does not read --cap"),
+        ("joint-k2", "cap=10\nmax_digit=9\n", "does not read --max-digit"),
+    ],
+    ids=["reversal", "joint-k2"],
+)
+def test_verify_option_a_suite_never_reads_from_config(tmp_path, capsys, suite, text, expected):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "verify", suite, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify {suite} {expected}\n"
 
 
 @pytest.mark.parametrize("argv", [["pillai", "--pattern", "1"], ["subsequence"]])

@@ -276,6 +276,19 @@ def test_cylinder_arg_matches_interval_oracle(w):
     assert measure_of_cylinder(w).arg == _oracle_arg(w)
 
 
+@settings(max_examples=200, deadline=None)
+@given(words, st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+@example((1,), 1)
+@example((2, 3), 10**6)
+def test_cylinder_arg_of_child_tail_matches_value_oracle(w, m):
+    # the interval between [0; w] and [0; w, m], from Fraction values
+    a, b = value_of(w), value_of(w + (m,))
+    lo, hi = min(a, b), max(a, b)
+    num, den = _cylinder_arg(w, m)
+    assert num > 0 and den > 0
+    assert Fraction(num, den) == (1 + hi) / (1 + lo)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(

@@ -13,6 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 Word = tuple[int, ...]
+# (p_n, q_n, p_{n-1}, q_{n-1}) of a word, as convergent_pair returns it
+Pair = tuple[int, int, int, int]
 
 
 class CylinderInterval(NamedTuple):
@@ -98,23 +100,39 @@ def cf_of_rational(num: int, den: int) -> Word:
     return tuple(digits)
 
 
-def convergent_pair(w: Word) -> tuple[int, int, int, int]:
+# convergent_pair of the empty word: p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0.
+_EMPTY_PAIR = (0, 1, 1, 0)
+
+
+def _extend(pair: Pair, digits: Iterable[int]) -> Pair:
+    """Run the convergent recurrence from `pair` over `digits`."""
+    p, q, p_prev, q_prev = pair
+    for a in digits:
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+    return p, q, p_prev, q_prev
+
+
+def convergent_pair(w: Word) -> Pair:
     """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; w] by the convergent recurrence.
 
     Seeds p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0; then p_i = a_i p_{i-1} +
     p_{i-2}, and likewise for q.  This is the package's one recurrence:
-    values, cylinder endpoints and cylinder measures all read it.
+    values, cylinder endpoints, cylinder measures and `iter_word_pairs` all
+    read it.
 
     p_n/q_n is the word's value.  Raising the last digit by one gives
     (p_n + p_{n-1})/(q_n + q_{n-1}), the cylinder's other endpoint.  Each
     pair is coprime (p_n q_{n-1} - p_{n-1} q_n = +-1), so q_n is the reduced
     denominator of the value.
+
+    The continuant matrix [[q_n, q_{n-1}], [p_n, p_{n-1}]] multiplies under
+    concatenation, so a word's neighbours have pairs read off its own:
+    reversing it swaps p_n and q_{n-1}, prepending a digit 1 maps
+    (p, q, p', q') to (q, q + p, q', q' + p'), and appending a 1 maps it to
+    (p + p', q + q', p, q).
     """
     _require_nonempty(w)
-    p_prev, q_prev, p, q = 1, 0, 0, 1
-    for a in w:
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-    return p, q, p_prev, q_prev
+    return _extend(_EMPTY_PAIR, w)
 
 
 def value_of(w: Word) -> Fraction:
@@ -135,23 +153,27 @@ def cylinder_interval(w: Word) -> CylinderInterval:
     return CylinderInterval(w, lo, hi)
 
 
+def dominance_holds(n: Word, pair: Pair) -> bool:
+    """q([0;1,1,n]) > q([0;1,n,1]), read off pair = convergent_pair(n).
+
+    With (p, q, p', q') = pair, prepending a digit 1 maps (p, q) to
+    (q, q + p) and appending one adds (p', q'), so q([0;1,1,n]) = 2q + p and
+    q([0;1,n,1]) = q + p + q' + p'.
+    """
+    p, q, p_prev, q_prev = pair
+    return 2 * q + p > q + p + q_prev + p_prev
+
+
 def denominator_dominance(n: Word) -> bool:
     """Check q([0;1,1,n1..nk]) > q([0;1,n1..nk,1]) for a word with last digit >= 2.
 
     The inequality must hold for every admissible word; the function exists
     so that the claim can be machine-checked exhaustively rather than trusted.
-    Both denominators come from one recurrence pass over n: with (p, q, p',
-    q') = convergent_pair(n), prepending a digit 1 maps (p, q) to (q, q + p)
-    and appending one adds (p', q'), so q([0;1,1,n]) = 2q + p and
-    q([0;1,n,1]) = q + p + q' + p'.
     """
     _require_nonempty(n)
     if n[-1] < 2:
         raise ValueError("last digit must be >= 2")
-    p, q, p_prev, q_prev = convergent_pair(n)
-    q_left = 2 * q + p
-    q_right = q + p + q_prev + p_prev
-    return q_left > q_right
+    return dominance_holds(n, convergent_pair(n))
 
 
 def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
@@ -164,3 +186,25 @@ def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
         return
     for length in range(1, max_len + 1):
         yield from itertools.product(range(1, max_digit + 1), repeat=length)
+
+
+def iter_word_pairs(
+    max_digit: int,
+    max_len: int,
+    min_len: int = 1,
+    head: Pair = _EMPTY_PAIR,
+) -> Iterator[tuple[Word, Pair]]:
+    """Yield (w, convergent_pair(u + w)) for w in iter_words(max_digit, max_len) order.
+
+    u is the word whose pair is `head`, the empty word by default, so the
+    pair is then convergent_pair(w).  Words shorter than min_len are left
+    out.  Each prefix's recurrence runs once and is extended by one step
+    for each of its max_digit children, so a word costs one recurrence
+    step plus its prefix's share.
+    """
+    digits = range(1, max_digit + 1)
+    for length in range(min_len, max_len + 1):
+        for prefix in itertools.product(digits, repeat=length - 1):
+            p, q, p_prev, q_prev = _extend(head, prefix)
+            for a in digits:
+                yield prefix + (a,), (a * p + p_prev, a * q + q_prev, p, q)

@@ -5,26 +5,34 @@ rational (the "arg") and every comparison or sum is exact integer work:
 adding measures multiplies args, comparing measures cross-multiplies.
 Floats appear only when rendering reports.
 
-The cylinder kernel is integer-only.  `_cylinder_arg` reads the arg of
-C_w straight off the convergent recurrence as an unreduced pair (num, den)
-of positive integers, with no Fraction built.  For positive b and d,
-a/b < c/d iff a*d < c*b and a/b == c/d iff a*d == c*b, so the reversal and
-pairwise checks are plain predicates over words: each decides equality or
-strict order by cross-multiplying the pairs, exactly, without reducing
-either one.  The joint measure multiplies its integer terms in a balanced
-product tree; only reports and `measure_of_cylinder` see reduced
-Fractions.
+The cylinder kernel is integer-only.  `_arg(p, q, p', q', odd, m)` reads
+the arg of C_w off w's convergent pair (p, q, p', q') = convergent_pair(w)
+and the parity of |w|, with only + and *, as an unreduced pair (num, den)
+of positive integers; `_cylinder_arg(w, m)` is `_arg` on
+`convergent_pair(w)`.  Three maps on the pair give the pairs of a word's
+neighbours without a second recurrence: reversal swaps p and q',
+prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'), and
+appending a 1 maps it to (p + p', q + q', p, q).
+
+For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
+a*d == c*b, so `reversal_holds` and `pairwise_holds` decide equality or
+strict order on one word's pair by cross-multiplying kernel values,
+exactly, without reducing either one.  The word predicates
+`reversal_equality_check` and `pairwise_cylinder_inequality` validate a
+word and call them on its pair; `verify` scans call them on the pairs of
+`iter_word_pairs`.  The joint measure takes its terms from the same
+enumerator and multiplies them in a balanced product tree; only reports
+and `measure_of_cylinder` see reduced Fractions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cfcore import Word, convergent_pair, reverse
+from .cfcore import Pair, Word, convergent_pair, iter_word_pairs
 
 _ONE = Fraction(1)
 # The cap on the middle digits of a joint measure when the caller sets none.
@@ -88,20 +96,25 @@ class LogRational:
         return f"log2({self.arg.numerator}/{self.arg.denominator})"
 
 
-def _cylinder_arg(w: Word, m: int = 1) -> tuple[int, int]:
+def _arg(p: int, q: int, p_prev: int, q_prev: int, odd: int, m: int = 1) -> tuple[int, int]:
     """The arg (1 + hi)/(1 + lo) of the interval between [0; w] and [0; w, m].
 
-    At m = 1 that interval is C_w, so this is the arg of gamma(C_w), as an
+    (p, q, p_prev, q_prev) is convergent_pair(w) and odd is |w| % 2.  At
+    m = 1 that interval is C_w, so this is the arg of gamma(C_w), as an
     unreduced pair (num, den).  With p/q the word's value and
-    p'/q' = (m p + p_{n-1})/(m q + q_{n-1}) the value of w.m,
-    1 + p/q = (q + p)/q; odd |w| puts p/q on top, even |w| puts p'/q' on
+    p2/q2 = (m p + p_prev)/(m q + q_prev) the value of w.m,
+    1 + p/q = (q + p)/q; odd |w| puts p/q on top, even |w| puts p2/q2 on
     top.  Both parts are positive.
     """
-    p, q, p_prev, q_prev = convergent_pair(w)
     p2, q2 = m * p + p_prev, m * q + q_prev
-    if len(w) % 2:
+    if odd:
         return (q + p) * q2, q * (q2 + p2)
     return (q2 + p2) * q, q2 * (q + p)
+
+
+def _cylinder_arg(w: Word, m: int = 1) -> tuple[int, int]:
+    """`_arg` of the word w: the arg of the interval between [0; w] and [0; w, m]."""
+    return _arg(*convergent_pair(w), len(w) % 2, m)
 
 
 def measure_of_cylinder(w: Word) -> LogRational:
@@ -123,9 +136,42 @@ def digit_tail_measure(n_max: int) -> LogRational:
 def unenumerated_children_measure(w: Word, n_max: int) -> LogRational:
     """Exact measure of {x in C_w : digit |w|+1 of x exceeds n_max}.
 
-    That set is the interval between value(w . (n_max+1)) and value(w).
+    That set is the interval between value(w . (n_max+1)) and value(w); at
+    n_max = 0 it is all of C_w.
     """
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     return LogRational(Fraction(*_cylinder_arg(w, n_max + 1)))
+
+
+def reversal_holds(w: Word, pair: Pair) -> bool:
+    """gamma(C_w) == gamma(C_reversed(w)), read off pair = convergent_pair(w).
+
+    The reversed word's pair is `pair` with p and q' swapped.
+    """
+    p, q, p_prev, q_prev = pair
+    odd = len(w) % 2
+    num, den = _arg(p, q, p_prev, q_prev, odd)
+    rev_num, rev_den = _arg(q_prev, q, p_prev, p, odd)
+    return num * rev_den == rev_num * den
+
+
+def pairwise_holds(n: Word, pair: Pair) -> bool:
+    """The pairwise relation of C_[1,n,1] and C_[1,1,n], read off pair = convergent_pair(n).
+
+    Both words have the parity of n.  The pair of 1.n.1 is the prepend-1
+    map followed by the append-1 map; that of 1.1.n is the prepend-1 map
+    twice.  Last digit 1: with n = m.1, rev(1.m.1.1) = 1.1.rev(m).1, so
+    the relation is the reversal check on the pair of 1.n.1.
+    """
+    p, q, p_prev, q_prev = pair
+    outer = (q + q_prev, q + p + q_prev + p_prev, q, q + p)
+    if n[-1] == 1:
+        return reversal_holds(n, outer)
+    odd = len(n) % 2
+    left_num, left_den = _arg(*outer, odd)
+    right_num, right_den = _arg(q + p, 2 * q + p, q_prev + p_prev, 2 * q_prev + p_prev, odd)
+    return left_num * right_den > right_num * left_den
 
 
 def pairwise_cylinder_inequality(n: Word) -> bool:
@@ -137,21 +183,12 @@ def pairwise_cylinder_inequality(n: Word) -> bool:
     """
     if len(n) == 0:
         raise ValueError("padding word must be non-empty")
-    if n[-1] >= 2:
-        left_num, left_den = _cylinder_arg((1,) + n + (1,))
-        right_num, right_den = _cylinder_arg((1, 1) + n)
-        return left_num * right_den > right_num * left_den
-    m = n[:-1]
-    left_num, left_den = _cylinder_arg((1,) + m + (1, 1))
-    right_num, right_den = _cylinder_arg((1, 1) + reverse(m) + (1,))
-    return left_num * right_den == right_num * left_den
+    return pairwise_holds(n, convergent_pair(n))
 
 
 def reversal_equality_check(w: Word) -> bool:
     """True iff gamma(C_w) == gamma(C_reversed(w)) exactly."""
-    num, den = _cylinder_arg(w)
-    rev_num, rev_den = _cylinder_arg(reverse(w))
-    return num * rev_den == rev_num * den
+    return reversal_holds(w, convergent_pair(w))
 
 
 def _outward_float(x: float, direction: int) -> float:
@@ -244,8 +281,12 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
                 f"cap**(k-1) = {cap}**{k - 1} middle words, "
                 f"more than the limit of {MAX_MIDDLE_WORDS}"
             )
+    # the pairs of 1.middle, closed by the append-1 map into those of 1.middle.1
+    odd = (k - 1) % 2
     terms = (
-        _cylinder_arg((1,) + middle + (1,))
-        for middle in itertools.product(range(1, cap + 1), repeat=k - 1)
+        _arg(p + p_prev, q + q_prev, p, q, odd)
+        for _, (p, q, p_prev, q_prev) in iter_word_pairs(
+            cap, k - 1, min_len=k - 1, head=convergent_pair((1,))
+        )
     )
     return BoundedMeasure(LogRational(_product_tree(terms)), (k - 1) * digit_tail_measure(cap))

@@ -2,12 +2,14 @@
 
 Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
-bounds.  The exact suites pass one plain predicate over words to `_scan`,
-which reports the first counterexample with the offending word; none is
-ever expected.  `SUITES` maps each suite name to its runner and the
-options that runner reads, `run_suite` refuses any other option, and every
-result renders its own summary line and `--out` report, so the CLI holds
-no per-suite schema and no default.
+bounds.  The exact suites pass one plain check over (word, convergent
+pair) to `_scan`, which walks `iter_word_pairs` in `iter_words` order, so
+each word costs one recurrence step plus the integer kernel, and reports
+the first counterexample with the offending word; none is ever expected.
+`SUITES` maps each suite name to its runner and the options that runner
+reads, `run_suite` refuses any other option, and every result renders its
+own summary line and `--out` report, so the CLI holds no per-suite schema
+and no default.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cfcore import Word, denominator_dominance, format_word, iter_words
+from .cfcore import Word, dominance_holds, format_word, iter_word_pairs
 from .measure import (
     DEFAULT_CAP,
     BoundedMeasure,
     joint_pattern_measure,
     measure_of_cylinder,
-    pairwise_cylinder_inequality,
-    reversal_equality_check,
+    pairwise_holds,
+    reversal_holds,
 )
 from .reports import bounded_measure_report
 
@@ -58,17 +60,17 @@ class VerifyResult:
         }
 
 
-def _scan(suite: str, words, check, detail: str) -> VerifyResult:
-    """Run `check` over words lazily and report the first failing word.
+def _scan(suite: str, pairs, check, detail: str) -> VerifyResult:
+    """Run `check(w, pair)` over (word, pair) items lazily and report the first failing word.
 
     The scan stops at the first failure in enumeration order, and `checked`
     counts the words examined up to and including it.  A family with no
     words is a usage error, not a vacuous pass.
     """
     checked = 0
-    for w in words:
+    for w, pair in pairs:
         checked += 1
-        if not check(w):
+        if not check(w, pair):
             return VerifyResult(suite, False, checked, w, detail)
     if not checked:
         raise ValueError(f"{suite}: no words to check with {detail}")
@@ -79,8 +81,8 @@ def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyRe
     """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
     return _scan(
         "reversal",
-        iter_words(max_digit, max_len),
-        reversal_equality_check,
+        iter_word_pairs(max_digit, max_len),
+        reversal_holds,
         f"digits <= {max_digit}, length <= {max_len}",
     )
 
@@ -89,8 +91,8 @@ def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyR
     """Denominator dominance for every word with last digit >= 2."""
     return _scan(
         "dominance",
-        (w for w in iter_words(max_digit, max_len) if w[-1] >= 2),
-        denominator_dominance,
+        ((w, pair) for w, pair in iter_word_pairs(max_digit, max_len) if w[-1] >= 2),
+        dominance_holds,
         f"digits <= {max_digit}, length <= {max_len}, last digit >= 2",
     )
 
@@ -99,8 +101,8 @@ def run_pairwise(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyRe
     """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
     return _scan(
         "pairwise",
-        iter_words(max_digit, max_len),
-        pairwise_cylinder_inequality,
+        iter_word_pairs(max_digit, max_len),
+        pairwise_holds,
         f"digits <= {max_digit}, length <= {max_len}",
     )
 

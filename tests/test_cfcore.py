@@ -21,7 +21,7 @@ from cflab import (
     value_of,
     word,
 )
-from cflab.cfcore import convergent_pair
+from cflab.cfcore import convergent_pair, iter_word_pairs
 
 
 def nested_value(w):
@@ -186,6 +186,25 @@ def test_cylinder_nesting():
             child = cylinder_interval(w + (d,))
             assert parent.lo <= child.lo < child.hi <= parent.hi
             assert child.width < parent.width
+
+
+def test_word_pairs_follow_iter_words_with_their_convergent_pairs():
+    # iter_words is the reference order; every pair is the recurrence run from
+    # scratch, and from the pair of a head word u, each pair is that of u + w
+    head = (3, 1)
+    for max_digit in range(0, 6):
+        for max_len in range(0, 5):
+            words = list(iter_words(max_digit, max_len))
+            pairs = list(iter_word_pairs(max_digit, max_len))
+            assert [w for w, _ in pairs] == words
+            for w, pair in pairs:
+                assert pair == convergent_pair(w), w
+            headed = list(
+                iter_word_pairs(max_digit, max_len, min_len=2, head=convergent_pair(head))
+            )
+            assert [w for w, _ in headed] == [w for w in words if len(w) >= 2]
+            for w, pair in headed:
+                assert pair == convergent_pair(head + w), w
 
 
 # ------------------------------------------------- denominator dominance

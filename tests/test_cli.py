@@ -216,10 +216,10 @@ def _scan_report(suite, passed, checked, counterexample, detail):
 
 
 SCAN_CASES = [
-    # suite, predicate, family size at digits <= 3 and length <= 3, index of (2,3) in it
-    ("reversal", "reversal_equality_check", 39, 9, "digits <= 3, length <= 3"),
-    ("dominance", "denominator_dominance", 26, 6, "digits <= 3, length <= 3, last digit >= 2"),
-    ("pairwise", "pairwise_cylinder_inequality", 39, 9, "digits <= 3, length <= 3"),
+    # suite, pair-level check, family size at digits <= 3 and length <= 3, index of (2,3) in it
+    ("reversal", "reversal_holds", 39, 9, "digits <= 3, length <= 3"),
+    ("dominance", "dominance_holds", 26, 6, "digits <= 3, length <= 3, last digit >= 2"),
+    ("pairwise", "pairwise_holds", 39, 9, "digits <= 3, length <= 3"),
 ]
 
 
@@ -230,7 +230,7 @@ def test_verify_scan_report_bytes(
 ):
     if fails:
         real = getattr(verify, predicate)
-        monkeypatch.setattr(verify, predicate, lambda w: w != (2, 3) and real(w))
+        monkeypatch.setattr(verify, predicate, lambda w, pair: w != (2, 3) and real(w, pair))
     out_path = tmp_path / "scan.json"
     argv = ["verify", suite, "--max-digit", "3", "--max-len", "3", "--out", str(out_path)]
     code, out, err = run(capsys, *argv)

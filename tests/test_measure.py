@@ -28,8 +28,10 @@ from cflab import (
     value_of,
 )
 from cflab import measure
+from cflab.cfcore import convergent_pair
 from cflab.measure import (
     MAX_MIDDLE_WORDS,
+    _arg,
     _cylinder_arg,
     _product_tree,
     unenumerated_children_measure,
@@ -124,6 +126,14 @@ def test_additivity_with_exact_remainder():
             assert children + remainder == parent
 
 
+def test_unenumerated_children_rejects_negative_n_max():
+    # n_max = 0 leaves every child unenumerated: the whole cylinder
+    assert unenumerated_children_measure((2,), 0) == measure_of_cylinder((2,))
+    for n_max in (-1, -2):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            unenumerated_children_measure((2,), n_max)
+
+
 def test_reversal_examples_and_exhaustive():
     assert reversal_equality_check((1, 2))
     assert reversal_equality_check((3,))
@@ -157,28 +167,33 @@ def test_pairwise_equal_case_is_exact_reversal_pairing():
         assert pairwise_cylinder_inequality(n) is True
 
 
-def _weighted_from_front(w):
-    return 1 + sum(i * d for i, d in enumerate(w, start=1)), 1
+def _constant_arg(p, q, p_prev, q_prev, odd, m=1):
+    return 2, 1
 
 
-def _weighted_from_back(w):
-    return _weighted_from_front(reverse(w))
+def _arg_by_p(p, q, p_prev, q_prev, odd, m=1):
+    return 1 + p, 1
+
+
+def _arg_by_q_prev(p, q, p_prev, q_prev, odd, m=1):
+    return 1 + q_prev, 1
 
 
 @pytest.mark.parametrize(
     "fake_arg,n",
     [
         # equal args on both sides: the strict branch must refuse equality
-        pytest.param(lambda w: (2, 1), (2,), id="constant-2"),
-        pytest.param(lambda w: (2, 1), (3, 2), id="constant-3,2"),
-        # a position-weighted arg tells a word from its reversal, either way round
-        pytest.param(_weighted_from_front, (2, 1), id="front-2,1"),
-        pytest.param(_weighted_from_front, (3, 1, 1), id="front-3,1,1"),
-        pytest.param(_weighted_from_back, (2, 1), id="back-2,1"),
+        pytest.param(_constant_arg, (2,), id="constant-2"),
+        pytest.param(_constant_arg, (3, 2), id="constant-3,2"),
+        # an arg that changes when p and q' swap tells a word from its reversal,
+        # either way round
+        pytest.param(_arg_by_p, (2, 1), id="by-p-2,1"),
+        pytest.param(_arg_by_p, (3, 1, 1), id="by-p-3,1,1"),
+        pytest.param(_arg_by_q_prev, (2, 1), id="by-q_prev-2,1"),
     ],
 )
 def test_pairwise_is_false_when_the_relation_fails(monkeypatch, fake_arg, n):
-    monkeypatch.setattr(measure, "_cylinder_arg", fake_arg)
+    monkeypatch.setattr(measure, "_arg", fake_arg)
     assert pairwise_cylinder_inequality(n) is False
 
 
@@ -274,6 +289,21 @@ def test_cylinder_arg_matches_interval_oracle(w):
     assert num > 0 and den > 0
     assert Fraction(num, den) == _oracle_arg(w)
     assert measure_of_cylinder(w).arg == _oracle_arg(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+@example((1,), 1)
+@example((2, 3), 7)
+def test_pair_maps_match_the_recurrence_and_the_kernel(w, m):
+    # the maps the pair-level checks read neighbours' pairs by
+    p, q, p_prev, q_prev = convergent_pair(w)
+    assert convergent_pair(reverse(w)) == (q_prev, q, p_prev, p)
+    assert convergent_pair((1,) + w) == (q, q + p, q_prev, q_prev + p_prev)
+    assert convergent_pair(w + (1,)) == (p + p_prev, q + q_prev, p, q)
+    assert convergent_pair((1,) + w + (1,)) == (q + q_prev, q + p + q_prev + p_prev, q, q + p)
+    assert convergent_pair((1, 1) + w) == (q + p, 2 * q + p, q_prev + p_prev, 2 * q_prev + p_prev)
+    assert _cylinder_arg(w, m) == _arg(*convergent_pair(w), len(w) % 2, m)
 
 
 @settings(max_examples=200, deadline=None)

@@ -210,8 +210,8 @@ def test_chunked_counting_matches_single_pass():
     st.integers(0, 3),
     st.integers(1, 12),
 )
-def test_chunked_counting_with_more_jobs_than_starts(digits, w, extra, shift, jobs):
-    # most of the jobs partitions are empty here, and some starts have no room
+def test_chunked_counting_is_the_single_pass_count_at_any_jobs(digits, w, extra, shift, jobs):
+    # jobs often exceeds the number of starts here, and some starts have no room
     stride = len(w) + extra
     offset = min(shift, extra)
     assert count_chunked(digits, w, ModeDescriptor.overlap(), jobs) == naive_overlap(digits, w)

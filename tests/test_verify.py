@@ -8,13 +8,13 @@ from cflab import iter_words, verify
 @pytest.mark.parametrize(
     "runner,check_name,family",
     [
-        (verify.run_reversal, "reversal_equality_check", list(iter_words(3, 3))),
+        (verify.run_reversal, "reversal_holds", list(iter_words(3, 3))),
         (
             verify.run_dominance,
-            "denominator_dominance",
+            "dominance_holds",
             [w for w in iter_words(3, 3) if w[-1] >= 2],
         ),
-        (verify.run_pairwise, "pairwise_cylinder_inequality", list(iter_words(3, 3))),
+        (verify.run_pairwise, "pairwise_holds", list(iter_words(3, 3))),
     ],
 )
 def test_failed_scan_counts_words_up_to_the_first_counterexample(
@@ -23,7 +23,7 @@ def test_failed_scan_counts_words_up_to_the_first_counterexample(
     bad = {family[9], family[20]}
     seen = []
 
-    def check(w):
+    def check(w, pair):
         seen.append(w)
         return w not in bad
 
@@ -40,3 +40,10 @@ def test_passing_scan_counts_the_whole_family():
     assert verify.run_reversal(3, 3).checked == 3 + 9 + 27
     assert verify.run_dominance(3, 3).checked == (3 + 9 + 27) * 2 // 3
     assert verify.run_pairwise(3, 2).checked == 3 + 9
+
+
+@pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
+@pytest.mark.parametrize("max_digit,max_len", [(0, 3), (3, 0), (0, 0)])
+def test_scan_of_an_empty_family_has_no_words_to_check(runner, max_digit, max_len):
+    with pytest.raises(ValueError, match="no words to check"):
+        runner(max_digit, max_len)

@@ -2,6 +2,7 @@
 
 from .cfcore import (
     CylinderInterval,
+    UsageError,
     Word,
     cf_of_rational,
     cylinder_interval,

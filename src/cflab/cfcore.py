@@ -17,6 +17,16 @@ Word = tuple[int, ...]
 Pair = tuple[int, int, int, int]
 
 
+class UsageError(ValueError):
+    """Input that a command does not accept; the CLI reports it and exits 2.
+
+    Raised where input from outside the package is checked: argv and config
+    values, word and rational text, source specs, experiment configs, and
+    joint-measure and scan bounds.  Any other ValueError is a fault of the
+    program.
+    """
+
+
 class CylinderInterval(NamedTuple):
     """Open interval of reals whose expansion starts with `word`.
 
@@ -49,11 +59,11 @@ def parse_word(text: str, allow_empty: bool = False) -> Word:
     if not text:
         if allow_empty:
             return ()
-        raise ValueError("empty word")
+        raise UsageError("empty word")
     try:
         return word(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad word text {text!r}: {exc}") from None
+        raise UsageError(f"bad word text {text!r}: {exc}") from None
 
 
 def format_word(w: Word) -> str:
@@ -65,7 +75,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational text {text!r}: {exc}") from None
+        raise UsageError(f"bad rational text {text!r}: {exc}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -193,18 +203,22 @@ def iter_word_pairs(
     max_len: int,
     min_len: int = 1,
     head: Pair = _EMPTY_PAIR,
+    last: range | None = None,
 ) -> Iterator[tuple[Word, Pair]]:
     """Yield (w, convergent_pair(u + w)) for w in iter_words(max_digit, max_len) order.
 
     u is the word whose pair is `head`, the empty word by default, so the
     pair is then convergent_pair(w).  Words shorter than min_len are left
-    out.  Each prefix's recurrence runs once and is extended by one step
-    for each of its max_digit children, so a word costs one recurrence
-    step plus its prefix's share.
+    out, and so are words whose last digit is not in `last`, a range within
+    1..max_digit (all of it by default).  Each prefix's recurrence runs once
+    and is extended by one step for each of its last digits, so a word
+    costs one recurrence step plus its prefix's share, and a left-out last
+    digit costs nothing.
     """
     digits = range(1, max_digit + 1)
+    lasts = digits if last is None else last
     for length in range(min_len, max_len + 1):
         for prefix in itertools.product(digits, repeat=length - 1):
             p, q, p_prev, q_prev = _extend(head, prefix)
-            for a in digits:
+            for a in lasts:
                 yield prefix + (a,), (a * p + p_prev, a * q + q_prev, p, q)

@@ -3,17 +3,20 @@
 Subcommands: measure, expand, verify, pillai, subsequence.  Exit codes:
 0 all checks/experiments came out as expected, 1 a mathematical check
 failed or an experiment verdict contradicts the declared expectation,
-2 usage or config error.
+2 usage or config error: a UsageError, or an OSError on the --out or
+--config file.  Any other exception is a fault of the program and is not
+reported as usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
 
-from .cfcore import parse_word
+from .cfcore import UsageError, parse_word
 from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, run_pillai, run_subsequence
 from .reports import render_json, render_measure, render_report
 from .streams import limit, parse_source_spec
@@ -23,9 +26,22 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+@contextlib.contextmanager
+def _user_file():
+    """Turn an OSError on a file the user named (--out, --config) into a UsageError.
+
+    So is a --config file that is not UTF-8 text (a UnicodeDecodeError).
+    """
+    try:
+        yield
+    except (OSError, UnicodeError) as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _write_output(data: bytes, out: str | None) -> None:
     if out:
-        Path(out).write_bytes(data)
+        with _user_file():
+            Path(out).write_bytes(data)
     else:
         sys.stdout.write(data.decode())
 
@@ -67,14 +83,16 @@ def _config_tokens(argv: list[str]) -> list[tuple[str, str]]:
         return []  # the full parse reports the malformed option
     if path is None:
         return []
+    with _user_file():
+        content = Path(path).read_text()
     pairs = []
-    for line in Path(path).read_text().splitlines():
+    for line in content.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"bad config line {line!r}")
+            raise UsageError(f"bad config line {line!r}")
         key, value = key.strip().replace("-", "_"), value.strip()
         if key == "patterns":
             pairs += [(key, f"--pattern={text}") for text in value.split(";")]
@@ -156,10 +174,10 @@ def _write_digits(source, out) -> None:
 
 def _cmd_expand(args) -> int:
     if args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     source = limit(parse_source_spec(args.source, seed=args.seed), args.n)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as out:
+        with _user_file(), open(args.out, "w", encoding="utf-8", newline="") as out:
             _write_digits(source, out)
     else:
         try:
@@ -182,14 +200,15 @@ def _cmd_verify(args) -> int:
     result = run_suite(args.suite, **_given(args, "max_digit", "max_len", "cap"))
     print(result.summary())
     if args.out:
-        Path(args.out).write_bytes(render_json(result.report()))
+        with _user_file():
+            Path(args.out).write_bytes(render_json(result.report()))
     return 0 if result.passed else CHECK_FAILED
 
 
 def _experiment_config(args, patterns) -> ExperimentConfig:
     missing = [flag for flag in ("--source", "--n") if getattr(args, flag[2:]) is None]
     if missing:
-        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     options = _given(args, "source", "n", "b", "k", "cap", "seed", "checkpoint_every", "tolerance")
     return ExperimentConfig(patterns=patterns, **options)
 
@@ -203,7 +222,7 @@ def _finish_experiment(report: dict, args) -> int:
 
 def _cmd_pillai(args) -> int:
     if not args.patterns:
-        raise ValueError("pillai needs at least one --pattern")
+        raise UsageError("pillai needs at least one --pattern")
     report = run_pillai(_experiment_config(args, [parse_word(text) for text in args.patterns]))
     return _finish_experiment(report, args)
 
@@ -234,14 +253,14 @@ def main(argv: list[str] | None = None) -> int:
         known = vars(args).keys() - {"config"}
         unknown = {key for key, token in pairs if key not in known or token in extra}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
         n_file = sum(key == "patterns" for key, _ in pairs)
         if len(getattr(args, "patterns", None) or ()) > n_file:
             args.patterns = args.patterns[n_file:]  # --pattern flags replace the file's list
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cfcore import Word, format_word
+from .cfcore import UsageError, Word, format_word
 from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
 from .streams import parse_source_spec
@@ -39,12 +39,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # a NaN or non-positive tolerance would flag every pattern whatever the data
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+            raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError(f"need checkpoint_every >= 1, got {self.checkpoint_every}")
+            raise UsageError(f"need checkpoint_every >= 1, got {self.checkpoint_every}")
         for i, w in enumerate(self.patterns):
             if w in self.patterns[:i]:
-                raise ValueError(f"pattern {format_word(w)} is given more than once")
+                raise UsageError(f"pattern {format_word(w)} is given more than once")
 
     def echo(self, *, with_ap: bool) -> dict:
         """The parameters the experiment reads; the AP run reads no patterns or tolerance."""
@@ -74,7 +74,7 @@ def _check_report_rows(config: ExperimentConfig, counted: int, keys: int) -> Non
     """Refuse, before any work, a report of more than MAX_REPORT_ROWS rows."""
     rows = -(-counted // config.effective_checkpoint()) * keys  # checkpoints x keys
     if rows > MAX_REPORT_ROWS:
-        raise ValueError(f"the report would have {rows} rows, more than {MAX_REPORT_ROWS}")
+        raise UsageError(f"the report would have {rows} rows, more than {MAX_REPORT_ROWS}")
 
 
 def _stat_rows(stats: StreamStats, patterns: list[Word], modes: list[ModeDescriptor]) -> list[dict]:
@@ -110,9 +110,9 @@ def run_pillai(config: ExperimentConfig) -> dict:
     flagged NON_NORMAL when any of them exceeds the tolerance.
     """
     if not config.patterns:
-        raise ValueError("pillai experiment needs at least one pattern")
+        raise UsageError("pillai experiment needs at least one pattern")
     if config.n < 10 * max(len(w) for w in config.patterns):
-        raise ValueError("n must be at least 10x the longest pattern")
+        raise UsageError("n must be at least 10x the longest pattern")
     modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
     _check_report_rows(config, config.n, len(config.patterns) * len(modes))
     stats = frequency_report(
@@ -172,10 +172,10 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     frequency sits closer to the joint bracket than to gamma(C_[1,1]).
     """
     if config.k < 2 or config.b < 1:
-        raise ValueError("need k >= 2 and b >= 1")
+        raise UsageError("need k >= 2 and b >= 1")
     if config.n < config.b + config.k:
         # below b + k fewer than two digits are selected: not one [1,1] start
-        raise ValueError(f"need n >= b + k, got n={config.n}, b={config.b}, k={config.k}")
+        raise UsageError(f"need n >= b + k, got n={config.n}, b={config.b}, k={config.k}")
     pattern: Word = (1, 1)
     mode = ModeDescriptor.overlap()
     selected_n = (config.n - config.b) // config.k + 1  # positions b + ik <= n

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cfcore import Pair, Word, convergent_pair, iter_word_pairs
+from .cfcore import Pair, UsageError, Word, convergent_pair, iter_word_pairs
 
 _ONE = Fraction(1)
 # The cap on the middle digits of a joint measure when the caller sets none.
@@ -268,15 +268,15 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     exceed MAX_MIDDLE_WORDS.
     """
     if k < 2:
-        raise ValueError("need k >= 2")
+        raise UsageError("need k >= 2")
     if cap < 1:
-        raise ValueError("need cap >= 1")
+        raise UsageError("need cap >= 1")
     # cap**(k-1) is built only up to its first power past the limit
     count = 1
     for _ in range(k - 1 if cap > 1 else 0):
         count *= cap
         if count > MAX_MIDDLE_WORDS:
-            raise ValueError(
+            raise UsageError(
                 f"joint measure at k={k}, cap={cap} would enumerate "
                 f"cap**(k-1) = {cap}**{k - 1} middle words, "
                 f"more than the limit of {MAX_MIDDLE_WORDS}"

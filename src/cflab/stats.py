@@ -9,15 +9,16 @@ whatever the windows and chunks are, and memory stays
 O(window + checkpoints) for any n.
 
 Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
-CACM 1992).  The fold encodes each window once as bytes, writing every
-digit >= 255 as 255.  For a pattern whose digits are all below 255, the
-stride slice of the window offset by j is translated into a 0/1 indicator
-of w[j], one byte per start; the AND of these indicators over j < |w|, read
-as ints, has one set bit per match.  The stride slice covers every mode.
-A pattern with a digit >= 255 is counted on the digit list, since 255
-there stands for all larger digits.  The list counters and `count_chunked`
-keep that plain loop, so the tests check the fold against an independent
-path.
+CACM 1992).  The fold encodes each pulled digit once as bytes, writing
+every digit >= 255 as 255, and carries the seam as bytes.  For a pattern
+whose digits are all below 255, the stride slice of the window offset by j
+is translated into a 0/1 indicator of w[j], one byte per start; the AND of
+these indicators over j < |w|, read as ints, has one set bit per match.
+The stride slice covers every mode.  A pattern with a digit >= 255 is
+counted on the digit list, since 255 there stands for all larger digits;
+the fold keeps that list, with the same seam, only when such a pattern is
+asked for.  The list counters and `count_chunked` keep that plain loop, so
+the tests check the fold against an independent path.
 
 A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
 of admissible starts and `frequency` divides a count by its denominator.
@@ -29,6 +30,8 @@ numbering, while start indices in code are plain 0-based offsets.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -116,13 +119,31 @@ def _count_positions(digits: Sequence[int], w: Sequence[int], positions: range) 
     return count
 
 
+# byte -> 255 if nonzero else 0: a nonzero high byte marks a digit >= 256
+_NONZERO = bytes(1) + b"\xff" * 255
+
+
 def _encode(digits: Sequence[int]) -> bytes:
     """The digits as bytes, each digit >= 255 written as 255.
 
-    A generator, not a list: a list of a whole window would add its 8 bytes
-    per digit to the peak memory of every run.
+    The clamp runs in C: the digits go into an unsigned array, whose low
+    bytes are ORed with each higher byte translated to 255 if nonzero, so a
+    digit >= 256 reads 255 and one below keeps its low byte.  A digit of
+    2**32 or more overflows the array, and digits holding one fall back to
+    the per-digit clamp.
     """
-    return bytes(d if d < 255 else 255 for d in digits)
+    try:
+        cells = array("I", digits)
+    except OverflowError:
+        return bytes(d if d < 255 else 255 for d in digits)
+    if sys.byteorder == "big":
+        cells.byteswap()
+    raw, size = cells.tobytes(), cells.itemsize
+    del cells  # one copy of the window at a time keeps the peak memory down
+    clamped = int.from_bytes(raw[::size], "little")
+    for j in range(1, size):
+        clamped |= int.from_bytes(raw[j::size].translate(_NONZERO), "little")
+    return clamped.to_bytes(len(digits), "little")
 
 
 def _shift_and_count(buf: bytes, w: Word, positions: range) -> int:
@@ -229,17 +250,21 @@ def frequency_report(
     counts = {(w, mode): 0 for w in patterns for mode in modes}
     seam = max(len(w) for w in patterns) - 1
     checkpoints: list[tuple[int, dict]] = []
+    # the digit list is kept only for the patterns the bytes cannot count
+    keep_list = any(max(w) >= 255 for w in patterns)
     window: list[int] = []
+    buf = b""
     pulled = 0
     mark = min(checkpoint_every, n)
     while pulled < n:
         fresh = source.take(min(COUNT_WINDOW, mark - pulled))
         if not fresh:
             break
-        window = window[max(0, len(window) - seam) :] + fresh
-        buf = _encode(window)
+        buf = buf[max(0, len(buf) - seam) :] + _encode(fresh)
+        if keep_list:
+            window = window[max(0, len(window) - seam) :] + fresh
         before, pulled = pulled, pulled + len(fresh)
-        base = pulled - len(window)  # absolute position of window[0]
+        base = pulled - len(buf)  # absolute position of buf[0], and of window[0]
         for w, mode in counts:
             # the starts whose match ends in fresh digits, shifted into the window
             new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]

@@ -37,12 +37,19 @@ digit or its digits end right there, as they did under the one-step rule.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cfcore import Word, cf_of_rational, format_word, parse_rational, parse_word, word
+from .cfcore import (
+    UsageError,
+    Word,
+    cf_of_rational,
+    format_word,
+    parse_rational,
+    parse_word,
+    word,
+)
 
 RANDOM_BLOCK_BITS = 4096
 # Bit width of the widened endpoints a batch runs on: wider batches certify
@@ -211,26 +218,63 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     return src
 
 
+def _prime_factors(q: int) -> list[int]:
+    """The distinct primes dividing q >= 1, ascending, by trial division."""
+    primes = []
+    r = 2
+    while r * r <= q:
+        if q % r == 0:
+            primes.append(r)
+            while q % r == 0:
+                q //= r
+        r += 1
+    if q > 1:
+        primes.append(q)
+    return primes
+
+
 def source_concat_normal() -> DigitSource:
     """Infinite source concatenating the expansions of all reduced rationals.
 
     Enumeration: denominators q = 2, 3, 4, ... and within each q the
     numerators p = 1..q-1 with gcd(p, q) = 1, ascending.  Deterministic by
     construction; its statistics are validated empirically, not proven.
-    Each denominator's expansions form one chunk, built by the Euclid loop
-    of `cf_of_rational` written inline.
+    Each denominator's expansions form one chunk.
+
+    Only the lower half is expanded.  For q >= 3 the Euclid loop of
+    `cf_of_rational` runs for the numerators p <= (q-1)/2, whose first digit
+    a1 = q // p is >= 2.  Each p > q/2 mirrors the stored expansion of
+    q - p by 1 - [0; a1, a2, ..., an] = [0; 1, a1 - 1, a2, ..., an], which
+    is canonical as it stands, and ascending p is descending q - p.  The
+    coprime numerators of the lower half come from a sieve: a bytearray
+    flag per p, zeroed on the multiples of each prime factor of q by slice
+    assignment and read by `itertools.compress`, in place of a gcd per
+    numerator.  q = 2, whose one numerator is q/2 itself, yields [2].
     """
 
     def gen() -> Iterator[list[int]]:
-        for q in itertools.count(2):
+        yield [2]
+        for q in itertools.count(3):
+            half = (q - 1) // 2
+            coprime = bytearray(b"\x01") * (half + 1)
+            coprime[0] = 0
+            for r in _prime_factors(q):
+                coprime[r::r] = bytes(half // r)
             chunk: list[int] = []
             append = chunk.append
-            for p in range(1, q):
-                if math.gcd(p, q) == 1:
-                    a, b = q, p
-                    while b:
-                        append(a // b)
-                        a, b = b, a % b
+            starts = []
+            for p in itertools.compress(range(half + 1), coprime):
+                starts.append(len(chunk))
+                a, b = q, p
+                while b:
+                    append(a // b)
+                    a, b = b, a % b
+            end = len(chunk)
+            for start in reversed(starts):
+                append(1)
+                append(chunk[start] - 1)
+                chunk += chunk[start + 1 : end]
+                end = start
             yield chunk
 
     return DigitSource("concat-normal", gen())
@@ -293,9 +337,16 @@ def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
     Forms: `rational:7/16`, `periodic:<prefix>;<period>` (compact
     `periodic:,2` splits on the first comma), `decimal:0.618:e-10`,
     `concat-normal`, `random:seed=42` (or bare `random` with an external
-    seed).
+    seed).  A spec that names no source, or one whose constructor refuses
+    its values, raises UsageError.
     """
-    text = text.strip()
+    try:
+        return _source_of(text.strip(), seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _source_of(text: str, seed: int | None) -> DigitSource:
     kind, _, payload = text.partition(":")
     if kind == "rational":
         frac = parse_rational(payload)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cfcore import Word, dominance_holds, format_word, iter_word_pairs
+from .cfcore import UsageError, Word, dominance_holds, format_word, iter_word_pairs
 from .measure import (
     DEFAULT_CAP,
     BoundedMeasure,
@@ -73,7 +73,7 @@ def _scan(suite: str, pairs, check, detail: str) -> VerifyResult:
         if not check(w, pair):
             return VerifyResult(suite, False, checked, w, detail)
     if not checked:
-        raise ValueError(f"{suite}: no words to check with {detail}")
+        raise UsageError(f"{suite}: no words to check with {detail}")
     return VerifyResult(suite, True, checked, None, detail)
 
 
@@ -91,7 +91,7 @@ def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyR
     """Denominator dominance for every word with last digit >= 2."""
     return _scan(
         "dominance",
-        ((w, pair) for w, pair in iter_word_pairs(max_digit, max_len) if w[-1] >= 2),
+        iter_word_pairs(max_digit, max_len, last=range(2, max_digit + 1)),
         dominance_holds,
         f"digits <= {max_digit}, length <= {max_len}, last digit >= 2",
     )
@@ -189,5 +189,5 @@ def run_suite(name: str, **options: int) -> VerifyResult | JointK2Result:
     run, reads = SUITES[name]
     stray = [f"--{key.replace('_', '-')}" for key in options if key not in reads]
     if stray:
-        raise ValueError(f"verify {name} does not read {', '.join(stray)}")
+        raise UsageError(f"verify {name} does not read {', '.join(stray)}")
     return run(**options)

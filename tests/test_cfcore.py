@@ -207,6 +207,21 @@ def test_word_pairs_follow_iter_words_with_their_convergent_pairs():
                 assert pair == convergent_pair(head + w), w
 
 
+@pytest.mark.parametrize("lo,hi", [(1, None), (2, None), (3, None), (2, 2), (4, 3), (1, 0)])
+def test_word_pairs_with_a_range_of_last_digits_are_iter_words_filtered(lo, hi):
+    # leaving a last digit out of the range drops exactly the words ending in
+    # it, in iter_words order, and every other word keeps its pair
+    for max_digit in range(0, 6):
+        top = max_digit if hi is None else min(hi, max_digit)  # within 1..max_digit
+        last = range(lo, top + 1)
+        for max_len in range(0, 5):
+            words = [w for w in iter_words(max_digit, max_len) if w[-1] in last]
+            pairs = list(iter_word_pairs(max_digit, max_len, last=last))
+            assert [w for w, _ in pairs] == words
+            for w, pair in pairs:
+                assert pair == convergent_pair(w), w
+
+
 # ------------------------------------------------- denominator dominance
 
 def test_denominator_dominance_examples():

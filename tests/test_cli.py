@@ -285,6 +285,18 @@ def test_verify_report_with_huge_argument(capsys, tmp_path):
 
 # ----------------------------------------------------------------- pillai
 
+@pytest.mark.parametrize("fault", [ValueError("internal bug"), OSError("internal bug")])
+def test_a_fault_of_the_program_is_not_a_usage_error(capsys, monkeypatch, fault):
+    # only a UsageError, or an OSError on --out/--config, exits 2
+    def run_pillai(config):
+        raise fault
+
+    monkeypatch.setattr("cflab.cli.run_pillai", run_pillai)
+    with pytest.raises(type(fault), match="internal bug"):
+        main(["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2"])
+    assert capsys.readouterr().err == ""
+
+
 def test_pillai_periodic_flags_non_normal(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(

@@ -9,11 +9,12 @@ classification, boundary term and all.
 import itertools
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cflab import (
@@ -29,7 +30,7 @@ from cflab import (
     source_periodic,
     source_rational,
 )
-from cflab.stats import COUNT_WINDOW
+from cflab.stats import COUNT_WINDOW, _encode
 
 
 def naive_overlap(digits, w):
@@ -323,6 +324,64 @@ def test_frequency_report_fold_counts_digits_past_a_byte(case):
     # windows are counted as bytes with 255 standing for every digit >= 255,
     # and a pattern holding such a digit is counted on the digit list instead
     check_fold(case)
+
+
+def clamp(digits):
+    return bytes(d if d < 255 else 255 for d in digits)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [[], [1], [254], [255], [256], [65535], [65536], [2**24], [2**32 - 1], [2**32], [2**70],
+     [1, 254, 255, 256, 65535, 65536, 2**24, 2**32 - 1, 3],
+     # a long window that one digit past the array cell sends to the fallback
+     list(range(1, 9000)) + [2**40] + [256, 2**32 - 1] * 2000],
+)
+def test_encode_clamps_every_digit_past_a_byte_to_255(window):
+    assert _encode(window) == clamp(window)
+
+
+def test_encode_falls_back_past_the_array_cell():
+    # a digit of 2**32 or more does not fit an unsigned array cell, so the
+    # window takes the per-digit clamp and still reads each such digit as 255
+    with pytest.raises(OverflowError):
+        array("I", [2**32])
+    window = [7, 2**32, 300, 2**70, 255, 1]
+    assert _encode(window) == bytes([7, 255, 255, 255, 255, 1])
+
+
+# small digits, one nonzero byte at any place of a 32-bit cell, any 32-bit
+# digit, the array's edge, and digits far past it
+magnitudes = st.one_of(
+    st.integers(1, 300),
+    st.builds(lambda b, j: b << 8 * j, st.integers(1, 255), st.integers(0, 3)),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32 - 2, 2**32 + 1),
+    st.integers(1, 2**80),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(magnitudes, max_size=80))
+def test_encode_is_the_per_digit_clamp_on_mixed_magnitudes(window):
+    assert _encode(window) == clamp(window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from([1, 2, 255, 256, 2**32 - 1]), magnitudes), max_size=60),
+    st.lists(st.sampled_from([1, 2, 255, 256, 2**32 - 1]), min_size=1, max_size=3).map(tuple),
+)
+def test_frequency_report_over_mixed_magnitudes_matches_list_counts(digits, w):
+    # the fold reads encoded windows, the list counters the digits themselves
+    n = len(digits)
+    assume(n >= len(w))
+    modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
+    with mock.patch("cflab.stats.COUNT_WINDOW", 7):
+        stats = frequency_report(DigitSource("test", iter([digits])), [w], modes, n, n)
+    counts = stats.checkpoints[-1][1]
+    assert counts[(w, modes[0])] == count_overlapping(digits, w)
+    assert counts[(w, modes[1])] == count_disjoint(digits, w)
 
 
 def test_frequency_report_memory_is_flat_in_n():

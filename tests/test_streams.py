@@ -192,6 +192,17 @@ def test_concat_normal_is_the_chain_of_rational_expansions():
         assert got == expected
 
 
+def test_concat_normal_chunk_is_each_denominators_expansions():
+    # the chunk of q holds cf_of_rational(p, q) for every coprime p, ascending:
+    # the lower half by Euclid, the upper half mirrored from it.  q = 2..600
+    # takes in q = 2, 3, 4, the prime powers up to 512, and q with many prime
+    # factors (420 = 2^2*3*5*7, 510 = 2*3*5*17)
+    chunks = source_concat_normal().chunks()
+    for q in range(2, 601):
+        expected = [d for p in range(1, q) if math.gcd(p, q) == 1 for d in cf_of_rational(p, q)]
+        assert list(next(chunks)) == expected, q
+
+
 def test_concat_normal_reproducible():
     a = source_concat_normal().take(100_000)
     b = source_concat_normal().take(100_000)

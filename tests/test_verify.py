@@ -40,6 +40,8 @@ def test_passing_scan_counts_the_whole_family():
     assert verify.run_reversal(3, 3).checked == 3 + 9 + 27
     assert verify.run_dominance(3, 3).checked == (3 + 9 + 27) * 2 // 3
     assert verify.run_pairwise(3, 2).checked == 3 + 9
+    # 7 last digits after each of the 8**(L-1) prefixes, L = 1..6
+    assert verify.run_dominance(8, 6).checked == 262_143 == sum(7 * 8**j for j in range(6))
 
 
 @pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])

@@ -17,7 +17,6 @@ from .cfcore import (
 from .measure import (
     BoundedMeasure,
     LogRational,
-    digit_tail_measure,
     joint_pattern_measure,
     measure_of_cylinder,
     pairwise_cylinder_inequality,

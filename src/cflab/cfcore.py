@@ -210,14 +210,16 @@ def iter_word_pairs(
     u is the word whose pair is `head`, the empty word by default, so the
     pair is then convergent_pair(w).  Words shorter than min_len are left
     out, and so are words whose last digit is not in `last`, a range within
-    1..max_digit (all of it by default).  Each prefix's recurrence runs once
-    and is extended by one step for each of its last digits, so a word
-    costs one recurrence step plus its prefix's share, and a left-out last
-    digit costs nothing.
+    1..max_digit (all of it by default); min_len = 0 yields ((), head)
+    first.  Each prefix's recurrence runs once and is extended by one step
+    for each of its last digits, so a word costs one recurrence step plus
+    its prefix's share, and a left-out last digit costs nothing.
     """
     digits = range(1, max_digit + 1)
     lasts = digits if last is None else last
-    for length in range(min_len, max_len + 1):
+    if min_len == 0:
+        yield (), head
+    for length in range(max(min_len, 1), max_len + 1):
         for prefix in itertools.product(digits, repeat=length - 1):
             p, q, p_prev, q_prev = _extend(head, prefix)
             for a in lasts:

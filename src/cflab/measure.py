@@ -20,16 +20,19 @@ strict order on one word's pair by cross-multiplying kernel values,
 exactly, without reducing either one.  The word predicates
 `reversal_equality_check` and `pairwise_cylinder_inequality` validate a
 word and call them on its pair; `verify` scans call them on the pairs of
-`iter_word_pairs`.  The joint measure takes its terms from the same
-enumerator and multiplies them in a balanced product tree; only reports
-and `measure_of_cylinder` see reduced Fractions.
+`iter_word_pairs`.  The joint measure reads both ends of its bracket off
+one walk of the same enumerator, the leaves' cylinders and the inner
+nodes' exact child tails, and multiplies each in a balanced product tree;
+only reports and `measure_of_cylinder` see reduced Fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .cfcore import Pair, UsageError, Word, convergent_pair, iter_word_pairs
@@ -50,24 +53,8 @@ class LogRational:
             raise ValueError(f"measure argument must be >= 1, got {arg}")
         self.arg = arg
 
-    @classmethod
-    def zero(cls) -> "LogRational":
-        return cls(_ONE)
-
     def __add__(self, other: "LogRational") -> "LogRational":
         return LogRational(self.arg * other.arg)
-
-    def __sub__(self, other: "LogRational") -> "LogRational":
-        if other.arg > self.arg:
-            raise ValueError("measure difference would be negative")
-        return LogRational(self.arg / other.arg)
-
-    def __mul__(self, n: int) -> "LogRational":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return LogRational(self.arg**n)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LogRational) and self.arg == other.arg
@@ -124,13 +111,6 @@ def measure_of_cylinder(w: Word) -> LogRational:
     cylinder interval.
     """
     return LogRational(Fraction(*_cylinder_arg(w)))
-
-
-def digit_tail_measure(n_max: int) -> LogRational:
-    """gamma of {x : first digit > n_max}, i.e. of (0, 1/(n_max+1))."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    return LogRational(Fraction(n_max + 2, n_max + 1))
 
 
 def unenumerated_children_measure(w: Word, n_max: int) -> LogRational:
@@ -191,31 +171,37 @@ def reversal_equality_check(w: Word) -> bool:
     return reversal_holds(w, convergent_pair(w))
 
 
-def _outward_float(x: float, direction: int) -> float:
-    # a couple of ulps absorbs the log2 rounding of huge integer args
-    y = x
-    for _ in range(2):
-        y = math.nextafter(y, math.copysign(math.inf, direction))
-    return y
+def _log2_outward(x: Fraction, direction: int) -> float:
+    """A float at or past log2(x) in the sign of direction.
+
+    With e the difference of the parts' bit lengths, int true division
+    rounds x / 2**e in (1/2, 2) correctly; its log2 then errs by less than
+    2**-51, and 2 ulps cover adding e.  (LogRational.float, a difference of
+    two large log2s, can cancel away ~1e-11.)
+    """
+    num, den = x.numerator, x.denominator
+    e = num.bit_length() - den.bit_length()
+    y = e + math.log2((num << max(-e, 0)) / (den << max(e, 0)))
+    return y + direction * (2.0**-51 + 2 * math.ulp(y))
 
 
 @dataclass(frozen=True)
 class BoundedMeasure:
-    """An exact lower bound plus a rigorous bound on the omitted mass.
+    """An exact lower bound plus an exact measure of a set holding the omitted mass.
 
-    The true value lies in [lower, lower + tail_bound].
+    The true value lies in [lower, lower + tail_bound] = [lower, upper].
     """
 
     lower: LogRational
     tail_bound: LogRational
 
-    @property
+    @cached_property  # one big product, read by bracket() and contains()
     def upper(self) -> LogRational:
         return self.lower + self.tail_bound
 
     def bracket(self) -> tuple[float, float]:
         """Outward-rounded float bracket [lo, hi] containing the true value."""
-        return (_outward_float(self.lower.float, -1), _outward_float(self.upper.float, +1))
+        return (_log2_outward(self.lower.arg, -1), _log2_outward(self.upper.arg, +1))
 
     def contains(self, x: float) -> bool:
         lo, hi = self.bracket()
@@ -260,33 +246,39 @@ def _product_tree(terms: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
-    """Bracket gamma(C_[1] intersect T^-k C_[1]) by enumerating middle digits.
+    """Bracket gamma(C_[1] intersect T^-k C_[1]) by one walk of the middle digits.
 
-    lower sums gamma(C_[1,n1..n_{k-1},1]) over all middles in {1..cap}^(k-1);
-    the omitted mass is union-bounded by (k-1) copies of the digit tail at
-    cap, valid because the shift preserves the measure.  cap**(k-1) may not
-    exceed MAX_MIDDLE_WORDS.
+    The walk visits each 1.u with digits <= cap and |u| <= k-1.  lower sums
+    gamma(C_[1,u,1]) over the leaves, |u| = k-1.  tail_bound sums over the
+    inner nodes the child tail `unenumerated_children_measure((1,) + u, cap)`,
+    which holds each C_[1,u,a,...,1] with a > cap: every omitted middle lies
+    in exactly one of them.  k-1 may not exceed the bit length of
+    MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
     """
     if k < 2:
         raise UsageError("need k >= 2")
     if cap < 1:
         raise UsageError("need cap >= 1")
-    # cap**(k-1) is built only up to its first power past the limit
-    count = 1
-    for _ in range(k - 1 if cap > 1 else 0):
-        count *= cap
-        if count > MAX_MIDDLE_WORDS:
+    # past the bit length, cap**(k-1) > MAX_MIDDLE_WORDS for every cap >= 2
+    max_depth = MAX_MIDDLE_WORDS.bit_length()
+    if k - 1 > max_depth or cap ** (k - 1) > MAX_MIDDLE_WORDS:
+        if cap == 1:
             raise UsageError(
-                f"joint measure at k={k}, cap={cap} would enumerate "
-                f"cap**(k-1) = {cap}**{k - 1} middle words, "
-                f"more than the limit of {MAX_MIDDLE_WORDS}"
+                f"joint measure at k={k}, cap=1 would walk k-1 = {k - 1} middle "
+                f"digits, more than the limit of {max_depth}"
             )
+        raise UsageError(
+            f"joint measure at k={k}, cap={cap} would enumerate "
+            f"cap**(k-1) = {cap}**{k - 1} middle words, "
+            f"more than the limit of {MAX_MIDDLE_WORDS}"
+        )
+    pairs = iter_word_pairs(cap, k - 1, min_len=0, head=convergent_pair((1,)))
+    # the walk yields the inner nodes 1.u, shortest first, before any leaf
+    inner = itertools.islice(pairs, sum(cap**j for j in range(k - 1)))
+    tail = _product_tree(_arg(*pair, (1 + len(u)) % 2, cap + 1) for u, pair in inner)
     # the pairs of 1.middle, closed by the append-1 map into those of 1.middle.1
     odd = (k - 1) % 2
-    terms = (
-        _arg(p + p_prev, q + q_prev, p, q, odd)
-        for _, (p, q, p_prev, q_prev) in iter_word_pairs(
-            cap, k - 1, min_len=k - 1, head=convergent_pair((1,))
-        )
+    lower = _product_tree(
+        _arg(p + p_prev, q + q_prev, p, q, odd) for _, (p, q, p_prev, q_prev) in pairs
     )
-    return BoundedMeasure(LogRational(_product_tree(terms)), (k - 1) * digit_tail_measure(cap))
+    return BoundedMeasure(LogRational(lower), LogRational(tail))

@@ -205,6 +205,11 @@ def test_word_pairs_follow_iter_words_with_their_convergent_pairs():
             assert [w for w, _ in headed] == [w for w in words if len(w) >= 2]
             for w, pair in headed:
                 assert pair == convergent_pair(head + w), w
+            # min_len = 0 puts the empty word and the head's own pair first
+            h = convergent_pair(head)
+            assert list(iter_word_pairs(max_digit, max_len, min_len=0, head=h)) == [
+                ((), h)
+            ] + list(iter_word_pairs(max_digit, max_len, head=h))
 
 
 @pytest.mark.parametrize("lo,hi", [(1, None), (2, None), (3, None), (2, 2), (4, 3), (1, 0)])

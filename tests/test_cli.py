@@ -279,7 +279,8 @@ def test_verify_report_with_huge_argument(capsys, tmp_path):
     assert report["passed"] is True
     assert report["log2_arg"].startswith("~1.13")
     assert report["log2_arg"].endswith("-bit rational)")
-    assert report["tail_log2_arg"] == "5002/5001"
+    # the child tail of (1,) past cap 5000
+    assert report["tail_log2_arg"] == "10004/10003"
     assert len(out_path.read_bytes()) < 2000
 
 
@@ -439,6 +440,19 @@ def test_subsequence_refuses_unbounded_joint_enumeration(capsys):
     assert code == 2
     assert out == ""
     assert "k=5" in err and "cap=1000" in err and "1000**4 middle words" in err
+
+
+def test_subsequence_refuses_a_deep_walk_at_cap_1(capsys, monkeypatch):
+    def frequency_report(*args):
+        raise AssertionError("a digit was drawn before the joint measure was refused")
+
+    monkeypatch.setattr("cflab.experiments.frequency_report", frequency_report)
+    argv = ["--source", "random:seed=11", "--k", "30", "--cap", "1", "--n", "1000"]
+    code, out, err = run(capsys, "subsequence", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "k=30" in err
 
 
 # --------------------------------------------------------- reproducibility

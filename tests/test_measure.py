@@ -7,6 +7,7 @@ oracle is itself irrational.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from cflab import (
     cylinder_interval,
     denominator_dominance,
     LogRational,
-    digit_tail_measure,
     iter_words,
     joint_pattern_measure,
     measure_of_cylinder,
@@ -28,7 +28,7 @@ from cflab import (
     value_of,
 )
 from cflab import measure
-from cflab.cfcore import convergent_pair
+from cflab.cfcore import UsageError, convergent_pair
 from cflab.measure import (
     MAX_MIDDLE_WORDS,
     _arg,
@@ -60,14 +60,7 @@ words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
 def test_logrational_invariants():
     with pytest.raises(ValueError):
         LogRational(Fraction(9, 10))
-    zero = LogRational.zero()
-    assert zero.arg == 1 and zero.float == 0.0
     ten_ninths = LogRational(Fraction(10, 9))
-    assert ten_ninths + zero == ten_ninths
-    assert (ten_ninths - ten_ninths) == zero
-    with pytest.raises(ValueError):
-        zero - ten_ninths
-    assert 3 * LogRational(Fraction(3, 2)) == LogRational(Fraction(27, 8))
     assert repr(ten_ninths) == "log2(10/9)"
 
 
@@ -95,22 +88,14 @@ def test_measure_compare_examples():
     assert LogRational(Fraction(10, 9)) < LogRational(Fraction(4, 3))
 
 
-def test_digit_tail_measure():
-    assert digit_tail_measure(1) == MEASURE_FULL - measure_of_cylinder((1,))
-    assert digit_tail_measure(2).arg == Fraction(4, 3)
-    assert digit_tail_measure(1000).arg == Fraction(1002, 1001)
-    assert abs(digit_tail_measure(1000).float - 0.00144) < 1e-5
-    with pytest.raises(ValueError):
-        digit_tail_measure(0)
-
-
 def test_normalization_identity():
-    # sum of gamma(C_[d]) for d <= N plus the tail is exactly the whole space
+    # sum of gamma(C_[d]) for d <= N plus the tail is exactly the whole space;
+    # the tail {x : first digit > N} = (0, 1/(N+1)) has arg (N+2)/(N+1)
     for n_max in range(1, 101):
-        total = LogRational.zero()
+        total = LogRational(1)
         for d in range(1, n_max + 1):
             total += measure_of_cylinder((d,))
-        assert total + digit_tail_measure(n_max) == MEASURE_FULL
+        assert total + LogRational(Fraction(n_max + 2, n_max + 1)) == MEASURE_FULL
 
 
 def test_additivity_with_exact_remainder():
@@ -118,7 +103,7 @@ def test_additivity_with_exact_remainder():
     for w in iter_words(4, 3):
         parent = measure_of_cylinder(w)
         for n_max in (1, 5, 20):
-            children = LogRational.zero()
+            children = LogRational(1)
             for d in range(1, n_max + 1):
                 children += measure_of_cylinder(w + (d,))
             assert children < parent
@@ -200,11 +185,15 @@ def test_pairwise_is_false_when_the_relation_fails(monkeypatch, fake_arg, n):
 def test_joint_pattern_measure_small_cases():
     bm = joint_pattern_measure(2, 3)
     assert bm.lower.arg == Fraction(25, 24) * Fraction(49, 48) * Fraction(81, 80)
-    assert bm.tail_bound.arg == Fraction(5, 4)
+    # the child tail of the root (1,): a second digit past 3
+    assert bm.tail_bound.arg == Fraction(10, 9)
+    assert bm.tail_bound == unenumerated_children_measure((1,), 3)
 
     bm = joint_pattern_measure(3, 1)
     assert bm.lower == measure_of_cylinder((1, 1, 1, 1))
-    assert bm.tail_bound == 2 * digit_tail_measure(1)
+    # the inner nodes (1,) and (1, 1), each missing every child past 1
+    nodes = unenumerated_children_measure((1,), 1) + unenumerated_children_measure((1, 1), 1)
+    assert bm.tail_bound == nodes
 
     with pytest.raises(ValueError):
         joint_pattern_measure(1, 10)
@@ -247,8 +236,53 @@ def test_joint_monotone_truncation():
 def test_joint_k3_bracket_is_consistent_with_k2_structure():
     bm = joint_pattern_measure(3, 40)
     assert isinstance(bm, BoundedMeasure)
-    assert bm.tail_bound.arg == Fraction(42, 41) ** 2
+    # the k=2 tail is the root's child tail; the nodes (1, a) add theirs, and
+    # together they stay under the union bound of two first-digit tails
+    assert joint_pattern_measure(2, 40).tail_bound < bm.tail_bound
+    assert bm.tail_bound < LogRational(Fraction(42, 41) ** 2)
     assert bm.lower < measure_of_cylinder((1,))
+
+
+@pytest.mark.parametrize(
+    "k,cap,fine_cap",
+    [(2, 1, 5000), (2, 5, 5000), (2, 50, 5000), (3, 1, 200), (3, 3, 200), (3, 10, 200),
+     (4, 1, 40), (4, 2, 40), (4, 5, 40)],
+)
+def test_joint_bracket_contains_a_finer_lower_bound(k, cap, fine_cap):
+    # the true value is at least every lower bound, so each bracket must
+    # reach the lower bound of a larger cap, decided exactly
+    bm, fine = joint_pattern_measure(k, cap), joint_pattern_measure(k, fine_cap)
+    assert bm.lower <= fine.lower <= bm.upper
+
+
+@pytest.mark.parametrize("k,cap", [(2, 1), (2, 7), (3, 1), (3, 6), (4, 3), (5, 2), (6, 1)])
+def test_joint_tail_is_the_sum_of_inner_child_tails(k, cap):
+    # each inner word 1.u, |u| <= k-2, from its own convergent_pair
+    inner = [()] + list(iter_words(cap, k - 2))
+    expected = LogRational(1)
+    for u in inner:
+        expected += unenumerated_children_measure((1,) + u, cap)
+    assert joint_pattern_measure(k, cap).tail_bound == expected
+
+
+def _log2_oracle(x):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(x.numerator).ln() - Decimal(x.denominator).ln()) / Decimal(2).ln()
+
+
+@pytest.mark.parametrize(
+    "k,cap", [(2, 1), (2, 3), (2, 1000), (2, 5000), (3, 40), (3, 150), (4, 10), (5, 3)]
+)
+def test_bracket_ends_are_outward_of_the_exact_log2(k, cap):
+    # at k=2, cap=1000 the parts of the upper arg have ~10^4 bits: a float
+    # difference of log2s there lands on either side of the exact value
+    bm = joint_pattern_measure(k, cap)
+    lo, hi = bm.bracket()
+    lower, upper = _log2_oracle(bm.lower.arg), _log2_oracle(bm.upper.arg)
+    assert Decimal(lo) <= lower and upper <= Decimal(hi)
+    # and no wider than the rounding needs
+    assert lower - Decimal(lo) < Decimal("1e-15") and Decimal(hi) - upper < Decimal("1e-15")
 
 
 def test_joint_product_tree_matches_sequential_product():
@@ -274,10 +308,20 @@ def test_joint_middle_word_limit_boundary(monkeypatch):
     monkeypatch.setattr(measure, "MAX_MIDDLE_WORDS", 9)
     joint_pattern_measure(3, 3)
     joint_pattern_measure(2, 9)
-    joint_pattern_measure(40, 1)
-    for k, cap in ((3, 4), (2, 10), (4, 3)):
+    # k-1 may not pass the limit's bit length, 4, at any cap
+    joint_pattern_measure(5, 1)
+    for k, cap in ((3, 4), (2, 10), (4, 3), (6, 1), (40, 1)):
         with pytest.raises(ValueError):
             joint_pattern_measure(k, cap)
+
+
+def test_joint_refuses_a_deep_walk_at_cap_1():
+    # 20 middle digits is the bit length of MAX_MIDDLE_WORDS
+    assert MAX_MIDDLE_WORDS.bit_length() == 20
+    assert joint_pattern_measure(21, 1).lower == measure_of_cylinder((1,) * 22)
+    for k in (22, 10**5, 10**12):
+        with pytest.raises(UsageError, match=f"k={k}, cap=1 would walk"):
+            joint_pattern_measure(k, 1)
 
 
 @settings(max_examples=300, deadline=None)

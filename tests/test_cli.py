@@ -780,6 +780,23 @@ def test_report_row_limit_boundary(capsys, monkeypatch):
     assert "the report would have 22 rows, more than 20" in err
 
 
+INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGIT_CAP, reason="this Python parses ints of any length")
+def test_decimal_text_past_the_int_digit_cap_is_a_short_usage_error(capsys):
+    # at the interpreter's cap (4300 by default) the text is read; one digit
+    # more is refused in one short line, not echoed whole
+    code, out, err = run(capsys, "expand", f"decimal:0.3{'1' * (INT_DIGIT_CAP - 1)}:e-20", "--n", "3")
+    assert code == 0, err
+    assert out.splitlines() == ["3", "4", "1"]  # 0.3111... = 14/45 = [0; 3, 4, 1, 2]
+    code, out, err = run(capsys, "expand", f"decimal:0.3{'1' * INT_DIGIT_CAP}:e-20", "--n", "3")
+    _one_line_usage_error(code, out, err)
+    assert len(err) < 160, err
+    assert f"{INT_DIGIT_CAP + 1} digits in a row; at most {INT_DIGIT_CAP} are allowed" in err
+    assert "sys." not in err
+
+
 @pytest.mark.parametrize("exponent", ["e0", "e5", "e-1000001"])
 @pytest.mark.parametrize("command", ["expand", "pillai"])
 def test_decimal_exponent_out_of_range_is_usage_error(capsys, exponent, command):

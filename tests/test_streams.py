@@ -233,13 +233,15 @@ def test_random_real_digit_frequency_is_gauss_like():
     assert abs(freq1 - 0.4150) < 0.02
 
 
-def test_random_extractor_agrees_with_direct_expansion_oracle():
-    # 100 seeded 64-bit draws: incremental certified digits == common prefix
-    # of the Euclidean expansions of the two dyadic endpoints
+@pytest.mark.parametrize("bits,draws", [(64, 100), (4096, 10)])
+def test_random_extractor_agrees_with_direct_expansion_oracle(bits, draws):
+    # seeded draws at 64 bits and at the random source's block size:
+    # incremental certified digits == common prefix of the Euclidean
+    # expansions of the two dyadic endpoints
     rng = random.Random(2024)
-    scale = 1 << 64
-    for _ in range(100):
-        m = rng.getrandbits(64)
+    scale = 1 << bits
+    for _ in range(draws):
+        m = rng.getrandbits(bits)
         got = list(_interval_digits(m, scale, m + 1, scale))
         lo, hi = Fraction(m, scale), Fraction(m + 1, scale)
         expected = common_prefix(euclid_digits(lo), euclid_digits(hi))
@@ -339,8 +341,25 @@ def test_batched_extractor_unreduced_boundary_endpoints(batch_bits, lo_n, lo_d, 
     assert got == list(one_step_interval_digits(lo_n, lo_d, hi_n, hi_d))
 
 
+@pytest.mark.parametrize("width", BATCH_WIDTHS, ids=lambda b: f"batch{b or 'default'}")
+@settings(max_examples=40, deadline=None)
+@given(w=st.lists(st.integers(1, 50), min_size=20, max_size=200), upper=st.booleans())
+def test_batched_extractor_boundary_deep_inside_a_batch(width, w, upper):
+    # an endpoint exactly on the cell boundary value_of(w), 20-200 digits
+    # deep, so a batch meets it after many certified steps rather than at
+    # its first one
+    v = value_of(tuple(w))
+    lo, hi = (v - EDGE_TINY, v) if upper else (v, v + EDGE_TINY)
+    with pytest.MonkeyPatch.context() as patch:
+        if width is not None:
+            patch.setattr(streams, "EXTRACT_BITS", width)
+        digits = assert_matches_one_step(lo, hi)
+    # v is inside the cylinder of w[:-2], far wider than EDGE_TINY
+    assert digits[: len(w) - 2] == w[:-2]
+
+
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**62), block_bits=st.sampled_from([64, 65, 100, 512]))
+@given(seed=st.integers(0, 2**62), block_bits=st.sampled_from([64, 65, 100, 512, 4096]))
 def test_random_stream_is_the_one_step_stream(seed, block_bits):
     expected: list[int] = []
     scale = 1 << block_bits

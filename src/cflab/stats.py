@@ -9,16 +9,20 @@ whatever the windows and chunks are, and memory stays
 O(window + checkpoints) for any n.
 
 Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
-CACM 1992).  The fold encodes each pulled digit once as bytes, writing
-every digit >= 255 as 255, and carries the seam as bytes.  For a pattern
-whose digits are all below 255, the stride slice of the window offset by j
-is translated into a 0/1 indicator of w[j], one byte per start; the AND of
-these indicators over j < |w|, read as ints, has one set bit per match.
-The stride slice covers every mode.  A pattern with a digit >= 255 is
-counted on the digit list, since 255 there stands for all larger digits;
-the fold keeps that list, with the same seam, only when such a pattern is
-asked for.  The list counters and `count_chunked` keep that plain loop, so
-the tests check the fold against an independent path.
+CACM 1992), one indicator per digit value.  The fold encodes each pulled
+digit once as bytes, writing every digit >= 255 as 255, and carries the
+seam as bytes.  For each window it translates the bytes once per digit
+value d < 255 that a pattern uses into I_d, an int whose byte s is 1 where
+the window holds d at s.  A pattern w whose digits are all below 255 has
+hits = AND over j of I_(w[j]) >> 8j, with byte s set where w starts at s.
+Each mode shifts hits down to its first new start, keeps a 0x01 byte every
+stride bytes with one mask per stride, and counts the set bits; modes with
+the same starts for a pattern (overlap and disjoint when |w| = 1) are
+counted once.  A pattern with a digit >= 255 is counted on the digit list,
+since 255 there stands for all larger digits; the fold keeps that list,
+with the same seam, only when such a pattern is asked for.  The list
+counters and `count_chunked` keep that plain loop, so the tests check the
+fold against an independent path.
 
 A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
 of admissible starts and `frequency` divides a count by its denominator.
@@ -146,20 +150,34 @@ def _encode(digits: Sequence[int]) -> bytes:
     return clamped.to_bytes(len(digits), "little")
 
 
-def _shift_and_count(buf: bytes, w: Word, positions: range) -> int:
-    """Matches of w, all digits below 255, at the given starts of an encoded window.
+def _count_bytes(
+    buf: bytes, wanted: dict[Word, set[range]], masks: dict[int, int]
+) -> dict[tuple[Word, range], int]:
+    """Matches of each wanted w at each of its ranges of starts in an encoded window.
 
-    Shift-and as in the module docstring; the caller keeps every match inside buf.
+    Shift-and over one indicator per digit value, as in the module docstring;
+    each (w, range) is counted once.  Every digit of w is below 255, and
+    masks maps each step > 1 of a range to an int with a 0x01 byte every
+    step bytes, as long as the range's span.
     """
-    a, b, c = positions.start, positions.stop, positions.step
-    if len(w) == 1:
-        return buf[a:b:c].count(w[0])
-    hits = -1
-    for j, d in enumerate(w):
-        table = bytearray(256)
-        table[d] = 1
-        hits &= int.from_bytes(buf[a + j : b + j : c].translate(table), "little")
-    return hits.bit_count()
+    # byte s of indicator[d] is 1 where buf[s] == d, and 0 elsewhere
+    indicator = {
+        d: int.from_bytes(buf.translate(bytes(d) + b"\x01" + bytes(255 - d)), "little")
+        for d in {d for w in wanted for d in w}
+    }
+    found = {}
+    for w, ranges in wanted.items():
+        # byte s of hits is 1 where w starts at buf[s]; as none starts past
+        # len(buf) - |w|, a range is cut at its first start only
+        hits = indicator[w[0]]
+        for j in range(1, len(w)):
+            hits &= indicator[w[j]] >> 8 * j
+        for r in ranges:
+            at = hits >> 8 * r.start
+            if r.step > 1:
+                at &= masks[r.step]
+            found[w, r] = at.bit_count()
+    return found
 
 
 def _check_pattern(w: Word) -> Word:
@@ -252,6 +270,11 @@ def frequency_report(
     checkpoints: list[tuple[int, dict]] = []
     # the digit list is kept only for the patterns the bytes cannot count
     keep_list = any(max(w) >= 255 for w in patterns)
+    # stride -> a 0x01 byte every stride bytes, one window long; made before
+    # the first window, since ints made between windows fragment the heap
+    span = min(COUNT_WINDOW, n)
+    strides = {mode.bound_stride(len(w)) for w, mode in counts if max(w) < 255} - {1}
+    masks = {c: int.from_bytes((b"\x01" + bytes(c - 1)) * -(-span // c), "little") for c in strides}
     window: list[int] = []
     buf = b""
     pulled = 0
@@ -265,12 +288,18 @@ def frequency_report(
             window = window[max(0, len(window) - seam) :] + fresh
         before, pulled = pulled, pulled + len(fresh)
         base = pulled - len(buf)  # absolute position of buf[0], and of window[0]
+        starts = {}
+        wanted: dict[Word, set[range]] = {}
         for w, mode in counts:
             # the starts whose match ends in fresh digits, shifted into the window
             new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
-            shifted = range(new.start - base, new.stop - base, new.step)
+            starts[w, mode] = shifted = range(new.start - base, new.stop - base, new.step)
             if max(w) < 255:
-                counts[w, mode] += _shift_and_count(buf, w, shifted)
+                wanted.setdefault(w, set()).add(shifted)
+        found = _count_bytes(buf, wanted, masks)
+        for (w, mode), shifted in starts.items():
+            if max(w) < 255:
+                counts[w, mode] += found[w, shifted]
             else:
                 counts[w, mode] += _count_positions(window, w, shifted)
         if pulled == mark:

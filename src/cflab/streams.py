@@ -74,7 +74,8 @@ EXTRACT_BITS = 192
 # Periodic sources repeat their period into chunks of about this many digits.
 PERIODIC_CHUNK_DIGITS = 1024
 # Smallest exponent a decimal source takes: 10**exponent is built exactly,
-# and at e-1000000 that takes about 0.35 s (Python 3.11).
+# and at e-1000000 that takes about 0.35 s (Python 3.11).  The exponent
+# written in the decimal text itself is held to the same magnitude.
 MIN_DECIMAL_EXPONENT = -(10**6)
 
 
@@ -254,6 +255,12 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     """
     text = decimal.strip()
     shown = repr(text if len(text) <= 40 else text[:40] + "...")
+    # Fraction builds the text's power of ten before anything is checked
+    _, e, exponent = text.lower().rpartition("e")
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    limit = -MIN_DECIMAL_EXPONENT
+    if e and magnitude.isdecimal() and (len(magnitude) > len(str(limit)) or int(magnitude) > limit):
+        raise ValueError(f"decimal text {shown} has an exponent outside [{-limit}, {limit}]")
     try:
         d = Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -795,6 +796,16 @@ def test_decimal_text_past_the_int_digit_cap_is_a_short_usage_error(capsys):
     assert len(err) < 160, err
     assert f"{INT_DIGIT_CAP + 1} digits in a row; at most {INT_DIGIT_CAP} are allowed" in err
     assert "sys." not in err
+
+
+@pytest.mark.parametrize("text", ["0.5e-999999999", "5e999999999"])
+def test_decimal_text_exponent_past_the_bound_is_a_quick_usage_error(capsys, text):
+    # the text's own power of ten would take minutes to build; it is refused first
+    started = time.perf_counter()
+    code, out, err = run(capsys, "expand", f"decimal:{text}:e-5", "--n", "3")
+    assert time.perf_counter() - started < 1
+    _one_line_usage_error(code, out, err)
+    assert f"decimal text {text!r} has an exponent outside [-1000000, 1000000]" in err
 
 
 @pytest.mark.parametrize("exponent", ["e0", "e5", "e-1000001"])

@@ -313,6 +313,16 @@ def check_fold(case):
 
 @settings(max_examples=300, deadline=None)
 @given(fold_cases())
+# one digit: overlap, disjoint and aligned(1, 0) share their starts, each keeps its count
+@example(([[1, 2, 1, 1], [1, 3, 1]], [(1,)], (1, 0), 7, 3, 2))
+# a full window then one digit: the stride-5 mask must reach the window's last
+# digit, a 1 at an aligned start
+@example((
+    [([1, 2, 1, 3, 1] * (COUNT_WINDOW // 5 + 1))[: COUNT_WINDOW + 1]],
+    [(1, 2), (1,)], (5, 0), COUNT_WINDOW + 1, COUNT_WINDOW + 1, COUNT_WINDOW,
+))
+# a pattern repeating its digit, over runs of it that cross windows
+@example(([[1, 1, 1, 1], [2, 1, 1, 1, 1, 1]], [(1, 1, 1)], (4, 1), 10, 4, 3))
 def test_frequency_report_fold_matches_list_counts(case):
     # counts invariant under any chunking and any window, seams included
     check_fold(case)

@@ -133,6 +133,22 @@ def test_decimal_validation():
     assert source_decimal_interval("0.3", MIN_DECIMAL_EXPONENT).take(2) == [3]
 
 
+def test_decimal_text_exponent_is_bounded_before_the_text_is_read():
+    # the text's own power of ten is built exactly, so its exponent is held
+    # to the same magnitude as the ulp exponent; past it nothing is built
+    bound = -MIN_DECIMAL_EXPONENT
+    for bad in ("0.5e-999999999", "5e999999999", f"0.5e-{bound + 1}", f"5E+{bound + 1}",
+                "0.5e-1_000_001", "0.5e-" + "9" * 5000):
+        with pytest.raises(ValueError, match=rf"exponent outside \[-{bound}, {bound}\]"):
+            source_decimal_interval(bad, -5)
+    # 1/2000 and 1/2 are cell boundaries, so they give no digit, but they are read
+    assert source_decimal_interval("0.5e-3", -20).take(3) == []
+    assert source_decimal_interval("0.05e1", -20).take(3) == []
+    golden = source_decimal_interval("0.6180339887", -10).take(20)
+    for text in ("6.180339887e-1", "0.06180339887E+1", "61.80339887e-2"):
+        assert source_decimal_interval(text, -10).take(20) == golden
+
+
 def test_decimal_certified_digits_are_prefix_of_true_word():
     # feed the truncated decimal of value(w); the tight interval straddles
     # value(w) itself, which is the boundary between C_w and its neighbor,

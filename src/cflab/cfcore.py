@@ -9,6 +9,8 @@ Every function is pure, so concurrent use needs no locking.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -53,6 +55,27 @@ def word(digits: Iterable[int]) -> Word:
     return w
 
 
+def quote(text: str) -> str:
+    """text in quotes for a message, cut after 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
+def bad_text(kind: str, text: str, need: str = "") -> UsageError:
+    """The error for `kind` text that does not parse, in one short line.
+
+    The text is quoted by `quote`.  A run of digits longer than Python
+    parses into an int (sys.get_int_max_str_digits, absent before 3.11) is
+    named with that cap; otherwise `need` says what the text should be.
+    """
+    most = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    run = max(map(len, re.findall(r"\d+", text)), default=0)
+    if most and run > most:
+        return UsageError(
+            f"{kind} text {quote(text)} has {run} digits in a row; at most {most} are allowed"
+        )
+    return UsageError(f"bad {kind} text {quote(text)}" + (f": {need}" if need else ""))
+
+
 def parse_word(text: str, allow_empty: bool = False) -> Word:
     """Parse the comma-separated text form, e.g. '1,2,3'."""
     text = text.strip()
@@ -62,8 +85,8 @@ def parse_word(text: str, allow_empty: bool = False) -> Word:
         raise UsageError("empty word")
     try:
         return word(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad word text {text!r}: {exc}") from None
+    except ValueError:
+        raise bad_text("word", text, "need integers >= 1, comma-separated") from None
 
 
 def format_word(w: Word) -> str:
@@ -74,8 +97,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' in lowest terms (plain integers are also accepted)."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational text {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise bad_text("rational", text, "need p/q with q nonzero") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -9,20 +9,21 @@ whatever the windows and chunks are, and memory stays
 O(window + checkpoints) for any n.
 
 Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
-CACM 1992), one indicator per digit value.  The fold encodes each pulled
-digit once as bytes, writing every digit >= 255 as 255, and carries the
-seam as bytes.  For each window it translates the bytes once per digit
-value d < 255 that a pattern uses into I_d, an int whose byte s is 1 where
-the window holds d at s.  A pattern w whose digits are all below 255 has
+CACM 1992), one indicator per digit value.  The fold writes each pulled
+digit once into little-endian byte planes, exact for any digit: plane j
+holds byte j of every digit of the window, there are as many planes as
+the window's widest digit has bytes, and the seam is carried as the
+planes' last bytes.  For each digit value d that a pattern uses, I_d is
+an int whose byte s is 1 where the window holds d at s: the AND over the
+planes of where each holds its byte of d, and 0 for a d wider than the
+planes.  Up to 8 values share one translate per plane.  A pattern w has
 hits = AND over j of I_(w[j]) >> 8j, with byte s set where w starts at s.
-Each mode shifts hits down to its first new start, keeps a 0x01 byte every
-stride bytes with one mask per stride, and counts the set bits; modes with
-the same starts for a pattern (overlap and disjoint when |w| = 1) are
-counted once.  A pattern with a digit >= 255 is counted on the digit list,
-since 255 there stands for all larger digits; the fold keeps that list,
-with the same seam, only when such a pattern is asked for.  The list
-counters and `count_chunked` keep that plain loop, so the tests check the
-fold against an independent path.
+Each mode shifts hits down to its first new start, keeps a 0x01 byte
+every stride bytes with one mask per stride, and counts the set bits;
+modes with the same starts for a pattern (overlap and disjoint when
+|w| = 1) are counted once.  The list counters and `count_chunked` keep a
+plain loop over the digit list, so the tests check the fold against an
+independent path.
 
 A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
 of admissible starts and `frequency` divides a count by its denominator.
@@ -38,6 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .cfcore import Word, word
@@ -123,60 +125,64 @@ def _count_positions(digits: Sequence[int], w: Sequence[int], positions: range) 
     return count
 
 
-# byte -> 255 if nonzero else 0: a nonzero high byte marks a digit >= 256
-_NONZERO = bytes(1) + b"\xff" * 255
+def _planes(carry: list[bytes], digits: Sequence[int]) -> list[bytes]:
+    """A window's byte planes: the carried planes, then those of the digits.
 
-
-def _encode(digits: Sequence[int]) -> bytes:
-    """The digits as bytes, each digit >= 255 written as 255.
-
-    The clamp runs in C: the digits go into an unsigned array, whose low
-    bytes are ORed with each higher byte translated to 255 if nonzero, so a
-    digit >= 256 reads 255 and one below keeps its low byte.  A digit of
-    2**32 or more overflows the array, and digits holding one fall back to
-    the per-digit clamp.
+    Byte s of plane j is byte j of the window's digit s, little-endian.
+    The digits go into an unsigned array in C, one plane per byte of its
+    cell; a digit too wide for the cell sends the window to int.to_bytes,
+    every digit as wide as the widest one.  A plane one side lacks is zero
+    there, and planes that are zero throughout are dropped from the top.
     """
     try:
-        cells = array("I", digits)
+        raw, width = array("I", digits).tobytes(), array("I").itemsize
     except OverflowError:
-        return bytes(d if d < 255 else 255 for d in digits)
-    if sys.byteorder == "big":
-        cells.byteswap()
-    raw, size = cells.tobytes(), cells.itemsize
-    del cells  # one copy of the window at a time keeps the peak memory down
-    clamped = int.from_bytes(raw[::size], "little")
-    for j in range(1, size):
-        clamped |= int.from_bytes(raw[j::size].translate(_NONZERO), "little")
-    return clamped.to_bytes(len(digits), "little")
+        width = -(-max(digits).bit_length() // 8)
+        raw = b"".join(d.to_bytes(width, sys.byteorder) for d in digits)
+    fresh = [raw[j::width] for j in range(width)][:: 1 if sys.byteorder == "little" else -1]
+    del raw  # one copy of the window at a time keeps the peak memory down
+    held = len(carry[0])
+    planes = [(c or bytes(held)) + (f or bytes(len(digits))) for c, f in zip_longest(carry, fresh)]
+    while len(planes) > 1 and planes[-1] == bytes(len(planes[0])):
+        planes.pop()
+    return planes
 
 
 def _count_bytes(
-    buf: bytes, wanted: dict[Word, set[range]], masks: dict[int, int]
+    planes: list[bytes], wanted: dict[Word, set[range]], masks: dict[int, int]
 ) -> dict[tuple[Word, range], int]:
-    """Matches of each wanted w at each of its ranges of starts in an encoded window.
+    """Matches of each wanted w at each of its ranges of starts in a window's byte planes.
 
-    Shift-and over one indicator per digit value, as in the module docstring;
-    each (w, range) is counted once.  Every digit of w is below 255, and
-    masks maps each step > 1 of a range to an int with a 0x01 byte every
-    step bytes, as long as the range's span.
+    Shift-and over one indicator per digit value, built from every plane
+    and so exact for every digit, as in the module docstring; each
+    (w, range) is counted once.  masks maps 1 and each step of a range
+    to an int with a 0x01 byte every step bytes, at least as long as the window.
     """
-    # byte s of indicator[d] is 1 where buf[s] == d, and 0 elsewhere
-    indicator = {
-        d: int.from_bytes(buf.translate(bytes(d) + b"\x01" + bytes(255 - d)), "little")
-        for d in {d for w in wanted for d in w}
-    }
+    values = {d for w in wanted for d in w}
+    indicator = dict.fromkeys(values, 0)  # a digit wider than the planes is nowhere
+    fits = [d for d in values if not d >> 8 * len(planes)]
+    # Up to 8 digit values share a translate per plane, value k of them
+    # marked by bit k of its byte in that plane; ANDed over the planes, bit k
+    # of byte s is set where the window holds value k at s.
+    for first in range(0, len(fits), 8):
+        group = fits[first : first + 8]
+        packed = -1
+        for j, plane in enumerate(planes):
+            table = bytearray(256)
+            for k, d in enumerate(group):
+                table[d >> 8 * j & 255] |= 1 << k
+            packed &= int.from_bytes(plane.translate(table), "little")
+        for k, d in enumerate(group):
+            indicator[d] = packed >> k & masks[1]
     found = {}
     for w, ranges in wanted.items():
-        # byte s of hits is 1 where w starts at buf[s]; as none starts past
-        # len(buf) - |w|, a range is cut at its first start only
+        # byte s of hits is 1 where w starts at the window's digit s; as none
+        # starts past the last |w| digits, a range is cut at its first start only
         hits = indicator[w[0]]
         for j in range(1, len(w)):
             hits &= indicator[w[j]] >> 8 * j
         for r in ranges:
-            at = hits >> 8 * r.start
-            if r.step > 1:
-                at &= masks[r.step]
-            found[w, r] = at.bit_count()
+            found[w, r] = (hits >> 8 * r.start & masks[r.step]).bit_count()
     return found
 
 
@@ -268,40 +274,33 @@ def frequency_report(
     counts = {(w, mode): 0 for w in patterns for mode in modes}
     seam = max(len(w) for w in patterns) - 1
     checkpoints: list[tuple[int, dict]] = []
-    # the digit list is kept only for the patterns the bytes cannot count
-    keep_list = any(max(w) >= 255 for w in patterns)
-    # stride -> a 0x01 byte every stride bytes, one window long; made before
-    # the first window, since ints made between windows fragment the heap
-    span = min(COUNT_WINDOW, n)
-    strides = {mode.bound_stride(len(w)) for w, mode in counts if max(w) < 255} - {1}
+    # stride -> a 0x01 byte every stride bytes, as long as a window with its
+    # carry; 1 is always there, for the indicators.  Made before the first
+    # window, since ints made between windows fragment the heap
+    span = seam + min(COUNT_WINDOW, n)
+    strides = {mode.bound_stride(len(w)) for w, mode in counts} | {1}
     masks = {c: int.from_bytes((b"\x01" + bytes(c - 1)) * -(-span // c), "little") for c in strides}
-    window: list[int] = []
-    buf = b""
+    carry = [b""]
     pulled = 0
     mark = min(checkpoint_every, n)
     while pulled < n:
-        fresh = source.take(min(COUNT_WINDOW, mark - pulled))
-        if not fresh:
+        planes = _planes(carry, source.take(min(COUNT_WINDOW, mark - pulled)))
+        got = len(planes[0]) - len(carry[0])  # 0 once the source has ended
+        if not got:
             break
-        buf = buf[max(0, len(buf) - seam) :] + _encode(fresh)
-        if keep_list:
-            window = window[max(0, len(window) - seam) :] + fresh
-        before, pulled = pulled, pulled + len(fresh)
-        base = pulled - len(buf)  # absolute position of buf[0], and of window[0]
+        carry = [p[max(0, len(p) - seam) :] for p in planes]
+        before, pulled = pulled, pulled + got
+        base = pulled - len(planes[0])  # absolute position of the window's first digit
         starts = {}
         wanted: dict[Word, set[range]] = {}
         for w, mode in counts:
             # the starts whose match ends in fresh digits, shifted into the window
             new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
             starts[w, mode] = shifted = range(new.start - base, new.stop - base, new.step)
-            if max(w) < 255:
-                wanted.setdefault(w, set()).add(shifted)
-        found = _count_bytes(buf, wanted, masks)
+            wanted.setdefault(w, set()).add(shifted)
+        found = _count_bytes(planes, wanted, masks)
         for (w, mode), shifted in starts.items():
-            if max(w) < 255:
-                counts[w, mode] += found[w, shifted]
-            else:
-                counts[w, mode] += _count_positions(window, w, shifted)
+            counts[w, mode] += found[w, shifted]
         if pulled == mark:
             checkpoints.append((mark, dict(counts)))
             mark = min(mark + checkpoint_every, n)

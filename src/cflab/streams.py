@@ -50,18 +50,18 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
-import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cfcore import (
     UsageError,
     Word,
+    bad_text,
     cf_of_rational,
     format_word,
     parse_rational,
     parse_word,
+    quote,
     word,
 )
 
@@ -132,12 +132,13 @@ class DigitSource:
 
 
 def _interval_digits(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> list[int]:
-    """Digits certified for every x in [lo_n/lo_d, hi_n/hi_d] within [0, 1].
+    """Digits certified for every x in [lo_n/lo_d, hi_n/hi_d], the lower end in [0, 1].
 
     Gauss step: digit a = floor(1/x); both endpoints must agree on a.  The
     refinement x -> 1/x - a swaps orientation, so the endpoint pairs trade
     places each round.  The digits end where no further one is certifiable:
-    the lower endpoint reached 0, or the endpoints disagree.  Steps run in
+    the lower endpoint reached 0, or the endpoints disagree.  An upper end
+    past 1 yields no digit, as floor(1/x) is 0 there.  Steps run in
     batches on widened small endpoints (see the module docstring).
     """
     digits: list[int] = []
@@ -254,7 +255,7 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     [MIN_DECIMAL_EXPONENT, -1]: from 0 up the interval covers all of (0, 1).
     """
     text = decimal.strip()
-    shown = repr(text if len(text) <= 40 else text[:40] + "...")
+    shown = quote(text)
     # Fraction builds the text's power of ten before anything is checked
     _, e, exponent = text.lower().rpartition("e")
     magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
@@ -264,14 +265,7 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     try:
         d = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        # Python parses an int from at most this many digits (0: no cap)
-        most = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        run = max(map(len, re.findall(r"\d+", text)), default=0)
-        if most and run > most:
-            raise ValueError(
-                f"decimal text {shown} has {run} digits in a row; at most {most} are allowed"
-            ) from None
-        raise ValueError(f"bad decimal text {shown}") from None
+        raise bad_text("decimal", text) from None
     if not 0 < d < 1:
         raise ValueError(f"decimal value must be in (0,1), got {shown}")
     if not MIN_DECIMAL_EXPONENT <= ulp_exponent < 0:

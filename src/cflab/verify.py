@@ -6,6 +6,8 @@ bounds.  The exact suites pass one plain check over (word, convergent
 pair) to `_scan`, which walks `iter_word_pairs` in `iter_words` order, so
 each word costs one recurrence step plus the integer kernel, and reports
 the first counterexample with the offending word; none is ever expected.
+Bounds whose family holds more than MAX_WORDS words are refused before
+the scan.
 `SUITES` maps each suite name to its runner and the options that runner
 reads, `run_suite` refuses any other option, and every result renders its
 own summary line and `--out` report, so the CLI holds no per-suite schema
@@ -31,6 +33,10 @@ from .reports import bounded_measure_report
 # The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
 MAX_DIGIT = 5
 MAX_LEN = 3
+# Most words a scan is given.  The bench's largest family, digits <= 8 and
+# length <= 6, holds 299,592; 10**7 reversal words take about 20 s (2 vCPU,
+# Python 3.11).
+MAX_WORDS = 10**7
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,34 @@ def _scan(suite: str, pairs, check, detail: str) -> VerifyResult:
     return VerifyResult(suite, True, checked, None, detail)
 
 
+def _shown(n: int, spec: str = "") -> str:
+    """n formatted by spec, or "over 10**18" past that, so a message stays one short line."""
+    return format(n, spec) if n <= 10**18 else "over 10**18"
+
+
+def _family(suite: str, max_digit: int, max_len: int, last: range | None = None):
+    """iter_word_pairs over the bounds, refused if they hold more than MAX_WORDS words.
+
+    The bounds hold the sum over 1 <= L <= max_len of max_digit**L words.
+    """
+    if max_digit < 2:
+        size = max(0, max_digit) * max(0, max_len)  # one word of each length, or none
+    else:
+        # 64 terms pass 10**18 at any digit >= 2, so a huge max_len costs nothing
+        size = sum(max_digit**length for length in range(1, min(max_len, 64) + 1))
+    if size > MAX_WORDS:
+        raise UsageError(
+            f"{suite}: digits <= {_shown(max_digit)}, length <= {_shown(max_len)} "
+            f"give {_shown(size, ',')} words; a scan checks at most {MAX_WORDS:,}"
+        )
+    return iter_word_pairs(max_digit, max_len, last=last)
+
+
 def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
     return _scan(
         "reversal",
-        iter_word_pairs(max_digit, max_len),
+        _family("reversal", max_digit, max_len),
         reversal_holds,
         f"digits <= {max_digit}, length <= {max_len}",
     )
@@ -91,7 +120,7 @@ def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyR
     """Denominator dominance for every word with last digit >= 2."""
     return _scan(
         "dominance",
-        iter_word_pairs(max_digit, max_len, last=range(2, max_digit + 1)),
+        _family("dominance", max_digit, max_len, last=range(2, max_digit + 1)),
         dominance_holds,
         f"digits <= {max_digit}, length <= {max_len}, last digit >= 2",
     )
@@ -101,7 +130,7 @@ def run_pairwise(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyRe
     """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
     return _scan(
         "pairwise",
-        iter_word_pairs(max_digit, max_len),
+        _family("pairwise", max_digit, max_len),
         pairwise_holds,
         f"digits <= {max_digit}, length <= {max_len}",
     )

@@ -202,6 +202,16 @@ def test_verify_empty_family_is_usage_error(capsys, suite, max_digit, max_len):
     assert f"digits <= {max_digit}, length <= {max_len}" in err
 
 
+@pytest.mark.parametrize("suite", ["reversal", "dominance", "pairwise"])
+def test_verify_family_past_the_word_limit_is_a_quick_usage_error(capsys, suite):
+    # 1000**5 words would take years; the bound is checked before the scan
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--max-digit", "1000", "--max-len", "5")
+    assert time.perf_counter() - started < 1
+    _one_line_usage_error(code, out, err)
+    assert "give 1,001,001,001,001,000 words; a scan checks at most 10,000,000" in err
+
+
 def _scan_report(suite, passed, checked, counterexample, detail):
     # the --out schema of the predicate scans, spelled out byte by byte
     counterexample = "null" if counterexample is None else f'"{counterexample}"'
@@ -796,6 +806,28 @@ def test_decimal_text_past_the_int_digit_cap_is_a_short_usage_error(capsys):
     assert len(err) < 160, err
     assert f"{INT_DIGIT_CAP + 1} digits in a row; at most {INT_DIGIT_CAP} are allowed" in err
     assert "sys." not in err
+
+
+NINES = "9" * max(5000, INT_DIGIT_CAP + 1)
+
+
+@pytest.mark.skipif(not INT_DIGIT_CAP, reason="this Python parses ints of any length")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", f"1,{NINES}"],
+        ["expand", f"rational:1/{NINES}", "--n", "3"],
+        ["expand", f"periodic:1;{NINES}", "--n", "3"],
+        ["pillai", "--source", "periodic:,1", "--n", "100", "--pattern", NINES],
+    ],
+    ids=["measure", "rational", "periodic", "pattern"],
+)
+def test_word_and_rational_text_past_the_int_digit_cap_is_a_short_usage_error(capsys, argv):
+    # refused in one short line that names the cap, not echoed whole
+    code, out, err = run(capsys, *argv)
+    _one_line_usage_error(code, out, err)
+    assert len(err.encode()) <= 200, err
+    assert f"has {len(NINES)} digits in a row; at most {INT_DIGIT_CAP} are allowed" in err
 
 
 @pytest.mark.parametrize("text", ["0.5e-999999999", "5e999999999"])

@@ -9,7 +9,6 @@ classification, boundary term and all.
 import itertools
 import random
 import tracemalloc
-from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -30,7 +29,7 @@ from cflab import (
     source_periodic,
     source_rational,
 )
-from cflab.stats import COUNT_WINDOW, _encode
+from cflab.stats import COUNT_WINDOW, _planes
 
 
 def naive_overlap(digits, w):
@@ -331,33 +330,27 @@ def test_frequency_report_fold_matches_list_counts(case):
 @settings(max_examples=300, deadline=None)
 @given(fold_cases(st.sampled_from([1, 2, 254, 255, 256, 10**20])))
 def test_frequency_report_fold_counts_digits_past_a_byte(case):
-    # windows are counted as bytes with 255 standing for every digit >= 255,
-    # and a pattern holding such a digit is counted on the digit list instead
+    # digits of 255 and up, and their patterns, are counted on the same
+    # byte planes as small ones
     check_fold(case)
 
 
-def clamp(digits):
-    return bytes(d if d < 255 else 255 for d in digits)
+def digits_of(planes):
+    return [sum(b << 8 * j for j, b in enumerate(column)) for column in zip(*planes)]
 
 
 @pytest.mark.parametrize(
     "window",
     [[], [1], [254], [255], [256], [65535], [65536], [2**24], [2**32 - 1], [2**32], [2**70],
      [1, 254, 255, 256, 65535, 65536, 2**24, 2**32 - 1, 3],
-     # a long window that one digit past the array cell sends to the fallback
+     # a long window that one digit past the array cell sends to int.to_bytes
      list(range(1, 9000)) + [2**40] + [256, 2**32 - 1] * 2000],
 )
-def test_encode_clamps_every_digit_past_a_byte_to_255(window):
-    assert _encode(window) == clamp(window)
-
-
-def test_encode_falls_back_past_the_array_cell():
-    # a digit of 2**32 or more does not fit an unsigned array cell, so the
-    # window takes the per-digit clamp and still reads each such digit as 255
-    with pytest.raises(OverflowError):
-        array("I", [2**32])
-    window = [7, 2**32, 300, 2**70, 255, 1]
-    assert _encode(window) == bytes([7, 255, 255, 255, 255, 1])
+def test_planes_hold_each_digits_bytes(window):
+    # as many planes as the widest digit has bytes, past the array cell too
+    planes = _planes([b""], window)
+    assert digits_of(planes) == window
+    assert len(planes) == max(1, -(-max(window, default=0).bit_length() // 8))
 
 
 # small digits, one nonzero byte at any place of a 32-bit cell, any 32-bit
@@ -372,18 +365,43 @@ magnitudes = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(magnitudes, max_size=80))
-def test_encode_is_the_per_digit_clamp_on_mixed_magnitudes(window):
-    assert _encode(window) == clamp(window)
+@given(
+    st.lists(magnitudes, max_size=40),
+    st.lists(magnitudes, min_size=1, max_size=40),
+    st.integers(0, 3),
+)
+def test_planes_carry_the_seam_across_widths(before, fresh, seam):
+    # the carried planes may be wider or narrower than the fresh digits'
+    carry = [p[max(0, len(p) - seam) :] for p in _planes([b""], before)]
+    kept = before[max(0, len(before) - seam) :]
+    assert digits_of(_planes(carry, fresh)) == kept + fresh
+
+
+pattern_digits = st.sampled_from([1, 2, 255, 256, 2**32 - 1, 2**32, 2**40, 2**40 + 1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.one_of(st.sampled_from([1, 2, 255, 256, 2**32 - 1]), magnitudes), max_size=60),
-    st.lists(st.sampled_from([1, 2, 255, 256, 2**32 - 1]), min_size=1, max_size=3).map(tuple),
+    st.lists(st.one_of(pattern_digits, magnitudes), max_size=60),
+    st.lists(pattern_digits, min_size=1, max_size=3).map(tuple),
+)
+# windows of 7: digits below a byte, then past the array cell with a seam
+# into both; the pattern digit is wider than the first window's planes, and
+# its low byte is a digit there
+@example(
+    [1, 2, 1, 1, 3, 1, 1]
+    + [2**40 + 1, 1, 2**40 + 2**32 + 1, 1, 2**40, 1, 2**40 + 1]
+    + [1, 2, 2**40 + 257, 1, 1, 3, 1],
+    (2**40 + 1, 1),
+)
+# digits that agree with 256 on every plane but one, in an array window and
+# in one past the array cell
+@example(
+    [256, 1, 512, 1, 256 + 2**16, 1, 256] + [1, 256 + 2**32, 1, 2**40 + 256, 1, 256, 1],
+    (256, 1),
 )
 def test_frequency_report_over_mixed_magnitudes_matches_list_counts(digits, w):
-    # the fold reads encoded windows, the list counters the digits themselves
+    # the fold reads byte planes, the list counters the digits themselves
     n = len(digits)
     assume(n >= len(w))
     modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]

@@ -357,6 +357,22 @@ def test_batched_extractor_unreduced_boundary_endpoints(batch_bits, lo_n, lo_d, 
     assert got == list(one_step_interval_digits(lo_n, lo_d, hi_n, hi_d))
 
 
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (Fraction(3, 5), Fraction(3, 2)),
+        (1 - Fraction(1, 2**3000), 1 + Fraction(1, 2**3000)),  # past 1 by a hair
+        (1 - Fraction(1, 2**3000), Fraction(5, 4)),
+    ],
+)
+def test_batched_extractor_interval_past_one_yields_no_digit(batch_bits, lo, hi):
+    # floor(1/x) is 0 past 1, so no digit holds on all of the interval; the
+    # endpoints are scaled past EXTRACT_BITS so a batch, not an exact step, meets it
+    scale = 1 << 4000
+    ends = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    assert _interval_digits(*(e * scale for e in ends)) == []
+
+
 @pytest.mark.parametrize("width", BATCH_WIDTHS, ids=lambda b: f"batch{b or 'default'}")
 @settings(max_examples=40, deadline=None)
 @given(w=st.lists(st.integers(1, 50), min_size=20, max_size=200), upper=st.booleans())

@@ -60,6 +60,11 @@ def quote(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
+def shown(n: int, spec: str = "") -> str:
+    """n formatted by spec, or "over 10**18" or "under -10**18", so a message stays short."""
+    return format(n, spec) if abs(n) <= 10**18 else ("over " if n > 0 else "under -") + "10**18"
+
+
 def bad_text(kind: str, text: str, need: str = "") -> UsageError:
     """The error for `kind` text that does not parse, in one short line.
 
@@ -150,8 +155,8 @@ def convergent_pair(w: Word) -> Pair:
 
     Seeds p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0; then p_i = a_i p_{i-1} +
     p_{i-2}, and likewise for q.  This is the package's one recurrence:
-    values, cylinder endpoints, cylinder measures and `iter_word_pairs` all
-    read it.
+    values, cylinder endpoints, cylinder measures and `iter_prefix_pairs`
+    all read it.
 
     p_n/q_n is the word's value.  Raising the last digit by one gives
     (p_n + p_{n-1})/(q_n + q_{n-1}), the cylinder's other endpoint.  Each
@@ -186,15 +191,25 @@ def cylinder_interval(w: Word) -> CylinderInterval:
     return CylinderInterval(w, lo, hi)
 
 
-def dominance_holds(n: Word, pair: Pair) -> bool:
-    """q([0;1,1,n]) > q([0;1,n,1]), read off pair = convergent_pair(n).
+def one_word_row(w: Word) -> tuple[Pair, int, range]:
+    """The row of w alone, on which each row check decides w: its prefix's pair, |w| % 2, w[-1]."""
+    _require_nonempty(w)
+    return _extend(_EMPTY_PAIR, w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)
 
-    With (p, q, p', q') = pair, prepending a digit 1 maps (p, q) to
-    (q, q + p) and appending one adds (p', q'), so q([0;1,1,n]) = 2q + p and
-    q([0;1,n,1]) = q + p + q' + p'.
+
+def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first a with q([0;1,1,u,a]) <= q([0;1,u,a,1]), or None.
+
+    pair = convergent_pair(u); `odd` does not enter.  With (P, Q, p, q) the
+    pair of n = u.a, prepending a 1 maps (P, Q) to (Q, Q + P) and appending
+    one adds (p, q), so q([0;1,1,n]) = 2Q + P > Q + P + q + p = q([0;1,n,1])
+    iff Q = a q + q' > q + p.
     """
     p, q, p_prev, q_prev = pair
-    return 2 * q + p > q + p + q_prev + p_prev
+    for a in lasts:
+        if a * q + q_prev <= q + p:
+            return lasts.index(a)
+    return None
 
 
 def denominator_dominance(n: Word) -> bool:
@@ -206,7 +221,7 @@ def denominator_dominance(n: Word) -> bool:
     _require_nonempty(n)
     if n[-1] < 2:
         raise ValueError("last digit must be >= 2")
-    return dominance_holds(n, convergent_pair(n))
+    return dominance_row(*one_word_row(n)) is None
 
 
 def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
@@ -221,29 +236,37 @@ def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
         yield from itertools.product(range(1, max_digit + 1), repeat=length)
 
 
-def iter_word_pairs(
-    max_digit: int,
-    max_len: int,
-    min_len: int = 1,
-    head: Pair = _EMPTY_PAIR,
-    last: range | None = None,
-) -> Iterator[tuple[Word, Pair]]:
-    """Yield (w, convergent_pair(u + w)) for w in iter_words(max_digit, max_len) order.
+def iter_prefix_pairs(max_digit: int, depth: int, head: Pair = _EMPTY_PAIR) -> Iterator[Pair]:
+    """Yield convergent_pair(h + u) for u in itertools.product(1..max_digit, repeat=depth) order.
 
-    u is the word whose pair is `head`, the empty word by default, so the
-    pair is then convergent_pair(w).  Words shorter than min_len are left
-    out, and so are words whose last digit is not in `last`, a range within
-    1..max_digit (all of it by default); min_len = 0 yields ((), head)
-    first.  Each prefix's recurrence runs once and is extended by one step
-    for each of its last digits, so a word costs one recurrence step plus
-    its prefix's share, and a left-out last digit costs nothing.
+    h is the word whose pair is `head`, the empty word by default.  The walk
+    holds one prefix's digits and pair, so no depth meets the recursion
+    limit.  Raising the last digit of v.a adds (p', q') to (p, q) of its
+    pair (p, q, p', q'); past max_digit the walk climbs by the inverse step
+    to (p', q', p - a p', q - a q') of v, then comes down by digits 1.
     """
-    digits = range(1, max_digit + 1)
-    lasts = digits if last is None else last
-    if min_len == 0:
-        yield (), head
-    for length in range(max(min_len, 1), max_len + 1):
-        for prefix in itertools.product(digits, repeat=length - 1):
-            p, q, p_prev, q_prev = _extend(head, prefix)
-            for a in lasts:
-                yield prefix + (a,), (a * p + p_prev, a * q + q_prev, p, q)
+    if depth == 0:
+        yield head
+        return
+    if max_digit < 1:
+        return
+    path = [1] * depth  # the digits of the current prefix
+    p, q, p_prev, q_prev = _extend(head, path)
+    while True:
+        yield p, q, p_prev, q_prev
+        for _ in range(1, max_digit):
+            p, q = p + p_prev, q + q_prev
+            yield p, q, p_prev, q_prev
+        path[-1] = max_digit
+        j = depth - 2  # the deepest digit that can still be raised
+        while j >= 0 and path[j] == max_digit:
+            j -= 1
+        if j < 0:
+            return
+        for a in path[:j:-1]:
+            p, q, p_prev, q_prev = p_prev, q_prev, p - a * p_prev, q - a * q_prev
+        path[j] += 1
+        p, q = p + p_prev, q + q_prev
+        for k in range(j + 1, depth):
+            path[k] = 1
+            p, q, p_prev, q_prev = p + p_prev, q + q_prev, p, q

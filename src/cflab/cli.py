@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .cfcore import UsageError, parse_word
-from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, run_pillai, run_subsequence
+from .cfcore import UsageError, parse_word, shown
+from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, check_n, run_pillai, run_subsequence
 from .reports import render_json, render_measure, render_report
 from .streams import limit, parse_source_spec
 from .verify import SUITES, run_suite
@@ -174,7 +174,8 @@ def _write_digits(source, out) -> None:
 
 def _cmd_expand(args) -> int:
     if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
+        raise UsageError(f"--n must be >= 0, got {shown(args.n)}")
+    check_n(args.n)
     source = limit(parse_source_spec(args.source, seed=args.seed), args.n)
     if args.out:
         with _user_file(), open(args.out, "w", encoding="utf-8", newline="") as out:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cfcore import UsageError, Word, format_word
+from .cfcore import UsageError, Word, format_word, shown
 from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
 from .streams import parse_source_spec
@@ -21,6 +21,15 @@ VERDICT_NON_NORMAL = "NON_NORMAL"
 # Most rows a report may hold (checkpoints x patterns x modes); a report of
 # 10**4 rows peaks at about 39 MB (Python 3.11).
 MAX_REPORT_ROWS = 10**4
+# Most digits a run may draw (pillai, subsequence, expand): random: digits
+# take about 0.5 us each (2 vCPU, Python 3.11), so 10**8 about a minute.
+MAX_N = 10**8
+
+
+def check_n(n: int) -> None:
+    """Refuse, before any digit is drawn, a run that would draw more than MAX_N digits."""
+    if n > MAX_N:
+        raise UsageError(f"n must be at most {MAX_N:,}, got {shown(n, ',')}")
 
 
 @dataclass
@@ -37,6 +46,7 @@ class ExperimentConfig:
     jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
 
     def __post_init__(self) -> None:
+        check_n(self.n)
         # a NaN or non-positive tolerance would flag every pattern whatever the data
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")

@@ -15,27 +15,26 @@ prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'), and
 appending a 1 maps it to (p + p', q + q', p, q).
 
 For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
-a*d == c*b, so `reversal_holds` and `pairwise_holds` decide equality or
-strict order on one word's pair by cross-multiplying kernel values,
-exactly, without reducing either one.  The word predicates
-`reversal_equality_check` and `pairwise_cylinder_inequality` validate a
-word and call them on its pair; `verify` scans call them on the pairs of
-`iter_word_pairs`.  The joint measure reads both ends of its bracket off
-one walk of the same enumerator, the leaves' cylinders and the inner
-nodes' exact child tails, and multiplies each in a balanced product tree;
-only reports and `measure_of_cylinder` see reduced Fractions.
+a*d == c*b, so the row checks `reversal_row` and `pairwise_row` decide
+equality or strict order by cross-multiplying kernel values, exactly.  A
+row is the words u.a of one prefix u, for the last digits a in a range,
+and its check returns the index of the first failing word, or None.  The
+word predicates call them on the one-word row, the `verify` scans on the
+prefixes of `iter_prefix_pairs`.  The joint measure reads both ends of its
+bracket off walks of the same enumerator, the inner nodes' exact child
+tails and the leaves' cylinders, and multiplies each in a balanced product
+tree; only reports and `measure_of_cylinder` see reduced Fractions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .cfcore import Pair, UsageError, Word, convergent_pair, iter_word_pairs
+from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, one_word_row
 
 _ONE = Fraction(1)
 # The cap on the middle digits of a joint measure when the caller sets none.
@@ -124,34 +123,44 @@ def unenumerated_children_measure(w: Word, n_max: int) -> LogRational:
     return LogRational(Fraction(*_cylinder_arg(w, n_max + 1)))
 
 
-def reversal_holds(w: Word, pair: Pair) -> bool:
-    """gamma(C_w) == gamma(C_reversed(w)), read off pair = convergent_pair(w).
+def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first a with gamma(C_w) != gamma(C_reversed(w)), w = u.a, or None.
 
-    The reversed word's pair is `pair` with p and q' swapped.
+    pair = convergent_pair(u) and odd = |w| % 2.  The pair of w is
+    (P, Q, p, q) with P = a p + p', Q = a q + q', and swapping P and q gives
+    the reversed word's.
     """
     p, q, p_prev, q_prev = pair
-    odd = len(w) % 2
-    num, den = _arg(p, q, p_prev, q_prev, odd)
-    rev_num, rev_den = _arg(q_prev, q, p_prev, p, odd)
-    return num * rev_den == rev_num * den
+    for a in lasts:
+        p_w, q_w = a * p + p_prev, a * q + q_prev
+        num, den = _arg(p_w, q_w, p, q, odd)
+        rev_num, rev_den = _arg(q, q_w, p, p_w, odd)
+        if num * rev_den != rev_num * den:
+            return lasts.index(a)
+    return None
 
 
-def pairwise_holds(n: Word, pair: Pair) -> bool:
-    """The pairwise relation of C_[1,n,1] and C_[1,1,n], read off pair = convergent_pair(n).
+def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first padding word n = u.a failing the pairwise relation, or None.
 
-    Both words have the parity of n.  The pair of 1.n.1 is the prepend-1
-    map followed by the append-1 map; that of 1.1.n is the prepend-1 map
-    twice.  Last digit 1: with n = m.1, rev(1.m.1.1) = 1.1.rev(m).1, so
-    the relation is the reversal check on the pair of 1.n.1.
+    pair = convergent_pair(u), and odd = |n| % 2 is also the parity of
+    1.n.1 and 1.1.n.  With (P, Q, p, q) the pair of n, that of 1.n is
+    (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's and the prepend-1
+    map 1.1.n's.  With n = u.1, rev(1.u.1.1) = 1.1.rev(u).1, so the
+    relation is the reversal check on the one-word row of 1.n.1.
     """
     p, q, p_prev, q_prev = pair
-    outer = (q + q_prev, q + p + q_prev + p_prev, q, q + p)
-    if n[-1] == 1:
-        return reversal_holds(n, outer)
-    odd = len(n) % 2
-    left_num, left_den = _arg(*outer, odd)
-    right_num, right_den = _arg(q + p, 2 * q + p, q_prev + p_prev, 2 * q_prev + p_prev, odd)
-    return left_num * right_den > right_num * left_den
+    for a in lasts:
+        p_n, q_n = a * p + p_prev, a * q + q_prev
+        if a == 1:
+            failed = reversal_row((q_n, q_n + p_n, q, q + p), odd, range(1, 2)) is not None
+        else:
+            left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
+            right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
+            failed = left_num * right_den <= right_num * left_den
+        if failed:
+            return lasts.index(a)
+    return None
 
 
 def pairwise_cylinder_inequality(n: Word) -> bool:
@@ -161,14 +170,12 @@ def pairwise_cylinder_inequality(n: Word) -> bool:
     digit 1: with n = m + (1,), the term pairs off exactly against its
     reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
     """
-    if len(n) == 0:
-        raise ValueError("padding word must be non-empty")
-    return pairwise_holds(n, convergent_pair(n))
+    return pairwise_row(*one_word_row(n)) is None
 
 
 def reversal_equality_check(w: Word) -> bool:
     """True iff gamma(C_w) == gamma(C_reversed(w)) exactly."""
-    return reversal_holds(w, convergent_pair(w))
+    return reversal_row(*one_word_row(w)) is None
 
 
 def _log2_outward(x: Fraction, direction: int) -> float:
@@ -246,9 +253,9 @@ def _product_tree(terms: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
-    """Bracket gamma(C_[1] intersect T^-k C_[1]) by one walk of the middle digits.
+    """Bracket gamma(C_[1] intersect T^-k C_[1]) by walks of the middle digits.
 
-    The walk visits each 1.u with digits <= cap and |u| <= k-1.  lower sums
+    The walks visit each 1.u with digits <= cap and |u| <= k-1.  lower sums
     gamma(C_[1,u,1]) over the leaves, |u| = k-1.  tail_bound sums over the
     inner nodes the child tail `unenumerated_children_measure((1,) + u, cap)`,
     which holds each C_[1,u,a,...,1] with a > cap: every omitted middle lies
@@ -272,13 +279,16 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
             f"cap**(k-1) = {cap}**{k - 1} middle words, "
             f"more than the limit of {MAX_MIDDLE_WORDS}"
         )
-    pairs = iter_word_pairs(cap, k - 1, min_len=0, head=convergent_pair((1,)))
-    # the walk yields the inner nodes 1.u, shortest first, before any leaf
-    inner = itertools.islice(pairs, sum(cap**j for j in range(k - 1)))
-    tail = _product_tree(_arg(*pair, (1 + len(u)) % 2, cap + 1) for u, pair in inner)
-    # the pairs of 1.middle, closed by the append-1 map into those of 1.middle.1
+    head = convergent_pair((1,))
+    tail = _product_tree(
+        _arg(*pair, (1 + depth) % 2, cap + 1)
+        for depth in range(k - 1)
+        for pair in iter_prefix_pairs(cap, depth, head)
+    )
+    # the pairs of the leaves 1.u, closed by the append-1 map into those of 1.u.1
     odd = (k - 1) % 2
     lower = _product_tree(
-        _arg(p + p_prev, q + q_prev, p, q, odd) for _, (p, q, p_prev, q_prev) in pairs
+        _arg(p + p_prev, q + q_prev, p, q, odd)
+        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, k - 1, head)
     )
     return BoundedMeasure(LogRational(lower), LogRational(tail))

@@ -2,12 +2,13 @@
 
 Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
-bounds.  The exact suites pass one plain check over (word, convergent
-pair) to `_scan`, which walks `iter_word_pairs` in `iter_words` order, so
-each word costs one recurrence step plus the integer kernel, and reports
-the first counterexample with the offending word; none is ever expected.
-Bounds whose family holds more than MAX_WORDS words are refused before
-the scan.
+bounds.  The exact suites pass one row check to `_scan`, which walks the
+family in `iter_words` order a row at a time: the words u.a of one prefix
+u, whose pair comes from `iter_prefix_pairs`.  So a word costs one
+recurrence step plus the integer kernel, and a word tuple is built only
+for the first counterexample; none is ever expected.  Bounds whose family
+holds more than MAX_WORDS words, or MAX_WORD_DIGITS digits in all, are
+refused before the scan.
 `SUITES` maps each suite name to its runner and the options that runner
 reads, `run_suite` refuses any other option, and every result renders its
 own summary line and `--out` report, so the CLI holds no per-suite schema
@@ -16,17 +17,18 @@ and no default.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .cfcore import UsageError, Word, dominance_holds, format_word, iter_word_pairs
+from .cfcore import UsageError, Word, dominance_row, format_word, iter_prefix_pairs, shown
 from .measure import (
     DEFAULT_CAP,
     BoundedMeasure,
     joint_pattern_measure,
     measure_of_cylinder,
-    pairwise_holds,
-    reversal_holds,
+    pairwise_row,
+    reversal_row,
 )
 from .reports import bounded_measure_report
 
@@ -37,6 +39,11 @@ MAX_LEN = 3
 # length <= 6, holds 299,592; 10**7 reversal words take about 20 s (2 vCPU,
 # Python 3.11).
 MAX_WORDS = 10**7
+# Most digits a scan's family may hold, the sum of L * max_digit**L: at
+# digit 1 each length walks its whole path again on longer integers, so the
+# work grows like max_len**3, and length <= 4000 (8,002,000 digits) takes
+# about 4 s (2 vCPU, Python 3.11).  The bench's 8/6 family holds 1,754,760.
+MAX_WORD_DIGITS = 10**7
 
 
 @dataclass(frozen=True)
@@ -66,74 +73,68 @@ class VerifyResult:
         }
 
 
-def _scan(suite: str, pairs, check, detail: str) -> VerifyResult:
-    """Run `check(w, pair)` over (word, pair) items lazily and report the first failing word.
+def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
+    """Refuse bounds whose family, max_digit**L words of each length L <= max_len, is too big."""
+    if max_digit < 2:
+        words = max(0, max_len) if max_digit == 1 else 0  # one word of each length, or none
+        digits = words * (words + 1) // 2
+    else:
+        # 64 terms pass 10**18 at any digit >= 2, so a huge max_len costs nothing
+        lengths = range(1, min(max_len, 64) + 1)
+        words = sum(max_digit**length for length in lengths)
+        digits = sum(length * max_digit**length for length in lengths)
+    bounds = f"{suite}: digits <= {shown(max_digit)}, length <= {shown(max_len)} give"
+    if words > MAX_WORDS:
+        raise UsageError(f"{bounds} {shown(words, ',')} words; a scan checks at most {MAX_WORDS:,}")
+    if digits > MAX_WORD_DIGITS:
+        raise UsageError(
+            f"{bounds} words of {shown(digits, ',')} digits in all; "
+            f"a scan checks at most {MAX_WORD_DIGITS:,}"
+        )
 
-    The scan stops at the first failure in enumeration order, and `checked`
-    counts the words examined up to and including it.  A family with no
-    words is a usage error, not a vacuous pass.
+
+def _scan(suite: str, max_digit: int, max_len: int, check, first: int = 1) -> VerifyResult:
+    """Run the row check over the family and report its first failing word.
+
+    The family is the words of digits <= max_digit and lengths <= max_len
+    whose last digit is at least `first`, in iter_words order.  Each prefix
+    u is a row: check(convergent_pair(u), |u.a| % 2, lasts) is the index in
+    lasts = range(first, max_digit + 1) of the first failing word u.a, or
+    None.  `checked` counts the words up to and including the first
+    failure.  A family with no words is a usage error, not a vacuous pass.
     """
+    detail = f"digits <= {shown(max_digit)}, length <= {shown(max_len)}"
+    if first > 1:
+        detail += f", last digit >= {first}"
+    _refuse_large(suite, max_digit, max_len)
+    lasts = range(first, max_digit + 1)
     checked = 0
-    for w, pair in pairs:
-        checked += 1
-        if not check(w, pair):
-            return VerifyResult(suite, False, checked, w, detail)
+    for length in range(1, max_len + 1) if lasts else ():
+        for row, pair in enumerate(iter_prefix_pairs(max_digit, length - 1)):
+            failed = check(pair, length % 2, lasts)
+            if failed is not None:
+                prefixes = itertools.product(range(1, max_digit + 1), repeat=length - 1)
+                w = next(itertools.islice(prefixes, row, None)) + (lasts[failed],)
+                return VerifyResult(suite, False, checked + failed + 1, w, detail)
+            checked += len(lasts)
     if not checked:
         raise UsageError(f"{suite}: no words to check with {detail}")
     return VerifyResult(suite, True, checked, None, detail)
 
 
-def _shown(n: int, spec: str = "") -> str:
-    """n formatted by spec, or "over 10**18" past that, so a message stays one short line."""
-    return format(n, spec) if n <= 10**18 else "over 10**18"
-
-
-def _family(suite: str, max_digit: int, max_len: int, last: range | None = None):
-    """iter_word_pairs over the bounds, refused if they hold more than MAX_WORDS words.
-
-    The bounds hold the sum over 1 <= L <= max_len of max_digit**L words.
-    """
-    if max_digit < 2:
-        size = max(0, max_digit) * max(0, max_len)  # one word of each length, or none
-    else:
-        # 64 terms pass 10**18 at any digit >= 2, so a huge max_len costs nothing
-        size = sum(max_digit**length for length in range(1, min(max_len, 64) + 1))
-    if size > MAX_WORDS:
-        raise UsageError(
-            f"{suite}: digits <= {_shown(max_digit)}, length <= {_shown(max_len)} "
-            f"give {_shown(size, ',')} words; a scan checks at most {MAX_WORDS:,}"
-        )
-    return iter_word_pairs(max_digit, max_len, last=last)
-
-
 def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
-    return _scan(
-        "reversal",
-        _family("reversal", max_digit, max_len),
-        reversal_holds,
-        f"digits <= {max_digit}, length <= {max_len}",
-    )
+    return _scan("reversal", max_digit, max_len, reversal_row)
 
 
 def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """Denominator dominance for every word with last digit >= 2."""
-    return _scan(
-        "dominance",
-        _family("dominance", max_digit, max_len, last=range(2, max_digit + 1)),
-        dominance_holds,
-        f"digits <= {max_digit}, length <= {max_len}, last digit >= 2",
-    )
+    return _scan("dominance", max_digit, max_len, dominance_row, first=2)
 
 
 def run_pairwise(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
-    return _scan(
-        "pairwise",
-        _family("pairwise", max_digit, max_len),
-        pairwise_holds,
-        f"digits <= {max_digit}, length <= {max_len}",
-    )
+    return _scan("pairwise", max_digit, max_len, pairwise_row)
 
 
 def joint_k2_oracle() -> float:

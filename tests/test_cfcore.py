@@ -6,6 +6,8 @@ convergent recomputation); the code under test never generates its own
 expected values.
 """
 
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from cflab import (
     value_of,
     word,
 )
-from cflab.cfcore import convergent_pair, iter_word_pairs
+from cflab.cfcore import convergent_pair, iter_prefix_pairs
 
 
 def nested_value(w):
@@ -188,43 +190,24 @@ def test_cylinder_nesting():
             assert child.width < parent.width
 
 
-def test_word_pairs_follow_iter_words_with_their_convergent_pairs():
-    # iter_words is the reference order; every pair is the recurrence run from
-    # scratch, and from the pair of a head word u, each pair is that of u + w
+def test_prefix_pairs_follow_product_order_with_their_convergent_pairs():
+    # itertools.product is the reference order; every pair is the recurrence
+    # run from scratch, and from the pair of a head word h, that of h + u
     head = (3, 1)
     for max_digit in range(0, 6):
-        for max_len in range(0, 5):
-            words = list(iter_words(max_digit, max_len))
-            pairs = list(iter_word_pairs(max_digit, max_len))
-            assert [w for w, _ in pairs] == words
-            for w, pair in pairs:
-                assert pair == convergent_pair(w), w
-            headed = list(
-                iter_word_pairs(max_digit, max_len, min_len=2, head=convergent_pair(head))
-            )
-            assert [w for w, _ in headed] == [w for w in words if len(w) >= 2]
-            for w, pair in headed:
-                assert pair == convergent_pair(head + w), w
-            # min_len = 0 puts the empty word and the head's own pair first
-            h = convergent_pair(head)
-            assert list(iter_word_pairs(max_digit, max_len, min_len=0, head=h)) == [
-                ((), h)
-            ] + list(iter_word_pairs(max_digit, max_len, head=h))
+        for depth in range(0, 5):
+            prefixes = list(itertools.product(range(1, max_digit + 1), repeat=depth))
+            expected = [convergent_pair(u) if u else (0, 1, 1, 0) for u in prefixes]
+            assert list(iter_prefix_pairs(max_digit, depth)) == expected
+            headed = list(iter_prefix_pairs(max_digit, depth, convergent_pair(head)))
+            assert headed == [convergent_pair(head + u) for u in prefixes]
 
 
-@pytest.mark.parametrize("lo,hi", [(1, None), (2, None), (3, None), (2, 2), (4, 3), (1, 0)])
-def test_word_pairs_with_a_range_of_last_digits_are_iter_words_filtered(lo, hi):
-    # leaving a last digit out of the range drops exactly the words ending in
-    # it, in iter_words order, and every other word keeps its pair
-    for max_digit in range(0, 6):
-        top = max_digit if hi is None else min(hi, max_digit)  # within 1..max_digit
-        last = range(lo, top + 1)
-        for max_len in range(0, 5):
-            words = [w for w in iter_words(max_digit, max_len) if w[-1] in last]
-            pairs = list(iter_word_pairs(max_digit, max_len, last=last))
-            assert [w for w, _ in pairs] == words
-            for w, pair in pairs:
-                assert pair == convergent_pair(w), w
+def test_prefix_walk_goes_past_the_recursion_limit():
+    # one list of the path, not one generator per depth
+    depth = sys.getrecursionlimit() + 10
+    assert list(iter_prefix_pairs(1, depth)) == [convergent_pair((1,) * depth)]
+    assert next(iter_prefix_pairs(2, depth)) == convergent_pair((1,) * depth)
 
 
 # ------------------------------------------------- denominator dominance

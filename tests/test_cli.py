@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import cflab
-from cflab import verify
+from cflab import cli, experiments, verify
+from cflab.cfcore import convergent_pair
 from cflab.cli import main
 
 
@@ -212,6 +213,28 @@ def test_verify_family_past_the_word_limit_is_a_quick_usage_error(capsys, suite)
     assert "give 1,001,001,001,001,000 words; a scan checks at most 10,000,000" in err
 
 
+@pytest.mark.parametrize("suite", ["reversal", "dominance", "pairwise"])
+def test_verify_family_past_the_digit_limit_is_a_quick_usage_error(capsys, monkeypatch, suite):
+    # one word per length passes the word limit; the digits they hold do not
+    def walk(*args):
+        raise AssertionError("the walk was entered")
+
+    monkeypatch.setattr(verify, "iter_prefix_pairs", walk)
+    code, out, err = run(capsys, "verify", suite, "--max-digit", "1", "--max-len", "5000")
+    _one_line_usage_error(code, out, err)
+    assert "give words of 12,502,500 digits in all; a scan checks at most 10,000,000" in err
+
+
+@pytest.mark.parametrize("suite", ["reversal", "dominance", "pairwise"])
+@pytest.mark.parametrize("flag", ["--max-digit", "--max-len"])
+def test_verify_bound_of_4000_digits_is_one_short_line(capsys, suite, flag):
+    bounds = {"--max-digit": "2", "--max-len": "2", flag: "-" + "9" * 4000}
+    code, out, err = run(capsys, "verify", suite, *[t for kv in bounds.items() for t in kv])
+    _one_line_usage_error(code, out, err)
+    assert "no words to check" in err and "under -10**18" in err
+    assert len(err.encode()) <= 200
+
+
 def _scan_report(suite, passed, checked, counterexample, detail):
     # the --out schema of the predicate scans, spelled out byte by byte
     counterexample = "null" if counterexample is None else f'"{counterexample}"'
@@ -227,21 +250,26 @@ def _scan_report(suite, passed, checked, counterexample, detail):
 
 
 SCAN_CASES = [
-    # suite, pair-level check, family size at digits <= 3 and length <= 3, index of (2,3) in it
-    ("reversal", "reversal_holds", 39, 9, "digits <= 3, length <= 3"),
-    ("dominance", "dominance_holds", 26, 6, "digits <= 3, length <= 3, last digit >= 2"),
-    ("pairwise", "pairwise_holds", 39, 9, "digits <= 3, length <= 3"),
+    # suite, row check, family size at digits <= 3 and length <= 3, index of (2,3) in it
+    ("reversal", "reversal_row", 39, 9, "digits <= 3, length <= 3"),
+    ("dominance", "dominance_row", 26, 6, "digits <= 3, length <= 3, last digit >= 2"),
+    ("pairwise", "pairwise_row", 39, 9, "digits <= 3, length <= 3"),
 ]
 
 
-@pytest.mark.parametrize("suite,predicate,size,at,detail", SCAN_CASES)
+@pytest.mark.parametrize("suite,check,size,at,detail", SCAN_CASES)
 @pytest.mark.parametrize("fails", [False, True])
 def test_verify_scan_report_bytes(
-    capsys, tmp_path, monkeypatch, suite, predicate, size, at, detail, fails
+    capsys, tmp_path, monkeypatch, suite, check, size, at, detail, fails
 ):
     if fails:
-        real = getattr(verify, predicate)
-        monkeypatch.setattr(verify, predicate, lambda w, pair: w != (2, 3) and real(w, pair))
+        real = getattr(verify, check)
+        row_of_2 = convergent_pair((2,))  # the prefix of the row that holds 2,3
+
+        def fail_at_2_3(pair, odd, lasts):
+            return lasts.index(3) if pair == row_of_2 else real(pair, odd, lasts)
+
+        monkeypatch.setattr(verify, check, fail_at_2_3)
     out_path = tmp_path / "scan.json"
     argv = ["verify", suite, "--max-digit", "3", "--max-len", "3", "--out", str(out_path)]
     code, out, err = run(capsys, *argv)
@@ -789,6 +817,46 @@ def test_report_row_limit_boundary(capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--n", "101")
     _one_line_usage_error(code, out, err)
     assert "the report would have 22 rows, more than 20" in err
+
+
+def _no_source(monkeypatch):
+    """Make building any source fail, so a run that would draw digits fails at once."""
+
+    def build(*args, **kwargs):
+        raise AssertionError("a source was built")
+
+    monkeypatch.setattr(cli, "parse_source_spec", build)
+    monkeypatch.setattr(experiments, "parse_source_spec", build)
+
+
+DRAWS = [
+    ["pillai", "--source", "periodic:,1", "--pattern", "1", "--n"],
+    ["subsequence", "--source", "periodic:,1", "--n"],
+    ["expand", "periodic:,1", "--n"],
+]
+
+
+@pytest.mark.parametrize("argv", DRAWS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "n", [10**8 + 1, int("9" * 30), int("9" * 4000)], ids=lambda n: f"{len(str(n))}-digits"
+)
+def test_n_past_the_draw_limit_is_refused_before_any_digit(capsys, monkeypatch, argv, n):
+    _no_source(monkeypatch)
+    code, out, err = run(capsys, *argv, str(n))
+    _one_line_usage_error(code, out, err)
+    assert err.startswith("error: n must be at most 100,000,000, got ")
+    assert len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("argv", DRAWS, ids=lambda argv: argv[0])
+def test_n_draw_limit_boundary(capsys, monkeypatch, argv):
+    monkeypatch.setattr(experiments, "MAX_N", 100)
+    code, out, err = run(capsys, *argv, "100")
+    assert code in (0, 1) and err == ""
+    _no_source(monkeypatch)
+    code, out, err = run(capsys, *argv, "101")
+    _one_line_usage_error(code, out, err)
+    assert "n must be at most 100, got 101" in err
 
 
 INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -1,41 +1,84 @@
-"""Verification scans: lazy enumeration, first counterexample, `checked` counts."""
+"""Verification scans: rows in iter_words order, first counterexample, `checked` counts, bounds."""
 
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cflab import UsageError, iter_words, verify
+from cflab import UsageError, iter_words, measure_of_cylinder, reverse, verify
+from cflab.cfcore import convergent_pair, one_word_row
 
 
+def _row_stand_in(real, family, bad, rows):
+    """`real` with the words of `bad` failing; each row checked is recorded in `rows`.
+
+    Each prefix of the family is found by its pair, as a row check sees it.
+    """
+    prefixes = {one_word_row(w)[0]: w[:-1] for w in family}
+
+    def check(pair, odd, lasts):
+        u = prefixes[pair]
+        assert odd == (len(u) + 1) % 2
+        rows.append([u + (a,) for a in lasts])
+        failed = [i for i, a in enumerate(lasts) if u + (a,) in bad]
+        return failed[0] if failed else real(pair, odd, lasts)
+
+    return check
+
+
+SCANS = [
+    (verify.run_reversal, "reversal_row", 1),
+    (verify.run_dominance, "dominance_row", 2),
+    (verify.run_pairwise, "pairwise_row", 1),
+]
+
+
+@pytest.mark.parametrize("runner,check_name,first", SCANS)
 @pytest.mark.parametrize(
-    "runner,check_name,family",
-    [
-        (verify.run_reversal, "reversal_holds", list(iter_words(3, 3))),
-        (
-            verify.run_dominance,
-            "dominance_holds",
-            [w for w in iter_words(3, 3) if w[-1] >= 2],
-        ),
-        (verify.run_pairwise, "pairwise_holds", list(iter_words(3, 3))),
-    ],
+    "where", ["family start", "row start", "row middle", "row end", "family end"]
 )
 def test_failed_scan_counts_words_up_to_the_first_counterexample(
-    monkeypatch, runner, check_name, family
+    monkeypatch, runner, check_name, first, where
 ):
-    bad = {family[9], family[20]}
-    seen = []
-
-    def check(w, pair):
-        seen.append(w)
-        return w not in bad
-
+    # digits <= 4: each row of the prefix (2, 1) holds 2,1,first .. 2,1,4
+    family = [w for w in iter_words(4, 3) if w[-1] >= first]
+    target = {
+        "family start": family[0],
+        "row start": (2, 1, first),
+        "row middle": (2, 1, first + 1),
+        "row end": (2, 1, 4),
+        "family end": family[-1],
+    }[where]
+    at = family.index(target)
+    rows = []
+    check = _row_stand_in(getattr(verify, check_name), family, {target, family[-1]}, rows)
     monkeypatch.setattr(verify, check_name, check)
-    result = runner(3, 3)
+    result = runner(4, 3)
     assert not result.passed
-    assert result.counterexample == family[9]
-    assert result.checked == 10 == len(seen)
-    assert seen == family[:10]
-    assert "10 cases checked" in result.summary()
+    assert result.counterexample == target
+    assert result.checked == at + 1
+    # the rows checked are the family's rows up to the failing one, in order
+    assert [w for row in rows for w in row][: at + 1] == family[: at + 1]
+    assert target in rows[-1]
+    assert f"{at + 1} cases checked" in result.summary()
+
+
+@pytest.mark.parametrize("first", [1, 2, 3, 6])
+@pytest.mark.parametrize("max_digit,max_len", [(0, 2), (1, 4), (3, 3), (5, 2), (2, 5)])
+def test_scan_rows_cover_the_family_in_iter_words_order(max_digit, max_len, first):
+    # the rows' words, concatenated, are iter_words with the last digits
+    # below `first` left out, and each row is given its prefix's pair
+    family = [w for w in iter_words(max_digit, max_len) if w[-1] >= first]
+    rows = []
+    check = _row_stand_in(lambda *row: None, list(iter_words(max_digit, max_len)), set(), rows)
+    if not family:
+        with pytest.raises(UsageError, match="no words to check"):
+            verify._scan("s", max_digit, max_len, check, first)
+        return
+    result = verify._scan("s", max_digit, max_len, check, first)
+    assert [w for row in rows for w in row] == family
+    assert result.passed and result.checked == len(family)
 
 
 def test_passing_scan_counts_the_whole_family():
@@ -79,3 +122,92 @@ def test_bounds_that_would_scan_for_years_are_refused_at_once(max_digit, max_len
     with pytest.raises(UsageError, match=re.escape(f"give {count} words")) as refused:
         verify.run_reversal(max_digit, max_len)
     assert len(str(refused.value)) < 120
+
+
+def _prefix_pair(u):
+    # convergent_pair of the empty word is the recurrence's seed
+    return convergent_pair(u) if u else (0, 1, 1, 0)
+
+
+def _first_failing(words, holds):
+    return next((i for i, w in enumerate(words) if not holds(w)), None)
+
+
+def _pairwise_oracle(n):
+    outer = measure_of_cylinder((1,) + n + (1,))
+    if n[-1] == 1:
+        return outer == measure_of_cylinder((1, 1) + reverse(n[:-1]) + (1,))
+    return outer > measure_of_cylinder((1, 1) + n)
+
+
+ORACLES = {
+    "reversal_row": lambda w: measure_of_cylinder(w) == measure_of_cylinder(reverse(w)),
+    # words ending in 1 are in the dominance rows here, and some of them fail
+    "dominance_row": lambda n: convergent_pair((1, 1) + n)[1] > convergent_pair((1,) + n + (1,))[1],
+    "pairwise_row": _pairwise_oracle,
+}
+digits = st.one_of(st.integers(1, 9), st.integers(1, 10**12))
+
+
+@pytest.mark.parametrize("check_name", sorted(ORACLES))
+@settings(max_examples=150, deadline=None)
+@given(u=st.lists(digits, max_size=8).map(tuple), lo=digits, size=st.integers(0, 12))
+@example(u=(), lo=1, size=3)
+@example(u=(1,), lo=1, size=2)
+@example(u=(2, 1), lo=1, size=4)
+def test_row_checks_match_a_per_word_oracle(check_name, u, lo, size):
+    # each word u.a of the row is decided from scratch by the oracle
+    lasts = range(lo, lo + size)
+    check = getattr(verify, check_name)
+    words = [u + (a,) for a in lasts]
+    expected = _first_failing(words, ORACLES[check_name])
+    assert check(_prefix_pair(u), (len(u) + 1) % 2, lasts) == expected
+
+
+@pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
+def test_family_past_the_digit_limit_is_refused_before_the_walk(monkeypatch, runner):
+    # at digit 1 a family has one word per length, so the word limit lets
+    # length 10**6 through, but its words hold 500,000,500,000 digits
+    def walk(*args):
+        raise AssertionError("the walk was entered")
+
+    monkeypatch.setattr(verify, "iter_prefix_pairs", walk)
+    with pytest.raises(UsageError, match="give words of 500,000,500,000 digits in all") as refused:
+        runner(1, 10**6)
+    assert str(refused.value).endswith(f"a scan checks at most {verify.MAX_WORD_DIGITS:,}")
+
+
+def test_digit_limit_boundary(monkeypatch):
+    # digits <= 3 and length <= 3: 3*1 + 9*2 + 27*3 = 102 digits
+    monkeypatch.setattr(verify, "MAX_WORD_DIGITS", 102)
+    assert verify.run_reversal(3, 3).passed
+    monkeypatch.setattr(verify, "MAX_WORD_DIGITS", 101)
+    refusal = "length <= 3 give words of 102 digits in all; a scan checks at most 101"
+    with pytest.raises(UsageError, match=refusal):
+        verify.run_reversal(3, 3)
+
+
+@pytest.mark.parametrize(
+    "max_digit,max_len",
+    [(8, 6), (6, 6), (8, 5), (4, 5), (5, 4), (5, 3)],
+)
+def test_bench_and_acceptance_families_are_inside_both_limits(max_digit, max_len):
+    words = sum(max_digit**length for length in range(1, max_len + 1))
+    digit_count = sum(length * max_digit**length for length in range(1, max_len + 1))
+    assert words <= verify.MAX_WORDS and digit_count <= verify.MAX_WORD_DIGITS
+
+
+@pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
+@pytest.mark.parametrize(
+    "max_digit,max_len,shown",
+    [
+        (-(10**4000), 2, "digits <= under -10**18, length <= 2"),
+        (3, -(10**30), "digits <= 3, length <= under -10**18"),
+        (10**30, 0, "digits <= over 10**18, length <= 0"),
+    ],
+    ids=["digit -10**4000", "length -10**30", "digit 10**30"],
+)
+def test_huge_bounds_of_either_sign_are_shown_short(runner, max_digit, max_len, shown):
+    with pytest.raises(UsageError, match="no words to check") as refused:
+        runner(max_digit, max_len)
+    assert shown in str(refused.value) and len(str(refused.value)) < 120

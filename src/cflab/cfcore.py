@@ -30,14 +30,13 @@ class UsageError(ValueError):
 
 
 class CylinderInterval(NamedTuple):
-    """Open interval of reals whose expansion starts with `word`.
+    """Open interval of reals whose expansion starts with a word a1..an.
 
     Endpoints are [0; a1..an] and [0; a1..an+1]; which one is the word's own
     value depends on the parity of the word length (odd length puts the
     word's value at the top).  hi - lo = 1/(q_n * (q_n + q_{n-1})).
     """
 
-    word: Word
     lo: Fraction
     hi: Fraction
 
@@ -55,9 +54,14 @@ def word(digits: Iterable[int]) -> Word:
     return w
 
 
+def cut(text: str) -> str:
+    """text cut after 40 characters, so a message stays short."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def quote(text: str) -> str:
     """text in quotes for a message, cut after 40 characters."""
-    return repr(text if len(text) <= 40 else text[:40] + "...")
+    return repr(cut(text))
 
 
 def shown(n: int, spec: str = "") -> str:
@@ -127,9 +131,9 @@ def cf_of_rational(num: int, den: int) -> Word:
     which the remainder recursion yields automatically.
     """
     if num <= 0 or den <= 0:
-        raise ValueError(f"need positive numerator and denominator, got {num}/{den}")
+        raise ValueError(f"need positive numerator and denominator, got {shown(num)}/{shown(den)}")
     if num >= den:
-        raise ValueError(f"need num < den for a value in (0,1), got {num}/{den}")
+        raise ValueError(f"need num < den for a value in (0,1), got {shown(num)}/{shown(den)}")
     digits = []
     a, b = den, num
     while b:
@@ -188,7 +192,7 @@ def cylinder_interval(w: Word) -> CylinderInterval:
         lo, hi = bumped, own
     else:
         lo, hi = own, bumped
-    return CylinderInterval(w, lo, hi)
+    return CylinderInterval(lo, hi)
 
 
 def one_word_row(w: Word) -> tuple[Pair, int, range]:

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cfcore import UsageError, parse_word, shown
+from .cfcore import UsageError, bad_text, parse_word, quote, shown
 from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, check_n, run_pillai, run_subsequence
 from .reports import render_json, render_measure, render_report
 from .streams import limit, parse_source_spec
@@ -24,6 +24,24 @@ from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# verify's options, each once, in the order SUITES first names them
+_VERIFY_OPTIONS = tuple(dict.fromkeys(name for _, reads in SUITES.values() for name in reads))
+
+
+def _int(text: str) -> int:
+    """The type of every int option: bad text is refused in one short line (cfcore.bad_text)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(str(bad_text("int", text))) from None
+
+
+def _float(text: str) -> float:
+    """The type of --tolerance: bad text is refused in one short line."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad float text {quote(text)}") from None
 
 
 @contextlib.contextmanager
@@ -58,13 +76,13 @@ def _add_experiment(parser: argparse.ArgumentParser, expect_default: str, tolera
     whose default the library owns have none here (see `_given`).
     """
     parser.add_argument("--source")
-    parser.add_argument("--n", type=int, help="source digits to consume")
-    parser.add_argument("--checkpoint-every", type=int, default=None)
+    parser.add_argument("--n", type=_int, help="source digits to consume")
+    parser.add_argument("--checkpoint-every", type=_int, default=None)
     if tolerance:
-        parser.add_argument("--tolerance", type=float)
+        parser.add_argument("--tolerance", type=_float)
     parser.add_argument("--expect", choices=("consistent", "non-normal"), default=expect_default)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
+    parser.add_argument("--seed", type=_int, default=None, help="seed for bare random: sources")
     _add_common(parser)
 
 
@@ -92,7 +110,7 @@ def _config_tokens(argv: list[str]) -> list[tuple[str, str]]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise UsageError(f"bad config line {line!r}")
+            raise UsageError(f"bad config line {quote(line)}")
         key, value = key.strip().replace("-", "_"), value.strip()
         if key == "patterns":
             pairs += [(key, f"--pattern={text}") for text in value.split(";")]
@@ -116,15 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="dump digits of a source, one per line")
     p.add_argument("source", help="source spec, e.g. rational:7/16 or random:seed=42")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="seed for bare random: sources")
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=None, help="seed for bare random: sources")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run an exhaustive exact verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-digit", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--cap", type=int)
+    for name in _VERIFY_OPTIONS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=_int)
     _add_common(p)
 
     p = sub.add_parser(
@@ -144,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         "subsequence",
         help="[1,1] frequency along an arithmetic-progression subsequence",
     )
-    p.add_argument("--b", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--b", type=_int)
+    p.add_argument("--k", type=_int)
+    p.add_argument("--cap", type=_int)
     _add_experiment(p, expect_default="non-normal", tolerance=False)
 
     return parser
@@ -198,11 +215,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(args.suite, **_given(args, "max_digit", "max_len", "cap"))
+    result = run_suite(args.suite, **_given(args, *_VERIFY_OPTIONS))
     print(result.summary())
     if args.out:
-        with _user_file():
-            Path(args.out).write_bytes(render_json(result.report()))
+        _write_output(render_json(result.report()), args.out)
     return 0 if result.passed else CHECK_FAILED
 
 
@@ -222,15 +238,12 @@ def _finish_experiment(report: dict, args) -> int:
 
 
 def _cmd_pillai(args) -> int:
-    if not args.patterns:
-        raise UsageError("pillai needs at least one --pattern")
-    report = run_pillai(_experiment_config(args, [parse_word(text) for text in args.patterns]))
-    return _finish_experiment(report, args)
+    patterns = [parse_word(text) for text in args.patterns or ()]
+    return _finish_experiment(run_pillai(_experiment_config(args, patterns)), args)
 
 
 def _cmd_subsequence(args) -> int:
-    report = run_subsequence(_experiment_config(args, []))
-    return _finish_experiment(report, args)
+    return _finish_experiment(run_subsequence(_experiment_config(args, [])), args)
 
 
 _COMMANDS = {
@@ -254,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         known = vars(args).keys() - {"config"}
         unknown = {key for key, token in pairs if key not in known or token in extra}
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys: [{', '.join(map(quote, sorted(unknown)))}]")
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
         n_file = sum(key == "patterns" for key, _ in pairs)

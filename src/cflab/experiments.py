@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cfcore import UsageError, Word, format_word, shown
+from .cfcore import UsageError, Word, cut, format_word, shown
 from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
 from .streams import parse_source_spec
@@ -51,10 +51,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise UsageError(f"need checkpoint_every >= 1, got {self.checkpoint_every}")
+            raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
         for i, w in enumerate(self.patterns):
             if w in self.patterns[:i]:
-                raise UsageError(f"pattern {format_word(w)} is given more than once")
+                raise UsageError(f"pattern {cut(format_word(w))} is given more than once")
 
     def echo(self, *, with_ap: bool) -> dict:
         """The parameters the experiment reads; the AP run reads no patterns or tolerance."""
@@ -185,7 +185,9 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         raise UsageError("need k >= 2 and b >= 1")
     if config.n < config.b + config.k:
         # below b + k fewer than two digits are selected: not one [1,1] start
-        raise UsageError(f"need n >= b + k, got n={config.n}, b={config.b}, k={config.k}")
+        raise UsageError(
+            f"need n >= b + k, got n={shown(config.n)}, b={shown(config.b)}, k={shown(config.k)}"
+        )
     pattern: Word = (1, 1)
     mode = ModeDescriptor.overlap()
     selected_n = (config.n - config.b) // config.k + 1  # positions b + ik <= n

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, one_word_row
+from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, one_word_row, shown
 
 _ONE = Fraction(1)
 # The cap on the middle digits of a joint measure when the caller sets none.
@@ -271,12 +271,12 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     if k - 1 > max_depth or cap ** (k - 1) > MAX_MIDDLE_WORDS:
         if cap == 1:
             raise UsageError(
-                f"joint measure at k={k}, cap=1 would walk k-1 = {k - 1} middle "
+                f"joint measure at k={shown(k)}, cap=1 would walk k-1 = {shown(k - 1)} middle "
                 f"digits, more than the limit of {max_depth}"
             )
         raise UsageError(
-            f"joint measure at k={k}, cap={cap} would enumerate "
-            f"cap**(k-1) = {cap}**{k - 1} middle words, "
+            f"joint measure at k={shown(k)}, cap={shown(cap)} would enumerate "
+            f"cap**(k-1) = {shown(cap)}**{shown(k - 1)} middle words, "
             f"more than the limit of {MAX_MIDDLE_WORDS}"
         )
     head = convergent_pair((1,))

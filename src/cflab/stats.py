@@ -234,7 +234,7 @@ def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
             skip = (skip - size) % k
         out.precision_exhausted = source.precision_exhausted
 
-    out = DigitSource(f"ap(b={b},k={k}):{source.label}", gen())
+    out = DigitSource(gen())
     return out
 
 

@@ -1,7 +1,7 @@
 """Pull-based digit sources: rationals, periodic words, interval-refined reals.
 
-A DigitSource is a single-consumer stream of partial quotients with a bit
-of provenance (label, emitted count).  Construction parameters fully
+A DigitSource is a single-consumer stream of partial quotients that
+counts the digits it has emitted.  Construction parameters fully
 determine the digit sequence, seeds included.  Sources are not safe for
 concurrent pulls; hand one off between workers or build independent ones.
 
@@ -58,10 +58,10 @@ from .cfcore import (
     Word,
     bad_text,
     cf_of_rational,
-    format_word,
     parse_rational,
     parse_word,
     quote,
+    shown,
     word,
 )
 
@@ -82,10 +82,9 @@ MIN_DECIMAL_EXPONENT = -(10**6)
 class DigitSource:
     """Stateful digit stream over chunks; see module docstring for the contract."""
 
-    __slots__ = ("label", "emitted", "precision_exhausted", "_chunks", "_chunk", "_pos")
+    __slots__ = ("emitted", "precision_exhausted", "_chunks", "_chunk", "_pos")
 
-    def __init__(self, label: str, chunks: Iterator[Sequence[int]]):
-        self.label = label
+    def __init__(self, chunks: Iterator[Sequence[int]]):
         self.emitted = 0
         self.precision_exhausted = False
         self._chunks = chunks
@@ -126,9 +125,6 @@ class DigitSource:
                 break
             out += chunk
         return out
-
-    def __repr__(self) -> str:
-        return f"DigitSource({self.label!r}, emitted={self.emitted})"
 
 
 def _interval_digits(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> list[int]:
@@ -227,7 +223,7 @@ def _interval_digits(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> list[int]:
 def source_rational(num: int, den: int) -> DigitSource:
     """Finite source emitting the canonical expansion of num/den."""
     digits = cf_of_rational(num, den)
-    return DigitSource(f"rational:{num}/{den}", iter((digits,)))
+    return DigitSource(iter((digits,)))
 
 
 def source_periodic(prefix: Word, period: Word) -> DigitSource:
@@ -241,8 +237,7 @@ def source_periodic(prefix: Word, period: Word) -> DigitSource:
         yield prefix
         yield from itertools.repeat(period * max(1, PERIODIC_CHUNK_DIGITS // len(period)))
 
-    label = f"periodic:{format_word(prefix)};{format_word(period)}"
-    return DigitSource(label, gen())
+    return DigitSource(gen())
 
 
 def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
@@ -255,22 +250,22 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
     [MIN_DECIMAL_EXPONENT, -1]: from 0 up the interval covers all of (0, 1).
     """
     text = decimal.strip()
-    shown = quote(text)
+    quoted = quote(text)
     # Fraction builds the text's power of ten before anything is checked
     _, e, exponent = text.lower().rpartition("e")
     magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
     limit = -MIN_DECIMAL_EXPONENT
     if e and magnitude.isdecimal() and (len(magnitude) > len(str(limit)) or int(magnitude) > limit):
-        raise ValueError(f"decimal text {shown} has an exponent outside [{-limit}, {limit}]")
+        raise ValueError(f"decimal text {quoted} has an exponent outside [{-limit}, {limit}]")
     try:
         d = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise bad_text("decimal", text) from None
     if not 0 < d < 1:
-        raise ValueError(f"decimal value must be in (0,1), got {shown}")
+        raise ValueError(f"decimal value must be in (0,1), got {quoted}")
     if not MIN_DECIMAL_EXPONENT <= ulp_exponent < 0:
         raise ValueError(
-            f"decimal exponent must be in [{MIN_DECIMAL_EXPONENT}, -1], got e{ulp_exponent}"
+            f"decimal exponent must be in [{MIN_DECIMAL_EXPONENT}, -1], got e{shown(ulp_exponent)}"
         )
     ulp = Fraction(10) ** ulp_exponent
     lo = max(d - ulp, Fraction(0))
@@ -280,7 +275,7 @@ def source_decimal_interval(decimal: str, ulp_exponent: int) -> DigitSource:
         yield _interval_digits(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
         src.precision_exhausted = True
 
-    src = DigitSource(f"decimal:{decimal}:e{ulp_exponent}", gen())
+    src = DigitSource(gen())
     return src
 
 
@@ -343,7 +338,7 @@ def source_concat_normal() -> DigitSource:
                 end = start
             yield chunk
 
-    return DigitSource("concat-normal", gen())
+    return DigitSource(gen())
 
 
 def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitSource:
@@ -358,7 +353,7 @@ def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitS
     seeds from |seed|, so a negative seed would replay its positive twin.
     """
     if seed < 0:
-        raise ValueError(f"random source seed must be >= 0, got {seed}")
+        raise ValueError(f"random source seed must be >= 0, got {shown(seed)}")
     if block_bits < 64:
         raise ValueError("block_bits must be >= 64")
 
@@ -368,7 +363,7 @@ def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitS
             m = random.Random((seed << 64) + block).getrandbits(block_bits)
             yield _interval_digits(m, scale, m + 1, scale)
 
-    return DigitSource(f"random:seed={seed}", gen())
+    return DigitSource(gen())
 
 
 def limit(source: DigitSource, n: int) -> DigitSource:
@@ -386,7 +381,7 @@ def limit(source: DigitSource, n: int) -> DigitSource:
             yield chunk
         out.precision_exhausted = source.precision_exhausted
 
-    out = DigitSource(source.label, gen())
+    out = DigitSource(gen())
     return out
 
 
@@ -394,7 +389,7 @@ def _spec_int(part: str, what: str, spec: str) -> int:
     try:
         return int(part)
     except ValueError:
-        raise ValueError(f"bad {what} in source spec {spec!r}") from None
+        raise ValueError(f"bad {what} in source spec {quote(spec)}") from None
 
 
 def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
@@ -439,4 +434,4 @@ def _source_of(text: str, seed: int | None) -> DigitSource:
         if not payload and seed is not None:
             return source_random_real(seed)
         raise ValueError("random source needs seed=N (or a --seed flag)")
-    raise ValueError(f"unrecognized source spec {text!r}")
+    raise ValueError(f"unrecognized source spec {quote(text)}")

@@ -7,8 +7,8 @@ family in `iter_words` order a row at a time: the words u.a of one prefix
 u, whose pair comes from `iter_prefix_pairs`.  So a word costs one
 recurrence step plus the integer kernel, and a word tuple is built only
 for the first counterexample; none is ever expected.  Bounds whose family
-holds more than MAX_WORDS words, or MAX_WORD_DIGITS digits in all, are
-refused before the scan.
+holds more than MAX_WORD_DIGITS digits in all are refused before the scan;
+every word has a digit, so that also bounds the words.
 `SUITES` maps each suite name to its runner and the options that runner
 reads, `run_suite` refuses any other option, and every result renders its
 own summary line and `--out` report, so the CLI holds no per-suite schema
@@ -35,14 +35,11 @@ from .reports import bounded_measure_report
 # The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
 MAX_DIGIT = 5
 MAX_LEN = 3
-# Most words a scan is given.  The bench's largest family, digits <= 8 and
-# length <= 6, holds 299,592; 10**7 reversal words take about 20 s (2 vCPU,
-# Python 3.11).
-MAX_WORDS = 10**7
-# Most digits a scan's family may hold, the sum of L * max_digit**L: at
-# digit 1 each length walks its whole path again on longer integers, so the
-# work grows like max_len**3, and length <= 4000 (8,002,000 digits) takes
-# about 4 s (2 vCPU, Python 3.11).  The bench's 8/6 family holds 1,754,760.
+# Most digits a scan's family may hold, the sum of L * max_digit**L, so at
+# most as many words: 10**7 reversal words take about 20 s (2 vCPU, Python
+# 3.11).  At digit 1 each length walks its whole path again on longer
+# integers, so the work grows like max_len**3, and length <= 4000 (8,002,000
+# digits) takes about 4 s.  The bench's 8/6 family holds 1,754,760.
 MAX_WORD_DIGITS = 10**7
 
 
@@ -80,16 +77,11 @@ def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
         digits = words * (words + 1) // 2
     else:
         # 64 terms pass 10**18 at any digit >= 2, so a huge max_len costs nothing
-        lengths = range(1, min(max_len, 64) + 1)
-        words = sum(max_digit**length for length in lengths)
-        digits = sum(length * max_digit**length for length in lengths)
-    bounds = f"{suite}: digits <= {shown(max_digit)}, length <= {shown(max_len)} give"
-    if words > MAX_WORDS:
-        raise UsageError(f"{bounds} {shown(words, ',')} words; a scan checks at most {MAX_WORDS:,}")
+        digits = sum(length * max_digit**length for length in range(1, min(max_len, 64) + 1))
     if digits > MAX_WORD_DIGITS:
         raise UsageError(
-            f"{bounds} words of {shown(digits, ',')} digits in all; "
-            f"a scan checks at most {MAX_WORD_DIGITS:,}"
+            f"{suite}: digits <= {shown(max_digit)}, length <= {shown(max_len)} give words of "
+            f"{shown(digits, ',')} digits in all; a scan checks at most {MAX_WORD_DIGITS:,}"
         )
 
 

@@ -1,7 +1,10 @@
 """CLI contract: exit codes, output formats, reproducibility, config files."""
 
+import contextlib
+import io
 import json
 import os
+import string
 import subprocess
 import sys
 import time
@@ -9,10 +12,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import cflab
-from cflab import cli, experiments, verify
-from cflab.cfcore import convergent_pair
+from cflab import cli, experiments, joint_pattern_measure, verify
+from cflab.cfcore import UsageError, convergent_pair, quote
 from cflab.cli import main
 
 
@@ -210,12 +215,14 @@ def test_verify_family_past_the_word_limit_is_a_quick_usage_error(capsys, suite)
     code, out, err = run(capsys, "verify", suite, "--max-digit", "1000", "--max-len", "5")
     assert time.perf_counter() - started < 1
     _one_line_usage_error(code, out, err)
-    assert "give 1,001,001,001,001,000 words; a scan checks at most 10,000,000" in err
+    assert err.endswith(
+        "give words of 5,004,003,002,001,000 digits in all; a scan checks at most 10,000,000\n"
+    )
 
 
 @pytest.mark.parametrize("suite", ["reversal", "dominance", "pairwise"])
 def test_verify_family_past_the_digit_limit_is_a_quick_usage_error(capsys, monkeypatch, suite):
-    # one word per length passes the word limit; the digits they hold do not
+    # one word per length: 5000 words, but 12,502,500 digits
     def walk(*args):
         raise AssertionError("the walk was entered")
 
@@ -674,6 +681,14 @@ def test_options_a_subcommand_never_reads_are_rejected(capsys, argv, expected):
     assert err.splitlines()[-1] == expected
 
 
+def test_verify_options_are_read_off_the_suites_in_order(capsys):
+    # each option once, in the order the suites first name them, as --help always showed
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    usage = " ".join(out.split())
+    assert "[--max-digit MAX_DIGIT] [--max-len MAX_LEN] [--cap CAP] [--out OUT]" in usage
+
+
 @pytest.mark.parametrize(
     "suite,text,expected",
     [
@@ -919,3 +934,311 @@ def test_decimal_exponent_out_of_range_is_usage_error(capsys, exponent, command)
     code, out, err = run(capsys, *argv)
     _one_line_usage_error(code, out, err)
     assert exponent in err
+
+
+# ------------------------------------------------------------ short lines
+
+TEXT = "z" * 4000  # 4,000 characters that no option reads
+NINES_4000 = "9" * 4000
+
+
+def _exit_and_last_line(argv, config=None, tmp_path=None):
+    """cli.main's exit code on argv and its last stderr line; `config` is a --config file's text."""
+    if config is not None:
+        path = tmp_path / "short.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, (err.getvalue().splitlines() or [""])[-1]
+
+
+def _refusal(k, cap):
+    try:
+        joint_pattern_measure(k, cap)
+    except UsageError as exc:
+        return 2, f"error: {exc}"
+    return 0, ""
+
+
+SUBSEQUENCE = ["subsequence", "--source", "periodic:,1"]
+PILLAI = ["pillai", "--source", "periodic:,1", "--n", "100", "--pattern", "1"]
+# site: how it is reached with a value, a short value and its line, a long value and its line
+SHORT_LINE_SITES = {
+    "subsequence --b": (
+        lambda v, tmp: _exit_and_last_line([*SUBSEQUENCE, "--n", "4", "--b", v]),
+        "3", "error: need n >= b + k, got n=4, b=3, k=2",
+        NINES_4000, "error: need n >= b + k, got n=4, b=over 10**18, k=2",
+    ),
+    "subsequence --k, cap 1": (
+        lambda v, tmp: _exit_and_last_line([*SUBSEQUENCE, "--n", "1000", "--cap", "1", "--k", v]),
+        "30",
+        "error: joint measure at k=30, cap=1 would walk k-1 = 29 middle digits, "
+        "more than the limit of 20",
+        NINES_4000, "error: need n >= b + k, got n=1000, b=1, k=over 10**18",
+    ),
+    "subsequence --cap": (
+        lambda v, tmp: _exit_and_last_line([*SUBSEQUENCE, "--n", "1000", "--k", "5", "--cap", v]),
+        "1000",
+        "error: joint measure at k=5, cap=1000 would enumerate cap**(k-1) = 1000**4 "
+        "middle words, more than the limit of 1000000",
+        NINES_4000,
+        "error: joint measure at k=5, cap=over 10**18 would enumerate cap**(k-1) = "
+        "over 10**18**4 middle words, more than the limit of 1000000",
+    ),
+    "joint measure, cap 1": (
+        lambda v, tmp: _refusal(int(v), 1),
+        "22",
+        "error: joint measure at k=22, cap=1 would walk k-1 = 21 middle digits, "
+        "more than the limit of 20",
+        NINES_4000,
+        "error: joint measure at k=over 10**18, cap=1 would walk k-1 = over 10**18 "
+        "middle digits, more than the limit of 20",
+    ),
+    "pillai --checkpoint-every": (
+        lambda v, tmp: _exit_and_last_line([*PILLAI, "--checkpoint-every", v]),
+        "-3", "error: need checkpoint_every >= 1, got -3",
+        "-" + NINES_4000, "error: need checkpoint_every >= 1, got under -10**18",
+    ),
+    "pillai repeated --pattern": (
+        lambda v, tmp: _exit_and_last_line([*PILLAI, "--pattern", v, "--pattern", v]),
+        "1,2", "error: pattern 1,2 is given more than once",
+        NINES_4000, f"error: pattern {'9' * 40}... is given more than once",
+    ),
+    "expand random --seed": (
+        lambda v, tmp: _exit_and_last_line(["expand", "random", "--n", "3", "--seed", v]),
+        "-1", "error: random source seed must be >= 0, got -1",
+        "-" + NINES_4000, "error: random source seed must be >= 0, got under -10**18",
+    ),
+    "decimal: exponent": (
+        lambda v, tmp: _exit_and_last_line(["expand", f"decimal:0.5:e{v}", "--n", "3"]),
+        "-1000001", "error: decimal exponent must be in [-1000000, -1], got e-1000001",
+        "-" + NINES_4000,
+        "error: decimal exponent must be in [-1000000, -1], got eunder -10**18",
+    ),
+    "rational: value": (
+        lambda v, tmp: _exit_and_last_line(["expand", f"rational:{v}/1", "--n", "3"]),
+        "5", "error: need num < den for a value in (0,1), got 5/1",
+        NINES_4000, "error: need num < den for a value in (0,1), got over 10**18/1",
+    ),
+    "random:seed= text": (
+        lambda v, tmp: _exit_and_last_line(["expand", f"random:seed={v}", "--n", "3"]),
+        "abc", "error: bad seed in source spec 'random:seed=abc'",
+        TEXT, f"error: bad seed in source spec 'random:seed={'z' * 28}...'",
+    ),
+    "unrecognized source spec": (
+        lambda v, tmp: _exit_and_last_line(["expand", v, "--n", "3"]),
+        "martian:1", "error: unrecognized source spec 'martian:1'",
+        TEXT, f"error: unrecognized source spec '{'z' * 40}...'",
+    ),
+    "config key": (
+        lambda v, tmp: _exit_and_last_line(["pillai"], f"{v}=1\njobs=0\n", tmp),
+        "sauce", "error: unknown config keys: ['jobs', 'sauce']",
+        TEXT, f"error: unknown config keys: ['jobs', '{'z' * 40}...']",
+    ),
+    "config line": (
+        lambda v, tmp: _exit_and_last_line(["pillai"], f"n=100\n{v}\n", tmp),
+        "oops", "error: bad config line 'oops'",
+        TEXT, f"error: bad config line '{'z' * 40}...'",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", SHORT_LINE_SITES)
+@pytest.mark.parametrize("size", ["short", "long"])
+def test_values_are_printed_short_and_short_values_as_before(tmp_path, site, size):
+    reach, short, short_line, long, long_line = SHORT_LINE_SITES[site]
+    code, line = reach(short if size == "short" else long, tmp_path)
+    assert code == 2
+    assert line == (short_line if size == "short" else long_line)
+    assert len(line.encode()) <= 200
+
+
+INT_OPTIONS = [
+    ["pillai", "--source", "periodic:,1", "--pattern", "1", "--n"],
+    ["pillai", "--source", "periodic:,1", "--pattern", "1", "--n", "100", "--checkpoint-every"],
+    ["pillai", "--source", "random", "--pattern", "1", "--n", "100", "--seed"],
+    ["subsequence", "--source", "periodic:,1", "--n", "100", "--b"],
+    ["subsequence", "--source", "periodic:,1", "--n", "100", "--k"],
+    ["subsequence", "--source", "periodic:,1", "--n", "100", "--cap"],
+    ["expand", "periodic:,1", "--n"],
+    ["expand", "random", "--n", "3", "--seed"],
+    ["verify", "reversal", "--max-digit"],
+    ["verify", "reversal", "--max-len"],
+    ["verify", "joint-k2", "--cap"],
+]
+
+
+@pytest.mark.parametrize("argv", INT_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+@pytest.mark.parametrize("text", ["abc", TEXT], ids=["3 letters", "4000 letters"])
+def test_int_option_text_is_refused_in_one_short_line(argv, text):
+    code, line = _exit_and_last_line([*argv, text])
+    assert code == 2
+    expected = f"cflab {argv[0]}: error: argument {argv[-1]}: bad int text {quote(text)}"
+    assert line == expected and len(line.encode()) <= 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pillai", "--source", "periodic:,1", "--pattern", "1", "--n"],
+        ["verify", "reversal", "--max-digit"],
+    ],
+    ids=["pillai --n", "verify --max-digit"],
+)
+def test_int_option_of_5000_digits_is_one_short_line(argv):
+    # argparse's own message would echo a value past the interpreter's int-digit cap whole
+    code, line = _exit_and_last_line([*argv, "9" * 5000])
+    assert code == 2
+    assert len(line.encode()) <= 200, line[:300]
+
+
+def test_tolerance_text_is_refused_in_one_short_line():
+    code, line = _exit_and_last_line([*PILLAI, "--tolerance", TEXT])
+    assert code == 2
+    assert line == f"cflab pillai: error: argument --tolerance: bad float text '{'z' * 40}...'"
+
+
+def test_pillai_without_a_pattern_is_refused_by_the_experiment(capsys):
+    code, out, err = run(capsys, "pillai", "--source", "periodic:,1", "--n", "100")
+    _one_line_usage_error(code, out, err)
+    assert err == "error: pillai experiment needs at least one pattern\n"
+
+
+# ------------------------------------------------------------------- fuzz
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _mostly(often, rarely):
+    """`often` nine times in ten, else `rarely`."""
+    return st.sampled_from([often] * 9 + [rarely]).flatmap(lambda strategy: strategy)
+
+
+# text that no option takes as a flag: no "-" to start an option, no "=" to set one
+_ARBITRARY = st.text(alphabet=string.ascii_letters + string.digits + ",.:;/ _", max_size=8)
+_HUGE = st.sampled_from(["9" * 5000, "-" + "9" * 5000, NINES_4000, "-" + NINES_4000])
+_LONG_TEXT = st.sampled_from([TEXT, "1," * 2000, "9" * 3999 + "x", "0." + "1" * 3998])
+
+
+def _value(valid, *invalid):
+    """Mostly a valid value, else an invalid one, a 5,000- or 4,000-digit int, or 4,000
+    characters of text."""
+    invalid = st.sampled_from(["", "abc", "-1", "0", "1.5", *invalid])
+    return _mostly(valid, st.one_of(invalid, _HUGE, _LONG_TEXT, _ARBITRARY))
+
+
+_WORD = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(lambda w: ",".join(map(str, w)))
+_SOURCE = st.one_of(
+    st.sampled_from(["concat-normal", "random", "periodic:,1", "periodic:1;2,3", "rational:7/16"]),
+    _ints(0, 100).map(lambda seed: f"random:seed={seed}"),
+    _ints(1, 50).map(lambda e: f"decimal:0.6180339887:e-{e}"),
+    st.tuples(_ints(1, 99), _ints(1, 99)).map(lambda pq: f"rational:{pq[0]}/{pq[1]}"),
+    _WORD.map(lambda w: f"periodic:;{w}"),
+    st.sampled_from(
+        [f"decimal:0.5:e-{NINES_4000}", f"random:seed={TEXT}", f"rational:{NINES_4000}/1"]
+    ),
+)
+# Each option's values.  Choices (and the verify suite) and switches are drawn
+# short: argparse echoes an invalid choice, or a value given to a switch, whole.
+_OPTIONS = {
+    "n": _value(st.one_of(_ints(100, 2000), _ints(0, 2000))),
+    "seed": _value(_ints(0, 100)),
+    "max_digit": _value(_ints(-1, 3)),
+    "max_len": _value(_ints(-1, 3)),
+    "cap": _value(_ints(1, 20)),
+    "b": _value(_ints(1, 5)),
+    "k": _value(_ints(2, 4)),
+    "checkpoint_every": _value(_ints(50, 2000)),
+    "tolerance": _value(st.sampled_from(["0.005", "0.5", "1"]), "nan", "inf", "1e-400"),
+    "source": _value(_SOURCE, "martian:1", "decimal:0.5:e5", "periodic:"),
+    "pattern": _value(_WORD, "0", "1,,2"),
+    "expect": _mostly(st.sampled_from(["consistent", "non-normal"]), st.just("maybe")),
+    "format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
+    "interval": st.sampled_from(["", "x"]),
+}
+# Each subcommand's positional (None if it has none) and options.  subsequence
+# always gets a --cap, so no k >= 3 walks the default cap of 1000.
+_GRAMMAR = {
+    "measure": (_value(_WORD, "0,1"), ["interval", "format"]),
+    "expand": (_OPTIONS["source"], ["n", "seed"]),
+    "verify": (
+        _mostly(st.sampled_from(sorted(verify.SUITES)), st.just("bogus")),
+        ["max_digit", "max_len", "cap"],
+    ),
+    "pillai": (
+        None,
+        ["source", "n", "pattern", "checkpoint_every", "tolerance", "expect", "format", "seed"],
+    ),
+    "subsequence": (
+        None, ["source", "n", "b", "k", "checkpoint_every", "expect", "format", "seed"]
+    ),
+}
+_USUALLY_GIVEN = {"source", "n", "pattern"}  # the other options are given half the time
+_UNKNOWN_KEYS = ["jobs", "help", "config", "z" * 4000]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    positional, names = _GRAMMAR[command]
+    argv = [command]
+    if positional is not None and draw(_mostly(st.just(True), st.just(False))):
+        argv.append(draw(positional))
+    if command == "subsequence":
+        argv += ["--cap", draw(_OPTIONS["cap"])]
+    for name in names:
+        given = _mostly(st.just(True), st.just(False)) if name in _USUALLY_GIVEN else st.booleans()
+        if not draw(given):
+            continue
+        flag = f"--{name.replace('_', '-')}"
+        if name == "interval":
+            argv.append(flag)
+        elif name == "pattern":  # one to three, none twice
+            for text in draw(st.lists(_OPTIONS[name], min_size=1, max_size=3, unique=True)):
+                argv += [flag, text]
+        else:
+            argv += [flag, draw(_OPTIONS[name])]
+    return argv
+
+
+@st.composite
+def _config(draw):
+    """Up to 4 lines: options of any subcommand, unknown keys, comments and lines without a
+    key."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["option"] * 9 + ["unknown", "comment", "bad"]))
+        if kind == "option":
+            name = draw(st.sampled_from(sorted(_OPTIONS)))
+            spelling = name.replace("_", draw(st.sampled_from("-_")))
+            key = "patterns" if name == "pattern" else spelling
+            lines.append(f"{key}={draw(_OPTIONS[name])}")
+        elif kind == "unknown":
+            lines.append(f"{draw(st.sampled_from(_UNKNOWN_KEYS))}={draw(_ARBITRARY)}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["", "# a comment"])))
+        else:
+            no_key = st.text(string.ascii_letters, min_size=1, max_size=8) | st.just(TEXT)
+            lines.append(draw(no_key))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv(), config=st.none() | _config())
+@example(["pillai", "--source", "periodic:,1", "--pattern", "1", "--n", "9" * 5000], None)
+@example(["verify", "reversal", "--max-digit", "9" * 5000], None)
+@example(["subsequence", "--cap", NINES_4000, "--source", "periodic:,1", "--n", "99"], None)
+@example(["pillai"], f"source=periodic:,1\nn=100\n{TEXT}=1\n")
+def test_cli_exits_0_1_or_2_and_refuses_in_one_short_line(tmp_path_factory, argv, config):
+    # no exception escapes main (argparse's SystemExit is its exit code), the
+    # code is 0, 1 or 2, and a usage error ends in one line of at most 200 bytes
+    code, line = _exit_and_last_line(argv, config, tmp_path_factory.getbasetemp())
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(line.encode()) <= 200, line[:300]

@@ -288,7 +288,7 @@ def check_fold(case):
     chunks, patterns, (stride, offset), n, checkpoint_every, window = case
     overlap, disjoint = ModeDescriptor.overlap(), ModeDescriptor.disjoint()
     aligned = ModeDescriptor.aligned(stride, offset)
-    source = DigitSource("test", iter(chunks))
+    source = DigitSource(iter(chunks))
     with mock.patch("cflab.stats.COUNT_WINDOW", window):
         result = frequency_report(
             source, patterns, [overlap, disjoint, aligned], n, checkpoint_every
@@ -406,7 +406,7 @@ def test_frequency_report_over_mixed_magnitudes_matches_list_counts(digits, w):
     assume(n >= len(w))
     modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
     with mock.patch("cflab.stats.COUNT_WINDOW", 7):
-        stats = frequency_report(DigitSource("test", iter([digits])), [w], modes, n, n)
+        stats = frequency_report(DigitSource(iter([digits])), [w], modes, n, n)
     counts = stats.checkpoints[-1][1]
     assert counts[(w, modes[0])] == count_overlapping(digits, w)
     assert counts[(w, modes[1])] == count_disjoint(digits, w)

@@ -420,7 +420,7 @@ def chunked(digits: list[int], cuts) -> DigitSource:
     """A source over `digits` split at the given cut offsets."""
     bounds = sorted({0, len(digits), *(c for c in cuts if 0 < c < len(digits))})
     chunks = [digits[i:j] for i, j in zip(bounds, bounds[1:])]
-    return DigitSource("test", iter(chunks))
+    return DigitSource(iter(chunks))
 
 
 def ones_chunks(digits: list[int]) -> DigitSource:

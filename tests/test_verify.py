@@ -96,32 +96,52 @@ def test_scan_of_an_empty_family_has_no_words_to_check(runner, max_digit, max_le
         runner(max_digit, max_len)
 
 
-@pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
-def test_scan_past_the_word_limit_is_refused_before_it_starts(monkeypatch, runner):
-    # digits <= 3 and length <= 3 give 3 + 9 + 27 = 39 words, dominance's
-    # 26 among them: the bound counts every digit string of the bounds
-    monkeypatch.setattr(verify, "MAX_WORDS", 39)
-    assert runner(3, 3).passed
-    monkeypatch.setattr(verify, "MAX_WORDS", 38)
-    with pytest.raises(UsageError, match="length <= 3 give 39 words; a scan checks at most 38"):
-        runner(3, 3)
-
-
 @pytest.mark.parametrize(
     "max_digit,max_len,count",
     [
-        (1000, 5, "1,001,001,001,001,000"),
-        (1, 10**8, "100,000,000"),
+        (1000, 5, "5,004,003,002,001,000"),
+        (1, 10**8, "5,000,000,050,000,000"),
         (2, 10**9, "over 10**18"),
         (10**400, 1, "over 10**18"),  # nor is a huge bound echoed whole
     ],
 )
 def test_bounds_that_would_scan_for_years_are_refused_at_once(max_digit, max_len, count):
-    # the bench's largest family, digits <= 8 and length <= 6, stays inside
-    assert sum(8**j for j in range(1, 7)) == 299_592 <= verify.MAX_WORDS
-    with pytest.raises(UsageError, match=re.escape(f"give {count} words")) as refused:
+    refusal = re.escape(f"give words of {count} digits in all")
+    with pytest.raises(UsageError, match=refusal) as refused:
         verify.run_reversal(max_digit, max_len)
-    assert len(str(refused.value)) < 120
+    assert str(refused.value).endswith("a scan checks at most 10,000,000")
+    assert len(f"error: {refused.value}".encode()) <= 200  # the CLI's line
+
+
+def _refused_by_words_or_digits(max_digit, max_len):
+    # a word limit of 10**7 beside the digit limit of 10**7, with the sums
+    # cut at 64 terms for digits >= 2
+    if max_digit < 2:
+        words = max(0, max_len) if max_digit == 1 else 0
+        digits = words * (words + 1) // 2
+    else:
+        lengths = range(1, min(max_len, 64) + 1)
+        words = sum(max_digit**length for length in lengths)
+        digits = sum(length * max_digit**length for length in lengths)
+    return words > 10**7 or digits > 10**7
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_digit=st.integers(-2, 5000), max_len=st.integers(-2, 10**6))
+@example(max_digit=1, max_len=4471)  # 9,997,156 digits
+@example(max_digit=1, max_len=4472)  # 10,001,628 digits
+@example(max_digit=10, max_len=6)  # 1,111,110 words of 6,543,210 digits
+@example(max_digit=10, max_len=7)  # 11,111,110 words
+@example(max_digit=5000, max_len=-2)
+def test_a_word_limit_beside_the_digit_limit_would_refuse_nothing_more(max_digit, max_len):
+    # every word holds a digit, so a family of more than 10**7 words holds
+    # more than 10**7 digits: the word limit refused nothing on its own
+    try:
+        verify._refuse_large("s", max_digit, max_len)
+        refused = False
+    except UsageError:
+        refused = True
+    assert refused == _refused_by_words_or_digits(max_digit, max_len)
 
 
 def _prefix_pair(u):
@@ -166,8 +186,8 @@ def test_row_checks_match_a_per_word_oracle(check_name, u, lo, size):
 
 @pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
 def test_family_past_the_digit_limit_is_refused_before_the_walk(monkeypatch, runner):
-    # at digit 1 a family has one word per length, so the word limit lets
-    # length 10**6 through, but its words hold 500,000,500,000 digits
+    # at digit 1 a family of length <= 10**6 has only 10**6 words, but they
+    # hold 500,000,500,000 digits
     def walk(*args):
         raise AssertionError("the walk was entered")
 
@@ -191,10 +211,9 @@ def test_digit_limit_boundary(monkeypatch):
     "max_digit,max_len",
     [(8, 6), (6, 6), (8, 5), (4, 5), (5, 4), (5, 3)],
 )
-def test_bench_and_acceptance_families_are_inside_both_limits(max_digit, max_len):
-    words = sum(max_digit**length for length in range(1, max_len + 1))
+def test_bench_and_acceptance_families_are_inside_the_digit_limit(max_digit, max_len):
     digit_count = sum(length * max_digit**length for length in range(1, max_len + 1))
-    assert words <= verify.MAX_WORDS and digit_count <= verify.MAX_WORD_DIGITS
+    assert digit_count <= verify.MAX_WORD_DIGITS
 
 
 @pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
+import re
 import sys
 from pathlib import Path
 
-from .cfcore import UsageError, bad_text, parse_word, quote, shown
+from .cfcore import UsageError, bad_text, cut, parse_word, quote, shown
 from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, check_n, run_pillai, run_subsequence
 from .reports import render_json, render_measure, render_report
 from .streams import limit, parse_source_spec
@@ -26,6 +28,22 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 # verify's options, each once, in the order SUITES first names them
 _VERIFY_OPTIONS = tuple(dict.fromkeys(name for _, reads in SUITES.values() for name in reads))
+
+
+def _cut_runs(text: str) -> str:
+    """text with each run of non-blank characters longer than 45 cut by `cut`.
+
+    45 characters is the longest text `quote` gives, so a value a message
+    already quoted keeps its bytes.
+    """
+    return re.sub(r"\S{46,}", lambda run: cut(run.group()), text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors echo no value whole; subparsers are of this class too."""
+
+    def error(self, message: str):
+        super().error(_cut_runs(message))
 
 
 def _int(text: str) -> int:
@@ -48,12 +66,13 @@ def _float(text: str) -> float:
 def _user_file():
     """Turn an OSError on a file the user named (--out, --config) into a UsageError.
 
-    So is a --config file that is not UTF-8 text (a UnicodeDecodeError).
+    So is a --config file that is not UTF-8 text (a UnicodeDecodeError).  A
+    long path in the message is cut as in the parser's errors.
     """
     try:
         yield
     except (OSError, UnicodeError) as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(_cut_runs(str(exc))) from None
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -93,7 +112,7 @@ def _config_tokens(argv: list[str]) -> list[tuple[str, str]]:
     token per word.  The `--flag=value` form keeps a value from taking the
     next token.
     """
-    locator = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    locator = _Parser(add_help=False, exit_on_error=False)
     locator.add_argument("--config")
     try:
         path = locator.parse_known_args(argv)[0].config
@@ -120,7 +139,7 @@ def _config_tokens(argv: list[str]) -> list[tuple[str, str]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cflab",
         description="Exact continued-fraction cylinder measures and block-frequency experiments",
     )
@@ -222,12 +241,12 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else CHECK_FAILED
 
 
-def _experiment_config(args, patterns) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
+    """The ExperimentConfig of the fields the user set; every other field keeps its default."""
     missing = [flag for flag in ("--source", "--n") if getattr(args, flag[2:]) is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    options = _given(args, "source", "n", "b", "k", "cap", "seed", "checkpoint_every", "tolerance")
-    return ExperimentConfig(patterns=patterns, **options)
+    return ExperimentConfig(**_given(args, *(f.name for f in dataclasses.fields(ExperimentConfig))))
 
 
 def _finish_experiment(report: dict, args) -> int:
@@ -238,12 +257,12 @@ def _finish_experiment(report: dict, args) -> int:
 
 
 def _cmd_pillai(args) -> int:
-    patterns = [parse_word(text) for text in args.patterns or ()]
-    return _finish_experiment(run_pillai(_experiment_config(args, patterns)), args)
+    args.patterns = [parse_word(text) for text in args.patterns or ()]
+    return _finish_experiment(run_pillai(_experiment_config(args)), args)
 
 
 def _cmd_subsequence(args) -> int:
-    return _finish_experiment(run_subsequence(_experiment_config(args, [])), args)
+    return _finish_experiment(run_subsequence(_experiment_config(args)), args)
 
 
 _COMMANDS = {

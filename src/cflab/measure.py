@@ -41,37 +41,23 @@ _ONE = Fraction(1)
 DEFAULT_CAP = 1000
 
 
+@dataclass(frozen=True, order=True, repr=False)
 class LogRational:
-    """A measure value log2(arg) with exact rational arg >= 1."""
+    """A measure value log2(arg) with exact rational arg >= 1.
 
-    __slots__ = ("arg",)
+    Equality, order and hash are those of arg; an int arg is made a Fraction.
+    """
 
-    def __init__(self, arg: Fraction | int):
-        arg = Fraction(arg)
+    arg: Fraction
+
+    def __post_init__(self) -> None:
+        arg = Fraction(self.arg)
         if arg < 1:
             raise ValueError(f"measure argument must be >= 1, got {arg}")
-        self.arg = arg
+        object.__setattr__(self, "arg", arg)
 
     def __add__(self, other: "LogRational") -> "LogRational":
         return LogRational(self.arg * other.arg)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LogRational) and self.arg == other.arg
-
-    def __lt__(self, other: "LogRational") -> bool:
-        return self.arg < other.arg
-
-    def __le__(self, other: "LogRational") -> bool:
-        return self.arg <= other.arg
-
-    def __gt__(self, other: "LogRational") -> bool:
-        return self.arg > other.arg
-
-    def __ge__(self, other: "LogRational") -> bool:
-        return self.arg >= other.arg
-
-    def __hash__(self) -> int:
-        return hash(("LogRational", self.arg))
 
     @property
     def float(self) -> float:

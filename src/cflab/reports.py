@@ -15,19 +15,6 @@ from fractions import Fraction
 from .cfcore import Word, cylinder_interval, format_rational, format_word
 from .measure import BoundedMeasure, measure_of_cylinder
 
-CSV_COLUMNS = (
-    "n",
-    "pattern",
-    "mode",
-    "count",
-    "freq_num",
-    "freq_den",
-    "freq_float",
-    "gamma_float",
-    "abs_err",
-)
-
-
 # Rationals with a part longer than this render in a bounded form; 8192 bits
 # is about 2466 decimal digits, inside the interpreter's default limit on
 # int-to-str conversion, which this module leaves alone.
@@ -102,15 +89,18 @@ def render_measure(w: Word, with_interval: bool, fmt: str | None) -> bytes:
 
 
 def render_experiment_csv(report: dict) -> bytes:
-    """Config echo as comment lines, then the fixed column schema."""
+    """Config echo as comment lines, then the rows: the first row's keys head the columns.
+
+    Every row has the same keys in the same order (experiments._stat_rows).
+    """
     comments = ""
     for key, value in report["config"].items():
         if isinstance(value, list):
             value = ";".join(str(v) for v in value)
         comments += f"# {key}={value}\n"
     comments += f"# verdict={report['verdict']}\n"
-    rows = [[row[col] for col in CSV_COLUMNS] for row in report["rows"]]
-    return (comments + _csv_rows([CSV_COLUMNS, *rows])).encode()
+    rows = report["rows"]  # never empty: every run has a final checkpoint
+    return (comments + _csv_rows([rows[0].keys(), *(row.values() for row in rows)])).encode()
 
 
 def render_report(report: dict, fmt: str) -> bytes:

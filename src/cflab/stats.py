@@ -193,23 +193,25 @@ def _check_pattern(w: Word) -> Word:
     return w
 
 
+def _count_mode(digits: Sequence[int], w: Word, mode: ModeDescriptor) -> int:
+    """The body of the list counters: w's matches over the mode's starts."""
+    w = _check_pattern(w)
+    return _count_positions(digits, w, mode.starts(len(w), len(digits)))
+
+
 def count_overlapping(digits: Sequence[int], w: Word) -> int:
     """Occurrences at every shift, fully contained in the digit list."""
-    w = _check_pattern(w)
-    return _count_positions(digits, w, ModeDescriptor.overlap().starts(len(w), len(digits)))
+    return _count_mode(digits, w, ModeDescriptor.overlap())
 
 
 def count_aligned(digits: Sequence[int], stride: int, offset: int, w: Word) -> int:
     """Occurrences starting at offset within non-overlapping stride blocks."""
-    w = _check_pattern(w)
-    mode = ModeDescriptor.aligned(stride, offset)
-    return _count_positions(digits, w, mode.starts(len(w), len(digits)))
+    return _count_mode(digits, w, ModeDescriptor.aligned(stride, offset))
 
 
 def count_disjoint(digits: Sequence[int], w: Word) -> int:
     """Occurrences at shifts that are multiples of the pattern length."""
-    w = _check_pattern(w)
-    return _count_positions(digits, w, ModeDescriptor.disjoint().starts(len(w), len(digits)))
+    return _count_mode(digits, w, ModeDescriptor.disjoint())
 
 
 def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
@@ -314,7 +316,6 @@ def count_chunked(
     digits: Sequence[int], w: Word, mode: ModeDescriptor, jobs: int
 ) -> int:
     """The count of w over the mode's starts; `jobs` is checked and read by nothing."""
-    w = _check_pattern(w)
     if jobs < 1:
         raise ValueError("need jobs >= 1")
-    return _count_positions(digits, w, mode.starts(len(w), len(digits)))
+    return _count_mode(digits, w, mode)

@@ -65,6 +65,7 @@ from .cfcore import (
     word,
 )
 
+# Bits in each uniform block a random: source draws (source_random_real).
 RANDOM_BLOCK_BITS = 4096
 # Bit width of the widened endpoints a batch runs on: wider batches certify
 # more digits per big-int update, but each small step costs more.  On 4096-bit
@@ -341,12 +342,12 @@ def source_concat_normal() -> DigitSource:
     return DigitSource(gen())
 
 
-def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitSource:
+def source_random_real(seed: int) -> DigitSource:
     """Infinite seeded source of digits distributed like those of a random real.
 
     Draws counter-keyed blocks of uniform bits (block j is keyed by
     (seed, j)), treats each block as a dyadic interval of width
-    2**-block_bits, and emits that interval's certified digits by the same
+    2**-RANDOM_BLOCK_BITS, and emits that interval's certified digits by the same
     endpoints-agree rule as the decimal source.  When a block's precision is
     spent the next block takes over, so the stream itself never runs dry.
     Each block's digits form one chunk.  Seeds must be >= 0: random.Random
@@ -354,13 +355,12 @@ def source_random_real(seed: int, block_bits: int = RANDOM_BLOCK_BITS) -> DigitS
     """
     if seed < 0:
         raise ValueError(f"random source seed must be >= 0, got {shown(seed)}")
-    if block_bits < 64:
-        raise ValueError("block_bits must be >= 64")
 
     def gen() -> Iterator[list[int]]:
-        scale = 1 << block_bits
+        bits = RANDOM_BLOCK_BITS
+        scale = 1 << bits
         for block in itertools.count():
-            m = random.Random((seed << 64) + block).getrandbits(block_bits)
+            m = random.Random((seed << 64) + block).getrandbits(bits)
             yield _interval_digits(m, scale, m + 1, scale)
 
     return DigitSource(gen())

@@ -6,6 +6,7 @@ convergent recomputation); the code under test never generates its own
 expected values.
 """
 
+import functools
 import itertools
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from cflab import (
 from cflab.cfcore import convergent_pair, iter_prefix_pairs
 
 
+@functools.cache  # the exhaustive tests ask for each prefix once per word that has it
 def nested_value(w):
     """Independent oracle: evaluate [0; w] bottom-up as a nested fraction."""
     acc = Fraction(0)

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output formats, reproducibility, config files."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -419,6 +420,26 @@ def test_pillai_csv_schema(capsys):
     header = [line for line in lines if not line.startswith("#")][0]
     assert header == "n,pattern,mode,count,freq_num,freq_den,freq_float,gamma_float,abs_err"
     assert any(line.startswith("# source=periodic:,1") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pillai", "--source", "concat-normal", "--pattern", "1", "--pattern", "1,2"],
+        ["subsequence", "--source", "random:seed=7", "--k", "3", "--cap", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_rows_are_the_json_rows_in_order(capsys, argv):
+    # the CSV header is the JSON rows' keys and each data row the values of
+    # the JSON row at its place, in key order
+    argv = [*argv, "--n", "3000", "--checkpoint-every", "500"]
+    rows = json.loads(run(capsys, *argv, "--format", "json")[1])["rows"]
+    out = run(capsys, *argv, "--format", "csv")[1]
+    table = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert len(rows) > 1
+    assert all(list(row) == table[0] for row in rows)
+    assert table[1:] == [[str(value) for value in row.values()] for row in rows]
 
 
 # ------------------------------------------------------------- subsequence
@@ -1103,6 +1124,32 @@ def test_tolerance_text_is_refused_in_one_short_line():
     assert line == f"cflab pillai: error: argument --tolerance: bad float text '{'z' * 40}...'"
 
 
+# site: its exit code and last stderr line on a value that argparse, or the
+# OSError on a file the user named, would otherwise echo whole
+ECHOED_WHOLE_SITES = {
+    "pillai --expect": lambda tmp: _exit_and_last_line(["pillai", "--expect", TEXT]),
+    "verify suite": lambda tmp: _exit_and_last_line(["verify", TEXT]),
+    "measure --format": lambda tmp: _exit_and_last_line(["measure", "1,1", "--format", TEXT]),
+    "measure --out": lambda tmp: _exit_and_last_line(
+        ["measure", "1,1", "--out", str(tmp / "missing" / TEXT)]
+    ),
+    "measure --config": lambda tmp: _exit_and_last_line(
+        ["measure", "1,1", "--config", str(tmp / "missing" / TEXT)]
+    ),
+    "pillai config c=": lambda tmp: _exit_and_last_line(["pillai"], f"c={'z' * 300}\n", tmp),
+    "measure config interval=": lambda tmp: _exit_and_last_line(
+        ["measure", "1,1"], f"interval={'z' * 300}\n", tmp
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ECHOED_WHOLE_SITES)
+def test_values_echoed_by_argparse_or_the_os_are_cut(tmp_path, site):
+    code, line = ECHOED_WHOLE_SITES[site](tmp_path)
+    assert code == 2
+    assert "..." in line and len(line.encode()) <= 200, line[:300]
+
+
 def test_pillai_without_a_pattern_is_refused_by_the_experiment(capsys):
     code, out, err = run(capsys, "pillai", "--source", "periodic:,1", "--n", "100")
     _one_line_usage_error(code, out, err)
@@ -1144,8 +1191,8 @@ _SOURCE = st.one_of(
         [f"decimal:0.5:e-{NINES_4000}", f"random:seed={TEXT}", f"rational:{NINES_4000}/1"]
     ),
 )
-# Each option's values.  Choices (and the verify suite) and switches are drawn
-# short: argparse echoes an invalid choice, or a value given to a switch, whole.
+# Each option's values.  An invalid choice (and verify suite) and a value given
+# to a switch are drawn 4,000 characters long too: argparse would echo them whole.
 _OPTIONS = {
     "n": _value(st.one_of(_ints(100, 2000), _ints(0, 2000))),
     "seed": _value(_ints(0, 100)),
@@ -1158,9 +1205,11 @@ _OPTIONS = {
     "tolerance": _value(st.sampled_from(["0.005", "0.5", "1"]), "nan", "inf", "1e-400"),
     "source": _value(_SOURCE, "martian:1", "decimal:0.5:e5", "periodic:"),
     "pattern": _value(_WORD, "0", "1,,2"),
-    "expect": _mostly(st.sampled_from(["consistent", "non-normal"]), st.just("maybe")),
-    "format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
-    "interval": st.sampled_from(["", "x"]),
+    "expect": _mostly(
+        st.sampled_from(["consistent", "non-normal"]), st.sampled_from(["maybe", TEXT])
+    ),
+    "format": _mostly(st.sampled_from(["json", "csv"]), st.sampled_from(["xml", TEXT])),
+    "interval": st.sampled_from(["", "x", TEXT]),
 }
 # Each subcommand's positional (None if it has none) and options.  subsequence
 # always gets a --cap, so no k >= 3 walks the default cap of 1000.
@@ -1168,7 +1217,7 @@ _GRAMMAR = {
     "measure": (_value(_WORD, "0,1"), ["interval", "format"]),
     "expand": (_OPTIONS["source"], ["n", "seed"]),
     "verify": (
-        _mostly(st.sampled_from(sorted(verify.SUITES)), st.just("bogus")),
+        _mostly(st.sampled_from(sorted(verify.SUITES)), st.sampled_from(["bogus", TEXT])),
         ["max_digit", "max_len", "cap"],
     ),
     "pillai": (
@@ -1180,7 +1229,8 @@ _GRAMMAR = {
     ),
 }
 _USUALLY_GIVEN = {"source", "n", "pattern"}  # the other options are given half the time
-_UNKNOWN_KEYS = ["jobs", "help", "config", "z" * 4000]
+# "c" abbreviates more than one pillai option, so argparse calls it ambiguous
+_UNKNOWN_KEYS = ["jobs", "help", "config", "c", "z" * 4000]
 
 
 @st.composite
@@ -1220,7 +1270,8 @@ def _config(draw):
             key = "patterns" if name == "pattern" else spelling
             lines.append(f"{key}={draw(_OPTIONS[name])}")
         elif kind == "unknown":
-            lines.append(f"{draw(st.sampled_from(_UNKNOWN_KEYS))}={draw(_ARBITRARY)}")
+            value = _mostly(_ARBITRARY, st.just(TEXT))
+            lines.append(f"{draw(st.sampled_from(_UNKNOWN_KEYS))}={draw(value)}")
         elif kind == "comment":
             lines.append(draw(st.sampled_from(["", "# a comment"])))
         else:

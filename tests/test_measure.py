@@ -86,6 +86,9 @@ def test_measure_compare_examples():
     assert LogRational(Fraction(49, 48)) > LogRational(Fraction(56, 55))
     assert LogRational(Fraction(21, 20)) == LogRational(Fraction(21, 20))
     assert LogRational(Fraction(10, 9)) < LogRational(Fraction(4, 3))
+    # equal args hash equal, whether given as an int or as a Fraction
+    assert hash(LogRational(Fraction(42, 21))) == hash(LogRational(2)) == hash(MEASURE_FULL)
+    assert len({LogRational(2), MEASURE_FULL, LogRational(Fraction(3, 2))}) == 2
 
 
 def test_normalization_identity():

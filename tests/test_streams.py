@@ -236,8 +236,9 @@ def test_random_real_deterministic():
     assert source_random_real(43).take(100) != a[:100]
 
 
-def test_random_real_never_exhausts_across_blocks():
-    src = source_random_real(5, block_bits=64)  # tiny blocks force rollover
+def test_random_real_never_exhausts_across_blocks(monkeypatch):
+    monkeypatch.setattr(streams, "RANDOM_BLOCK_BITS", 64)  # tiny blocks force rollover
+    src = source_random_real(5)
     digits = src.take(5_000)
     assert len(digits) == 5_000
     assert not src.precision_exhausted
@@ -400,7 +401,9 @@ def test_random_stream_is_the_one_step_stream(seed, block_bits):
         m = random.Random((seed << 64) + block).getrandbits(block_bits)
         expected += one_step_interval_digits(m, scale, m + 1, scale)
         block += 1
-    assert source_random_real(seed, block_bits).take(3000) == expected[:3000]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "RANDOM_BLOCK_BITS", block_bits)
+        assert source_random_real(seed).take(3000) == expected[:3000]
 
 
 def test_random_rejects_negative_seed():

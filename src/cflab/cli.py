@@ -39,11 +39,22 @@ def _cut_runs(text: str) -> str:
     return re.sub(r"\S{46,}", lambda run: cut(run.group()), text)
 
 
+def _fit(prefix: str, message: str) -> str:
+    """message, cut at its end if the line prefix + message would pass 200 bytes.
+
+    Bytes are counted as stderr writes them: UTF-8, and a lone surrogate
+    (an argv byte that is not UTF-8) as its backslash escape.
+    """
+    room = 200 - len(prefix.encode())
+    data = message.encode(errors="backslashreplace")
+    return message if len(data) <= room else data[: room - 3].decode(errors="ignore") + "..."
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors echo no value whole; subparsers are of this class too."""
 
     def error(self, message: str):
-        super().error(_cut_runs(message))
+        super().error(_fit(f"{self.prog}: error: ", _cut_runs(message)))
 
 
 def _int(text: str) -> int:
@@ -105,21 +116,13 @@ def _add_experiment(parser: argparse.ArgumentParser, expect_default: str, tolera
     _add_common(parser)
 
 
-def _config_tokens(argv: list[str]) -> list[tuple[str, str]]:
-    """(key, flag token) pairs for the key=value lines of the --config file in argv.
+def _config_tokens(path: str) -> list[tuple[str, str]]:
+    """(key, flag token) pairs for the key=value lines of the --config file at path.
 
     Keys are option dests (`-` or `_`); `patterns=a;b` gives one --pattern
     token per word.  The `--flag=value` form keeps a value from taking the
     next token.
     """
-    locator = _Parser(add_help=False, exit_on_error=False)
-    locator.add_argument("--config")
-    try:
-        path = locator.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return []  # the full parse reports the malformed option
-    if path is None:
-        return []
     with _user_file():
         content = Path(path).read_text()
     pairs = []
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="dump digits of a source, one per line")
     p.add_argument("source", help="source spec, e.g. rational:7/16 or random:seed=42")
-    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--n", type=_int)
     p.add_argument("--seed", type=_int, default=None, help="seed for bare random: sources")
     _add_common(p)
 
@@ -196,6 +199,13 @@ def _given(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
+def _require(args, *flags: str) -> None:
+    """Refuse in one line the flags among `flags` that neither argv nor the config file set."""
+    missing = [flag for flag in flags if getattr(args, flag[2:]) is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+
+
 def _cmd_measure(args) -> int:
     _write_output(render_measure(parse_word(args.word), args.interval, args.format), args.out)
     return 0
@@ -209,6 +219,7 @@ def _write_digits(source, out) -> None:
 
 
 def _cmd_expand(args) -> int:
+    _require(args, "--n")
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {shown(args.n)}")
     check_n(args.n)
@@ -243,9 +254,7 @@ def _cmd_verify(args) -> int:
 
 def _experiment_config(args) -> ExperimentConfig:
     """The ExperimentConfig of the fields the user set; every other field keeps its default."""
-    missing = [flag for flag in ("--source", "--n") if getattr(args, flag[2:]) is None]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    _require(args, "--source", "--n")
     return ExperimentConfig(**_given(args, *(f.name for f in dataclasses.fields(ExperimentConfig))))
 
 
@@ -278,23 +287,23 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        pairs = _config_tokens(argv) if argv[:1] and argv[0] in _COMMANDS else []
-        # file values go right after the subcommand, so a flag given later wins
-        file_tokens = [token for key, token in pairs if key not in ("help", "config")]
-        args, extra = parser.parse_known_args(argv[:1] + file_tokens + argv[1:])
-        # a key is known only if it is the dest of an option this subcommand parsed
-        known = vars(args).keys() - {"config"}
-        unknown = {key for key, token in pairs if key not in known or token in extra}
-        if unknown:
-            raise UsageError(f"unknown config keys: [{', '.join(map(quote, sorted(unknown)))}]")
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        n_file = sum(key == "patterns" for key, _ in pairs)
-        if len(getattr(args, "patterns", None) or ()) > n_file:
-            args.patterns = args.patterns[n_file:]  # --pattern flags replace the file's list
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            pairs = _config_tokens(args.config)
+            # file values go right after the subcommand, so a flag given later wins
+            file_tokens = [token for key, token in pairs if key not in ("help", "config")]
+            args, extra = parser.parse_known_args(argv[:1] + file_tokens + argv[1:])
+            # a key is known only if it is the dest of an option this subcommand parsed
+            known = vars(args).keys() - {"config"}
+            unknown = {key for key, token in pairs if key not in known or token in extra}
+            if unknown:
+                raise UsageError(f"unknown config keys: [{', '.join(map(quote, sorted(unknown)))}]")
+            n_file = sum(key == "patterns" for key, _ in pairs)
+            if len(getattr(args, "patterns", None) or ()) > n_file:
+                args.patterns = args.patterns[n_file:]  # --pattern flags replace the file's list
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_fit('error: ', str(exc))}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .cfcore import UsageError, Word, dominance_row, format_word, iter_prefix_pairs, shown
 from .measure import (
@@ -59,15 +60,8 @@ class VerifyResult:
         return line
 
     def report(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checked": self.checked,
-            "counterexample": (
-                None if self.counterexample is None else format_word(self.counterexample)
-            ),
-            "detail": self.detail,
-        }
+        w = self.counterexample
+        return {**asdict(self), "counterexample": None if w is None else format_word(w)}
 
 
 def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
@@ -138,23 +132,33 @@ def joint_k2_oracle() -> float:
     return math.log2(32 / (9 * math.pi))
 
 
+_GAMMA_11 = measure_of_cylinder((1, 1))
+
+
 @dataclass(frozen=True)
 class JointK2Result:
-    passed: bool
+    """The k=2 joint measure bracketed at `cap`; the verdict and its line derive from it."""
+
     cap: int
     measure: BoundedMeasure
-    oracle: float
-    gamma_11_float: float
-    exceeds_gamma_11: bool
-    detail: str
+
+    @cached_property  # an exact comparison of the lower bound's long argument
+    def exceeds_gamma_11(self) -> bool:
+        return self.measure.lower > _GAMMA_11
+
+    @property
+    def passed(self) -> bool:
+        """The bracket holds the oracle value, and the exact lower bound exceeds gamma(C_[1,1])."""
+        return self.measure.contains(joint_k2_oracle()) and self.exceeds_gamma_11
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
         lo, hi = self.measure.bracket()
+        lower, tail = self.measure.lower.float, self.measure.tail_bound.float
         return (
             f"joint-k2: {status} (cap {self.cap}; bracket [{lo:.4f}, {hi:.4f}] "
-            f"vs oracle {self.oracle:.5f}; gamma(C_11) = {self.gamma_11_float:.4f}; "
-            f"{self.detail})"
+            f"vs oracle {joint_k2_oracle():.5f}; gamma(C_11) = {_GAMMA_11.float:.4f}; "
+            f"lower {lower:.6f}, tail {tail:.6f}, exceeds gamma(C_11): {self.exceeds_gamma_11})"
         )
 
     def report(self) -> dict:
@@ -162,35 +166,15 @@ class JointK2Result:
             self.measure,
             suite="joint-k2",
             cap=self.cap,
-            oracle=self.oracle,
-            gamma_11_float=self.gamma_11_float,
+            oracle=joint_k2_oracle(),
+            gamma_11_float=_GAMMA_11.float,
             passed=self.passed,
         )
 
 
 def run_joint_k2(cap: int = DEFAULT_CAP) -> JointK2Result:
-    """Bracket the k=2 joint measure and check it against the closed form.
-
-    Passes iff the bracket contains the oracle value and the exact lower
-    bound already exceeds gamma(C_[1,1]) by rational comparison.
-    """
-    bm = joint_pattern_measure(2, cap)
-    oracle = joint_k2_oracle()
-    gamma_11 = measure_of_cylinder((1, 1))
-    exceeds = bm.lower > gamma_11
-    detail = (
-        f"lower {bm.lower.float:.6f}, tail {bm.tail_bound.float:.6f}, "
-        f"exceeds gamma(C_11): {exceeds}"
-    )
-    return JointK2Result(
-        passed=bm.contains(oracle) and exceeds,
-        cap=cap,
-        measure=bm,
-        oracle=oracle,
-        gamma_11_float=gamma_11.float,
-        exceeds_gamma_11=exceeds,
-        detail=detail,
-    )
+    """Bracket the k=2 joint measure and check it against the closed form (see JointK2Result)."""
+    return JointK2Result(cap, joint_pattern_measure(2, cap))
 
 
 # Each suite's runner and the keyword options it reads, by suite name.

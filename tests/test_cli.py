@@ -20,6 +20,7 @@ import cflab
 from cflab import cli, experiments, joint_pattern_measure, verify
 from cflab.cfcore import UsageError, convergent_pair, quote
 from cflab.cli import main
+from cflab.measure import BoundedMeasure, LogRational
 
 
 def run(capsys, *argv):
@@ -302,6 +303,40 @@ def test_verify_defaults_are_the_runners(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out.startswith("joint-k2: pass (cap 1000; ")
     assert json.loads(out_path.read_text())["cap"] == 1000
+
+
+K2_LINE = (
+    "joint-k2: {} (cap 50; bracket [{}] vs oracle 0.17858; gamma(C_11) = 0.1520; "
+    "lower {}, tail {}, exceeds gamma(C_11): {})\n"
+)
+
+
+@pytest.mark.parametrize(
+    "measure,line",
+    [
+        (None, K2_LINE.format("pass", "0.1716, 0.1856", "0.171643", "0.013939", True)),
+        # no tail: the bracket [lower, lower] misses the oracle
+        (
+            lambda real: BoundedMeasure(real.lower, LogRational(1)),
+            K2_LINE.format("FAIL", "0.1716, 0.1716", "0.171643", "0.000000", True),
+        ),
+        # lower at gamma(C_11) exactly, not above it; the bracket still holds the oracle
+        (
+            lambda real: BoundedMeasure(verify.measure_of_cylinder((1, 1)), LogRational(9 / 8)),
+            K2_LINE.format("FAIL", "0.1520, 0.3219", "0.152003", "0.169925", False),
+        ),
+    ],
+    ids=["pass", "bracket misses the oracle", "lower not above gamma(C_11)"],
+)
+def test_joint_k2_line_and_verdict(capsys, tmp_path, monkeypatch, measure, line):
+    if measure is not None:
+        real = verify.joint_pattern_measure(2, 50)
+        monkeypatch.setattr(verify, "joint_pattern_measure", lambda k, cap: measure(real))
+    out_path = tmp_path / "joint.json"
+    code, out, err = run(capsys, "verify", "joint-k2", "--cap", "50", "--out", str(out_path))
+    assert (out, err) == (line, "")
+    assert code == (0 if measure is None else 1)
+    assert json.loads(out_path.read_text())["passed"] is (measure is None)
 
 
 def test_verify_writes_report(capsys, tmp_path):
@@ -617,6 +652,43 @@ def test_config_equals_form_loads_file(tmp_path, capsys):
     assert json.loads(out)["config"]["n"] == 500
 
 
+def test_config_abbreviation_loads_file(tmp_path, capsys):
+    # --config is resolved like every other option, so an unambiguous prefix names it
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=periodic:,2\nn=500\npatterns=2\nexpect=non-normal\n")
+    code, out, err = run(capsys, "pillai", "--conf", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["config"]["n"] == 500
+
+
+def test_ambiguous_config_prefix_is_refused_by_the_parser(capsys):
+    argv = ["--source", "periodic:,1", "--n", "100", "--pattern", "1", "--c", "5"]
+    code, out, err = run(capsys, "pillai", *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "cflab pillai: error: ambiguous option: --c could match --checkpoint-every, --config"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["--help"], (0, "usage: cflab pillai ", "")),
+        (["--n", "xyz"], (2, "", "cflab pillai: error: argument --n: bad int text 'xyz'")),
+    ],
+    ids=["help", "bad flag value"],
+)
+def test_argv_is_parsed_before_the_config_file_is_read(tmp_path, capsys, argv, expected):
+    code, out, err = run(capsys, "pillai", "--config", str(tmp_path / "missing.cfg"), *argv)
+    assert (code, out[:20], (err.splitlines() or [""])[-1]) == expected
+
+
+def test_expand_n_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "expand.cfg"
+    cfg.write_text("n=3\n")
+    assert run(capsys, "expand", "rational:7/16", "--config", str(cfg)) == (0, "2\n3\n2\n", "")
+
+
 def test_config_without_path_is_usage_error(capsys):
     code, out, err = run(capsys, "pillai", "--source", "periodic:,2", "--n", "100", "--config")
     assert code == 2
@@ -727,12 +799,14 @@ def test_verify_option_a_suite_never_reads_from_config(tmp_path, capsys, suite, 
     assert err == f"error: verify {suite} {expected}\n"
 
 
-@pytest.mark.parametrize("argv", [["pillai", "--pattern", "1"], ["subsequence"]])
+@pytest.mark.parametrize(
+    "argv", [["pillai", "--pattern", "1"], ["subsequence"], ["expand", "rational:1/3"]]
+)
 def test_experiment_needs_source_and_n(capsys, argv):
+    # expand's source is a positional, so it needs only --n; one line names what is missing
     code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "required: --source, --n" in err
+    missing = "--n" if argv[0] == "expand" else "--source, --n"
+    assert (code, out, err) == (2, "", f"error: the following arguments are required: {missing}\n")
 
 
 @pytest.mark.parametrize(
@@ -1124,8 +1198,11 @@ def test_tolerance_text_is_refused_in_one_short_line():
     assert line == f"cflab pillai: error: argument --tolerance: bad float text '{'z' * 40}...'"
 
 
+SPACED = "z " * 2000  # 4,000 characters, no run of them longer than one
+EMOJI = "\U0001F600" * 4000  # 4 bytes of UTF-8 each
 # site: its exit code and last stderr line on a value that argparse, or the
-# OSError on a file the user named, would otherwise echo whole
+# OSError on a file the user named, would otherwise echo whole, or whose
+# characters take more bytes than the cut of `quote` allows for
 ECHOED_WHOLE_SITES = {
     "pillai --expect": lambda tmp: _exit_and_last_line(["pillai", "--expect", TEXT]),
     "verify suite": lambda tmp: _exit_and_last_line(["verify", TEXT]),
@@ -1140,6 +1217,27 @@ ECHOED_WHOLE_SITES = {
     "measure config interval=": lambda tmp: _exit_and_last_line(
         ["measure", "1,1"], f"interval={'z' * 300}\n", tmp
     ),
+    "pillai --expect, spaced": lambda tmp: _exit_and_last_line(["pillai", "--expect", SPACED]),
+    "verify suite, spaced": lambda tmp: _exit_and_last_line(["verify", SPACED]),
+    "measure --format, spaced": lambda tmp: _exit_and_last_line(
+        ["measure", "1,1", "--format", SPACED]
+    ),
+    "measure extra argument, spaced": lambda tmp: _exit_and_last_line(["measure", "1,1", SPACED]),
+    "pillai config c=, spaced": lambda tmp: _exit_and_last_line(["pillai"], f"c={SPACED}\n", tmp),
+    "measure config interval=, spaced": lambda tmp: _exit_and_last_line(
+        ["measure", "1,1"], f"interval={SPACED}\n", tmp
+    ),
+    "pillai --tolerance, 4-byte": lambda tmp: _exit_and_last_line([*PILLAI, "--tolerance", EMOJI]),
+    "pillai --n, 4-byte": lambda tmp: _exit_and_last_line(
+        ["pillai", "--source", "periodic:,1", "--n", EMOJI]
+    ),
+    "pillai --expect, 4-byte": lambda tmp: _exit_and_last_line(["pillai", "--expect", EMOJI]),
+    "measure word, 4-byte": lambda tmp: _exit_and_last_line(["measure", EMOJI]),
+    # an argv byte that is not UTF-8 arrives as a lone surrogate, which stderr
+    # writes as its 6-byte backslash escape
+    "measure extra argument, not UTF-8": lambda tmp: _exit_and_last_line(
+        ["measure", "1,1", "\udcff" * 300]
+    ),
 }
 
 
@@ -1147,7 +1245,8 @@ ECHOED_WHOLE_SITES = {
 def test_values_echoed_by_argparse_or_the_os_are_cut(tmp_path, site):
     code, line = ECHOED_WHOLE_SITES[site](tmp_path)
     assert code == 2
-    assert "..." in line and len(line.encode()) <= 200, line[:300]
+    # the bytes stderr writes
+    assert "..." in line and len(line.encode(errors="backslashreplace")) <= 200, line[:300]
 
 
 def test_pillai_without_a_pattern_is_refused_by_the_experiment(capsys):
@@ -1170,12 +1269,16 @@ def _mostly(often, rarely):
 # text that no option takes as a flag: no "-" to start an option, no "=" to set one
 _ARBITRARY = st.text(alphabet=string.ascii_letters + string.digits + ",.:;/ _", max_size=8)
 _HUGE = st.sampled_from(["9" * 5000, "-" + "9" * 5000, NINES_4000, "-" + NINES_4000])
-_LONG_TEXT = st.sampled_from([TEXT, "1," * 2000, "9" * 3999 + "x", "0." + "1" * 3998])
+# text a message could echo: 4,000 characters of one letter, of spaced letters
+# or of a 4-byte character, or 201 to 400 characters of any text, blanks,
+# control and non-ASCII characters among them
+_ANY_LONG = st.sampled_from([TEXT, SPACED, EMOJI]) | st.text(min_size=201, max_size=400)
+_LONG_TEXT = _ANY_LONG | st.sampled_from(["1," * 2000, "9" * 3999 + "x", "0." + "1" * 3998])
 
 
 def _value(valid, *invalid):
-    """Mostly a valid value, else an invalid one, a 5,000- or 4,000-digit int, or 4,000
-    characters of text."""
+    """Mostly a valid value, else an invalid one, a 5,000- or 4,000-digit int, or long
+    text."""
     invalid = st.sampled_from(["", "abc", "-1", "0", "1.5", *invalid])
     return _mostly(valid, st.one_of(invalid, _HUGE, _LONG_TEXT, _ARBITRARY))
 
@@ -1192,7 +1295,7 @@ _SOURCE = st.one_of(
     ),
 )
 # Each option's values.  An invalid choice (and verify suite) and a value given
-# to a switch are drawn 4,000 characters long too: argparse would echo them whole.
+# to a switch are drawn long too (_ANY_LONG): argparse would echo them whole.
 _OPTIONS = {
     "n": _value(st.one_of(_ints(100, 2000), _ints(0, 2000))),
     "seed": _value(_ints(0, 100)),
@@ -1206,10 +1309,10 @@ _OPTIONS = {
     "source": _value(_SOURCE, "martian:1", "decimal:0.5:e5", "periodic:"),
     "pattern": _value(_WORD, "0", "1,,2"),
     "expect": _mostly(
-        st.sampled_from(["consistent", "non-normal"]), st.sampled_from(["maybe", TEXT])
+        st.sampled_from(["consistent", "non-normal"]), st.just("maybe") | _ANY_LONG
     ),
-    "format": _mostly(st.sampled_from(["json", "csv"]), st.sampled_from(["xml", TEXT])),
-    "interval": st.sampled_from(["", "x", TEXT]),
+    "format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml") | _ANY_LONG),
+    "interval": st.sampled_from(["", "x"]) | _ANY_LONG,
 }
 # Each subcommand's positional (None if it has none) and options.  subsequence
 # always gets a --cap, so no k >= 3 walks the default cap of 1000.
@@ -1217,7 +1320,7 @@ _GRAMMAR = {
     "measure": (_value(_WORD, "0,1"), ["interval", "format"]),
     "expand": (_OPTIONS["source"], ["n", "seed"]),
     "verify": (
-        _mostly(st.sampled_from(sorted(verify.SUITES)), st.sampled_from(["bogus", TEXT])),
+        _mostly(st.sampled_from(sorted(verify.SUITES)), st.just("bogus") | _ANY_LONG),
         ["max_digit", "max_len", "cap"],
     ),
     "pillai": (
@@ -1270,12 +1373,12 @@ def _config(draw):
             key = "patterns" if name == "pattern" else spelling
             lines.append(f"{key}={draw(_OPTIONS[name])}")
         elif kind == "unknown":
-            value = _mostly(_ARBITRARY, st.just(TEXT))
+            value = _mostly(_ARBITRARY, _ANY_LONG)
             lines.append(f"{draw(st.sampled_from(_UNKNOWN_KEYS))}={draw(value)}")
         elif kind == "comment":
             lines.append(draw(st.sampled_from(["", "# a comment"])))
         else:
-            no_key = st.text(string.ascii_letters, min_size=1, max_size=8) | st.just(TEXT)
+            no_key = st.text(string.ascii_letters, min_size=1, max_size=8) | _ANY_LONG
             lines.append(draw(no_key))
     return "\n".join(lines) + "\n"
 
@@ -1286,6 +1389,8 @@ def _config(draw):
 @example(["verify", "reversal", "--max-digit", "9" * 5000], None)
 @example(["subsequence", "--cap", NINES_4000, "--source", "periodic:,1", "--n", "99"], None)
 @example(["pillai"], f"source=periodic:,1\nn=100\n{TEXT}=1\n")
+@example(["pillai", "--expect", SPACED], None)
+@example(["measure", EMOJI], None)
 def test_cli_exits_0_1_or_2_and_refuses_in_one_short_line(tmp_path_factory, argv, config):
     # no exception escapes main (argparse's SystemExit is its exit code), the
     # code is 0, 1 or 2, and a usage error ends in one line of at most 200 bytes

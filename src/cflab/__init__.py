@@ -6,12 +6,10 @@ from .cfcore import (
     Word,
     cf_of_rational,
     cylinder_interval,
-    denominator_dominance,
     format_word,
     iter_words,
     parse_word,
     reverse,
-    value_of,
     word,
 )
 from .measure import (
@@ -19,8 +17,6 @@ from .measure import (
     LogRational,
     joint_pattern_measure,
     measure_of_cylinder,
-    pairwise_cylinder_inequality,
-    reversal_equality_check,
 )
 from .stats import (
     ModeDescriptor,

@@ -1,9 +1,12 @@
-"""Exact continued-fraction words, the convergent recurrence, values, and cylinder intervals.
+"""Exact continued-fraction words and text, the convergent recurrence, cylinder intervals, walks.
 
 A word is a finite tuple of partial quotients (a1, ..., an), every digit >= 1,
-standing for the continued fraction [0; a1, ..., an] in (0, 1].  All
-arithmetic is over exact rationals; nothing here touches floating point.
-Every function is pure, so concurrent use needs no locking.
+standing for the continued fraction [0; a1, ..., an] in (0, 1]; the empty
+word seeds the recurrence, and its cylinder is all of (0, 1).  The walks,
+`iter_words` and `iter_prefix_pairs`, enumerate a bounded family of words
+and their convergent pairs.  All arithmetic is over exact rationals;
+nothing here touches floating point.  Every function is pure, so concurrent
+use needs no locking.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ class CylinderInterval(NamedTuple):
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def word(digits: Iterable[int]) -> Word:
@@ -118,11 +117,6 @@ def reverse(w: Word) -> Word:
     return w[::-1]
 
 
-def _require_nonempty(w: Word) -> None:
-    if len(w) == 0:
-        raise ValueError("operation undefined for the empty word")
-
-
 def cf_of_rational(num: int, den: int) -> Word:
     """Expand num/den with 0 < num < den into its canonical word.
 
@@ -157,10 +151,10 @@ def _extend(pair: Pair, digits: Iterable[int]) -> Pair:
 def convergent_pair(w: Word) -> Pair:
     """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; w] by the convergent recurrence.
 
-    Seeds p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0; then p_i = a_i p_{i-1} +
-    p_{i-2}, and likewise for q.  This is the package's one recurrence:
-    values, cylinder endpoints, cylinder measures and `iter_prefix_pairs`
-    all read it.
+    Seeds p_0 = 0, q_0 = 1, p_{-1} = 1, q_{-1} = 0, the pair of the empty
+    word; then p_i = a_i p_{i-1} + p_{i-2}, and likewise for q.  This is the
+    package's one recurrence: cylinder endpoints, cylinder measures and
+    `iter_prefix_pairs` all read it.
 
     p_n/q_n is the word's value.  Raising the last digit by one gives
     (p_n + p_{n-1})/(q_n + q_{n-1}), the cylinder's other endpoint.  Each
@@ -173,14 +167,7 @@ def convergent_pair(w: Word) -> Pair:
     (p, q, p', q') to (q, q + p, q', q' + p'), and appending a 1 maps it to
     (p + p', q + q', p, q).
     """
-    _require_nonempty(w)
     return _extend(_EMPTY_PAIR, w)
-
-
-def value_of(w: Word) -> Fraction:
-    """Exact value of [0; w] in (0, 1]."""
-    p, q, _, _ = convergent_pair(w)
-    return Fraction(p, q)
 
 
 def cylinder_interval(w: Word) -> CylinderInterval:
@@ -193,39 +180,6 @@ def cylinder_interval(w: Word) -> CylinderInterval:
     else:
         lo, hi = own, bumped
     return CylinderInterval(lo, hi)
-
-
-def one_word_row(w: Word) -> tuple[Pair, int, range]:
-    """The row of w alone, on which each row check decides w: its prefix's pair, |w| % 2, w[-1]."""
-    _require_nonempty(w)
-    return _extend(_EMPTY_PAIR, w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)
-
-
-def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
-    """Index in `lasts` of the first a with q([0;1,1,u,a]) <= q([0;1,u,a,1]), or None.
-
-    pair = convergent_pair(u); `odd` does not enter.  With (P, Q, p, q) the
-    pair of n = u.a, prepending a 1 maps (P, Q) to (Q, Q + P) and appending
-    one adds (p, q), so q([0;1,1,n]) = 2Q + P > Q + P + q + p = q([0;1,n,1])
-    iff Q = a q + q' > q + p.
-    """
-    p, q, p_prev, q_prev = pair
-    for a in lasts:
-        if a * q + q_prev <= q + p:
-            return lasts.index(a)
-    return None
-
-
-def denominator_dominance(n: Word) -> bool:
-    """Check q([0;1,1,n1..nk]) > q([0;1,n1..nk,1]) for a word with last digit >= 2.
-
-    The inequality must hold for every admissible word; the function exists
-    so that the claim can be machine-checked exhaustively rather than trusted.
-    """
-    _require_nonempty(n)
-    if n[-1] < 2:
-        raise ValueError("last digit must be >= 2")
-    return dominance_row(*one_word_row(n)) is None
 
 
 def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:

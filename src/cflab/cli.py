@@ -121,7 +121,8 @@ def _config_tokens(path: str) -> list[tuple[str, str]]:
 
     Keys are option dests (`-` or `_`); `patterns=a;b` gives one --pattern
     token per word.  The `--flag=value` form keeps a value from taking the
-    next token.
+    next token.  A line holding a NUL byte is refused, as no argv value can
+    hold one.
     """
     with _user_file():
         content = Path(path).read_text()
@@ -131,7 +132,7 @@ def _config_tokens(path: str) -> list[tuple[str, str]]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
+        if not sep or "\0" in line:
             raise UsageError(f"bad config line {quote(line)}")
         key, value = key.strip().replace("-", "_"), value.strip()
         if key == "patterns":

@@ -22,8 +22,12 @@ VERDICT_NON_NORMAL = "NON_NORMAL"
 # 10**4 rows peaks at about 39 MB (Python 3.11).
 MAX_REPORT_ROWS = 10**4
 # Most digits a run may draw (pillai, subsequence, expand): random: digits
-# take about 0.5 us each (2 vCPU, Python 3.11), so 10**8 about a minute.
+# take about 0.5 us each (2 vCPU, Python 3.11), so 10**8 about a minute
+# with short patterns.  Counting pillai's patterns costs n x their total
+# length, 0.5-0.7 ns a unit: one 100,000-digit pattern at n = 10**6 takes
+# 72 s, so MAX_COUNT_WORK bounds that product at about a minute too.
 MAX_N = 10**8
+MAX_COUNT_WORK = 10**11
 
 
 def check_n(n: int) -> None:
@@ -123,6 +127,12 @@ def run_pillai(config: ExperimentConfig) -> dict:
         raise UsageError("pillai experiment needs at least one pattern")
     if config.n < 10 * max(len(w) for w in config.patterns):
         raise UsageError("n must be at least 10x the longest pattern")
+    work = config.n * sum(map(len, config.patterns))
+    if work > MAX_COUNT_WORK:
+        raise UsageError(
+            f"counting would take n x the pattern digits = {shown(work, ',')} steps, "
+            f"more than the limit of {MAX_COUNT_WORK:,}"
+        )
     modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
     _check_report_rows(config, config.n, len(config.patterns) * len(modes))
     stats = frequency_report(

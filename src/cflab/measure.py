@@ -8,22 +8,24 @@ Floats appear only when rendering reports.
 The cylinder kernel is integer-only.  `_arg(p, q, p', q', odd, m)` reads
 the arg of C_w off w's convergent pair (p, q, p', q') = convergent_pair(w)
 and the parity of |w|, with only + and *, as an unreduced pair (num, den)
-of positive integers; `_cylinder_arg(w, m)` is `_arg` on
-`convergent_pair(w)`.  Three maps on the pair give the pairs of a word's
+of positive integers.  Three maps on the pair give the pairs of a word's
 neighbours without a second recurrence: reversal swaps p and q',
 prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'), and
 appending a 1 maps it to (p + p', q + q', p, q).
 
 For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
 a*d == c*b, so the row checks `reversal_row` and `pairwise_row` decide
-equality or strict order by cross-multiplying kernel values, exactly.  A
-row is the words u.a of one prefix u, for the last digits a in a range,
-and its check returns the index of the first failing word, or None.  The
-word predicates call them on the one-word row, the `verify` scans on the
-prefixes of `iter_prefix_pairs`.  The joint measure reads both ends of its
-bracket off walks of the same enumerator, the inner nodes' exact child
-tails and the leaves' cylinders, and multiplies each in a balanced product
-tree; only reports and `measure_of_cylinder` see reduced Fractions.
+equality or strict order by cross-multiplying kernel values, exactly;
+`dominance_row` compares two denominators read off the same pairs.  A row
+is the words u.a of one prefix u, for the last digits a in a range, and
+its check returns the index of the first failing word, or None.  The
+`verify` scans call them on the prefixes of `iter_prefix_pairs`; a single
+word w is the row (convergent_pair(w[:-1]), |w| % 2, range(w[-1], w[-1] + 1)).
+
+The joint measure reads both ends of its bracket off walks of the same
+enumerator, the inner nodes' exact child tails and the leaves' cylinders,
+and multiplies each in a balanced product tree; only reports and
+`measure_of_cylinder` see reduced Fractions.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, one_word_row, shown
+from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, shown
 
 _ONE = Fraction(1)
 # The cap on the middle digits of a joint measure when the caller sets none.
@@ -84,29 +86,14 @@ def _arg(p: int, q: int, p_prev: int, q_prev: int, odd: int, m: int = 1) -> tupl
     return (q2 + p2) * q, q2 * (q + p)
 
 
-def _cylinder_arg(w: Word, m: int = 1) -> tuple[int, int]:
-    """`_arg` of the word w: the arg of the interval between [0; w] and [0; w, m]."""
-    return _arg(*convergent_pair(w), len(w) % 2, m)
-
-
 def measure_of_cylinder(w: Word) -> LogRational:
     """gamma(C_w) = log2((1 + hi)/(1 + lo)) over the cylinder's endpoints.
 
     This is the closed form of (1/ln 2) * integral of dx/(1+x) over the
-    cylinder interval.
+    cylinder interval.  The empty word's cylinder is all of (0, 1), of
+    measure 1.
     """
-    return LogRational(Fraction(*_cylinder_arg(w)))
-
-
-def unenumerated_children_measure(w: Word, n_max: int) -> LogRational:
-    """Exact measure of {x in C_w : digit |w|+1 of x exceeds n_max}.
-
-    That set is the interval between value(w . (n_max+1)) and value(w); at
-    n_max = 0 it is all of C_w.
-    """
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
-    return LogRational(Fraction(*_cylinder_arg(w, n_max + 1)))
+    return LogRational(Fraction(*_arg(*convergent_pair(w), len(w) % 2)))
 
 
 def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
@@ -126,9 +113,27 @@ def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
     return None
 
 
+def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first a with q([0;1,1,u,a]) <= q([0;1,u,a,1]), or None.
+
+    pair = convergent_pair(u); `odd` does not enter.  With (P, Q, p, q) the
+    pair of n = u.a, prepending a 1 maps (P, Q) to (Q, Q + P) and appending
+    one adds (p, q), so q([0;1,1,n]) = 2Q + P > Q + P + q + p = q([0;1,n,1])
+    iff Q = a q + q' > q + p.
+    """
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        if a * q + q_prev <= q + p:
+            return lasts.index(a)
+    return None
+
+
 def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
     """Index in `lasts` of the first padding word n = u.a failing the pairwise relation, or None.
 
+    The relation: for last digit >= 2, gamma(C_[1,n,1]) > gamma(C_[1,1,n])
+    strictly; for last digit 1, with n = m.1, the term pairs off exactly
+    against its reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
     pair = convergent_pair(u), and odd = |n| % 2 is also the parity of
     1.n.1 and 1.1.n.  With (P, Q, p, q) the pair of n, that of 1.n is
     (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's and the prepend-1
@@ -147,21 +152,6 @@ def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
         if failed:
             return lasts.index(a)
     return None
-
-
-def pairwise_cylinder_inequality(n: Word) -> bool:
-    """True iff the pairwise relation between C_[1,n,1] and C_[1,1,n] holds for n.
-
-    Last digit >= 2: gamma(C_[1,n,1]) > gamma(C_[1,1,n]) strictly.  Last
-    digit 1: with n = m + (1,), the term pairs off exactly against its
-    reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
-    """
-    return pairwise_row(*one_word_row(n)) is None
-
-
-def reversal_equality_check(w: Word) -> bool:
-    """True iff gamma(C_w) == gamma(C_reversed(w)) exactly."""
-    return reversal_row(*one_word_row(w)) is None
 
 
 def _log2_outward(x: Fraction, direction: int) -> float:
@@ -243,8 +233,9 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
 
     The walks visit each 1.u with digits <= cap and |u| <= k-1.  lower sums
     gamma(C_[1,u,1]) over the leaves, |u| = k-1.  tail_bound sums over the
-    inner nodes the child tail `unenumerated_children_measure((1,) + u, cap)`,
-    which holds each C_[1,u,a,...,1] with a > cap: every omitted middle lies
+    inner nodes the child tail, the measure of {x in C_[1,u] : digit
+    |u| + 2 of x exceeds cap}, which is `_arg` of 1.u at m = cap + 1 and
+    holds each C_[1,u,a,...,1] with a > cap: every omitted middle lies
     in exactly one of them.  k-1 may not exceed the bit length of
     MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
     """

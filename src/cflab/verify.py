@@ -22,10 +22,11 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .cfcore import UsageError, Word, dominance_row, format_word, iter_prefix_pairs, shown
+from .cfcore import UsageError, Word, format_word, iter_prefix_pairs, shown
 from .measure import (
     DEFAULT_CAP,
     BoundedMeasure,
+    dominance_row,
     joint_pattern_measure,
     measure_of_cylinder,
     pairwise_row,

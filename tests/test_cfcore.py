@@ -16,12 +16,11 @@ import pytest
 from cflab import (
     cf_of_rational,
     cylinder_interval,
-    denominator_dominance,
     format_word,
     iter_words,
+    measure_of_cylinder,
     parse_word,
     reverse,
-    value_of,
     word,
 )
 from cflab.cfcore import convergent_pair, iter_prefix_pairs
@@ -34,6 +33,12 @@ def nested_value(w):
     for a in reversed(w):
         acc = Fraction(1, a + acc)
     return acc
+
+
+def value_of(w):
+    """[0; w] read off the recurrence: p_n/q_n of convergent_pair(w)."""
+    p, q, _, _ = convergent_pair(w)
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------- words
@@ -102,13 +107,12 @@ def test_convergents_examples():
     assert convergent_pair((1, 2, 3)) == (7, 10, 2, 3)
 
 
-def test_convergents_rejects_empty():
-    with pytest.raises(ValueError):
-        convergent_pair(())
-    with pytest.raises(ValueError):
-        value_of(())
-    with pytest.raises(ValueError):
-        cylinder_interval(())
+def test_empty_word_is_the_recurrence_seed():
+    # the pair every walk starts from; its cylinder is the whole space
+    assert convergent_pair(()) == next(iter_prefix_pairs(1, 0)) == (0, 1, 1, 0)
+    assert cylinder_interval(()) == (0, 1)
+    assert measure_of_cylinder(()).arg == 2
+    assert measure_of_cylinder(()).float == 1.0
 
 
 def test_value_examples():
@@ -170,7 +174,8 @@ def test_cylinder_width_identity_exhaustive():
     for w in iter_words(6, 6):
         q_last = nested_value(w).denominator
         q_prev = nested_value(w[:-1]).denominator
-        assert cylinder_interval(w).width == Fraction(1, q_last * (q_last + q_prev))
+        iv = cylinder_interval(w)
+        assert iv.hi - iv.lo == Fraction(1, q_last * (q_last + q_prev))
 
 
 def test_roundtrip_on_canonical_words():
@@ -189,7 +194,7 @@ def test_cylinder_nesting():
         for d in range(1, 7):
             child = cylinder_interval(w + (d,))
             assert parent.lo <= child.lo < child.hi <= parent.hi
-            assert child.width < parent.width
+            assert child.hi - child.lo < parent.hi - parent.lo
 
 
 def test_prefix_pairs_follow_product_order_with_their_convergent_pairs():
@@ -199,7 +204,7 @@ def test_prefix_pairs_follow_product_order_with_their_convergent_pairs():
     for max_digit in range(0, 6):
         for depth in range(0, 5):
             prefixes = list(itertools.product(range(1, max_digit + 1), repeat=depth))
-            expected = [convergent_pair(u) if u else (0, 1, 1, 0) for u in prefixes]
+            expected = [convergent_pair(u) for u in prefixes]
             assert list(iter_prefix_pairs(max_digit, depth)) == expected
             headed = list(iter_prefix_pairs(max_digit, depth, convergent_pair(head)))
             assert headed == [convergent_pair(head + u) for u in prefixes]
@@ -212,30 +217,7 @@ def test_prefix_walk_goes_past_the_recursion_limit():
     assert next(iter_prefix_pairs(2, depth)) == convergent_pair((1,) * depth)
 
 
-# ------------------------------------------------- denominator dominance
-
-def test_denominator_dominance_examples():
-    assert denominator_dominance((2,)) is True
-    assert value_of((1, 1, 2)).denominator == 5
-    assert value_of((1, 2, 1)).denominator == 4
-    assert denominator_dominance((3,)) is True
-    assert denominator_dominance((2, 2)) is True
-
-
-def test_denominator_dominance_rejects_last_digit_one():
-    with pytest.raises(ValueError):
-        denominator_dominance((2, 1))
-    with pytest.raises(ValueError):
-        denominator_dominance(())
-
-
-def test_denominator_dominance_exhaustive():
-    # digits <= 5, length <= 4, last digit >= 2: always true
-    for w in iter_words(5, 4):
-        if w[-1] < 2:
-            continue
-        assert denominator_dominance(w), w
-
+# ------------------------------------------------- denominators
 
 def test_prepended_one_denominator_relation():
     # q([0;1,n1..nj]) + p([0;1,n1..nj]) == q([0;1,1,n1..nj]) for all j

@@ -75,9 +75,9 @@ def test_measure_huge_word_renders_bounded_rationals(capsys):
 
 
 def test_measure_empty_word_is_usage_error(capsys):
-    code, _, err = run(capsys, "measure", "")
-    assert code == 2
-    assert "error" in err
+    # the library measures the empty word (all of (0, 1)); the CLI does not take it
+    code, out, err = run(capsys, "measure", "")
+    assert (code, out, err) == (2, "", "error: empty word\n")
 
 
 # ----------------------------------------------------------------- expand
@@ -636,6 +636,25 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
     assert "invalid choice: 'maybe'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "1,1"],
+        ["verify", "reversal"],
+        ["expand", "rational:1/3", "--n", "2"],
+        ["pillai", "--source", "periodic:,1", "--n", "100", "--pattern", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_line_with_a_nul_byte_is_usage_error(tmp_path, capsys, argv):
+    # no argv value can hold a NUL, so no file value may: open() would raise ValueError
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"out=a\0b\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: bad config line 'out=a\\x00b'\n")
+    assert not (tmp_path / "a").exists()
+
+
 def test_config_file_patterns_replaced_by_pattern_flags(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("source=periodic:,2\nn=500\npatterns=2;2,2\nexpect=non-normal\n")
@@ -967,6 +986,36 @@ def test_n_draw_limit_boundary(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "101")
     _one_line_usage_error(code, out, err)
     assert "n must be at most 100, got 101" in err
+
+
+def test_pillai_counting_work_limit_boundary(capsys, monkeypatch):
+    # n x the pattern digits: 100 x (1 + 2) = 300 steps
+    argv = ["pillai", "--source", "periodic:,1", "--pattern", "1", "--pattern", "1,1", "--n", "100"]
+    monkeypatch.setattr(experiments, "MAX_COUNT_WORK", 300)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    monkeypatch.setattr(experiments, "MAX_COUNT_WORK", 299)
+    _no_source(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    _one_line_usage_error(code, out, err)
+    assert err == (
+        "error: counting would take n x the pattern digits = 300 steps, more than the limit of 299\n"
+    )
+
+
+def test_long_pattern_at_the_draw_limit_is_refused_before_any_digit(capsys, monkeypatch):
+    # 10**8 digits x one 32,000-digit pattern would count for about half an hour
+    _no_source(monkeypatch)
+    ones = ",".join(["1"] * 32000)
+    argv = ["pillai", "--source", "periodic:,1", "--n", "100000000", "--pattern", ones]
+    code, out, err = run(capsys, *argv)
+    _one_line_usage_error(code, out, err)
+    assert "= 3,200,000,000,000 steps, more than the limit of 100,000,000,000" in err
+
+
+def test_bench_patterns_at_the_draw_limit_are_inside_the_work_limit():
+    # the pillai bench's 8 patterns: 1, 2, 3, 1,1, 1,2, 2,1, 1,1,1, 1,2,1
+    assert experiments.MAX_N * (3 * 1 + 3 * 2 + 2 * 3) <= experiments.MAX_COUNT_WORK
 
 
 INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()

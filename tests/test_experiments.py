@@ -5,20 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from cflab import (
-    count_disjoint,
-    count_overlapping,
-    measure_of_cylinder,
-    parse_source_spec,
-    value_of,
-)
+from cflab import count_disjoint, count_overlapping, measure_of_cylinder, parse_source_spec
+from cflab.cfcore import convergent_pair
 from cflab.experiments import ExperimentConfig, run_pillai, run_subsequence
 
 
 def _finite_spec(length: int, seed: int) -> str:
     rng = random.Random(seed)
-    x = value_of(tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(length)))
-    return f"rational:{x.numerator}/{x.denominator}"
+    p, q, _, _ = convergent_pair(tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(length)))
+    return f"rational:{p}/{q}"
 
 
 # n cuts a source chunk: periodic chunks hold 1023 digits after the prefix,

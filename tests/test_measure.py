@@ -17,24 +17,21 @@ from hypothesis import strategies as st
 from cflab import (
     BoundedMeasure,
     cylinder_interval,
-    denominator_dominance,
     LogRational,
     iter_words,
     joint_pattern_measure,
     measure_of_cylinder,
-    pairwise_cylinder_inequality,
     reverse,
-    reversal_equality_check,
-    value_of,
 )
 from cflab import measure
 from cflab.cfcore import UsageError, convergent_pair
 from cflab.measure import (
     MAX_MIDDLE_WORDS,
     _arg,
-    _cylinder_arg,
     _product_tree,
-    unenumerated_children_measure,
+    dominance_row,
+    pairwise_row,
+    reversal_row,
 )
 
 
@@ -45,6 +42,27 @@ def _oracle_arg(w):
     """The cylinder arg as Fractions over the interval endpoints."""
     iv = cylinder_interval(w)
     return (1 + iv.hi) / (1 + iv.lo)
+
+
+def _value(w):
+    """[0; w] read off the recurrence: p_n/q_n of convergent_pair(w)."""
+    p, q, _, _ = convergent_pair(w)
+    return Fraction(p, q)
+
+
+def _kernel_arg(w, m=1):
+    """`_arg` of the word w: the arg of the interval between [0; w] and [0; w, m]."""
+    return _arg(*convergent_pair(w), len(w) % 2, m)
+
+
+def _child_tail(w, cap):
+    """The measure of {x in C_w : digit |w|+1 of x exceeds cap}, from the kernel at m = cap + 1."""
+    return LogRational(Fraction(*_kernel_arg(w, cap + 1)))
+
+
+def _holds(check, w):
+    """True iff the row check passes w on the row of w alone."""
+    return check(convergent_pair(w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
 
 
 def _sequential_product(fractions):
@@ -110,39 +128,31 @@ def test_additivity_with_exact_remainder():
             for d in range(1, n_max + 1):
                 children += measure_of_cylinder(w + (d,))
             assert children < parent
-            remainder = unenumerated_children_measure(w, n_max)
+            remainder = _child_tail(w, n_max)
             assert children + remainder == parent
-
-
-def test_unenumerated_children_rejects_negative_n_max():
     # n_max = 0 leaves every child unenumerated: the whole cylinder
-    assert unenumerated_children_measure((2,), 0) == measure_of_cylinder((2,))
-    for n_max in (-1, -2):
-        with pytest.raises(ValueError, match="n_max >= 0"):
-            unenumerated_children_measure((2,), n_max)
+    assert _child_tail((2,), 0) == measure_of_cylinder((2,))
 
 
 def test_reversal_examples_and_exhaustive():
-    assert reversal_equality_check((1, 2))
-    assert reversal_equality_check((3,))
-    assert reversal_equality_check((1, 2, 3))
+    assert _holds(reversal_row, (1, 2))
+    assert _holds(reversal_row, (3,))
+    assert _holds(reversal_row, (1, 2, 3))
     for w in iter_words(4, 5):
-        assert reversal_equality_check(w), w
+        assert _holds(reversal_row, w), w
 
 
 def test_pairwise_examples():
-    assert pairwise_cylinder_inequality((2,)) is True
+    assert _holds(pairwise_row, (2,))
     assert measure_of_cylinder((1, 2, 1)).arg == Fraction(49, 48)
     assert measure_of_cylinder((1, 1, 2)).arg == Fraction(56, 55)
-    assert pairwise_cylinder_inequality((1,)) is True
-    assert pairwise_cylinder_inequality((3, 2)) is True
-    with pytest.raises(ValueError):
-        pairwise_cylinder_inequality(())
+    assert _holds(pairwise_row, (1,))
+    assert _holds(pairwise_row, (3, 2))
 
 
 def test_pairwise_exhaustive():
     for n in iter_words(5, 3):
-        assert pairwise_cylinder_inequality(n) is True, n
+        assert _holds(pairwise_row, n), n
 
 
 def test_pairwise_equal_case_is_exact_reversal_pairing():
@@ -152,7 +162,7 @@ def test_pairwise_equal_case_is_exact_reversal_pairing():
         left = measure_of_cylinder((1,) + m + (1, 1))
         right = measure_of_cylinder((1, 1) + m[::-1] + (1,))
         assert left == right
-        assert pairwise_cylinder_inequality(n) is True
+        assert _holds(pairwise_row, n)
 
 
 def _constant_arg(p, q, p_prev, q_prev, odd, m=1):
@@ -182,7 +192,23 @@ def _arg_by_q_prev(p, q, p_prev, q_prev, odd, m=1):
 )
 def test_pairwise_is_false_when_the_relation_fails(monkeypatch, fake_arg, n):
     monkeypatch.setattr(measure, "_arg", fake_arg)
-    assert pairwise_cylinder_inequality(n) is False
+    assert not _holds(pairwise_row, n)
+
+
+def test_denominator_dominance_examples():
+    assert _holds(dominance_row, (2,))
+    assert _value((1, 1, 2)).denominator == 5
+    assert _value((1, 2, 1)).denominator == 4
+    assert _holds(dominance_row, (3,))
+    assert _holds(dominance_row, (2, 2))
+
+
+def test_denominator_dominance_exhaustive():
+    # digits <= 5, length <= 4, last digit >= 2: always true
+    for w in iter_words(5, 4):
+        if w[-1] < 2:
+            continue
+        assert _holds(dominance_row, w), w
 
 
 def test_joint_pattern_measure_small_cases():
@@ -190,12 +216,12 @@ def test_joint_pattern_measure_small_cases():
     assert bm.lower.arg == Fraction(25, 24) * Fraction(49, 48) * Fraction(81, 80)
     # the child tail of the root (1,): a second digit past 3
     assert bm.tail_bound.arg == Fraction(10, 9)
-    assert bm.tail_bound == unenumerated_children_measure((1,), 3)
+    assert bm.tail_bound == _child_tail((1,), 3)
 
     bm = joint_pattern_measure(3, 1)
     assert bm.lower == measure_of_cylinder((1, 1, 1, 1))
     # the inner nodes (1,) and (1, 1), each missing every child past 1
-    nodes = unenumerated_children_measure((1,), 1) + unenumerated_children_measure((1, 1), 1)
+    nodes = _child_tail((1,), 1) + _child_tail((1, 1), 1)
     assert bm.tail_bound == nodes
 
     with pytest.raises(ValueError):
@@ -264,7 +290,7 @@ def test_joint_tail_is_the_sum_of_inner_child_tails(k, cap):
     inner = [()] + list(iter_words(cap, k - 2))
     expected = LogRational(1)
     for u in inner:
-        expected += unenumerated_children_measure((1,) + u, cap)
+        expected += _child_tail((1,) + u, cap)
     assert joint_pattern_measure(k, cap).tail_bound == expected
 
 
@@ -332,7 +358,7 @@ def test_joint_refuses_a_deep_walk_at_cap_1():
 @example((1,))
 @example((10**6,) * 40)
 def test_cylinder_arg_matches_interval_oracle(w):
-    num, den = _cylinder_arg(w)
+    num, den = _kernel_arg(w)
     assert num > 0 and den > 0
     assert Fraction(num, den) == _oracle_arg(w)
     assert measure_of_cylinder(w).arg == _oracle_arg(w)
@@ -350,7 +376,6 @@ def test_pair_maps_match_the_recurrence_and_the_kernel(w, m):
     assert convergent_pair(w + (1,)) == (p + p_prev, q + q_prev, p, q)
     assert convergent_pair((1,) + w + (1,)) == (q + q_prev, q + p + q_prev + p_prev, q, q + p)
     assert convergent_pair((1, 1) + w) == (q + p, 2 * q + p, q_prev + p_prev, 2 * q_prev + p_prev)
-    assert _cylinder_arg(w, m) == _arg(*convergent_pair(w), len(w) % 2, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -359,9 +384,9 @@ def test_pair_maps_match_the_recurrence_and_the_kernel(w, m):
 @example((2, 3), 10**6)
 def test_cylinder_arg_of_child_tail_matches_value_oracle(w, m):
     # the interval between [0; w] and [0; w, m], from Fraction values
-    a, b = value_of(w), value_of(w + (m,))
+    a, b = _value(w), _value(w + (m,))
     lo, hi = min(a, b), max(a, b)
-    num, den = _cylinder_arg(w, m)
+    num, den = _kernel_arg(w, m)
     assert num > 0 and den > 0
     assert Fraction(num, den) == (1 + hi) / (1 + lo)
 
@@ -388,7 +413,7 @@ def test_product_tree_matches_left_to_right_product(terms):
 @example((1,))
 @example((2, 1))
 def test_reversal_verdict_matches_fraction_oracle(w):
-    assert reversal_equality_check(w) is (_oracle_arg(w) == _oracle_arg(reverse(w)))
+    assert _holds(reversal_row, w) is (_oracle_arg(w) == _oracle_arg(reverse(w)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -404,13 +429,13 @@ def test_pairwise_verdict_matches_fraction_oracle(n, last_digit_one):
     else:
         m = n[:-1]
         assert _oracle_arg((1,) + m + (1, 1)) == _oracle_arg((1, 1) + reverse(m) + (1,))
-    assert pairwise_cylinder_inequality(n) is True
+    assert _holds(pairwise_row, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(words.filter(lambda w: w[-1] >= 2))
 @example((2,))
 def test_denominator_dominance_matches_value_denominators(n):
-    q_left = value_of((1, 1) + n).denominator
-    q_right = value_of((1,) + n + (1,)).denominator
-    assert denominator_dominance(n) is (q_left > q_right)
+    q_left = _value((1, 1) + n).denominator
+    q_right = _value((1,) + n + (1,)).denominator
+    assert _holds(dominance_row, n) is (q_left > q_right)

@@ -29,9 +29,9 @@ from cflab import (
     source_periodic,
     source_random_real,
     source_rational,
-    value_of,
 )
 from cflab import streams
+from cflab.cfcore import convergent_pair
 from cflab.streams import MIN_DECIMAL_EXPONENT, _interval_digits
 
 
@@ -70,6 +70,12 @@ def common_prefix(a: list[int], b: list[int]) -> list[int]:
             break
         out.append(x)
     return out
+
+
+def value_of(w) -> Fraction:
+    """[0; w] read off the recurrence: p_n/q_n of convergent_pair(w)."""
+    p, q, _, _ = convergent_pair(w)
+    return Fraction(p, q)
 
 
 # ------------------------------------------------------------ rational

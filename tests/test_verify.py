@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cflab import UsageError, iter_words, measure_of_cylinder, reverse, verify
-from cflab.cfcore import convergent_pair, one_word_row
+from cflab.cfcore import convergent_pair
 
 
 def _row_stand_in(real, family, bad, rows):
@@ -15,7 +15,7 @@ def _row_stand_in(real, family, bad, rows):
 
     Each prefix of the family is found by its pair, as a row check sees it.
     """
-    prefixes = {one_word_row(w)[0]: w[:-1] for w in family}
+    prefixes = {convergent_pair(w[:-1]): w[:-1] for w in family}
 
     def check(pair, odd, lasts):
         u = prefixes[pair]

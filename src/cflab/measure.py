@@ -23,9 +23,10 @@ its check returns the index of the first failing word, or None.  The
 word w is the row (convergent_pair(w[:-1]), |w| % 2, range(w[-1], w[-1] + 1)).
 
 The joint measure reads both ends of its bracket off walks of the same
-enumerator, the inner nodes' exact child tails and the leaves' cylinders,
-and multiplies each in a balanced product tree; only reports and
-`measure_of_cylinder` see reduced Fractions.
+enumerator, the leaves' cylinders and the inner nodes' child tails, and
+multiplies each in `_dyadic_product`, a 128-bit fixed-point product that
+rounds the leaves down and the tails up: each end is a certified dyadic
+rational of about 128 bits, however many terms it has.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, shown
 
-_ONE = Fraction(1)
 # The cap on the middle digits of a joint measure when the caller sets none.
 DEFAULT_CAP = 1000
 
@@ -57,9 +57,6 @@ class LogRational:
         if arg < 1:
             raise ValueError(f"measure argument must be >= 1, got {arg}")
         object.__setattr__(self, "arg", arg)
-
-    def __add__(self, other: "LogRational") -> "LogRational":
-        return LogRational(self.arg * other.arg)
 
     @property
     def float(self) -> float:
@@ -170,17 +167,17 @@ def _log2_outward(x: Fraction, direction: int) -> float:
 
 @dataclass(frozen=True)
 class BoundedMeasure:
-    """An exact lower bound plus an exact measure of a set holding the omitted mass.
+    """Certified dyadic ends: the true value lies in [lower, lower + tail_bound].
 
-    The true value lies in [lower, lower + tail_bound] = [lower, upper].
+    lower + tail_bound is `upper`; adding measures multiplies their args.
     """
 
     lower: LogRational
     tail_bound: LogRational
 
-    @cached_property  # one big product, read by bracket() and contains()
+    @property
     def upper(self) -> LogRational:
-        return self.lower + self.tail_bound
+        return LogRational(self.lower.arg * self.tail_bound.arg)
 
     def bracket(self) -> tuple[float, float]:
         """Outward-rounded float bracket [lo, hi] containing the true value."""
@@ -192,51 +189,45 @@ class BoundedMeasure:
 
 
 # Most middle words a joint measure may enumerate.  k=3 at cap 1000 is the
-# largest k=3 run allowed (about three minutes on a 2-vCPU host with
-# Python 3.11); k=5 at DEFAULT_CAP (10**12 words) is refused up front
-# instead of running for days.
+# largest k=3 run allowed (about 1.2 s on a 2-vCPU host with Python 3.11);
+# k=5 at DEFAULT_CAP (10**12 words) is refused up front instead of running
+# for days.
 MAX_MIDDLE_WORDS = 10**6
 
 
-def _product_tree(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact reduced product of the positive fractions num/den in `terms`.
+# The joint measure's products are carried as integers over 2**_DYADIC_BITS.
+_DYADIC_BITS = 128
 
-    Equal-sized neighbours merge as in a binary counter, so the tree is
-    balanced and each big multiplication pairs operands of similar size
-    (Knuth, TAOCP vol. 2, 4.3.3), while only O(log n) nodes are held.  Each
-    node stays in lowest terms through the two cross gcds of reduced
-    factors, as in a Fraction product: gcd costs time quadratic in the
-    operand size, so many small gcds are cheaper than one of the unreduced
-    product.
+
+def _dyadic_product(terms: Iterable[tuple[int, int]], up: bool) -> Fraction:
+    """The product of the fractions num/den >= 1 in `terms`, rounded down, or up if `up`.
+
+    x starts at 2**_DYADIC_BITS and each term sets it to floor(x num/den),
+    or to the ceiling.  As num >= den, x never falls below its start, so a
+    step errs by less than 1 part in 2**_DYADIC_BITS of x, and n terms by
+    less than n parts in all: the result lies within a factor
+    1 -+ n 2**-_DYADIC_BITS of the exact product, on the side `up` names.
     """
-
-    def merge(a, b):
-        (size_a, n1, d1), (size_b, n2, d2) = a, b
-        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
-        return size_a + size_b, (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-
-    stack = []  # (leaf count, num, den), leaf counts strictly decreasing
-    for num, den in terms:
-        g = math.gcd(num, den)
-        node = (1, num // g, den // g)
-        while stack and stack[-1][0] == node[0]:
-            node = merge(stack.pop(), node)
-        stack.append(node)
-    while len(stack) > 1:
-        node = stack.pop()
-        stack.append(merge(stack.pop(), node))
-    return Fraction(*stack[0][1:]) if stack else _ONE
+    x = 1 << _DYADIC_BITS
+    if up:
+        for num, den in terms:
+            x = -(-x * num // den)
+    else:
+        for num, den in terms:
+            x = x * num // den
+    return Fraction(x, 1 << _DYADIC_BITS)
 
 
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     """Bracket gamma(C_[1] intersect T^-k C_[1]) by walks of the middle digits.
 
     The walks visit each 1.u with digits <= cap and |u| <= k-1.  lower sums
-    gamma(C_[1,u,1]) over the leaves, |u| = k-1.  tail_bound sums over the
-    inner nodes the child tail, the measure of {x in C_[1,u] : digit
-    |u| + 2 of x exceeds cap}, which is `_arg` of 1.u at m = cap + 1 and
-    holds each C_[1,u,a,...,1] with a > cap: every omitted middle lies
-    in exactly one of them.  k-1 may not exceed the bit length of
+    gamma(C_[1,u,1]) over the leaves, |u| = k-1, rounded down.  tail_bound
+    sums over the inner nodes the child tail, the measure of
+    {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, which is `_arg` of 1.u
+    at m = cap + 1 and holds each C_[1,u,a,...,1] with a > cap: every
+    omitted middle lies in exactly one of them.  It is rounded up, and
+    covers lower's rounding too.  k-1 may not exceed the bit length of
     MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
     """
     if k < 2:
@@ -257,15 +248,21 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
             f"more than the limit of {MAX_MIDDLE_WORDS}"
         )
     head = convergent_pair((1,))
-    tail = _product_tree(
+    # the pairs of the leaves 1.u, closed by the append-1 map into those of 1.u.1
+    odd = (k - 1) % 2
+    leaves = (
+        _arg(p + p_prev, q + q_prev, p, q, odd)
+        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, k - 1, head)
+    )
+    tails = (
         _arg(*pair, (1 + depth) % 2, cap + 1)
         for depth in range(k - 1)
         for pair in iter_prefix_pairs(cap, depth, head)
     )
-    # the pairs of the leaves 1.u, closed by the append-1 map into those of 1.u.1
-    odd = (k - 1) % 2
-    lower = _product_tree(
-        _arg(p + p_prev, q + q_prev, p, q, odd)
-        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, k - 1, head)
-    )
+    lower = _dyadic_product(leaves, up=False)
+    # The n = cap**(k-1) floors of lower leave the exact leaf product below
+    # lower / (1 - n 2**-_DYADIC_BITS) <= lower (1 + 2n 2**-_DYADIC_BITS), so
+    # the tail takes that factor too and lower + tail_bound stays an upper end.
+    one = 1 << _DYADIC_BITS
+    tail = _dyadic_product(chain(tails, [(one + 2 * cap ** (k - 1), one)]), up=True)
     return BoundedMeasure(LogRational(lower), LogRational(tail))

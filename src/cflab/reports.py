@@ -52,9 +52,9 @@ def bounded_measure_report(bm: BoundedMeasure, **extra) -> dict:
     report = dict(extra)
     report.update(
         {
-            "log2_arg": _bounded_rational(bm.lower.arg),
+            "log2_arg": format_rational(bm.lower.arg),
             "float": round(bm.lower.float, 6),
-            "tail_log2_arg": _bounded_rational(bm.tail_bound.arg),
+            "tail_log2_arg": format_rational(bm.tail_bound.arg),
             "bracket": [lo, hi],
         }
     )

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -351,18 +352,26 @@ def test_verify_writes_report(capsys, tmp_path):
 
 
 def test_verify_report_with_huge_argument(capsys, tmp_path):
-    # at cap 5000 the lower bound's argument has ~20k-bit parts, past the
-    # interpreter's int-to-str limit; the report renders it in bounded form
+    # at cap 5000 the exact lower product has ~20k-bit parts, past the
+    # interpreter's int-to-str limit; its dyadic end has 128, printed whole
     out_path = tmp_path / "joint.json"
     code, out, err = run(capsys, "verify", "joint-k2", "--cap", "5000", "--out", str(out_path))
     assert code == 0, err
     assert "pass" in out
     report = json.loads(out_path.read_text())
     assert report["passed"] is True
-    assert report["log2_arg"].startswith("~1.13")
-    assert report["log2_arg"].endswith("-bit rational)")
-    # the child tail of (1,) past cap 5000
-    assert report["tail_log2_arg"] == "10004/10003"
+    one = 2**128
+    assert report["log2_arg"] == f"192550805375309844045383531338037573835/{one // 2}"
+    lower = Fraction(report["log2_arg"])
+    exact_lower = Fraction(1)
+    for n in range(1, 5001):
+        m = 2 * n + 3
+        exact_lower *= Fraction(m * m, m * m - 1)
+    assert lower <= exact_lower < lower * (1 + Fraction(5000, one))
+    # the child tail of (1,) past cap 5000, 10004/10003, rounded up, times
+    # the factor that covers the 5000 floors of the lower end
+    assert report["tail_log2_arg"] == f"340316384952221172497010854018535368135/{one}"
+    assert Fraction(report["tail_log2_arg"]) >= Fraction(10004, 10003) * (1 + Fraction(10000, one))
     assert len(out_path.read_bytes()) < 2000
 
 

@@ -28,7 +28,7 @@ from cflab.cfcore import UsageError, convergent_pair
 from cflab.measure import (
     MAX_MIDDLE_WORDS,
     _arg,
-    _product_tree,
+    _dyadic_product,
     dominance_row,
     pairwise_row,
     reversal_row,
@@ -72,6 +72,41 @@ def _sequential_product(fractions):
     return prod
 
 
+ONE = 2**128  # the joint measure's ends are integers over this
+
+
+def _rounded_product(fractions, up):
+    """The product on the grid 1/ONE, rounded down (up if `up`) after each factor."""
+    rounded = math.ceil if up else math.floor
+    x = Fraction(1)
+    for f in fractions:
+        x = Fraction(rounded(x * f * ONE), ONE)
+    return x
+
+
+def _leaf_slack(leaves):
+    """The factor the tail takes for the rounding of `leaves` lower-end terms."""
+    return Fraction(ONE + 2 * leaves, ONE)
+
+
+def _exact_ends(k, cap):
+    """The exact leaf and child-tail products of the joint measure, from Fraction oracles."""
+    middles = [m for m in iter_words(cap, k - 1) if len(m) == k - 1]
+    inner = [()] + list(iter_words(cap, k - 2))
+    leaves = [_oracle_arg((1,) + m + (1,)) for m in middles]
+    tails = [_child_tail((1,) + u, cap).arg for u in inner]
+    return leaves, tails
+
+
+def _assert_dyadic_ends(bm, leaves, tails):
+    """bm's ends are the rounded products of the oracle terms, outward of the exact ones."""
+    lower = _rounded_product(leaves, up=False)
+    tail = _rounded_product(tails + [_leaf_slack(len(leaves))], up=True)
+    assert bm.lower.arg == lower and bm.tail_bound.arg == tail
+    exact_lower, exact_tail = _sequential_product(leaves), _sequential_product(tails)
+    assert lower <= exact_lower and bm.upper.arg >= exact_lower * exact_tail
+
+
 words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
 
 
@@ -93,9 +128,10 @@ def test_measure_of_cylinder_examples():
 
 def test_measure_sum_examples():
     # the measure of a disjoint union: args multiply
-    assert LogRational(Fraction(4, 3)) + LogRational(Fraction(3, 2)) == MEASURE_FULL
-    assert LogRational(Fraction(25, 24)) + LogRational(Fraction(49, 48)) == LogRational(
-        Fraction(1225, 1152)
+    # C_[1] and (0, 1/2), the set of first digits past 1
+    assert measure_of_cylinder((1,)).arg * Fraction(3, 2) == MEASURE_FULL.arg
+    assert measure_of_cylinder((1, 1, 1)).arg * measure_of_cylinder((1, 2, 1)).arg == Fraction(
+        1225, 1152
     )
 
 
@@ -113,10 +149,10 @@ def test_normalization_identity():
     # sum of gamma(C_[d]) for d <= N plus the tail is exactly the whole space;
     # the tail {x : first digit > N} = (0, 1/(N+1)) has arg (N+2)/(N+1)
     for n_max in range(1, 101):
-        total = LogRational(1)
+        total = Fraction(1)
         for d in range(1, n_max + 1):
-            total += measure_of_cylinder((d,))
-        assert total + LogRational(Fraction(n_max + 2, n_max + 1)) == MEASURE_FULL
+            total *= measure_of_cylinder((d,)).arg
+        assert total * Fraction(n_max + 2, n_max + 1) == MEASURE_FULL.arg
 
 
 def test_additivity_with_exact_remainder():
@@ -124,12 +160,12 @@ def test_additivity_with_exact_remainder():
     for w in iter_words(4, 3):
         parent = measure_of_cylinder(w)
         for n_max in (1, 5, 20):
-            children = LogRational(1)
+            children = Fraction(1)
             for d in range(1, n_max + 1):
-                children += measure_of_cylinder(w + (d,))
-            assert children < parent
+                children *= measure_of_cylinder(w + (d,)).arg
+            assert children < parent.arg
             remainder = _child_tail(w, n_max)
-            assert children + remainder == parent
+            assert children * remainder.arg == parent.arg
     # n_max = 0 leaves every child unenumerated: the whole cylinder
     assert _child_tail((2,), 0) == measure_of_cylinder((2,))
 
@@ -213,16 +249,20 @@ def test_denominator_dominance_exhaustive():
 
 def test_joint_pattern_measure_small_cases():
     bm = joint_pattern_measure(2, 3)
-    assert bm.lower.arg == Fraction(25, 24) * Fraction(49, 48) * Fraction(81, 80)
-    # the child tail of the root (1,): a second digit past 3
-    assert bm.tail_bound.arg == Fraction(10, 9)
-    assert bm.tail_bound == _child_tail((1,), 3)
+    leaves = [Fraction(25, 24), Fraction(49, 48), Fraction(81, 80)]
+    assert bm.lower.arg == Fraction(366368466338217437469111820989769973758, ONE)
+    # the child tail of the root (1,): a second digit past 3, arg 10/9
+    assert _child_tail((1,), 3).arg == Fraction(10, 9)
+    assert bm.tail_bound.arg == Fraction(378091518801042737181527341590853568292, ONE)
+    _assert_dyadic_ends(bm, leaves, [Fraction(10, 9)])
 
     bm = joint_pattern_measure(3, 1)
-    assert bm.lower == measure_of_cylinder((1, 1, 1, 1))
+    # the one leaf's arg is a dyadic rational, which the floor keeps whole
+    assert bm.lower == measure_of_cylinder((1, 1, 1, 1)) == LogRational(Fraction(65, 64))
     # the inner nodes (1,) and (1, 1), each missing every child past 1
-    nodes = _child_tail((1,), 1) + _child_tail((1, 1), 1)
-    assert bm.tail_bound == nodes
+    nodes = [_child_tail((1,), 1).arg, _child_tail((1, 1), 1).arg]
+    assert bm.tail_bound.arg == Fraction(435561429658801233233119497512663310668, ONE)
+    _assert_dyadic_ends(bm, [Fraction(65, 64)], nodes)
 
     with pytest.raises(ValueError):
         joint_pattern_measure(1, 10)
@@ -275,7 +315,7 @@ def test_joint_k3_bracket_is_consistent_with_k2_structure():
 @pytest.mark.parametrize(
     "k,cap,fine_cap",
     [(2, 1, 5000), (2, 5, 5000), (2, 50, 5000), (3, 1, 200), (3, 3, 200), (3, 10, 200),
-     (4, 1, 40), (4, 2, 40), (4, 5, 40)],
+     (4, 1, 40), (4, 2, 40), (4, 5, 40), (3, 150, 1000)],
 )
 def test_joint_bracket_contains_a_finer_lower_bound(k, cap, fine_cap):
     # the true value is at least every lower bound, so each bracket must
@@ -287,11 +327,7 @@ def test_joint_bracket_contains_a_finer_lower_bound(k, cap, fine_cap):
 @pytest.mark.parametrize("k,cap", [(2, 1), (2, 7), (3, 1), (3, 6), (4, 3), (5, 2), (6, 1)])
 def test_joint_tail_is_the_sum_of_inner_child_tails(k, cap):
     # each inner word 1.u, |u| <= k-2, from its own convergent_pair
-    inner = [()] + list(iter_words(cap, k - 2))
-    expected = LogRational(1)
-    for u in inner:
-        expected += _child_tail((1,) + u, cap)
-    assert joint_pattern_measure(k, cap).tail_bound == expected
+    _assert_dyadic_ends(joint_pattern_measure(k, cap), *_exact_ends(k, cap))
 
 
 def _log2_oracle(x):
@@ -304,24 +340,29 @@ def _log2_oracle(x):
     "k,cap", [(2, 1), (2, 3), (2, 1000), (2, 5000), (3, 40), (3, 150), (4, 10), (5, 3)]
 )
 def test_bracket_ends_are_outward_of_the_exact_log2(k, cap):
-    # at k=2, cap=1000 the parts of the upper arg have ~10^4 bits: a float
-    # difference of log2s there lands on either side of the exact value
+    # the float ends hold the log2 of the dyadic ends and of the exact
+    # products, which the dyadic ends round outward
     bm = joint_pattern_measure(k, cap)
     lo, hi = bm.bracket()
-    lower, upper = _log2_oracle(bm.lower.arg), _log2_oracle(bm.upper.arg)
-    assert Decimal(lo) <= lower and upper <= Decimal(hi)
-    # and no wider than the rounding needs
-    assert lower - Decimal(lo) < Decimal("1e-15") and Decimal(hi) - upper < Decimal("1e-15")
-
-
-def test_joint_product_tree_matches_sequential_product():
-    # the lower bound is the left-to-right product of the Fraction term args
-    for k, cap, middles in (
-        (2, 200, [(n,) for n in range(1, 201)]),
-        (3, 12, [(a, b) for a in range(1, 13) for b in range(1, 13)]),
+    leaves, tails = _exact_ends(k, cap)
+    exact_lower = _sequential_product(leaves)
+    for lower_arg, upper_arg in (
+        (bm.lower.arg, bm.upper.arg),
+        (exact_lower, exact_lower * _sequential_product(tails)),
     ):
-        expected = _sequential_product(_oracle_arg((1,) + m + (1,)) for m in middles)
-        assert joint_pattern_measure(k, cap).lower.arg == expected
+        lower, upper = _log2_oracle(lower_arg), _log2_oracle(upper_arg)
+        assert Decimal(lo) <= lower and upper <= Decimal(hi)
+        # and no wider than the rounding needs
+        assert lower - Decimal(lo) < Decimal("1e-15") and Decimal(hi) - upper < Decimal("1e-15")
+
+
+def test_joint_ends_are_rounded_sequential_products():
+    # each end is the left-to-right product of the Fraction term args,
+    # rounded after each term, on the outward side of the exact product
+    for k, cap in ((2, 200), (3, 12)):
+        leaves, tails = _exact_ends(k, cap)
+        assert len(leaves) == cap ** (k - 1)
+        _assert_dyadic_ends(joint_pattern_measure(k, cap), leaves, tails)
 
 
 def test_joint_refuses_too_many_middle_words():
@@ -347,7 +388,10 @@ def test_joint_middle_word_limit_boundary(monkeypatch):
 def test_joint_refuses_a_deep_walk_at_cap_1():
     # 20 middle digits is the bit length of MAX_MIDDLE_WORDS
     assert MAX_MIDDLE_WORDS.bit_length() == 20
-    assert joint_pattern_measure(21, 1).lower == measure_of_cylinder((1,) * 22)
+    leaf = measure_of_cylinder((1,) * 22).arg
+    bm = joint_pattern_measure(21, 1)
+    assert bm.lower.arg == Fraction(340282367079209963117941817213984815977, ONE)
+    _assert_dyadic_ends(bm, [leaf], [_child_tail((1,) * n, 1).arg for n in range(1, 21)])
     for k in (22, 10**5, 10**12):
         with pytest.raises(UsageError, match=f"k={k}, cap=1 would walk"):
             joint_pattern_measure(k, 1)
@@ -396,16 +440,23 @@ def test_cylinder_arg_of_child_tail_matches_value_oracle(w, m):
     st.lists(
         st.tuples(
             st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
-            st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+            st.one_of(st.integers(0, 60), st.integers(0, 10**30)),
         ),
         max_size=300,
     )
 )
 @example([])
-@example([(6, 4), (2, 3), (9, 9)])
-def test_product_tree_matches_left_to_right_product(terms):
-    expected = _sequential_product(Fraction(n, d) for n, d in terms)
-    assert _product_tree(terms) == expected
+@example([(3, 0), (2, 1), (9, 9)])
+def test_dyadic_product_brackets_the_exact_product(terms):
+    # terms num/den = (den + extra)/den >= 1, as the joint measure's args are
+    terms = [(den + extra, den) for den, extra in terms]
+    fractions = [Fraction(num, den) for num, den in terms]
+    exact = _sequential_product(fractions)
+    low, high = _dyadic_product(terms, up=False), _dyadic_product(terms, up=True)
+    assert low == _rounded_product(fractions, up=False)
+    assert high == _rounded_product(fractions, up=True)
+    slack = Fraction(len(terms), ONE)
+    assert exact * (1 - slack) <= low <= exact <= high <= exact * (1 + slack)
 
 
 @settings(max_examples=200, deadline=None)

@@ -109,10 +109,6 @@ def parse_rational(text: str) -> Fraction:
         raise bad_text("rational", text, "need p/q with q nonzero") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def reverse(w: Word) -> Word:
     return w[::-1]
 

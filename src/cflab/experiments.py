@@ -56,9 +56,11 @@ class ExperimentConfig:
             raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
-        for i, w in enumerate(self.patterns):
-            if w in self.patterns[:i]:
+        seen: set[Word] = set()
+        for w in map(tuple, self.patterns):
+            if w in seen:
                 raise UsageError(f"pattern {cut(format_word(w))} is given more than once")
+            seen.add(w)
 
     def echo(self, *, with_ap: bool) -> dict:
         """The parameters the experiment reads; the AP run reads no patterns or tolerance."""

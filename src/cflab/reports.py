@@ -1,8 +1,11 @@
 """Byte-deterministic rendering of reports to JSON and CSV.
 
 Identical inputs must yield identical bytes: floats go through repr (via
-json) or str, dict key order is fixed by construction, newlines are always
-"\\n", and nothing time- or host-dependent is ever written.
+json) or str, rationals through str (or a bounded form when huge), dict
+key order is fixed by construction, newlines are always "\\n", and nothing
+time- or host-dependent is ever written.  `render_measure` builds the
+measure report itself; experiment reports come built from `experiments`,
+and verify reports from each result's `report()`.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import io
 import json
 from fractions import Fraction
 
-from .cfcore import Word, cylinder_interval, format_rational, format_word
-from .measure import BoundedMeasure, measure_of_cylinder
+from .cfcore import Word, cylinder_interval, format_word
+from .measure import measure_of_cylinder
 
 # Rationals with a part longer than this render in a bounded form; 8192 bits
 # is about 2466 decimal digits, inside the interpreter's default limit on
@@ -21,44 +24,12 @@ from .measure import BoundedMeasure, measure_of_cylinder
 EXACT_RATIONAL_BITS = 8192
 
 
-def _bounded_rational(x: Fraction, exact=format_rational) -> str:
-    """`exact(x)`, or an approximation plus part sizes when p or q is huge."""
+def _bounded_rational(x: Fraction) -> str:
+    """str(x), or an approximation plus part sizes when p or q is huge."""
     num_bits, den_bits = x.numerator.bit_length(), x.denominator.bit_length()
     if max(num_bits, den_bits) <= EXACT_RATIONAL_BITS:
-        return exact(x)
+        return str(x)
     return f"~{float(x)!r} ({num_bits}-bit/{den_bits}-bit rational)"
-
-
-def _interval_text(w: Word) -> list[str]:
-    # str, not format_rational: an endpoint of 1 prints as "1"
-    iv = cylinder_interval(w)
-    return [_bounded_rational(iv.lo, str), _bounded_rational(iv.hi, str)]
-
-
-def measure_report(w: Word, with_interval: bool = False) -> dict:
-    m = measure_of_cylinder(w)
-    report = {
-        "word": format_word(w),
-        "log2_arg": _bounded_rational(m.arg),
-        "float": round(m.float, 6),
-    }
-    if with_interval:
-        report["interval"] = _interval_text(w)
-    return report
-
-
-def bounded_measure_report(bm: BoundedMeasure, **extra) -> dict:
-    lo, hi = bm.bracket()
-    report = dict(extra)
-    report.update(
-        {
-            "log2_arg": format_rational(bm.lower.arg),
-            "float": round(bm.lower.float, 6),
-            "tail_log2_arg": format_rational(bm.tail_bound.arg),
-            "bracket": [lo, hi],
-        }
-    )
-    return report
 
 
 def render_json(report: dict) -> bytes:
@@ -72,20 +43,24 @@ def _csv_rows(rows) -> str:
 
 
 def render_measure(w: Word, with_interval: bool, fmt: str | None) -> bytes:
-    """`measure_report(w, with_interval)` as JSON, as CSV, or (fmt None) as text.
+    """gamma(C_w), and the cylinder's endpoints if asked, as JSON, as CSV, or (fmt None) as text.
 
     CSV splits the interval into interval_lo and interval_hi columns.
     """
-    report = measure_report(w, with_interval)
+    m = measure_of_cylinder(w)
+    report = {
+        "word": format_word(w),
+        "log2_arg": _bounded_rational(m.arg),
+        "float": round(m.float, 6),
+    }
+    interval = [_bounded_rational(end) for end in cylinder_interval(w)] if with_interval else []
     if fmt == "json":
-        return render_json(report)
-    interval = report.pop("interval", None)
+        return render_json({**report, "interval": interval} if interval else report)
     if fmt == "csv":
-        if interval:
-            report.update({"interval_lo": interval[0], "interval_hi": interval[1]})
+        report.update(zip(("interval_lo", "interval_hi"), interval))
         return _csv_rows([report.keys(), report.values()]).encode()
     text = f"log2({report['log2_arg']}) ≈ {report['float']:.6f}\n"
-    return (text + (f"({interval[0]}, {interval[1]})\n" if interval else "")).encode()
+    return (text + ("({}, {})\n".format(*interval) if interval else "")).encode()
 
 
 def render_experiment_csv(report: dict) -> bytes:

@@ -25,10 +25,11 @@ modes with the same starts for a pattern (overlap and disjoint when
 plain loop over the digit list, so the tests check the fold against an
 independent path.
 
-A ModeDescriptor owns its mode's semantics: `starts(|w|, n)` is its range
-of admissible starts and `frequency` divides a count by its denominator.
-The list counters and the fold take their starts from the first, and
-reports take their frequencies from the second.
+A ModeDescriptor owns its mode's semantics, and a mode is its range of
+starts: `starts(|w|, n)` is the range of admissible starts, whose step is
+the mode's stride, and `frequency` divides a count by its denominator.
+The list counters and the fold take their starts and strides from the
+first, and reports take their frequencies from the second.
 Digit positions are 1-based in reports to match the usual a1, a2, ...
 numbering, while start indices in code are plain 0-based offsets.
 """
@@ -76,22 +77,18 @@ class ModeDescriptor:
             raise ValueError("need stride >= 1 and offset >= 0")
         return ModeDescriptor("aligned", stride, offset)
 
-    def bound_stride(self, pattern_len: int) -> int:
-        """Effective stride once a pattern length is known (1 for overlap)."""
-        if self.kind == "overlap":
-            return 1
-        if self.kind == "disjoint":
-            return pattern_len
-        if self.offset > self.stride - pattern_len:
+    def starts(self, pattern_len: int, n: int) -> range:
+        """The admissible 0-based starts of a match lying inside n digits.
+
+        Its step is the mode's stride for the pattern length: 1 for overlap,
+        the length for disjoint.
+        """
+        if self.kind == "aligned" and self.offset > self.stride - pattern_len:
             raise ValueError(
                 f"offset {self.offset} leaves no room for a length-{pattern_len} "
                 f"pattern in stride {self.stride}"
             )
-        return self.stride
-
-    def starts(self, pattern_len: int, n: int) -> range:
-        """The admissible 0-based starts of a match lying inside n digits."""
-        stride = self.bound_stride(pattern_len)
+        stride = {"overlap": 1, "disjoint": pattern_len}.get(self.kind, self.stride)
         return range(self.offset, max(self.offset, n - pattern_len + 1), stride)
 
     def frequency(self, count: int, pattern_len: int, n: int) -> Fraction:
@@ -280,7 +277,7 @@ def frequency_report(
     # carry; 1 is always there, for the indicators.  Made before the first
     # window, since ints made between windows fragment the heap
     span = seam + min(COUNT_WINDOW, n)
-    strides = {mode.bound_stride(len(w)) for w, mode in counts} | {1}
+    strides = {mode.starts(len(w), 0).step for w, mode in counts} | {1}
     masks = {c: int.from_bytes((b"\x01" + bytes(c - 1)) * -(-span // c), "little") for c in strides}
     carry = [b""]
     pulled = 0

@@ -9,11 +9,13 @@ Chunks.  A source wraps an iterator of chunks: sequences of digits (lists
 or tuples; empty ones are skipped) that no consumer mutates.  The stream
 is the concatenation of its chunks and where they split carries no
 meaning, so every consumer gives the same result for any chunking.
-`take(n)` hands out min(n, remaining) digits as a fresh list, cutting a
-chunk where needed and keeping its rest for the next call; `chunks()` hands
-out the rest of the stream run by run.  `emitted` counts the digits handed
-out either way.  `limit` cuts a chunk and `stats.select_ap` slices each one,
-so a pipeline never holds more than a chunk beyond what its consumer took.
+`chunks()` hands out the rest of the stream run by run, and `limit(source,
+n)` is a view that ends after n digits, cutting the chunk that crosses n and
+keeping its rest pending in the source.  `take(n)` is the list of what
+`limit(source, n)` hands out: min(n, remaining) digits, a fresh list.
+`emitted` counts the digits handed out either way.  `limit` cuts a chunk and
+`stats.select_ap` slices each one, so a pipeline never holds more than a
+chunk beyond what its consumer took.
 
 Certification.  Interval-refined sources never emit an uncertified digit:
 a digit comes out only when both interval endpoints agree on floor(1/x),
@@ -116,14 +118,9 @@ class DigitSource:
             yield chunk
 
     def take(self, n: int) -> list[int]:
-        """Pull up to n digits (fewer if the source ends first)."""
-        if n < 0:
-            raise ValueError(f"need n >= 0, got {n}")
+        """Pull up to n digits (fewer if the source ends first), read through `limit`."""
         out: list[int] = []
-        while len(out) < n:
-            chunk = self._pull(n - len(out))
-            if not chunk:
-                break
+        for chunk in limit(self, n).chunks():
             out += chunk
         return out
 
@@ -398,8 +395,9 @@ def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
     Forms: `rational:7/16`, `periodic:<prefix>;<period>` (compact
     `periodic:,2` splits on the first comma), `decimal:0.618:e-10`,
     `concat-normal`, `random:seed=42` (or bare `random` with an external
-    seed).  A spec that names no source, or one whose constructor refuses
-    its values, raises UsageError.
+    seed, which no other spec reads).  A spec that names no source, an
+    external seed given with any spec but `random`, or a spec whose
+    constructor refuses its values raises UsageError.
     """
     try:
         return _source_of(text.strip(), seed)
@@ -408,6 +406,10 @@ def parse_source_spec(text: str, seed: int | None = None) -> DigitSource:
 
 
 def _source_of(text: str, seed: int | None) -> DigitSource:
+    if seed is not None:
+        if text != "random":
+            raise ValueError(f"--seed is read only by the bare source 'random', not {quote(text)}")
+        return source_random_real(seed)
     kind, _, payload = text.partition(":")
     if kind == "rational":
         frac = parse_rational(payload)
@@ -431,7 +433,5 @@ def _source_of(text: str, seed: int | None) -> DigitSource:
     if kind == "random":
         if payload.startswith("seed="):
             return source_random_real(_spec_int(payload[len("seed=") :], "seed", text))
-        if not payload and seed is not None:
-            return source_random_real(seed)
         raise ValueError("random source needs seed=N (or a --seed flag)")
     raise ValueError(f"unrecognized source spec {quote(text)}")

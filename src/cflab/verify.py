@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 from .cfcore import UsageError, Word, format_word, iter_prefix_pairs, shown
 from .measure import (
@@ -32,7 +31,6 @@ from .measure import (
     pairwise_row,
     reversal_row,
 )
-from .reports import bounded_measure_report
 
 # The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
 MAX_DIGIT = 5
@@ -143,7 +141,7 @@ class JointK2Result:
     cap: int
     measure: BoundedMeasure
 
-    @cached_property  # an exact comparison of the lower bound's long argument
+    @property
     def exceeds_gamma_11(self) -> bool:
         return self.measure.lower > _GAMMA_11
 
@@ -163,14 +161,19 @@ class JointK2Result:
         )
 
     def report(self) -> dict:
-        return bounded_measure_report(
-            self.measure,
-            suite="joint-k2",
-            cap=self.cap,
-            oracle=joint_k2_oracle(),
-            gamma_11_float=_GAMMA_11.float,
-            passed=self.passed,
-        )
+        """The `--out` report: each end's arg by str, as both are dyadics of about 128 bits."""
+        lo, hi = self.measure.bracket()
+        return {
+            "suite": "joint-k2",
+            "cap": self.cap,
+            "oracle": joint_k2_oracle(),
+            "gamma_11_float": _GAMMA_11.float,
+            "passed": self.passed,
+            "log2_arg": str(self.measure.lower.arg),
+            "float": round(self.measure.lower.float, 6),
+            "tail_log2_arg": str(self.measure.tail_bound.arg),
+            "bracket": [lo, hi],
+        }
 
 
 def run_joint_k2(cap: int = DEFAULT_CAP) -> JointK2Result:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -45,6 +46,19 @@ def test_measure_interval(capsys):
     code, out, _ = run(capsys, "measure", "1", "--interval")
     assert code == 0
     assert out.splitlines() == ["log2(4/3) ≈ 0.415037", "(1/2, 1)"]
+
+
+def test_measure_interval_json_and_csv_bytes(capsys):
+    # the endpoint 1 prints as "1", in JSON and in the interval_hi column
+    code, out, err = run(capsys, "measure", "1", "--interval", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "word": "1",\n  "log2_arg": "4/3",\n  "float": 0.415037,\n'
+        '  "interval": [\n    "1/2",\n    "1"\n  ]\n}\n'
+    )
+    code, out, err = run(capsys, "measure", "1", "--interval", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "word,log2_arg,float,interval_lo,interval_hi\n1,4/3,0.415037,1/2,1\n"
 
 
 def test_measure_json_schema(capsys):
@@ -152,6 +166,50 @@ def test_expand_negative_seed_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "seed must be >= 0" in err
+
+
+SEED_CONFLICTS = {
+    "pillai random:seed=5": [
+        "pillai", "--source", "random:seed=5", "--seed", "9", "--n", "1000", "--pattern", "1"
+    ],
+    "pillai concat-normal": [
+        "pillai", "--source", "concat-normal", "--seed", "3", "--n", "1000", "--pattern", "1"
+    ],
+    "subsequence": [
+        "subsequence", "--source", "random:seed=5", "--seed", "9", "--n", "1000", "--cap", "20"
+    ],
+}  # expand: the "--seed with a spec but random" site of SHORT_LINE_SITES
+
+
+@pytest.mark.parametrize("site", SEED_CONFLICTS)
+def test_seed_with_a_spec_other_than_bare_random_is_usage_error(capsys, site):
+    # only the bare spec `random` reads --seed; any other spec would echo it unread
+    argv = SEED_CONFLICTS[site]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed is read only by the bare source 'random', not '{argv[2]}'\n"
+
+
+def test_seed_from_config_file_with_a_seeded_spec_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("source=random:seed=5\nn=1000\npatterns=1\nseed=9\n")
+    code, out, err = run(capsys, "pillai", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: --seed is read only by the bare source 'random', not 'random:seed=5'\n"
+
+
+def test_seed_of_bare_random_gives_the_digits_of_its_spec(capsys):
+    assert run(capsys, "expand", "random", "--seed", "9", "--n", "50") == run(
+        capsys, "expand", "random:seed=9", "--n", "50"
+    )
+    flags = ["--n", "5000", "--pattern", "1", "--pattern", "1,2", "--tolerance", "0.5"]
+    code, out, err = run(capsys, "pillai", "--source", "random", "--seed", "9", *flags)
+    assert (code, err) == (0, "")
+    bare = json.loads(out)
+    assert bare["config"]["seed"] == 9
+    code, out, err = run(capsys, "pillai", "--source", "random:seed=9", *flags)
+    assert (code, err) == (0, "")
+    assert bare["rows"] == json.loads(out)["rows"]
 
 
 @pytest.mark.parametrize(
@@ -349,6 +407,15 @@ def test_verify_writes_report(capsys, tmp_path):
     assert "tail_log2_arg" in report and "bracket" in report
     lo, hi = report["bracket"]
     assert lo < hi
+
+
+def test_verify_joint_k2_report_bytes(capsys, tmp_path):
+    # the hash the CI job pins for the console script's `verify joint-k2 --cap 50 --out`
+    out_path = tmp_path / "k2.json"
+    code, _, err = run(capsys, "verify", "joint-k2", "--cap", "50", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "f2c6b468347a80c90be214fa09ae21133b8df3dd371f9416f3a2b8ff2a184f91"
 
 
 def test_verify_report_with_huge_argument(capsys, tmp_path):
@@ -1166,6 +1233,12 @@ SHORT_LINE_SITES = {
         lambda v, tmp: _exit_and_last_line(["expand", "random", "--n", "3", "--seed", v]),
         "-1", "error: random source seed must be >= 0, got -1",
         "-" + NINES_4000, "error: random source seed must be >= 0, got under -10**18",
+    ),
+    "--seed with a spec but random": (
+        lambda v, tmp: _exit_and_last_line(["expand", f"random:seed={v}", "--n", "3", "--seed", "9"]),
+        "5", "error: --seed is read only by the bare source 'random', not 'random:seed=5'",
+        TEXT,
+        f"error: --seed is read only by the bare source 'random', not 'random:seed={'z' * 28}...'",
     ),
     "decimal: exponent": (
         lambda v, tmp: _exit_and_last_line(["expand", f"decimal:0.5:e{v}", "--n", "3"]),

@@ -1,12 +1,13 @@
 """Experiment reports against list oracles over the same digits."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from cflab import count_disjoint, count_overlapping, measure_of_cylinder, parse_source_spec
-from cflab.cfcore import convergent_pair
+from cflab.cfcore import UsageError, convergent_pair
 from cflab.experiments import ExperimentConfig, run_pillai, run_subsequence
 
 
@@ -58,3 +59,20 @@ def test_pillai_summary_is_the_final_rows(spec, n):
         assert entry["overlap_freq"] == final[name, "overlap"]["freq_float"] == float(overlap)
         assert entry["disjoint_freq"] == final[name, "disjoint"]["freq_float"] == float(disjoint)
         assert entry["gamma_float"] == measure_of_cylinder(w).float
+
+
+def test_repeated_pattern_check_names_the_first_repeat():
+    # patterns given as lists are accepted, and a list repeats its tuple
+    ExperimentConfig(source="periodic:,1", n=100, patterns=[[1, 2], [2, 1]])
+    for patterns, named in [([(2,), (1,), (3,), (1,), (2,)], "1"), ([[1, 2], (1, 2)], "1,2")]:
+        with pytest.raises(UsageError, match=f"^pattern {named} is given more than once$"):
+            ExperimentConfig(source="periodic:,1", n=100, patterns=patterns)
+
+
+def test_thirty_thousand_distinct_patterns_reach_the_row_limit_at_once():
+    # the repeat check is one pass, so the row limit refuses the run in well under a second
+    patterns = [(a, b) for a in range(1, 201) for b in range(1, 151)]
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="the report would have 600000 rows"):
+        run_pillai(ExperimentConfig(source="periodic:,1", n=100, patterns=patterns))
+    assert time.perf_counter() - start < 1

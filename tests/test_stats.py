@@ -476,11 +476,11 @@ def test_mode_starts_and_frequency_match_definitions(case):
 
 
 def test_mode_descriptor_contracts():
-    assert ModeDescriptor.disjoint().bound_stride(3) == 3
-    assert ModeDescriptor.overlap().bound_stride(3) == 1
+    assert ModeDescriptor.disjoint().starts(3, 10).step == 3
+    assert ModeDescriptor.overlap().starts(3, 10).step == 1
     assert ModeDescriptor.aligned(5, 2).name == "aligned(5,2)"
     with pytest.raises(ValueError):
-        ModeDescriptor.aligned(3, 2).bound_stride(2)
+        ModeDescriptor.aligned(3, 2).starts(2, 0)
     with pytest.raises(ValueError):
         ModeDescriptor.aligned(3, 2).starts(2, 10)
     with pytest.raises(ValueError):

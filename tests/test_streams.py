@@ -31,7 +31,7 @@ from cflab import (
     source_rational,
 )
 from cflab import streams
-from cflab.cfcore import convergent_pair
+from cflab.cfcore import UsageError, convergent_pair
 from cflab.streams import MIN_DECIMAL_EXPONENT, _interval_digits
 
 
@@ -574,3 +574,10 @@ def test_parse_source_spec_forms():
     for bad in ("random", "nope:1", "periodic:", "decimal:0.5"):
         with pytest.raises(ValueError):
             parse_source_spec(bad)
+
+
+@pytest.mark.parametrize("spec", ["concat-normal", "random:seed=5", "random:", "rational:7/16"])
+def test_external_seed_is_read_only_by_bare_random(spec):
+    # a seed that no source reads is refused, not echoed as if it were used
+    with pytest.raises(UsageError, match="--seed is read only by the bare source 'random'"):
+        parse_source_spec(spec, seed=3)

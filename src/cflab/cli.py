@@ -18,6 +18,7 @@ import re
 import sys
 from pathlib import Path
 
+from . import experiments
 from .cfcore import UsageError, bad_text, cut, parse_word, quote, shown
 from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, check_n, run_pillai, run_subsequence
 from .reports import render_json, render_measure, render_report
@@ -28,6 +29,8 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 # verify's options, each once, in the order SUITES first names them
 _VERIFY_OPTIONS = tuple(dict.fromkeys(name for _, reads in SUITES.values() for name in reads))
+# what argparse reads as pillai's --pattern: the flag and each abbreviation of it
+_PATTERN_FLAGS = {"--pattern"[:end] for end in range(3, 10)}
 
 
 def _cut_runs(text: str) -> str:
@@ -284,16 +287,30 @@ _COMMANDS = {
 }
 
 
+def _bounded(tokens: list[str]) -> list[str]:
+    """tokens, after refusing more pillai --pattern tokens than a report holds.
+
+    A report holds two rows per pattern, so MAX_REPORT_ROWS // 2 patterns.
+    The tokens are counted before argparse reads them, as its time is
+    quadratic in the number of flags.
+    """
+    most = experiments.MAX_REPORT_ROWS // 2
+    given = sum(token.partition("=")[0] in _PATTERN_FLAGS for token in tokens)
+    if tokens[:1] == ["pillai"] and given > most:
+        raise UsageError(f"a report holds at most {most:,} patterns, got {given:,}")
+    return tokens
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bounded(argv))
         if args.config is not None:
             pairs = _config_tokens(args.config)
             # file values go right after the subcommand, so a flag given later wins
             file_tokens = [token for key, token in pairs if key not in ("help", "config")]
-            args, extra = parser.parse_known_args(argv[:1] + file_tokens + argv[1:])
+            args, extra = parser.parse_known_args(_bounded(argv[:1] + file_tokens + argv[1:]))
             # a key is known only if it is the dest of an option this subcommand parsed
             known = vars(args).keys() - {"config"}
             unknown = {key for key, token in pairs if key not in known or token in extra}

@@ -45,7 +45,7 @@ class ExperimentConfig:
     k: int = 2
     cap: int = DEFAULT_CAP
     seed: int | None = None
-    checkpoint_every: int | None = None
+    checkpoint_every: int | None = None  # n // 10, at least 1, when unset
     tolerance: float = 0.005
     jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
 
@@ -54,7 +54,9 @@ class ExperimentConfig:
         # a NaN or non-positive tolerance would flag every pattern whatever the data
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+        if self.checkpoint_every is None:
+            self.checkpoint_every = max(1, self.n // 10)
+        elif self.checkpoint_every < 1:
             raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
         seen: set[Word] = set()
         for w in map(tuple, self.patterns):
@@ -68,7 +70,7 @@ class ExperimentConfig:
             "source": self.source,
             "n": self.n,
             "patterns": [format_word(w) for w in self.patterns],
-            "checkpoint_every": self.effective_checkpoint(),
+            "checkpoint_every": self.checkpoint_every,
             "tolerance": self.tolerance,
             "seed": self.seed,
         }
@@ -77,18 +79,13 @@ class ExperimentConfig:
             base.update({"b": self.b, "k": self.k, "cap": self.cap})
         return base
 
-    def effective_checkpoint(self) -> int:
-        if self.checkpoint_every is not None:
-            return self.checkpoint_every
-        return max(1, self.n // 10)
-
     def build_source(self):
         return parse_source_spec(self.source, seed=self.seed)
 
 
 def _check_report_rows(config: ExperimentConfig, counted: int, keys: int) -> None:
     """Refuse, before any work, a report of more than MAX_REPORT_ROWS rows."""
-    rows = -(-counted // config.effective_checkpoint()) * keys  # checkpoints x keys
+    rows = -(-counted // config.checkpoint_every) * keys  # checkpoints x keys
     if rows > MAX_REPORT_ROWS:
         raise UsageError(f"the report would have {rows} rows, more than {MAX_REPORT_ROWS}")
 
@@ -142,7 +139,7 @@ def run_pillai(config: ExperimentConfig) -> dict:
         config.patterns,
         modes,
         config.n,
-        config.effective_checkpoint(),
+        config.checkpoint_every,
     )
     rows = _stat_rows(stats, config.patterns, modes)
     summary = []
@@ -213,7 +210,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         [pattern],
         [mode],
         selected_n,
-        config.effective_checkpoint(),
+        config.checkpoint_every,
     )
     rows = _stat_rows(stats, [pattern], [mode])
     freq, gamma_11 = rows[-1]["freq_float"], rows[-1]["gamma_float"]

@@ -1,29 +1,29 @@
 """Streaming occurrence counters: overlapping, disjoint, aligned, AP-selected.
 
 Counting is a pure fold over the digit stream.  `frequency_report` pulls
-windows of at most COUNT_WINDOW digits, each prefixed with the last
-max|w|-1 digits of the one before (the seam carry).  A window counts the
-admissible starts among the first `pulled` digits that were not admissible
-among the digits pulled before it, so a start is counted exactly once
-whatever the windows and chunks are, and memory stays
-O(window + checkpoints) for any n.
+windows of at most COUNT_WINDOW digits and puts in front of each the last
+max|w|-1 digits of the one before (the seam carry, kept as digits).  A
+window counts the admissible starts among the first `pulled` digits that
+were not admissible among the digits pulled before it, so a start is
+counted exactly once whatever the windows and chunks are, and memory
+stays O(window + checkpoints) for any n.
 
 Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
-CACM 1992), one indicator per digit value.  The fold writes each pulled
-digit once into little-endian byte planes, exact for any digit: plane j
-holds byte j of every digit of the window, there are as many planes as
-the window's widest digit has bytes, and the seam is carried as the
-planes' last bytes.  For each digit value d that a pattern uses, I_d is
-an int whose byte s is 1 where the window holds d at s: the AND over the
-planes of where each holds its byte of d, and 0 for a d wider than the
-planes.  Up to 8 values share one translate per plane.  A pattern w has
-hits = AND over j of I_(w[j]) >> 8j, with byte s set where w starts at s.
-Each mode shifts hits down to its first new start, keeps a 0x01 byte
-every stride bytes with one mask per stride, and counts the set bits;
-modes with the same starts for a pattern (overlap and disjoint when
-|w| = 1) are counted once.  The list counters and `count_chunked` keep a
-plain loop over the digit list, so the tests check the fold against an
-independent path.
+CACM 1992), one indicator per digit value.  The fold writes each window,
+carry included, once into little-endian byte planes, exact for any
+digit: plane j holds byte j of every digit of the window, and there are
+as many planes as the window's widest digit has bytes.  For each digit
+value d that a pattern uses, I_d is an int whose byte s is 1 where the
+window holds d at s: the AND over the planes of where each holds its
+byte of d, and 0 for a d wider than the planes.  Up to 8 values share one
+translate per plane.  A pattern w has hits = AND over j of I_(w[j]) >> 8j,
+with byte s set where w starts at s.  Each mode shifts hits down to its
+first new start, keeps a 0x01 byte every stride bytes with one mask per
+stride, and counts the set bits; each distinct (pattern, mode) has its
+own count, also where two modes share their starts (overlap and disjoint
+when |w| = 1).  The list counters and `count_chunked` keep a plain loop
+over the digit list, so the tests check the fold against an independent
+path.
 
 A ModeDescriptor owns its mode's semantics, and a mode is its range of
 starts: `starts(|w|, n)` is the range of admissible starts, whose step is
@@ -40,8 +40,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cfcore import Word, word
 from .streams import DigitSource
@@ -122,42 +121,34 @@ def _count_positions(digits: Sequence[int], w: Sequence[int], positions: range) 
     return count
 
 
-def _planes(carry: list[bytes], digits: Sequence[int]) -> list[bytes]:
-    """A window's byte planes: the carried planes, then those of the digits.
+def _planes(digits: Sequence[int]) -> list[bytes]:
+    """A window's byte planes: byte s of plane j is byte j of digit s, little-endian.
 
-    Byte s of plane j is byte j of the window's digit s, little-endian.
     The digits go into an unsigned array in C, one plane per byte of its
     cell; a digit too wide for the cell sends the window to int.to_bytes,
-    every digit as wide as the widest one.  A plane one side lacks is zero
-    there, and planes that are zero throughout are dropped from the top.
+    every digit as wide as the widest one.  Planes that are zero throughout
+    are dropped from the top.
     """
     try:
         raw, width = array("I", digits).tobytes(), array("I").itemsize
     except OverflowError:
         width = -(-max(digits).bit_length() // 8)
         raw = b"".join(d.to_bytes(width, sys.byteorder) for d in digits)
-    fresh = [raw[j::width] for j in range(width)][:: 1 if sys.byteorder == "little" else -1]
+    planes = [raw[j::width] for j in range(width)][:: 1 if sys.byteorder == "little" else -1]
     del raw  # one copy of the window at a time keeps the peak memory down
-    held = len(carry[0])
-    planes = [(c or bytes(held)) + (f or bytes(len(digits))) for c, f in zip_longest(carry, fresh)]
     while len(planes) > 1 and planes[-1] == bytes(len(planes[0])):
         planes.pop()
     return planes
 
 
-def _count_bytes(
-    planes: list[bytes], wanted: dict[Word, set[range]], masks: dict[int, int]
-) -> dict[tuple[Word, range], int]:
-    """Matches of each wanted w at each of its ranges of starts in a window's byte planes.
+def _indicators(planes: list[bytes], values: Iterable[int], ones: int) -> dict[int, int]:
+    """I_d for each digit value d: an int whose byte s is 1 where the window holds d at s.
 
-    Shift-and over one indicator per digit value, built from every plane
-    and so exact for every digit, as in the module docstring; each
-    (w, range) is counted once.  masks maps 1 and each step of a range
-    to an int with a 0x01 byte every step bytes, at least as long as the window.
+    Built from every plane and so exact for every digit, as in the module
+    docstring.  ones is an int of 0x01 bytes, at least as long as the window.
     """
-    values = {d for w in wanted for d in w}
     indicator = dict.fromkeys(values, 0)  # a digit wider than the planes is nowhere
-    fits = [d for d in values if not d >> 8 * len(planes)]
+    fits = [d for d in indicator if not d >> 8 * len(planes)]
     # Up to 8 digit values share a translate per plane, value k of them
     # marked by bit k of its byte in that plane; ANDed over the planes, bit k
     # of byte s is set where the window holds value k at s.
@@ -170,17 +161,8 @@ def _count_bytes(
                 table[d >> 8 * j & 255] |= 1 << k
             packed &= int.from_bytes(plane.translate(table), "little")
         for k, d in enumerate(group):
-            indicator[d] = packed >> k & masks[1]
-    found = {}
-    for w, ranges in wanted.items():
-        # byte s of hits is 1 where w starts at the window's digit s; as none
-        # starts past the last |w| digits, a range is cut at its first start only
-        hits = indicator[w[0]]
-        for j in range(1, len(w)):
-            hits &= indicator[w[j]] >> 8 * j
-        for r in ranges:
-            found[w, r] = (hits >> 8 * r.start & masks[r.step]).bit_count()
-    return found
+            indicator[d] = packed >> k & ones
+    return indicator
 
 
 def _check_pattern(w: Word) -> Word:
@@ -262,7 +244,9 @@ def frequency_report(
     Checkpoints snapshot the counts each checkpoint_every digits.  If the
     source ends early the report covers the prefix and is flagged truncated.
     """
-    patterns = [_check_pattern(w) for w in patterns]
+    # each distinct pattern and mode once, as the keys of counts
+    patterns = list(dict.fromkeys(_check_pattern(w) for w in patterns))
+    modes = list(dict.fromkeys(modes))
     if not patterns:
         raise ValueError("need at least one pattern")
     if n < max(len(w) for w in patterns):
@@ -271,6 +255,7 @@ def frequency_report(
         raise ValueError("need checkpoint_every >= 1")
 
     counts = {(w, mode): 0 for w in patterns for mode in modes}
+    values = {d for w in patterns for d in w}
     seam = max(len(w) for w in patterns) - 1
     checkpoints: list[tuple[int, dict]] = []
     # stride -> a 0x01 byte every stride bytes, as long as a window with its
@@ -279,27 +264,32 @@ def frequency_report(
     span = seam + min(COUNT_WINDOW, n)
     strides = {mode.starts(len(w), 0).step for w, mode in counts} | {1}
     masks = {c: int.from_bytes((b"\x01" + bytes(c - 1)) * -(-span // c), "little") for c in strides}
-    carry = [b""]
+    tail: list[int] = []  # the last seam digits pulled
     pulled = 0
     mark = min(checkpoint_every, n)
     while pulled < n:
-        planes = _planes(carry, source.take(min(COUNT_WINDOW, mark - pulled)))
-        got = len(planes[0]) - len(carry[0])  # 0 once the source has ended
-        if not got:
+        window = source.take(min(COUNT_WINDOW, mark - pulled))
+        if not window:  # the source has ended
             break
-        carry = [p[max(0, len(p) - seam) :] for p in planes]
-        before, pulled = pulled, pulled + got
-        base = pulled - len(planes[0])  # absolute position of the window's first digit
-        starts = {}
-        wanted: dict[Word, set[range]] = {}
-        for w, mode in counts:
-            # the starts whose match ends in fresh digits, shifted into the window
-            new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
-            starts[w, mode] = shifted = range(new.start - base, new.stop - base, new.step)
-            wanted.setdefault(w, set()).add(shifted)
-        found = _count_bytes(planes, wanted, masks)
-        for (w, mode), shifted in starts.items():
-            counts[w, mode] += found[w, shifted]
+        before, pulled = pulled, pulled + len(window)
+        window[:0] = tail
+        tail = window[max(0, len(window) - seam) :]
+        base = pulled - len(window)  # absolute position of the window's first digit
+        planes = _planes(window)
+        del window  # nothing of a window outlives it, which keeps the peak memory down
+        indicator = _indicators(planes, values, masks[1])
+        del planes
+        for w in patterns:
+            # byte s of hits is 1 where w starts at the window's digit s; as none
+            # starts past the last |w| digits, a range is cut at its first start only
+            hits = indicator[w[0]]
+            for j in range(1, len(w)):
+                hits &= indicator[w[j]] >> 8 * j
+            for mode in modes:
+                # the starts whose match ends in fresh digits
+                new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
+                counts[w, mode] += (hits >> 8 * (new.start - base) & masks[new.step]).bit_count()
+        del indicator, hits
         if pulled == mark:
             checkpoints.append((mark, dict(counts)))
             mark = min(mark + checkpoint_every, n)

@@ -1024,6 +1024,58 @@ def test_report_row_limit_boundary(capsys, monkeypatch):
     assert "the report would have 22 rows, more than 20" in err
 
 
+def _patterns(count):
+    return [f"--pattern=1,{i}" for i in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("where", ["argv", "config"])
+def test_twenty_thousand_patterns_are_refused_at_once(capsys, tmp_path, monkeypatch, where):
+    # argparse's time is quadratic in its flags: 20,000 take about 15 s to parse
+    _no_source(monkeypatch)
+    argv = ["pillai", "--source", "periodic:,1", "--n", "100"]
+    if where == "argv":
+        argv += _patterns(20_000)
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("patterns=" + ";".join(f"1,{i}" for i in range(1, 20_001)) + "\n")
+        argv += ["--config", str(cfg)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a report holds at most 5,000 patterns, got 20,000\n"
+
+
+def test_five_thousand_patterns_are_accepted(capsys):
+    # 1 checkpoint x 5,000 patterns x 2 modes = the 10,000 rows a report may hold
+    argv = ["pillai", "--source", "periodic:,1", "--n", "100", "--checkpoint-every", "100"]
+    code, out, err = run(capsys, *argv, *_patterns(5_000), "--format", "csv")
+    assert code == 1 and err == ""
+    assert sum(not line.startswith("#") for line in out.splitlines()) == 1 + 10_000
+
+
+def test_pattern_limit_counts_every_spelling_of_the_flag(capsys, tmp_path, monkeypatch):
+    # argparse reads --p ... --patter as --pattern, with the value next or after "="
+    monkeypatch.setattr("cflab.experiments.MAX_REPORT_ROWS", 20)  # 10 patterns
+    spellings = [["--pattern"[:end] + "=1," + str(end)] for end in range(3, 10)]
+    spellings += [["--p", "2,1"], ["--patte", "2,2"], ["--pattern", "2,3"]]
+    argv = ["pillai", "--source", "periodic:,1", "--n", "100", "--checkpoint-every", "100"]
+    tokens = [token for spelling in spellings for token in spelling]
+    code, out, err = run(capsys, *argv, *tokens, "--format", "csv")
+    assert code == 1 and err == ""
+    assert sum(not line.startswith("#") for line in out.splitlines()) == 1 + 20
+    _no_source(monkeypatch)
+    code, out, err = run(capsys, *argv, *tokens, "--pa", "3,1")
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a report holds at most 10 patterns, got 11\n"
+    # the file's patterns and the flags are counted together, as argparse reads both
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("patterns=" + ";".join(f"4,{i}" for i in range(1, 11)) + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg), "--pattern", "5")
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a report holds at most 10 patterns, got 11\n"
+
+
 def _no_source(monkeypatch):
     """Make building any source fail, so a run that would draw digits fails at once."""
 

@@ -348,7 +348,7 @@ def digits_of(planes):
 )
 def test_planes_hold_each_digits_bytes(window):
     # as many planes as the widest digit has bytes, past the array cell too
-    planes = _planes([b""], window)
+    planes = _planes(window)
     assert digits_of(planes) == window
     assert len(planes) == max(1, -(-max(window, default=0).bit_length() // 8))
 
@@ -362,19 +362,6 @@ magnitudes = st.one_of(
     st.integers(2**32 - 2, 2**32 + 1),
     st.integers(1, 2**80),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(magnitudes, max_size=40),
-    st.lists(magnitudes, min_size=1, max_size=40),
-    st.integers(0, 3),
-)
-def test_planes_carry_the_seam_across_widths(before, fresh, seam):
-    # the carried planes may be wider or narrower than the fresh digits'
-    carry = [p[max(0, len(p) - seam) :] for p in _planes([b""], before)]
-    kept = before[max(0, len(before) - seam) :]
-    assert digits_of(_planes(carry, fresh)) == kept + fresh
 
 
 pattern_digits = st.sampled_from([1, 2, 255, 256, 2**32 - 1, 2**32, 2**40, 2**40 + 1])
@@ -400,6 +387,17 @@ pattern_digits = st.sampled_from([1, 2, 255, 256, 2**32 - 1, 2**32, 2**40, 2**40
     [256, 1, 512, 1, 256 + 2**16, 1, 256] + [1, 256 + 2**32, 1, 2**40 + 256, 1, 256, 1],
     (256, 1),
 )
+# a seam of digits past the array cell carried into a window of narrow ones,
+# and a match across it
+@example(
+    [2**40, 2**40 + 1, 1, 1, 1, 2**40, 2**40 + 1] + [1, 2, 1, 1, 2**32 - 1, 1, 1],
+    (2**40, 2**40 + 1, 1),
+)
+# a seam of narrow digits carried into a window past the array cell
+@example(
+    [1, 2, 1, 1, 3, 256, 1] + [2**40, 1, 256, 1, 2**40, 2**32, 1],
+    (256, 1, 2**40),
+)
 def test_frequency_report_over_mixed_magnitudes_matches_list_counts(digits, w):
     # the fold reads byte planes, the list counters the digits themselves
     n = len(digits)
@@ -410,6 +408,25 @@ def test_frequency_report_over_mixed_magnitudes_matches_list_counts(digits, w):
     counts = stats.checkpoints[-1][1]
     assert counts[(w, modes[0])] == count_overlapping(digits, w)
     assert counts[(w, modes[1])] == count_disjoint(digits, w)
+
+
+def test_frequency_report_counts_a_repeated_pattern_or_mode_once():
+    # each distinct (pattern, mode) is one count, over windows of 3 with a seam
+    overlap, disjoint = ModeDescriptor.overlap(), ModeDescriptor.disjoint()
+    digits = [1, 1, 2, 1, 1, 1, 2, 1]
+    with mock.patch("cflab.stats.COUNT_WINDOW", 3):
+        stats = frequency_report(
+            DigitSource(iter([digits])), [(1, 1), (2,), [1, 1]], [overlap, disjoint, overlap], 8, 8
+        )
+    assert stats.checkpoints == [(8, {
+        ((1, 1), overlap): 3,
+        ((1, 1), disjoint): 2,
+        ((2,), overlap): 2,
+        ((2,), disjoint): 2,
+    })]
+    assert list(stats.checkpoints[-1][1]) == [
+        ((1, 1), overlap), ((1, 1), disjoint), ((2,), overlap), ((2,), disjoint)
+    ]
 
 
 def test_frequency_report_memory_is_flat_in_n():

@@ -31,6 +31,10 @@ CHECK_FAILED = 1
 _VERIFY_OPTIONS = tuple(dict.fromkeys(name for _, reads in SUITES.values() for name in reads))
 # what argparse reads as pillai's --pattern: the flag and each abbreviation of it
 _PATTERN_FLAGS = {"--pattern"[:end] for end in range(3, 10)}
+# Most option tokens, argv and --config file together, that a run may give
+# besides pillai's --pattern flags, which have their own bound: room for
+# each option of a subcommand twice, once from the file and once from argv.
+MAX_OPTION_TOKENS = 100
 
 
 def _cut_runs(text: str) -> str:
@@ -288,16 +292,23 @@ _COMMANDS = {
 
 
 def _bounded(tokens: list[str]) -> list[str]:
-    """tokens, after refusing more pillai --pattern tokens than a report holds.
+    """tokens, after refusing more option tokens than a run may give.
 
-    A report holds two rows per pattern, so MAX_REPORT_ROWS // 2 patterns.
-    The tokens are counted before argparse reads them, as its time is
-    quadratic in the number of flags.
+    pillai takes at most MAX_REPORT_ROWS // 2 --pattern tokens, as a report
+    holds two rows per pattern, and every run at most MAX_OPTION_TOKENS
+    other tokens that start with "-".  The tokens are counted before
+    argparse reads them, as its time is quadratic in the number of flags,
+    known, repeated or unknown.
     """
     most = experiments.MAX_REPORT_ROWS // 2
-    given = sum(token.partition("=")[0] in _PATTERN_FLAGS for token in tokens)
-    if tokens[:1] == ["pillai"] and given > most:
+    # only pillai takes --pattern; to the other subcommands it is an unknown option
+    pillai = tokens[:1] == ["pillai"]
+    given = sum(token.partition("=")[0] in _PATTERN_FLAGS for token in tokens) if pillai else 0
+    if given > most:
         raise UsageError(f"a report holds at most {most:,} patterns, got {given:,}")
+    options = sum(token.startswith("-") for token in tokens) - given
+    if options > MAX_OPTION_TOKENS:
+        raise UsageError(f"a run takes at most {MAX_OPTION_TOKENS:,} option tokens, got {options:,}")
     return tokens
 
 

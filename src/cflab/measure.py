@@ -26,7 +26,11 @@ The joint measure reads both ends of its bracket off walks of the same
 enumerator, the leaves' cylinders and the inner nodes' child tails, and
 multiplies each in `_dyadic_product`, a 128-bit fixed-point product that
 rounds the leaves down and the tails up: each end is a certified dyadic
-rational of about 128 bits, however many terms it has.
+rational of about 128 bits, however many terms it has.  Each child tail
+enters halved, as `_halved` of its arg A: the omitted leaves end in a 1,
+which takes at most a share A/2 of the measure of every cylinder in the
+tail, so they weigh at most (A/2) log2 A, and Bernoulli's inequality
+bounds A**(A/2) by 1 + (A/2)(A - 1) (see `joint_pattern_measure`).
 """
 
 from __future__ import annotations
@@ -218,17 +222,30 @@ def _dyadic_product(terms: Iterable[tuple[int, int]], up: bool) -> Fraction:
     return Fraction(x, 1 << _DYADIC_BITS)
 
 
+def _halved(num: int, den: int) -> tuple[int, int]:
+    """B = 1 + (A/2)(A - 1) = (2 den**2 + num (num - den)) / (2 den**2) for A = num/den."""
+    return 2 * den * den + num * (num - den), 2 * den * den
+
+
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     """Bracket gamma(C_[1] intersect T^-k C_[1]) by walks of the middle digits.
 
     The walks visit each 1.u with digits <= cap and |u| <= k-1.  lower sums
     gamma(C_[1,u,1]) over the leaves, |u| = k-1, rounded down.  tail_bound
-    sums over the inner nodes the child tail, the measure of
-    {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, which is `_arg` of 1.u
-    at m = cap + 1 and holds each C_[1,u,a,...,1] with a > cap: every
-    omitted middle lies in exactly one of them.  It is rounded up, and
-    covers lower's rounding too.  k-1 may not exceed the bit length of
-    MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
+    sums over the inner nodes a bound on what the node omits.  Its child
+    tail I = {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, with arg
+    A = (1 + hi)/(1 + lo) = `_arg` of 1.u at m = cap + 1, holds each
+    omitted leaf C_[1,u,a,...,1], a > cap, and every omitted leaf lies in
+    exactly one such I.  The node adds log2 B, B = `_halved`(A):
+    - For each omitted word w.1 with C_w in I, gamma(C_(w.1)) <=
+      (1/(2+s)) ((1+hi_w)/(1+lo_w)) gamma(C_w) <= (A/2) gamma(C_w).
+    - So the omitted mass is at most (A/2) log2 A.  Since 1 <= A <= 2,
+      Bernoulli's inequality gives A**(A/2) <= 1 + (A/2)(A - 1) = B.
+    Here s = q_(|w|-1)/q_|w|, so 1/(2+s) <= 1/2 is the Lebesgue share of a
+    next digit 1 in C_w, and the Gauss density 1/((1+x) ln 2) varies by at
+    most the factor (1+hi_w)/(1+lo_w) <= A over C_w.  tail_bound is rounded
+    up, and covers lower's rounding too.  k-1 may not exceed the bit length
+    of MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
     """
     if k < 2:
         raise UsageError("need k >= 2")
@@ -255,7 +272,7 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
         for p, q, p_prev, q_prev in iter_prefix_pairs(cap, k - 1, head)
     )
     tails = (
-        _arg(*pair, (1 + depth) % 2, cap + 1)
+        _halved(*_arg(*pair, (1 + depth) % 2, cap + 1))
         for depth in range(k - 1)
         for pair in iter_prefix_pairs(cap, depth, head)
     )

@@ -373,7 +373,7 @@ K2_LINE = (
 @pytest.mark.parametrize(
     "measure,line",
     [
-        (None, K2_LINE.format("pass", "0.1716, 0.1856", "0.171643", "0.013939", True)),
+        (None, K2_LINE.format("pass", "0.1716, 0.1787", "0.171643", "0.007054", True)),
         # no tail: the bracket [lower, lower] misses the oracle
         (
             lambda real: BoundedMeasure(real.lower, LogRational(1)),
@@ -415,7 +415,7 @@ def test_verify_joint_k2_report_bytes(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "joint-k2", "--cap", "50", "--out", str(out_path))
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == "f2c6b468347a80c90be214fa09ae21133b8df3dd371f9416f3a2b8ff2a184f91"
+    assert digest == "b2103cb94591cbb90240e7fe20c11f77431a0d54a37f951205fe6a959d3bb129"
 
 
 def test_verify_report_with_huge_argument(capsys, tmp_path):
@@ -435,10 +435,12 @@ def test_verify_report_with_huge_argument(capsys, tmp_path):
         m = 2 * n + 3
         exact_lower *= Fraction(m * m, m * m - 1)
     assert lower <= exact_lower < lower * (1 + Fraction(5000, one))
-    # the child tail of (1,) past cap 5000, 10004/10003, rounded up, times
-    # the factor that covers the 5000 floors of the lower end
-    assert report["tail_log2_arg"] == f"340316384952221172497010854018535368135/{one}"
-    assert Fraction(report["tail_log2_arg"]) >= Fraction(10004, 10003) * (1 + Fraction(10000, one))
+    # the child tail of (1,) past cap 5000, A = 10004/10003, halved to
+    # 1 + (A/2)(A - 1) and rounded up, times the factor that covers the
+    # 5000 floors of the lower end
+    assert report["tail_log2_arg"] == f"340299377636971264681633980162649883727/{one}"
+    a = Fraction(10004, 10003)
+    assert Fraction(report["tail_log2_arg"]) >= (1 + a / 2 * (a - 1)) * (1 + Fraction(10000, one))
     assert len(out_path.read_bytes()) < 2000
 
 
@@ -1074,6 +1076,70 @@ def test_pattern_limit_counts_every_spelling_of_the_flag(capsys, tmp_path, monke
     code, out, err = run(capsys, *argv, "--config", str(cfg), "--pattern", "5")
     _one_line_usage_error(code, out, err)
     assert err == "error: a report holds at most 10 patterns, got 11\n"
+
+
+FLOODS = {
+    "unknown": [f"--unknown=1,{i}" for i in range(1, 10_001)],
+    "repeated": ["--n=1"] * 10_000,
+}
+
+
+@pytest.mark.parametrize("flood", FLOODS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "1,1"],
+        ["expand", "periodic:,1"],
+        ["verify", "reversal"],
+        ["pillai", "--source", "periodic:,1", "--pattern", "1"],
+        ["subsequence", "--source", "periodic:,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("where", ["argv", "config"])
+def test_ten_thousand_option_tokens_are_refused_at_once(capsys, tmp_path, monkeypatch, flood, argv, where):
+    # unknown or repeated, argparse takes about 4 s to read 10,000 flags
+    _no_source(monkeypatch)
+    tokens = FLOODS[flood]
+    if where == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(token[2:] + "\n" for token in tokens))
+        tokens = ["--config", str(cfg)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, *tokens)
+    assert time.perf_counter() - start < 1
+    _one_line_usage_error(code, out, err)
+    assert err.startswith("error: a run takes at most 100 option tokens, got ")
+
+
+def test_option_tokens_besides_pillai_patterns_are_bounded(capsys, monkeypatch):
+    # pillai's 5,000 patterns have their own bound; its other option tokens,
+    # and --pattern flags given to any other subcommand, count against 100
+    _no_source(monkeypatch)
+    argv = ["pillai", "--source", "periodic:,1", "--n", "100", *_patterns(5_000)]
+    code, out, err = run(capsys, *argv, *["--n=100"] * 99)
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a run takes at most 100 option tokens, got 101\n"
+    code, out, err = run(capsys, "measure", "1,1", *_patterns(101))
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a run takes at most 100 option tokens, got 101\n"
+
+
+def test_option_token_limit_boundary(capsys, tmp_path, monkeypatch):
+    # the flags of argv and the config file's keys are counted together
+    monkeypatch.setattr(cli, "MAX_OPTION_TOKENS", 4)
+    argv = ["measure", "1,1", "--format=csv", "--out", str(tmp_path / "m.csv")]
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("format=json\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out, err) == (0, "", "")
+    cfg.write_text("format=json\ninterval=true\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a run takes at most 4 option tokens, got 5\n"
+    code, out, err = run(capsys, *argv, "--format=json", "--format=csv", "--interval")
+    _one_line_usage_error(code, out, err)
+    assert err == "error: a run takes at most 4 option tokens, got 5\n"
 
 
 def _no_source(monkeypatch):

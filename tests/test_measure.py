@@ -60,6 +60,11 @@ def _child_tail(w, cap):
     return LogRational(Fraction(*_kernel_arg(w, cap + 1)))
 
 
+def _halved_tail(a):
+    """The arg 1 + (a/2)(a - 1) a joint measure adds for an inner node of child tail arg a."""
+    return 1 + a / 2 * (a - 1)
+
+
 def _holds(check, w):
     """True iff the row check passes w on the row of w alone."""
     return check(convergent_pair(w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
@@ -73,6 +78,9 @@ def _sequential_product(fractions):
 
 
 ONE = 2**128  # the joint measure's ends are integers over this
+
+# log2(32 / (9 pi)), the closed form of the k=2 joint measure
+K2_ORACLE = math.log2(32 / (9 * math.pi))
 
 
 def _rounded_product(fractions, up):
@@ -99,11 +107,12 @@ def _exact_ends(k, cap):
 
 
 def _assert_dyadic_ends(bm, leaves, tails):
-    """bm's ends are the rounded products of the oracle terms, outward of the exact ones."""
+    """bm's ends: the rounded products of the leaves and halved tails, outward of the exact ones."""
+    halved = [_halved_tail(a) for a in tails]
     lower = _rounded_product(leaves, up=False)
-    tail = _rounded_product(tails + [_leaf_slack(len(leaves))], up=True)
+    tail = _rounded_product(halved + [_leaf_slack(len(leaves))], up=True)
     assert bm.lower.arg == lower and bm.tail_bound.arg == tail
-    exact_lower, exact_tail = _sequential_product(leaves), _sequential_product(tails)
+    exact_lower, exact_tail = _sequential_product(leaves), _sequential_product(halved)
     assert lower <= exact_lower and bm.upper.arg >= exact_lower * exact_tail
 
 
@@ -251,9 +260,11 @@ def test_joint_pattern_measure_small_cases():
     bm = joint_pattern_measure(2, 3)
     leaves = [Fraction(25, 24), Fraction(49, 48), Fraction(81, 80)]
     assert bm.lower.arg == Fraction(366368466338217437469111820989769973758, ONE)
-    # the child tail of the root (1,): a second digit past 3, arg 10/9
+    # the child tail of the root (1,): a second digit past 3, arg 10/9,
+    # which enters halved as 1 + (5/9)(1/9) = 86/81
     assert _child_tail((1,), 3).arg == Fraction(10, 9)
-    assert bm.tail_bound.arg == Fraction(378091518801042737181527341590853568292, ONE)
+    assert _halved_tail(Fraction(10, 9)) == Fraction(86, 81)
+    assert bm.tail_bound.arg == Fraction(361287451298774171084570570853482298590, ONE)
     _assert_dyadic_ends(bm, leaves, [Fraction(10, 9)])
 
     bm = joint_pattern_measure(3, 1)
@@ -261,7 +272,7 @@ def test_joint_pattern_measure_small_cases():
     assert bm.lower == measure_of_cylinder((1, 1, 1, 1)) == LogRational(Fraction(65, 64))
     # the inner nodes (1,) and (1, 1), each missing every child past 1
     nodes = [_child_tail((1,), 1).arg, _child_tail((1, 1), 1).arg]
-    assert bm.tail_bound.arg == Fraction(435561429658801233233119497512663310668, ONE)
+    assert bm.tail_bound.arg == Fraction(394667050985280450779565500246196588722, ONE)
     _assert_dyadic_ends(bm, [Fraction(65, 64)], nodes)
 
     with pytest.raises(ValueError):
@@ -279,11 +290,11 @@ def test_joint_k2_terms_match_middle_digit_formula():
 
 def test_joint_k2_bracket_contains_closed_form():
     # independent oracle: the term product telescopes to 32/(9 pi)
-    oracle = math.log2(32 / (9 * math.pi))
     bm = joint_pattern_measure(2, 1000)
     lo, hi = bm.bracket()
-    assert lo <= oracle <= hi
-    assert hi - lo < 0.002
+    assert lo <= K2_ORACLE <= hi
+    # the halved tail: the plain child tail gave 0.00072
+    assert hi - lo < 0.00037
     assert bm.lower.float == pytest.approx(0.178219, abs=1e-6)
 
 
@@ -324,6 +335,37 @@ def test_joint_bracket_contains_a_finer_lower_bound(k, cap, fine_cap):
     assert bm.lower <= fine.lower <= bm.upper
 
 
+def test_halved_tail_bounds_a_power_of_the_child_tail():
+    # Bernoulli's step A**(A/2) <= 1 + (A/2)(A - 1) at A = n/d, raised to the
+    # power 2d to clear every root and denominator, in integers
+    for d in range(1, 25):
+        for n in range(d, 2 * d + 1):
+            assert n**n * (2 * d * d) ** (2 * d) <= (2 * d * d + n * (n - d)) ** (2 * d) * d**n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(2), st.integers(1, 5000)),
+        st.tuples(st.just(3), st.integers(1, 20)),
+        st.tuples(st.just(4), st.integers(1, 5)),
+    )
+)
+@example((2, 1))
+@example((2, 5000))
+@example((3, 20))
+@example((4, 5))
+def test_halved_bracket_contains_the_true_value(k_cap):
+    # k=2 against the closed form; k = 3 and 4 against the lower end of a 4x
+    # larger cap, which the true value is at least
+    k, cap = k_cap
+    bm = joint_pattern_measure(k, cap)
+    if k == 2:
+        assert bm.contains(K2_ORACLE)
+    else:
+        assert bm.lower <= joint_pattern_measure(k, 4 * cap).lower <= bm.upper
+
+
 @pytest.mark.parametrize("k,cap", [(2, 1), (2, 7), (3, 1), (3, 6), (4, 3), (5, 2), (6, 1)])
 def test_joint_tail_is_the_sum_of_inner_child_tails(k, cap):
     # each inner word 1.u, |u| <= k-2, from its own convergent_pair
@@ -348,7 +390,7 @@ def test_bracket_ends_are_outward_of_the_exact_log2(k, cap):
     exact_lower = _sequential_product(leaves)
     for lower_arg, upper_arg in (
         (bm.lower.arg, bm.upper.arg),
-        (exact_lower, exact_lower * _sequential_product(tails)),
+        (exact_lower, exact_lower * _sequential_product(map(_halved_tail, tails))),
     ):
         lower, upper = _log2_oracle(lower_arg), _log2_oracle(upper_arg)
         assert Decimal(lo) <= lower and upper <= Decimal(hi)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import re
 import sys
@@ -263,7 +262,7 @@ def _cmd_verify(args) -> int:
 def _experiment_config(args) -> ExperimentConfig:
     """The ExperimentConfig of the fields the user set; every other field keeps its default."""
     _require(args, "--source", "--n")
-    return ExperimentConfig(**_given(args, *(f.name for f in dataclasses.fields(ExperimentConfig))))
+    return ExperimentConfig(**_given(args, *ExperimentConfig._fields))
 
 
 def _finish_experiment(report: dict, args) -> int:

@@ -9,7 +9,7 @@ counts into frequencies and measures; each summary reads the final rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cfcore import UsageError, Word, cut, format_word, shown
 from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
@@ -36,33 +36,55 @@ def check_n(n: int) -> None:
         raise UsageError(f"n must be at most {MAX_N:,}, got {shown(n, ',')}")
 
 
-@dataclass
-class ExperimentConfig:
+class _ExperimentFields(NamedTuple):
+    # _make and _replace build past ExperimentConfig.__new__ and its checks: no code calls them
     source: str
     n: int
-    patterns: list[Word] = field(default_factory=list)
-    b: int = 1
-    k: int = 2
-    cap: int = DEFAULT_CAP
-    seed: int | None = None
-    checkpoint_every: int | None = None  # n // 10, at least 1, when unset
-    tolerance: float = 0.005
-    jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
+    patterns: list[Word]
+    b: int
+    k: int
+    cap: int
+    seed: int | None
+    checkpoint_every: int
+    tolerance: float
+    jobs: int  # read by nothing; kept because the acceptance tests pass it
 
-    def __post_init__(self) -> None:
-        check_n(self.n)
+
+class ExperimentConfig(_ExperimentFields):
+    """A run's parameters, checked and with every default filled in before the tuple is built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        source: str,
+        n: int,
+        patterns: list[Word] | None = None,
+        b: int = 1,
+        k: int = 2,
+        cap: int = DEFAULT_CAP,
+        seed: int | None = None,
+        checkpoint_every: int | None = None,  # n // 10, at least 1, when unset
+        tolerance: float = 0.005,
+        jobs: int = 1,
+    ) -> ExperimentConfig:
+        check_n(n)
         # a NaN or non-positive tolerance would flag every pattern whatever the data
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.checkpoint_every is None:
-            self.checkpoint_every = max(1, self.n // 10)
-        elif self.checkpoint_every < 1:
-            raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise UsageError(f"tolerance must be finite and > 0, got {tolerance}")
+        if checkpoint_every is None:
+            checkpoint_every = max(1, n // 10)
+        elif checkpoint_every < 1:
+            raise UsageError(f"need checkpoint_every >= 1, got {shown(checkpoint_every)}")
+        patterns = [] if patterns is None else patterns
         seen: set[Word] = set()
-        for w in map(tuple, self.patterns):
+        for w in map(tuple, patterns):
             if w in seen:
                 raise UsageError(f"pattern {cut(format_word(w))} is given more than once")
             seen.add(w)
+        return super().__new__(
+            cls, source, n, patterns, b, k, cap, seed, checkpoint_every, tolerance, jobs
+        )
 
     def echo(self, *, with_ap: bool) -> dict:
         """The parameters the experiment reads; the AP run reads no patterns or tolerance."""

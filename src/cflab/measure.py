@@ -36,10 +36,9 @@ bounds A**(A/2) by 1 + (A/2)(A - 1) (see `joint_pattern_measure`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, shown
 
@@ -47,20 +46,24 @@ from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, 
 DEFAULT_CAP = 1000
 
 
-@dataclass(frozen=True, order=True, repr=False)
-class LogRational:
+class _LogRationalFields(NamedTuple):
+    # _make and _replace build past LogRational.__new__ and its check: no code calls them
+    arg: Fraction
+
+
+class LogRational(_LogRationalFields):
     """A measure value log2(arg) with exact rational arg >= 1.
 
     Equality, order and hash are those of arg; an int arg is made a Fraction.
     """
 
-    arg: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arg = Fraction(self.arg)
+    def __new__(cls, arg: Fraction | int) -> LogRational:
+        arg = Fraction(arg)
         if arg < 1:
             raise ValueError(f"measure argument must be >= 1, got {arg}")
-        object.__setattr__(self, "arg", arg)
+        return super().__new__(cls, arg)
 
     @property
     def float(self) -> float:
@@ -169,8 +172,7 @@ def _log2_outward(x: Fraction, direction: int) -> float:
     return y + direction * (2.0**-51 + 2 * math.ulp(y))
 
 
-@dataclass(frozen=True)
-class BoundedMeasure:
+class BoundedMeasure(NamedTuple):
     """Certified dyadic ends: the true value lies in [lower, lower + tail_bound].
 
     lower + tail_bound is `upper`; adding measures multiplies their args.

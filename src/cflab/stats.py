@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cfcore import Word, word
 from .streams import DigitSource
@@ -49,8 +48,7 @@ from .streams import DigitSource
 COUNT_WINDOW = 1 << 16
 
 
-@dataclass(frozen=True)
-class ModeDescriptor:
+class ModeDescriptor(NamedTuple):
     """How occurrences are admitted: every shift, or a fixed residue class.
 
     kind is one of "overlap", "disjoint", "aligned"; disjoint is the
@@ -219,8 +217,7 @@ def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
     return out
 
 
-@dataclass
-class StreamStats:
+class StreamStats(NamedTuple):
     """Counts for each (pattern, mode) over one pass of a digit stream.
 
     checkpoints holds (digits counted, counts) in increasing order; the

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .cfcore import UsageError, Word, format_word, iter_prefix_pairs, shown
 from .measure import (
@@ -43,8 +43,7 @@ MAX_LEN = 3
 MAX_WORD_DIGITS = 10**7
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     suite: str
     passed: bool
     checked: int
@@ -60,7 +59,7 @@ class VerifyResult:
 
     def report(self) -> dict:
         w = self.counterexample
-        return {**asdict(self), "counterexample": None if w is None else format_word(w)}
+        return {**self._asdict(), "counterexample": None if w is None else format_word(w)}
 
 
 def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
@@ -134,8 +133,7 @@ def joint_k2_oracle() -> float:
 _GAMMA_11 = measure_of_cylinder((1, 1))
 
 
-@dataclass(frozen=True)
-class JointK2Result:
+class JointK2Result(NamedTuple):
     """The k=2 joint measure bracketed at `cap`; the verdict and its line derive from it."""
 
     cap: int

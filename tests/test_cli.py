@@ -137,6 +137,19 @@ def test_expand_memory_is_flat_in_n(tmp_path):
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("modules", ["cflab.cli", "cflab.measure, cflab.verify"])
+def test_import_loads_no_dataclasses_or_inspect(modules):
+    # every run imports the package first; dataclasses would pull in inspect,
+    # ast, dis and tokenize, about half the set-up time of a verify run.
+    # -S keeps site-packages' start-up hooks out of the modules seen
+    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
+    code = f"import sys, {modules}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, check=True, timeout=60
+    ).stdout
+    assert out == b"[]\n"
+
+
 def test_expand_stops_quietly_when_the_reader_leaves():
     # as in `cflab expand ... | head`: exit 0 and nothing on stderr
     env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}

@@ -9,6 +9,7 @@ import pytest
 from cflab import count_disjoint, count_overlapping, measure_of_cylinder, parse_source_spec
 from cflab.cfcore import UsageError, convergent_pair
 from cflab.experiments import ExperimentConfig, run_pillai, run_subsequence
+from cflab.measure import DEFAULT_CAP
 
 
 def _finite_spec(length: int, seed: int) -> str:
@@ -59,6 +60,41 @@ def test_pillai_summary_is_the_final_rows(spec, n):
         assert entry["overlap_freq"] == final[name, "overlap"]["freq_float"] == float(overlap)
         assert entry["disjoint_freq"] == final[name, "disjoint"]["freq_float"] == float(disjoint)
         assert entry["gamma_float"] == measure_of_cylinder(w).float
+
+
+def test_experiment_config_by_keyword_and_by_position():
+    by_keyword = ExperimentConfig(source="periodic:,1", n=95, patterns=[(1,)], k=3)
+    assert by_keyword == ExperimentConfig("periodic:,1", 95, [(1,)], 1, 3)
+    assert by_keyword.checkpoint_every == 9  # n // 10
+    assert ExperimentConfig("periodic:,1", 5).checkpoint_every == 1  # at least 1
+    bare = ExperimentConfig("periodic:,1", 50)
+    assert (bare.patterns, bare.b, bare.k, bare.cap) == ([], 1, 2, DEFAULT_CAP)
+    assert (bare.seed, bare.tolerance, bare.jobs) == (None, 0.005, 1)
+    # each config gets its own pattern list
+    assert bare.patterns is not ExperimentConfig("periodic:,1", 50).patterns
+    given = ExperimentConfig("random", 60, [(1,)], 2, 4, 7, 5, 3, 0.25, 8)
+    assert given.echo(with_ap=True) == {
+        "source": "random", "n": 60, "checkpoint_every": 3, "seed": 5, "b": 2, "k": 4, "cap": 7
+    }
+    assert (given.tolerance, given.jobs) == (0.25, 8)
+    for name in ExperimentConfig._fields:
+        with pytest.raises(AttributeError):
+            setattr(given, name, getattr(bare, name))
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ({"n": 10**8 + 1}, "n must be at most 100,000,000, got 100,000,001"),
+        ({"tolerance": float("nan")}, "tolerance must be finite and > 0, got nan"),
+        ({"tolerance": 0.0}, "tolerance must be finite and > 0, got 0.0"),
+        ({"checkpoint_every": 0}, "need checkpoint_every >= 1, got 0"),
+    ],
+)
+def test_experiment_config_refusals_keep_their_messages(options, message):
+    with pytest.raises(UsageError) as refused:
+        ExperimentConfig(**{"source": "periodic:,1", "n": 100, **options})
+    assert str(refused.value) == message
 
 
 def test_repeated_pattern_check_names_the_first_repeat():

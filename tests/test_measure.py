@@ -120,10 +120,16 @@ words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
 
 
 def test_logrational_invariants():
+    with pytest.raises(ValueError, match="^measure argument must be >= 1, got 1/2$"):
+        LogRational(Fraction(1, 2))
     with pytest.raises(ValueError):
         LogRational(Fraction(9, 10))
     ten_ninths = LogRational(Fraction(10, 9))
     assert repr(ten_ninths) == "log2(10/9)"
+    # an int arg is made a Fraction, and a value is never changed in place
+    assert type(LogRational(2).arg) is Fraction
+    with pytest.raises(AttributeError):
+        ten_ninths.arg = Fraction(2)
 
 
 def test_measure_of_cylinder_examples():
@@ -149,7 +155,10 @@ def test_measure_compare_examples():
     assert LogRational(Fraction(49, 48)) > LogRational(Fraction(56, 55))
     assert LogRational(Fraction(21, 20)) == LogRational(Fraction(21, 20))
     assert LogRational(Fraction(10, 9)) < LogRational(Fraction(4, 3))
-    # equal args hash equal, whether given as an int or as a Fraction
+    args = [Fraction(4, 3), Fraction(1), Fraction(10, 9), Fraction(2)]
+    assert [m.arg for m in sorted(map(LogRational, args))] == sorted(args)
+    # equal args are equal and hash equal, whether given as an int or as a Fraction
+    assert LogRational(2) == LogRational(Fraction(2))
     assert hash(LogRational(Fraction(42, 21))) == hash(LogRational(2)) == hash(MEASURE_FULL)
     assert len({LogRational(2), MEASURE_FULL, LogRational(Fraction(3, 2))}) == 2
 

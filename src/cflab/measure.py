@@ -26,11 +26,17 @@ The joint measure reads both ends of its bracket off walks of the same
 enumerator, the leaves' cylinders and the inner nodes' child tails, and
 multiplies each in `_dyadic_product`, a 128-bit fixed-point product that
 rounds the leaves down and the tails up: each end is a certified dyadic
-rational of about 128 bits, however many terms it has.  Each child tail
-enters halved, as `_halved` of its arg A: the omitted leaves end in a 1,
-which takes at most a share A/2 of the measure of every cylinder in the
-tail, so they weigh at most (A/2) log2 A, and Bernoulli's inequality
-bounds A**(A/2) by 1 + (A/2)(A - 1) (see `joint_pattern_measure`).
+rational of about 128 bits, however many terms it has.  Each child tail of
+arg A enters as 1 + sigma A (A - 1).  Its omitted leaves end in a 1 that
+lies j digits past the tail's digit, and they take at most a share sigma A
+of the tail, where A covers how far the Gauss density varies on it and
+sigma is the smaller of two Lebesgue shares: 1/2, that of a next digit 1
+in any cylinder, and L_j ((N+2)/(N+1))**2 at cap N.  L_j bounds the
+Lebesgue measure of {y : a_j(y) = 1} by a walk of the same enumerator, and
+the factor covers how far the pushforward of Lebesgue measure past a digit
+> N varies.  Bernoulli's inequality then bounds A**(sigma A) by
+1 + sigma A (A - 1) (see `joint_pattern_measure`).  L_1 = 1/2, so the
+nodes next to the leaves enter as 1 + (A/2)(A - 1).
 """
 
 from __future__ import annotations
@@ -224,9 +230,44 @@ def _dyadic_product(terms: Iterable[tuple[int, int]], up: bool) -> Fraction:
     return Fraction(x, 1 << _DYADIC_BITS)
 
 
-def _halved(num: int, den: int) -> tuple[int, int]:
-    """B = 1 + (A/2)(A - 1) = (2 den**2 + num (num - den)) / (2 den**2) for A = num/den."""
-    return 2 * den * den + num * (num - den), 2 * den * den
+def _lebesgue_upper(j: int, cap: int) -> Fraction:
+    """L_j >= lambda_j, the Lebesgue measure of {y in (0, 1) : a_j(y) = 1}.
+
+    One walk over the words v with digits <= cap and |v| <= j-1, with
+    (q, q') read off each v's pair: each leaf v.1, |v| = j-1, adds its
+    length 1/(Q (Q + Q')), where (Q, Q') = (q + q', q) by the append-1 map,
+    and each inner node v adds its whole child tail, the interval between
+    [0; v] and [0; v, cap+1], of length 1/(q ((cap+1) q + q')).  Every y
+    with a_j(y) = 1 lies in a leaf or in a child tail, and every term is
+    rounded up on the grid 2**-_DYADIC_BITS, so the sum is at least
+    lambda_j.  At j = 1 the one leaf is C_[1] = (1/2, 1): L_1 = 1/2 exactly.
+    """
+    one = 1 << _DYADIC_BITS
+    leaves = (
+        -(-one // ((q + q_prev) * (2 * q + q_prev)))
+        for _, q, _, q_prev in iter_prefix_pairs(cap, j - 1)
+    )
+    tails = (
+        -(-one // (q * ((cap + 1) * q + q_prev)))
+        for depth in range(j - 1)
+        for _, q, _, q_prev in iter_prefix_pairs(cap, depth)
+    )
+    return Fraction(sum(leaves) + sum(tails), one)
+
+
+def _share(j: int, cap: int) -> Fraction:
+    """sigma_j = min(1/2, L_j ((cap+2)/(cap+1))**2), L_j = _lebesgue_upper(j, cap).
+
+    A child tail's omitted leaves, whose final 1 lies j digits past the
+    tail's digit, take at most a share sigma_j A of its measure.
+    """
+    return min(Fraction(1, 2), _lebesgue_upper(j, cap) * Fraction(cap + 2, cap + 1) ** 2)
+
+
+def _tail_factor(num: int, den: int, share: Fraction) -> tuple[int, int]:
+    """B = 1 + share A (A - 1) for A = num/den, as an unreduced pair (num, den)."""
+    s, t = share.numerator, share.denominator
+    return t * den * den + s * num * (num - den), t * den * den
 
 
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
@@ -237,16 +278,31 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     sums over the inner nodes a bound on what the node omits.  Its child
     tail I = {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, with arg
     A = (1 + hi)/(1 + lo) = `_arg` of 1.u at m = cap + 1, holds each
-    omitted leaf C_[1,u,a,...,1], a > cap, and every omitted leaf lies in
-    exactly one such I.  The node adds log2 B, B = `_halved`(A):
-    - For each omitted word w.1 with C_w in I, gamma(C_(w.1)) <=
-      (1/(2+s)) ((1+hi_w)/(1+lo_w)) gamma(C_w) <= (A/2) gamma(C_w).
-    - So the omitted mass is at most (A/2) log2 A.  Since 1 <= A <= 2,
-      Bernoulli's inequality gives A**(A/2) <= 1 + (A/2)(A - 1) = B.
-    Here s = q_(|w|-1)/q_|w|, so 1/(2+s) <= 1/2 is the Lebesgue share of a
-    next digit 1 in C_w, and the Gauss density 1/((1+x) ln 2) varies by at
-    most the factor (1+hi_w)/(1+lo_w) <= A over C_w.  tail_bound is rounded
-    up, and covers lower's rounding too.  k-1 may not exceed the bit length
+    omitted leaf C_[1,u,a,v,1], a > cap and |v| = j - 1 with j = k-1-|u|,
+    and every omitted leaf lies in exactly one such I.  The node adds
+    log2 B, B = `_tail_factor`(A, sigma_j) = 1 + sigma_j A (A - 1), with
+    N = cap and sigma_j = `_share`(j, N) = min(1/2, L_j ((N+2)/(N+1))**2),
+    where L_j = `_lebesgue_upper`(j, N) bounds the Lebesgue measure lambda_j
+    of {y in (0, 1) : a_j(y) = 1}:
+    - Over any C_w in I the Gauss density 1/((1+x) ln 2) varies by at most
+      the factor (1+hi_w)/(1+lo_w) <= A.
+    - For each word w with C_w in I, gamma(C_(w.1)) <= (1/(2+s)) A gamma(C_w)
+      <= (A/2) gamma(C_w), with s = q_(|w|-1)/q_|w|: 1/(2+s) <= 1/2 is the
+      Lebesgue share of a next digit 1 in C_w.  Summed over the words
+      w = 1.u.a.v, the omitted leaves take at most a share A/2 of I.
+    - On C_w with w = 1.u.a, T^|w| pushes Lebesgue measure forward to a
+      density on (0, 1) proportional to (1 + s y)**-2, where s < 1/(N+1)
+      as a > N, so it varies by at most (1+s)**2 < ((N+2)/(N+1))**2.  With
+      the Gauss density, the law of T^|w| x on C_w varies by at most
+      R = A ((N+2)/(N+1))**2, so it is at most R times its mean 1, and
+      {a_j(y) = 1} takes at most a share lambda_j R of it.  Summed over a,
+      the omitted leaves take at most a share L_j R of I.
+    - So the omitted mass is at most sigma_j A log2 A = log2 A**c with
+      c = sigma_j A.  Since 1 <= A <= 2, c <= 1, and Bernoulli's inequality
+      A**c <= 1 + c (A - 1) for 0 <= c <= 1 gives B.
+    L_1 = lambda_1 = 1/2, so sigma_1 = 1/2, and the nodes at depth k-2 (every
+    node at k=2) enter as 1 + (A/2)(A - 1).  tail_bound is rounded up, and
+    covers lower's rounding too.  k-1 may not exceed the bit length
     of MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
     """
     if k < 2:
@@ -273,8 +329,10 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
         _arg(p + p_prev, q + q_prev, p, q, odd)
         for p, q, p_prev, q_prev in iter_prefix_pairs(cap, k - 1, head)
     )
+    # the omitted leaves of a node at depth d end k-1-d digits past its tail's digit
+    shares = [_share(k - 1 - depth, cap) for depth in range(k - 1)]
     tails = (
-        _halved(*_arg(*pair, (1 + depth) % 2, cap + 1))
+        _tail_factor(*_arg(*pair, (1 + depth) % 2, cap + 1), shares[depth])
         for depth in range(k - 1)
         for pair in iter_prefix_pairs(cap, depth, head)
     )

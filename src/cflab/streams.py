@@ -340,7 +340,7 @@ def source_concat_normal() -> DigitSource:
 
 
 def source_random_real(seed: int) -> DigitSource:
-    """Infinite seeded source of digits distributed like those of a random real.
+    """Infinite seeded source: the certified digits of independent dyadic blocks, concatenated.
 
     Draws counter-keyed blocks of uniform bits (block j is keyed by
     (seed, j)), treats each block as a dyadic interval of width
@@ -349,6 +349,12 @@ def source_random_real(seed: int) -> DigitSource:
     spent the next block takes over, so the stream itself never runs dry.
     Each block's digits form one chunk.  Seeds must be >= 0: random.Random
     seeds from |seed|, so a negative seed would replay its positive twin.
+
+    The stream is not the expansion of one random real.  Each block starts
+    a fresh real, so its first digits follow Lebesgue measure rather than
+    Gauss measure, and the stopping rule biases its last digit: the digit
+    frequencies are biased at every block seam (about +7.6e-5 on P(digit =
+    1) at 4096-bit blocks, measured on 20,000 blocks of seed 7).
     """
     if seed < 0:
         raise ValueError(f"random source seed must be >= 0, got {shown(seed)}")

@@ -9,6 +9,7 @@ oracle is itself irrational.
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -60,9 +61,36 @@ def _child_tail(w, cap):
     return LogRational(Fraction(*_kernel_arg(w, cap + 1)))
 
 
-def _halved_tail(a):
-    """The arg 1 + (a/2)(a - 1) a joint measure adds for an inner node of child tail arg a."""
-    return 1 + a / 2 * (a - 1)
+def _factor_oracle(a, share):
+    """The arg 1 + share a (a - 1) a joint measure adds for an inner node of child tail arg a."""
+    return 1 + share * a * (a - 1)
+
+
+def _folded_value(w):
+    """[0; w] folded from the last digit up, with no convergent recurrence."""
+    x = Fraction(0)
+    for a in reversed(w):
+        x = 1 / (a + x)
+    return x
+
+
+def _lebesgue_upper_oracle(j, cap):
+    """L_j from Fraction lengths: the cylinders v.1, |v| = j-1, and the child tails past cap
+    of the shorter v, each rounded up on the grid 1/ONE."""
+    def up(length):
+        return Fraction(math.ceil(abs(length) * ONE), ONE)
+
+    digits = range(1, cap + 1)
+    leaves = product(digits, repeat=j - 1)
+    inner = (v for depth in range(j - 1) for v in product(digits, repeat=depth))
+    return sum(up(_folded_value(v + (1,)) - _folded_value(v + (2,))) for v in leaves) + sum(
+        up(_folded_value(v) - _folded_value(v + (cap + 1,))) for v in inner
+    )
+
+
+def _share_oracle(j, cap):
+    """sigma_j = min(1/2, L_j ((cap+2)/(cap+1))**2) from the Fraction L_j."""
+    return min(Fraction(1, 2), _lebesgue_upper_oracle(j, cap) * Fraction(cap + 2, cap + 1) ** 2)
 
 
 def _holds(check, w):
@@ -98,21 +126,24 @@ def _leaf_slack(leaves):
 
 
 def _exact_ends(k, cap):
-    """The exact leaf and child-tail products of the joint measure, from Fraction oracles."""
+    """The exact leaf args and tail factors of the joint measure, from Fraction oracles.
+
+    The node 1.u enters with the share sigma_j of j = k-1-|u|.
+    """
     middles = [m for m in iter_words(cap, k - 1) if len(m) == k - 1]
     inner = [()] + list(iter_words(cap, k - 2))
     leaves = [_oracle_arg((1,) + m + (1,)) for m in middles]
-    tails = [_child_tail((1,) + u, cap).arg for u in inner]
-    return leaves, tails
+    shares = [_share_oracle(k - 1 - depth, cap) for depth in range(k - 1)]
+    factors = [_factor_oracle(_child_tail((1,) + u, cap).arg, shares[len(u)]) for u in inner]
+    return leaves, factors
 
 
-def _assert_dyadic_ends(bm, leaves, tails):
-    """bm's ends: the rounded products of the leaves and halved tails, outward of the exact ones."""
-    halved = [_halved_tail(a) for a in tails]
+def _assert_dyadic_ends(bm, leaves, factors):
+    """bm's ends: the rounded products of the leaves and tail factors, outward of the exact ones."""
     lower = _rounded_product(leaves, up=False)
-    tail = _rounded_product(halved + [_leaf_slack(len(leaves))], up=True)
+    tail = _rounded_product(factors + [_leaf_slack(len(leaves))], up=True)
     assert bm.lower.arg == lower and bm.tail_bound.arg == tail
-    exact_lower, exact_tail = _sequential_product(leaves), _sequential_product(halved)
+    exact_lower, exact_tail = _sequential_product(leaves), _sequential_product(factors)
     assert lower <= exact_lower and bm.upper.arg >= exact_lower * exact_tail
 
 
@@ -272,17 +303,22 @@ def test_joint_pattern_measure_small_cases():
     # the child tail of the root (1,): a second digit past 3, arg 10/9,
     # which enters halved as 1 + (5/9)(1/9) = 86/81
     assert _child_tail((1,), 3).arg == Fraction(10, 9)
-    assert _halved_tail(Fraction(10, 9)) == Fraction(86, 81)
+    assert _share_oracle(1, 3) == Fraction(1, 2)
+    assert _factor_oracle(Fraction(10, 9), Fraction(1, 2)) == Fraction(86, 81)
     assert bm.tail_bound.arg == Fraction(361287451298774171084570570853482298590, ONE)
-    _assert_dyadic_ends(bm, leaves, [Fraction(10, 9)])
+    _assert_dyadic_ends(bm, leaves, [Fraction(86, 81)])
 
     bm = joint_pattern_measure(3, 1)
     # the one leaf's arg is a dyadic rational, which the floor keeps whole
     assert bm.lower == measure_of_cylinder((1, 1, 1, 1)) == LogRational(Fraction(65, 64))
-    # the inner nodes (1,) and (1, 1), each missing every child past 1
+    # the inner nodes (1,) and (1, 1), each missing every child past 1; at
+    # cap 1, L_2 = 1/6 + 1/2, with 1/6 rounded up, and (3/2)**2 L_2 > 1/2,
+    # so both enter halved
+    assert _lebesgue_upper_oracle(2, 1) == Fraction(-(-ONE // 6), ONE) + Fraction(1, 2)
+    assert _share_oracle(2, 1) == _share_oracle(1, 1) == Fraction(1, 2)
     nodes = [_child_tail((1,), 1).arg, _child_tail((1, 1), 1).arg]
     assert bm.tail_bound.arg == Fraction(394667050985280450779565500246196588722, ONE)
-    _assert_dyadic_ends(bm, [Fraction(65, 64)], nodes)
+    _assert_dyadic_ends(bm, [Fraction(65, 64)], [_factor_oracle(a, Fraction(1, 2)) for a in nodes])
 
     with pytest.raises(ValueError):
         joint_pattern_measure(1, 10)
@@ -352,27 +388,100 @@ def test_halved_tail_bounds_a_power_of_the_child_tail():
             assert n**n * (2 * d * d) ** (2 * d) <= (2 * d * d + n * (n - d)) ** (2 * d) * d**n
 
 
+def test_tail_factor_bounds_every_rational_power_of_the_child_tail():
+    # Bernoulli's step A**c <= 1 + c (A - 1) for 0 <= c = r/s <= 1 at
+    # A = n/d, raised to the power s d to clear every root and denominator,
+    # in integers; the tail factor is the case c = sigma A
+    for d in range(1, 13):
+        for n in range(d, 2 * d + 1):
+            for s in range(1, 9):
+                for r in range(s + 1):
+                    assert n**r * (s * d) ** s <= (s * d + r * (n - d)) ** s * d**r
+
+
+def test_lebesgue_upper_at_one_digit_is_exactly_a_half():
+    # the one leaf is C_[1] = (1/2, 1), a dyadic length, so sigma_1 = 1/2 at
+    # every cap and the nodes next to the leaves enter halved
+    for cap in (1, 2, 3, 12, 150, 1000):
+        assert measure._lebesgue_upper(1, cap) == Fraction(1, 2)
+        assert measure._share(1, cap) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("j,cap", [(1, 5), (2, 1), (2, 7), (2, 40), (3, 1), (3, 6), (4, 3), (5, 2)])
+def test_lebesgue_upper_matches_the_fraction_oracle(j, cap):
+    assert measure._lebesgue_upper(j, cap) == _lebesgue_upper_oracle(j, cap)
+    assert measure._share(j, cap) == _share_oracle(j, cap)
+
+
+def test_lebesgue_upper_two_bounds_its_closed_form_at_every_cap():
+    # lambda_2 = 2 ln 2 - 1: the words a.1 take sum 1/((a+1)(2a+1)); each
+    # bound holds it, and a larger cap never loosens it; 60 digits put
+    # lambda_2 within 1e-59 of the Decimal, which the comparison adds
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lambda_2 = Fraction(2 * Decimal(2).ln() - 1) + Fraction(1, 10**59)
+    previous = Fraction(1)
+    for cap in range(1, 1001):
+        bound = measure._lebesgue_upper(2, cap)
+        assert bound >= lambda_2, cap
+        assert bound <= previous, cap
+        previous = bound
+    # sigma_2 falls below 1/2 from cap 12
+    assert measure._share(2, 11) == Fraction(1, 2) > measure._share(2, 12)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 10, 25])
+def test_lebesgue_upper_three_holds_a_finer_lower_sum(cap):
+    # the cylinders v.1 with |v| = 2 and digits <= 4 cap lie inside
+    # {a_3 = 1}, so their exact lengths sum to a lower bound on lambda_3
+    digits = range(1, 4 * cap + 1)
+    lower = sum(abs(_folded_value(v + (1,)) - _folded_value(v + (2,))) for v in product(digits, repeat=2))
+    assert lower <= measure._lebesgue_upper(3, cap)
+
+
+@pytest.mark.parametrize("cap", [20, 40])
+def test_each_k3_node_factor_holds_its_omitted_leaves(cap):
+    # node 1.u omits the leaves 1.u.a.v.1 with a > cap; those with every
+    # digit <= 10 cap weigh at least the floor of their product, which the
+    # node's factor must reach on its own
+    k, fine = 3, 10 * cap
+    for u in [()] + [(a,) for a in range(1, cap + 1)]:
+        j = k - 1 - len(u)
+        share = measure._share(j, cap)
+        factor = Fraction(*measure._tail_factor(*_kernel_arg((1,) + u, cap + 1), share))
+        omitted = (
+            _kernel_arg((1,) + u + (a,) + v + (1,))
+            for a in range(cap + 1, fine + 1)
+            for v in product(range(1, fine + 1), repeat=j - 1)
+        )
+        assert _dyadic_product(omitted, up=False) <= factor, u
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(
-        st.tuples(st.just(2), st.integers(1, 5000)),
-        st.tuples(st.just(3), st.integers(1, 20)),
-        st.tuples(st.just(4), st.integers(1, 5)),
+        st.tuples(st.just(2), st.integers(1, 5000), st.just(None)),
+        st.tuples(st.just(3), st.integers(1, 60)).map(lambda kc: (*kc, 4 * kc[1])),
+        st.tuples(st.just(4), st.integers(1, 8)).map(lambda kc: (*kc, 4 * kc[1])),
     )
 )
-@example((2, 1))
-@example((2, 5000))
-@example((3, 20))
-@example((4, 5))
-def test_halved_bracket_contains_the_true_value(k_cap):
-    # k=2 against the closed form; k = 3 and 4 against the lower end of a 4x
+@example((2, 1, None))
+@example((2, 5000, None))
+@example((3, 20, 80))
+@example((4, 5, 20))
+# sigma_2 < 1/2 from cap 12, so these caps take the Lebesgue share
+@example((3, 40, 400))
+@example((3, 150, 1000))
+@example((4, 20, 80))
+def test_halved_bracket_contains_the_true_value(k_cap_fine):
+    # k=2 against the closed form; k = 3 and 4 against the lower end of a
     # larger cap, which the true value is at least
-    k, cap = k_cap
+    k, cap, fine = k_cap_fine
     bm = joint_pattern_measure(k, cap)
     if k == 2:
         assert bm.contains(K2_ORACLE)
     else:
-        assert bm.lower <= joint_pattern_measure(k, 4 * cap).lower <= bm.upper
+        assert bm.lower <= joint_pattern_measure(k, fine).lower <= bm.upper
 
 
 @pytest.mark.parametrize("k,cap", [(2, 1), (2, 7), (3, 1), (3, 6), (4, 3), (5, 2), (6, 1)])
@@ -395,11 +504,11 @@ def test_bracket_ends_are_outward_of_the_exact_log2(k, cap):
     # products, which the dyadic ends round outward
     bm = joint_pattern_measure(k, cap)
     lo, hi = bm.bracket()
-    leaves, tails = _exact_ends(k, cap)
+    leaves, factors = _exact_ends(k, cap)
     exact_lower = _sequential_product(leaves)
     for lower_arg, upper_arg in (
         (bm.lower.arg, bm.upper.arg),
-        (exact_lower, exact_lower * _sequential_product(map(_halved_tail, tails))),
+        (exact_lower, exact_lower * _sequential_product(factors)),
     ):
         lower, upper = _log2_oracle(lower_arg), _log2_oracle(upper_arg)
         assert Decimal(lo) <= lower and upper <= Decimal(hi)
@@ -411,9 +520,9 @@ def test_joint_ends_are_rounded_sequential_products():
     # each end is the left-to-right product of the Fraction term args,
     # rounded after each term, on the outward side of the exact product
     for k, cap in ((2, 200), (3, 12)):
-        leaves, tails = _exact_ends(k, cap)
+        leaves, factors = _exact_ends(k, cap)
         assert len(leaves) == cap ** (k - 1)
-        _assert_dyadic_ends(joint_pattern_measure(k, cap), leaves, tails)
+        _assert_dyadic_ends(joint_pattern_measure(k, cap), leaves, factors)
 
 
 def test_joint_refuses_too_many_middle_words():
@@ -442,7 +551,9 @@ def test_joint_refuses_a_deep_walk_at_cap_1():
     leaf = measure_of_cylinder((1,) * 22).arg
     bm = joint_pattern_measure(21, 1)
     assert bm.lower.arg == Fraction(340282367079209963117941817213984815977, ONE)
-    _assert_dyadic_ends(bm, [leaf], [_child_tail((1,) * n, 1).arg for n in range(1, 21)])
+    # the node 1^n omits leaves 21 - n digits past its tail's digit
+    factors = [_factor_oracle(_child_tail((1,) * n, 1).arg, _share_oracle(21 - n, 1)) for n in range(1, 21)]
+    _assert_dyadic_ends(bm, [leaf], factors)
     for k in (22, 10**5, 10**12):
         with pytest.raises(UsageError, match=f"k={k}, cap=1 would walk"):
             joint_pattern_measure(k, 1)

@@ -2,7 +2,9 @@
 
 Both experiments take a fully explicit config and return a plain report
 dict; every semantic parameter is echoed into the report header so a rerun
-of the same config yields byte-identical output.  `_stat_rows` alone turns
+of the same config yields byte-identical output.  `ExperimentConfig` writes
+each field and its default once, on its NamedTuple base; its `__new__` only
+checks them and fills in the two derived values.  `_stat_rows` alone turns
 counts into frequencies and measures; each summary reads the final rows.
 """
 
@@ -37,54 +39,41 @@ def check_n(n: int) -> None:
 
 
 class _ExperimentFields(NamedTuple):
-    # _make and _replace build past ExperimentConfig.__new__ and its checks: no code calls them
+    # only ExperimentConfig.__new__ calls _replace, after its checks; _make would skip them
     source: str
     n: int
-    patterns: list[Word]
-    b: int
-    k: int
-    cap: int
-    seed: int | None
-    checkpoint_every: int
-    tolerance: float
-    jobs: int  # read by nothing; kept because the acceptance tests pass it
+    patterns: list[Word] | None = None  # a fresh list of tuples once built
+    b: int = 1
+    k: int = 2
+    cap: int = DEFAULT_CAP
+    seed: int | None = None
+    checkpoint_every: int | None = None  # n // 10, at least 1, when unset
+    tolerance: float = 0.005
+    jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
 
 
 class ExperimentConfig(_ExperimentFields):
-    """A run's parameters, checked and with every default filled in before the tuple is built."""
+    """A run's parameters, checked and with every default filled in before it is returned."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        source: str,
-        n: int,
-        patterns: list[Word] | None = None,
-        b: int = 1,
-        k: int = 2,
-        cap: int = DEFAULT_CAP,
-        seed: int | None = None,
-        checkpoint_every: int | None = None,  # n // 10, at least 1, when unset
-        tolerance: float = 0.005,
-        jobs: int = 1,
-    ) -> ExperimentConfig:
-        check_n(n)
+    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        check_n(self.n)
         # a NaN or non-positive tolerance would flag every pattern whatever the data
-        if not (math.isfinite(tolerance) and tolerance > 0):
-            raise UsageError(f"tolerance must be finite and > 0, got {tolerance}")
-        if checkpoint_every is None:
-            checkpoint_every = max(1, n // 10)
-        elif checkpoint_every < 1:
-            raise UsageError(f"need checkpoint_every >= 1, got {shown(checkpoint_every)}")
-        patterns = [] if patterns is None else patterns
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
+        # a copy, so a caller's later append cannot slip a repeat past this check
+        patterns = [tuple(w) for w in self.patterns or ()]
         seen: set[Word] = set()
-        for w in map(tuple, patterns):
+        for w in patterns:
             if w in seen:
                 raise UsageError(f"pattern {cut(format_word(w))} is given more than once")
             seen.add(w)
-        return super().__new__(
-            cls, source, n, patterns, b, k, cap, seed, checkpoint_every, tolerance, jobs
-        )
+        every = max(1, self.n // 10) if self.checkpoint_every is None else self.checkpoint_every
+        return self._replace(patterns=patterns, checkpoint_every=every)
 
     def echo(self, *, with_ap: bool) -> dict:
         """The parameters the experiment reads; the AP run reads no patterns or tolerance."""
@@ -100,9 +89,6 @@ class ExperimentConfig(_ExperimentFields):
             del base["patterns"], base["tolerance"]
             base.update({"b": self.b, "k": self.k, "cap": self.cap})
         return base
-
-    def build_source(self):
-        return parse_source_spec(self.source, seed=self.seed)
 
 
 def _check_report_rows(config: ExperimentConfig, counted: int, keys: int) -> None:
@@ -157,7 +143,7 @@ def run_pillai(config: ExperimentConfig) -> dict:
     modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
     _check_report_rows(config, config.n, len(config.patterns) * len(modes))
     stats = frequency_report(
-        config.build_source(),
+        parse_source_spec(config.source, seed=config.seed),
         config.patterns,
         modes,
         config.n,
@@ -225,7 +211,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     _check_report_rows(config, selected_n, 1)
     # a bad spec fails before the joint measure, and a refused k/cap before
     # any digit is drawn: building the source draws none
-    source = select_ap(config.build_source(), config.b, config.k)
+    source = select_ap(parse_source_spec(config.source, seed=config.seed), config.b, config.k)
     joint = joint_pattern_measure(config.k, config.cap)
     stats = frequency_report(
         source,

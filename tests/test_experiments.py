@@ -105,6 +105,35 @@ def test_repeated_pattern_check_names_the_first_repeat():
             ExperimentConfig(source="periodic:,1", n=100, patterns=patterns)
 
 
+def test_patterns_given_as_lists_run_as_tuples():
+    as_lists = ExperimentConfig(source="periodic:,1,2", n=100, patterns=[[1, 2], [2, 1]])
+    as_tuples = ExperimentConfig(source="periodic:,1,2", n=100, patterns=[(1, 2), (2, 1)])
+    assert run_pillai(as_lists) == run_pillai(as_tuples)
+    assert as_lists.patterns == [(1, 2), (2, 1)]
+
+
+def test_config_keeps_its_own_pattern_list():
+    given = [(1,)]
+    config = ExperimentConfig(source="periodic:,1,2", n=100, patterns=given)
+    given.append((1,))  # a repeat the check never saw
+    assert config.patterns == [(1,)]
+    assert [entry["pattern"] for entry in run_pillai(config)["summary"]] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [
+        (("periodic:,1",), {}),  # no n
+        (("periodic:,1", 100), {"eps": 1e-9}),  # no such field
+        (("periodic:,1", 100), {"source": "periodic:,2"}),  # source twice
+        (("periodic:,1", 100, [(1,)], 1, 2, 5, None, 10, 0.005, 1, 7), {}),  # 11 values
+    ],
+)
+def test_experiment_config_refuses_a_bad_call_with_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        ExperimentConfig(*args, **kwargs)
+
+
 def test_thirty_thousand_distinct_patterns_reach_the_row_limit_at_once():
     # the repeat check is one pass, so the row limit refuses the run in well under a second
     patterns = [(a, b) for a in range(1, 201) for b in range(1, 151)]

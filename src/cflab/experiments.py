@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .cfcore import UsageError, Word, cut, format_word, shown
 from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
-from .streams import parse_source_spec
+from .streams import limit, parse_source_spec
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_NON_NORMAL = "NON_NORMAL"
@@ -197,6 +197,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     the selected [1,1] frequency against both the bracketed joint
     measure for distance k and gamma(C_[1,1]).  Verdict NON_NORMAL iff the
     frequency sits closer to the joint bracket than to gamma(C_[1,1]).
+    source_n counts the digits the source holds among the first n.
     """
     if config.k < 2 or config.b < 1:
         raise UsageError("need k >= 2 and b >= 1")
@@ -211,7 +212,8 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     _check_report_rows(config, selected_n, 1)
     # a bad spec fails before the joint measure, and a refused k/cap before
     # any digit is drawn: building the source draws none
-    source = select_ap(parse_source_spec(config.source, seed=config.seed), config.b, config.k)
+    digits = limit(parse_source_spec(config.source, seed=config.seed), config.n)
+    source = select_ap(digits, config.b, config.k)
     joint = joint_pattern_measure(config.k, config.cap)
     stats = frequency_report(
         source,
@@ -221,6 +223,9 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         config.checkpoint_every,
     )
     rows = _stat_rows(stats, [pattern], [mode])
+    # the digits the source holds among the first n: those drawn, and any
+    # left up to n past the last selected one
+    source_n = digits.emitted + sum(map(len, digits.chunks()))
     freq, gamma_11 = rows[-1]["freq_float"], rows[-1]["gamma_float"]
     bracket_lo, bracket_hi = joint.bracket()
     dist_joint = max(0.0, bracket_lo - freq, freq - bracket_hi)
@@ -229,7 +234,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     return {
         "experiment": "subsequence",
         "config": config.echo(with_ap=True),
-        "source_n": config.n,
+        "source_n": source_n,
         "selected_n": stats.n,
         "truncated": stats.truncated,
         "rows": rows,

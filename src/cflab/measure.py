@@ -5,13 +5,15 @@ rational (the "arg") and every comparison or sum is exact integer work:
 adding measures multiplies args, comparing measures cross-multiplies.
 Floats appear only when rendering reports.
 
-The cylinder kernel is integer-only.  `_arg(p, q, p', q', odd, m)` reads
+The cylinder kernel is integer-only.  `_arg(p, q, p', q', odd)` reads
 the arg of C_w off w's convergent pair (p, q, p', q') = convergent_pair(w)
 and the parity of |w|, with only + and *, as an unreduced pair (num, den)
-of positive integers.  Three maps on the pair give the pairs of a word's
-neighbours without a second recurrence: reversal swaps p and q',
-prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'), and
-appending a 1 maps it to (p + p', q + q', p, q).
+of positive integers.  The child tail of w past a digit N, the interval
+between [0; w] and [0; w, N+1], is read off the shifted pair
+(p, q, N p + p', N q + q') the same way.  Three maps on the pair give the
+pairs of a word's neighbours without a second recurrence: reversal swaps
+p and q', prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'),
+and appending a 1 maps it to (p + p', q + q', p, q).
 
 For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
 a*d == c*b, so the row checks `reversal_row` and `pairwise_row` decide
@@ -80,17 +82,17 @@ class LogRational(_LogRationalFields):
         return f"log2({self.arg.numerator}/{self.arg.denominator})"
 
 
-def _arg(p: int, q: int, p_prev: int, q_prev: int, odd: int, m: int = 1) -> tuple[int, int]:
-    """The arg (1 + hi)/(1 + lo) of the interval between [0; w] and [0; w, m].
+def _arg(p: int, q: int, p_prev: int, q_prev: int, odd: int) -> tuple[int, int]:
+    """The arg (1 + hi)/(1 + lo) of the interval between p/q and (p + p')/(q + q').
 
-    (p, q, p_prev, q_prev) is convergent_pair(w) and odd is |w| % 2.  At
-    m = 1 that interval is C_w, so this is the arg of gamma(C_w), as an
-    unreduced pair (num, den).  With p/q the word's value and
-    p2/q2 = (m p + p_prev)/(m q + q_prev) the value of w.m,
-    1 + p/q = (q + p)/q; odd |w| puts p/q on top, even |w| puts p2/q2 on
-    top.  Both parts are positive.
+    With (p, q, p', q') = convergent_pair(w) and odd = |w| % 2 that interval
+    is C_w, so this is the arg of gamma(C_w), as an unreduced pair
+    (num, den).  The interval between [0; w] and [0; w, m] is that of the
+    shifted pair (p, q, (m-1) p + p', (m-1) q + q').  With
+    p2/q2 = (p + p')/(q + q'), 1 + p/q = (q + p)/q; odd |w| puts p/q on top,
+    even |w| puts p2/q2 on top.  Both parts are positive.
     """
-    p2, q2 = m * p + p_prev, m * q + q_prev
+    p2, q2 = p + p_prev, q + q_prev
     if odd:
         return (q + p) * q2, q * (q2 + p2)
     return (q2 + p2) * q, q2 * (q + p)
@@ -277,7 +279,8 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     gamma(C_[1,u,1]) over the leaves, |u| = k-1, rounded down.  tail_bound
     sums over the inner nodes a bound on what the node omits.  Its child
     tail I = {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, with arg
-    A = (1 + hi)/(1 + lo) = `_arg` of 1.u at m = cap + 1, holds each
+    A = (1 + hi)/(1 + lo) = `_arg` of the shifted pair
+    (p, q, cap p + p', cap q + q') of 1.u, holds each
     omitted leaf C_[1,u,a,v,1], a > cap and |v| = j - 1 with j = k-1-|u|,
     and every omitted leaf lies in exactly one such I.  The node adds
     log2 B, B = `_tail_factor`(A, sigma_j) = 1 + sigma_j A (A - 1), with
@@ -332,9 +335,9 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     # the omitted leaves of a node at depth d end k-1-d digits past its tail's digit
     shares = [_share(k - 1 - depth, cap) for depth in range(k - 1)]
     tails = (
-        _tail_factor(*_arg(*pair, (1 + depth) % 2, cap + 1), shares[depth])
+        _tail_factor(*_arg(p, q, cap * p + p_prev, cap * q + q_prev, (1 + depth) % 2), shares[depth])
         for depth in range(k - 1)
-        for pair in iter_prefix_pairs(cap, depth, head)
+        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, depth, head)
     )
     lower = _dyadic_product(leaves, up=False)
     # The n = cap**(k-1) floors of lower leave the exact leaf product below

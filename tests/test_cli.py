@@ -137,17 +137,38 @@ def test_expand_memory_is_flat_in_n(tmp_path):
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def _loaded_of(modules, names):
+    """The sorted list of `names` in sys.modules after a fresh `import modules`.
+
+    -S keeps site-packages' start-up hooks out of the modules seen.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
+    code = f"import sys, {modules}; print(*sorted({set(names)!r} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, check=True, timeout=60
+    ).stdout
+    return out.decode().split()
+
+
 @pytest.mark.parametrize("modules", ["cflab.cli", "cflab.measure, cflab.verify"])
 def test_import_loads_no_dataclasses_or_inspect(modules):
     # every run imports the package first; dataclasses would pull in inspect,
     # ast, dis and tokenize, about half the set-up time of a verify run.
-    # -S keeps site-packages' start-up hooks out of the modules seen
-    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
-    code = f"import sys, {modules}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, env=env, check=True, timeout=60
-    ).stdout
-    assert out == b"[]\n"
+    assert _loaded_of(modules, ["dataclasses", "inspect"]) == []
+
+
+@pytest.mark.parametrize(
+    "modules,loaded",
+    [
+        ("cflab.measure, cflab.verify", []),
+        ("cflab", []),
+        ("cflab.cli", ["array", "cflab.stats", "cflab.streams"]),
+    ],
+)
+def test_verify_import_leaves_streams_and_stats_unloaded(modules, loaded):
+    # the package resolves its names on first use, so a verify run never
+    # compiles the stream and counting modules; the CLI still loads them
+    assert _loaded_of(modules, ["array", "cflab.stats", "cflab.streams"]) == loaded
 
 
 def test_expand_stops_quietly_when_the_reader_leaves():

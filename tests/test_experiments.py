@@ -25,8 +25,12 @@ def _finite_spec(length: int, seed: int) -> str:
     [
         ("periodic:3;1,2,1", 1500),
         ("periodic:;1,1,2", 2500),
+        # n one past the first 1023-digit chunk: at b=1, k=2 the last selected
+        # digit ends that chunk, and digit n is read only to count source_n
+        ("periodic:;1,1,2", 1024),
         ("random:seed=3", 3000),
         (_finite_spec(40, 5), 27),
+        (_finite_spec(40, 5), 40),  # past the end, after the last selected digit at k=2, b=1
         (_finite_spec(40, 5), 60),  # past the end: a truncated report
     ],
 )
@@ -35,6 +39,7 @@ def _finite_spec(length: int, seed: int) -> str:
 def test_subsequence_counts_match_list_oracle(spec, n, b, k):
     selected = parse_source_spec(spec).take(n)[b - 1 :: k]
     report = run_subsequence(ExperimentConfig(source=spec, n=n, b=b, k=k, cap=5))
+    assert report["source_n"] == len(parse_source_spec(spec).take(n))
     assert report["selected_n"] == len(selected)
     assert report["truncated"] == (len(selected) < (n - b) // k + 1)
     final = report["rows"][-1]

@@ -52,8 +52,9 @@ def _value(w):
 
 
 def _kernel_arg(w, m=1):
-    """`_arg` of the word w: the arg of the interval between [0; w] and [0; w, m]."""
-    return _arg(*convergent_pair(w), len(w) % 2, m)
+    """The arg of the interval between [0; w] and [0; w, m]: `_arg` of w's pair shifted by m - 1."""
+    p, q, p_prev, q_prev = convergent_pair(w)
+    return _arg(p, q, (m - 1) * p + p_prev, (m - 1) * q + q_prev, len(w) % 2)
 
 
 def _child_tail(w, cap):
@@ -250,15 +251,15 @@ def test_pairwise_equal_case_is_exact_reversal_pairing():
         assert _holds(pairwise_row, n)
 
 
-def _constant_arg(p, q, p_prev, q_prev, odd, m=1):
+def _constant_arg(p, q, p_prev, q_prev, odd):
     return 2, 1
 
 
-def _arg_by_p(p, q, p_prev, q_prev, odd, m=1):
+def _arg_by_p(p, q, p_prev, q_prev, odd):
     return 1 + p, 1
 
 
-def _arg_by_q_prev(p, q, p_prev, q_prev, odd, m=1):
+def _arg_by_q_prev(p, q, p_prev, q_prev, odd):
     return 1 + q_prev, 1
 
 

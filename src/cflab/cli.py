@@ -15,19 +15,15 @@ import contextlib
 import os
 import re
 import sys
-from pathlib import Path
 
 from . import experiments
 from .cfcore import UsageError, bad_text, cut, parse_word, quote, shown
 from .experiments import VERDICT_NON_NORMAL, ExperimentConfig, check_n, run_pillai, run_subsequence
 from .reports import render_json, render_measure, render_report
 from .streams import limit, parse_source_spec
-from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# verify's options, each once, in the order SUITES first names them
-_VERIFY_OPTIONS = tuple(dict.fromkeys(name for _, reads in SUITES.values() for name in reads))
 # what argparse reads as pillai's --pattern: the flag and each abbreviation of it
 _PATTERN_FLAGS = {"--pattern"[:end] for end in range(3, 10)}
 # Most option tokens, argv and --config file together, that a run may give
@@ -94,8 +90,8 @@ def _user_file():
 
 def _write_output(data: bytes, out: str | None) -> None:
     if out:
-        with _user_file():
-            Path(out).write_bytes(data)
+        with _user_file(), open(out, "wb") as file:
+            file.write(data)
     else:
         sys.stdout.write(data.decode())
 
@@ -130,8 +126,8 @@ def _config_tokens(path: str) -> list[tuple[str, str]]:
     next token.  A line holding a NUL byte is refused, as no argv value can
     hold one.
     """
-    with _user_file():
-        content = Path(path).read_text()
+    with _user_file(), open(path) as file:
+        content = file.read()
     pairs = []
     for line in content.splitlines():
         line = line.strip()
@@ -148,53 +144,75 @@ def _config_tokens(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cflab",
-        description="Exact continued-fraction cylinder measures and block-frequency experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_measure(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("word", help="comma-separated partial quotients, e.g. 1,1")
+    parser.add_argument("--interval", action="store_true", help="also print the cylinder endpoints")
+    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    _add_common(parser)
 
-    p = sub.add_parser("measure", help="Gauss measure of a cylinder, exactly")
-    p.add_argument("word", help="comma-separated partial quotients, e.g. 1,1")
-    p.add_argument("--interval", action="store_true", help="also print the cylinder endpoints")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    _add_common(p)
 
-    p = sub.add_parser("expand", help="dump digits of a source, one per line")
-    p.add_argument("source", help="source spec, e.g. rational:7/16 or random:seed=42")
-    p.add_argument("--n", type=_int)
-    p.add_argument("--seed", type=_int, default=None, help="seed for bare random: sources")
-    _add_common(p)
+def _add_expand(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("source", help="source spec, e.g. rational:7/16 or random:seed=42")
+    parser.add_argument("--n", type=_int)
+    parser.add_argument("--seed", type=_int, default=None, help="seed for bare random: sources")
+    _add_common(parser)
 
-    p = sub.add_parser("verify", help="run an exhaustive exact verification suite")
-    p.add_argument("suite", choices=SUITES)
-    for name in _VERIFY_OPTIONS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=_int)
-    _add_common(p)
 
-    p = sub.add_parser(
-        "pillai",
-        help="overlapping vs disjoint block frequencies against cylinder measures",
-    )
-    p.add_argument(
+def _verify_options() -> tuple[str, ...]:
+    """verify's options, each once, in the order verify.SUITES first names them.
+
+    Each function here that reads cflab.verify imports it in its body, so
+    that only a verify run compiles it.
+    """
+    from .verify import SUITES
+
+    return tuple(dict.fromkeys(name for _, reads in SUITES.values() for name in reads))
+
+
+def _add_verify(parser: argparse.ArgumentParser) -> None:
+    from .verify import SUITES
+
+    parser.add_argument("suite", choices=SUITES)
+    for name in _verify_options():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=_int)
+    _add_common(parser)
+
+
+def _add_pillai(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--pattern",
         action="append",
         dest="patterns",
         default=None,
         help="repeatable; comma-separated word",
     )
-    _add_experiment(p, expect_default="consistent", tolerance=True)
+    _add_experiment(parser, expect_default="consistent", tolerance=True)
 
-    p = sub.add_parser(
-        "subsequence",
-        help="[1,1] frequency along an arithmetic-progression subsequence",
+
+def _add_subsequence(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--b", type=_int)
+    parser.add_argument("--k", type=_int)
+    parser.add_argument("--cap", type=_int)
+    _add_experiment(parser, expect_default="non-normal", tolerance=False)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of a run of subcommand `command`.
+
+    Every subcommand is listed with its help line, so the top-level help and
+    usage never change, but only `command`'s subparser gets its arguments:
+    argparse reads a subparser only to parse that subcommand or print its
+    help, and building the other four would be wasted work.
+    """
+    parser = _Parser(
+        prog="cflab",
+        description="Exact continued-fraction cylinder measures and block-frequency experiments",
     )
-    p.add_argument("--b", type=_int)
-    p.add_argument("--k", type=_int)
-    p.add_argument("--cap", type=_int)
-    _add_experiment(p, expect_default="non-normal", tolerance=False)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        if name == command:
+            add_arguments(subparser)
     return parser
 
 
@@ -252,7 +270,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(args.suite, **_given(args, *_VERIFY_OPTIONS))
+    from .verify import run_suite
+
+    result = run_suite(args.suite, **_given(args, *_verify_options()))
     print(result.summary())
     if args.out:
         _write_output(render_json(result.report()), args.out)
@@ -281,12 +301,21 @@ def _cmd_subsequence(args) -> int:
     return _finish_experiment(run_subsequence(_experiment_config(args)), args)
 
 
-_COMMANDS = {
-    "measure": _cmd_measure,
-    "expand": _cmd_expand,
-    "verify": _cmd_verify,
-    "pillai": _cmd_pillai,
-    "subsequence": _cmd_subsequence,
+# each subcommand, in help order: its help line, what adds its arguments, what runs it
+_SUBCOMMANDS = {
+    "measure": ("Gauss measure of a cylinder, exactly", _add_measure, _cmd_measure),
+    "expand": ("dump digits of a source, one per line", _add_expand, _cmd_expand),
+    "verify": ("run an exhaustive exact verification suite", _add_verify, _cmd_verify),
+    "pillai": (
+        "overlapping vs disjoint block frequencies against cylinder measures",
+        _add_pillai,
+        _cmd_pillai,
+    ),
+    "subsequence": (
+        "[1,1] frequency along an arithmetic-progression subsequence",
+        _add_subsequence,
+        _cmd_subsequence,
+    ),
 }
 
 
@@ -313,7 +342,10 @@ def _bounded(tokens: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # argparse takes the first positional token as the subcommand, and no
+    # top-level option takes a value: if it names a subcommand, it is the
+    # first token that names one
+    parser = build_parser(next((token for token in argv if token in _SUBCOMMANDS), None))
     try:
         args = parser.parse_args(_bounded(argv))
         if args.config is not None:
@@ -329,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
             n_file = sum(key == "patterns" for key, _ in pairs)
             if len(getattr(args, "patterns", None) or ()) > n_file:
                 args.patterns = args.patterns[n_file:]  # --pattern flags replace the file's list
-        return _COMMANDS[args.command](args)
+        _, _, run = _SUBCOMMANDS[args.command]
+        return run(args)
     except UsageError as exc:
         print(f"error: {_fit('error: ', str(exc))}", file=sys.stderr)
         return USAGE_ERROR

@@ -128,11 +128,14 @@ def run_pillai(config: ExperimentConfig) -> dict:
 
     For each pattern the summary reports the three final deviations
     (overlap vs gamma, disjoint vs gamma, overlap vs disjoint); a pattern is
-    flagged NON_NORMAL when any of them exceeds the tolerance.
+    flagged NON_NORMAL when any of them exceeds the tolerance.  A source
+    that ends before it gives as many digits as the longest pattern is
+    refused, as no start was counted.
     """
     if not config.patterns:
         raise UsageError("pillai experiment needs at least one pattern")
-    if config.n < 10 * max(len(w) for w in config.patterns):
+    longest = max(len(w) for w in config.patterns)
+    if config.n < 10 * longest:
         raise UsageError("n must be at least 10x the longest pattern")
     work = config.n * sum(map(len, config.patterns))
     if work > MAX_COUNT_WORK:
@@ -149,6 +152,11 @@ def run_pillai(config: ExperimentConfig) -> dict:
         config.n,
         config.checkpoint_every,
     )
+    if stats.n < longest:
+        # the run-time twin of n >= 10x the longest pattern: no start to count
+        raise UsageError(
+            f"the source ended after {stats.n} digits, fewer than the longest pattern's {longest}"
+        )
     rows = _stat_rows(stats, config.patterns, modes)
     summary = []
     worst = VERDICT_CONSISTENT
@@ -197,7 +205,8 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     the selected [1,1] frequency against both the bracketed joint
     measure for distance k and gamma(C_[1,1]).  Verdict NON_NORMAL iff the
     frequency sits closer to the joint bracket than to gamma(C_[1,1]).
-    source_n counts the digits the source holds among the first n.
+    source_n counts the digits the source holds among the first n.  A
+    source that ends before two digits are selected is refused.
     """
     if config.k < 2 or config.b < 1:
         raise UsageError("need k >= 2 and b >= 1")
@@ -222,10 +231,15 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         selected_n,
         config.checkpoint_every,
     )
-    rows = _stat_rows(stats, [pattern], [mode])
     # the digits the source holds among the first n: those drawn, and any
     # left up to n past the last selected one
     source_n = digits.emitted + sum(map(len, digits.chunks()))
+    if stats.n < 2:
+        # the run-time twin of n >= b + k: not one [1,1] start
+        raise UsageError(
+            f"the source ended after {source_n} digits, with {stats.n} selected; need at least 2"
+        )
+    rows = _stat_rows(stats, [pattern], [mode])
     freq, gamma_11 = rows[-1]["freq_float"], rows[-1]["gamma_float"]
     bracket_lo, bracket_hi = joint.bracket()
     dist_joint = max(0.0, bracket_lo - freq, freq - bracket_hi)

@@ -10,7 +10,6 @@ and verify reports from each result's `report()`.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -37,6 +36,8 @@ def render_json(report: dict) -> bytes:
 
 
 def _csv_rows(rows) -> str:
+    import csv  # here, so that runs that write no CSV do not load it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

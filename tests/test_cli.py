@@ -171,6 +171,42 @@ def test_verify_import_leaves_streams_and_stats_unloaded(modules, loaded):
     assert _loaded_of(modules, ["array", "cflab.stats", "cflab.streams"]) == loaded
 
 
+def test_cli_import_loads_what_runs_and_no_more():
+    # verify runs import cflab.verify themselves, and CSV reports csv, so an
+    # experiment run compiles neither; what the runs run stays imported, so
+    # its compile time counts as set-up and not as the run
+    names = ["cflab.verify", "csv", "pathlib", "cflab.experiments", "cflab.stats", "cflab.streams"]
+    assert _loaded_of("cflab.cli", names) == ["cflab.experiments", "cflab.stats", "cflab.streams"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pillai", "--help"], ["measure", "1,1"]])
+def test_runs_that_verify_nothing_leave_verify_unloaded(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
+    code = (
+        "import contextlib, sys, cflab.cli\n"
+        f"with contextlib.suppress(SystemExit): cflab.cli.main({argv!r})\n"
+        "print('cflab.verify' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.stdout.decode().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", ["measure", "expand", "verify", "pillai", "subsequence"])
+def test_each_subcommand_prints_its_own_help(capsys, command):
+    # only the subparser argparse reads gets its arguments
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: cflab {command} [-h]")
+    assert "--config CONFIG" in out
+
+
+def test_the_subcommand_need_not_be_the_first_token(capsys):
+    # measure gets its arguments though -x comes first, so 1,1 is its word
+    code, out, err = run(capsys, "-x", "measure", "1,1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "cflab: error: unrecognized arguments: -x"
+
+
 def test_expand_stops_quietly_when_the_reader_leaves():
     # as in `cflab expand ... | head`: exit 0 and nothing on stderr
     env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
@@ -547,6 +583,17 @@ def test_pillai_truncated_source(capsys):
     assert report["n"] == 3
 
 
+def test_pillai_refuses_a_source_shorter_than_its_longest_pattern(capsys):
+    # decimal:0.5:e-30 certifies no digit: a report of n 0 would hold no start
+    argv = ["--source", "decimal:0.5:e-30", "--n", "100", "--pattern", "1"]
+    code, out, err = run(capsys, "pillai", *argv, "--expect", "non-normal")
+    assert (code, out) == (2, "")
+    assert err == "error: the source ended after 0 digits, fewer than the longest pattern's 1\n"
+    code, out, err = run(capsys, "pillai", "--source", "rational:7/16", "--n", "100", "--pattern", "2,3,2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: the source ended after 3 digits, fewer than the longest pattern's 4\n"
+
+
 def test_pillai_csv_schema(capsys):
     code, out, _ = run(
         capsys,
@@ -737,6 +784,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "pillai", "--config", str(cfg))
     assert code == 2
     assert "unknown config keys" in err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    # the decode error of the file's text, in one line, as for an OSError on it
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n=\xff\n")
+    code, out, err = run(capsys, "measure", "1,1", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n"
 
 
 def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
@@ -993,6 +1049,19 @@ def test_subsequence_needs_one_selected_pair(capsys, n, b, k):
     assert code == 2
     assert out == ""
     assert "need n >= b + k" in err
+
+
+@pytest.mark.parametrize(
+    "spec,b,drawn,selected",
+    [("decimal:0.5:e-30", 1, 0, 0), ("rational:7/16", 2, 3, 1)],
+    ids=["no digit", "one selected"],
+)
+def test_subsequence_refuses_a_source_that_ends_before_two_selected(capsys, spec, b, drawn, selected):
+    # the run-time twin of n >= b + k: the source gave too few digits for one [1,1] start
+    argv = ["--source", spec, "--n", "100", "--b", str(b), "--cap", "10"]
+    code, out, err = run(capsys, "subsequence", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the source ended after {drawn} digits, with {selected} selected; need at least 2\n"
 
 
 def test_subsequence_at_n_equal_b_plus_k_selects_two_digits(capsys):

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .cfcore import UsageError, Word, cut, format_word, shown
-from .measure import DEFAULT_CAP, joint_pattern_measure, measure_of_cylinder
+from .measure import DEFAULT_CAP, check_joint_walk, joint_pattern_measure, measure_of_cylinder
 from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
 from .streams import limit, parse_source_spec
 
@@ -219,11 +219,11 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     mode = ModeDescriptor.overlap()
     selected_n = (config.n - config.b) // config.k + 1  # positions b + ik <= n
     _check_report_rows(config, selected_n, 1)
-    # a bad spec fails before the joint measure, and a refused k/cap before
-    # any digit is drawn: building the source draws none
+    # a bad spec fails first, then a refused k/cap, before any digit is
+    # drawn: building the source draws none
     digits = limit(parse_source_spec(config.source, seed=config.seed), config.n)
+    check_joint_walk(config.k, config.cap)
     source = select_ap(digits, config.b, config.k)
-    joint = joint_pattern_measure(config.k, config.cap)
     stats = frequency_report(
         source,
         [pattern],
@@ -239,6 +239,8 @@ def run_subsequence(config: ExperimentConfig) -> dict:
         raise UsageError(
             f"the source ended after {source_n} digits, with {stats.n} selected; need at least 2"
         )
+    # the measure runs only once the source has given two selected digits
+    joint = joint_pattern_measure(config.k, config.cap)
     rows = _stat_rows(stats, [pattern], [mode])
     freq, gamma_11 = rows[-1]["freq_float"], rows[-1]["gamma_float"]
     bracket_lo, bracket_hi = joint.bracket()

@@ -23,6 +23,12 @@ is the words u.a of one prefix u, for the last digits a in a range, and
 its check returns the index of the first failing word, or None.  The
 `verify` scans call them on the prefixes of `iter_prefix_pairs`; a single
 word w is the row (convergent_pair(w[:-1]), |w| % 2, range(w[-1], w[-1] + 1)).
+A call costs more than a word's arithmetic, so `reversal_row` writes both
+of a word's args out in line and `dominance_row` compares a q with one
+constant per row; only `pairwise_row` calls `_arg`, twice a word.  The
+pair maps stay written out in the loops for the same reason.
+`test_rows_match_their_reference_on_any_pair` pins each row to a copy
+that takes every arg from `_arg`, on any positive pair.
 
 The joint measure reads both ends of its bracket off walks of the same
 enumerator, the leaves' cylinders and the inner nodes' child tails, and
@@ -111,15 +117,18 @@ def measure_of_cylinder(w: Word) -> LogRational:
 def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
     """Index in `lasts` of the first a with gamma(C_w) != gamma(C_reversed(w)), w = u.a, or None.
 
-    pair = convergent_pair(u) and odd = |w| % 2.  The pair of w is
+    pair = convergent_pair(u); `odd` does not enter.  The pair of w is
     (P, Q, p, q) with P = a p + p', Q = a q + q', and swapping P and q gives
-    the reversed word's.
+    the reversed word's, (q, Q, p, P).  Each word is `_arg` of both pairs
+    written out, with no call: the odd branch of `_arg`, as the even branch
+    is its reciprocal and two args are equal iff their reciprocals are.
     """
     p, q, p_prev, q_prev = pair
     for a in lasts:
         p_w, q_w = a * p + p_prev, a * q + q_prev
-        num, den = _arg(p_w, q_w, p, q, odd)
-        rev_num, rev_den = _arg(q, q_w, p, p_w, odd)
+        # _arg(p_w, q_w, p, q, 1) and _arg(q, q_w, p, p_w, 1)
+        num, den = (q_w + p_w) * (q_w + q), q_w * (q_w + q + p_w + p)
+        rev_num, rev_den = (q_w + q) * (q_w + p_w), q_w * (q_w + p_w + q + p)
         if num * rev_den != rev_num * den:
             return lasts.index(a)
     return None
@@ -131,11 +140,13 @@ def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
     pair = convergent_pair(u); `odd` does not enter.  With (P, Q, p, q) the
     pair of n = u.a, prepending a 1 maps (P, Q) to (Q, Q + P) and appending
     one adds (p, q), so q([0;1,1,n]) = 2Q + P > Q + P + q + p = q([0;1,n,1])
-    iff Q = a q + q' > q + p.
+    iff Q = a q + q' > q + p, that is iff a q exceeds the row constant
+    q + p - q'.
     """
     p, q, p_prev, q_prev = pair
+    bound = q + p - q_prev
     for a in lasts:
-        if a * q + q_prev <= q + p:
+        if a * q <= bound:
             return lasts.index(a)
     return None
 
@@ -148,18 +159,24 @@ def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
     against its reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
     pair = convergent_pair(u), and odd = |n| % 2 is also the parity of
     1.n.1 and 1.1.n.  With (P, Q, p, q) the pair of n, that of 1.n is
-    (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's and the prepend-1
-    map 1.1.n's.  With n = u.1, rev(1.u.1.1) = 1.1.rev(u).1, so the
-    relation is the reversal check on the one-word row of 1.n.1.
+    (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's,
+    (Q + q, Q + P + q + p, Q, Q + P), and the prepend-1 map 1.1.n's,
+    (Q + P, 2Q + P, q + p, 2q + p).  With n = u.1,
+    rev(1.u.1.1) = 1.1.rev(u).1, so the relation is the reversal check on
+    1.n.1: swapping its pair's first and last entries.  Each word calls
+    `_arg` twice, which tests patch to make the relation fail.
     """
     p, q, p_prev, q_prev = pair
+    qp = q + p
     for a in lasts:
-        p_n, q_n = a * p + p_prev, a * q + q_prev
+        q_n = a * q + q_prev
+        qp_n = q_n + a * p + p_prev
+        left_num, left_den = _arg(q_n + q, qp_n + qp, q_n, qp_n, odd)
         if a == 1:
-            failed = reversal_row((q_n, q_n + p_n, q, q + p), odd, range(1, 2)) is not None
+            rev_num, rev_den = _arg(qp_n, qp_n + qp, q_n, q_n + q, odd)
+            failed = left_num * rev_den != rev_num * left_den
         else:
-            left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
-            right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
+            right_num, right_den = _arg(qp_n, qp_n + q_n, qp, qp + q, odd)
             failed = left_num * right_den <= right_num * left_den
         if failed:
             return lasts.index(a)
@@ -272,6 +289,32 @@ def _tail_factor(num: int, den: int, share: Fraction) -> tuple[int, int]:
     return t * den * den + s * num * (num - den), t * den * den
 
 
+def check_joint_walk(k: int, cap: int) -> None:
+    """Refuse a joint measure at k < 2 or cap < 1, or one whose walk passes the limit.
+
+    k-1 may not exceed the bit length of MAX_MIDDLE_WORDS, nor cap**(k-1)
+    MAX_MIDDLE_WORDS.  It costs no walk, so a run can call it before it
+    draws a digit and compute the measure afterwards.
+    """
+    if k < 2:
+        raise UsageError("need k >= 2")
+    if cap < 1:
+        raise UsageError("need cap >= 1")
+    # past the bit length, cap**(k-1) > MAX_MIDDLE_WORDS for every cap >= 2
+    max_depth = MAX_MIDDLE_WORDS.bit_length()
+    if k - 1 > max_depth or cap ** (k - 1) > MAX_MIDDLE_WORDS:
+        if cap == 1:
+            raise UsageError(
+                f"joint measure at k={shown(k)}, cap=1 would walk k-1 = {shown(k - 1)} middle "
+                f"digits, more than the limit of {max_depth}"
+            )
+        raise UsageError(
+            f"joint measure at k={shown(k)}, cap={shown(cap)} would enumerate "
+            f"cap**(k-1) = {shown(cap)}**{shown(k - 1)} middle words, "
+            f"more than the limit of {MAX_MIDDLE_WORDS}"
+        )
+
+
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     """Bracket gamma(C_[1] intersect T^-k C_[1]) by walks of the middle digits.
 
@@ -305,26 +348,10 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
       A**c <= 1 + c (A - 1) for 0 <= c <= 1 gives B.
     L_1 = lambda_1 = 1/2, so sigma_1 = 1/2, and the nodes at depth k-2 (every
     node at k=2) enter as 1 + (A/2)(A - 1).  tail_bound is rounded up, and
-    covers lower's rounding too.  k-1 may not exceed the bit length
-    of MAX_MIDDLE_WORDS, nor cap**(k-1) MAX_MIDDLE_WORDS.
+    covers lower's rounding too.  `check_joint_walk` refuses k and cap
+    before any work.
     """
-    if k < 2:
-        raise UsageError("need k >= 2")
-    if cap < 1:
-        raise UsageError("need cap >= 1")
-    # past the bit length, cap**(k-1) > MAX_MIDDLE_WORDS for every cap >= 2
-    max_depth = MAX_MIDDLE_WORDS.bit_length()
-    if k - 1 > max_depth or cap ** (k - 1) > MAX_MIDDLE_WORDS:
-        if cap == 1:
-            raise UsageError(
-                f"joint measure at k={shown(k)}, cap=1 would walk k-1 = {shown(k - 1)} middle "
-                f"digits, more than the limit of {max_depth}"
-            )
-        raise UsageError(
-            f"joint measure at k={shown(k)}, cap={shown(cap)} would enumerate "
-            f"cap**(k-1) = {shown(cap)}**{shown(k - 1)} middle words, "
-            f"more than the limit of {MAX_MIDDLE_WORDS}"
-        )
+    check_joint_walk(k, cap)
     head = convergent_pair((1,))
     # the pairs of the leaves 1.u, closed by the append-1 map into those of 1.u.1
     odd = (k - 1) % 2

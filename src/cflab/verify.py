@@ -5,10 +5,12 @@ the package relies on, over every word within the given digit/length
 bounds.  The exact suites pass one row check to `_scan`, which walks the
 family in `iter_words` order a row at a time: the words u.a of one prefix
 u, whose pair comes from `iter_prefix_pairs`.  So a word costs one
-recurrence step plus the integer kernel, and a word tuple is built only
-for the first counterexample; none is ever expected.  Bounds whose family
-holds more than MAX_WORD_DIGITS digits in all are refused before the scan;
-every word has a digit, so that also bounds the words.
+recurrence step plus a few integer products, written out in the row
+check with no call except a pairwise word's two `_arg` calls (see
+`measure`), and a word tuple is built only for the first counterexample;
+none is ever expected.  Bounds whose family holds more than
+MAX_WORD_DIGITS digits in all are refused before the scan; every word
+has a digit, so that also bounds the words.
 `SUITES` maps each suite name to its runner and the options that runner
 reads, `run_suite` refuses any other option, and every result renders its
 own summary line and `--out` report, so the CLI holds no per-suite schema
@@ -94,8 +96,9 @@ def _scan(suite: str, max_digit: int, max_len: int, check, first: int = 1) -> Ve
     lasts = range(first, max_digit + 1)
     checked = 0
     for length in range(1, max_len + 1) if lasts else ():
+        odd = length % 2
         for row, pair in enumerate(iter_prefix_pairs(max_digit, length - 1)):
-            failed = check(pair, length % 2, lasts)
+            failed = check(pair, odd, lasts)
             if failed is not None:
                 prefixes = itertools.product(range(1, max_digit + 1), repeat=length - 1)
                 w = next(itertools.islice(prefixes, row, None)) + (lasts[failed],)

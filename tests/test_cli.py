@@ -1064,6 +1064,18 @@ def test_subsequence_refuses_a_source_that_ends_before_two_selected(capsys, spec
     assert err == f"error: the source ended after {drawn} digits, with {selected} selected; need at least 2\n"
 
 
+def test_subsequence_refuses_a_source_that_ends_at_once_before_the_joint_measure(capsys, monkeypatch):
+    # k=3 at cap 1000 is the largest joint measure allowed, and a refused run must not pay for it
+    def joint_pattern_measure(k, cap):
+        raise AssertionError("the joint measure ran for a source that gave no digit")
+
+    monkeypatch.setattr("cflab.experiments.joint_pattern_measure", joint_pattern_measure)
+    argv = ["--source", "decimal:0.5:e-30", "--n", "100", "--k", "3", "--cap", "1000"]
+    code, out, err = run(capsys, "subsequence", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the source ended after 0 digits, with 0 selected; need at least 2\n"
+
+
 def test_subsequence_at_n_equal_b_plus_k_selects_two_digits(capsys):
     argv = ["--n", "5", "--b", "3", "--k", "2", "--cap", "10"]
     code, out, err = run(capsys, "subsequence", "--source", "periodic:,1", *argv)

@@ -297,6 +297,75 @@ def test_denominator_dominance_exhaustive():
         assert _holds(dominance_row, w), w
 
 
+# The row checks as they read when every word went through `_arg`, kept
+# verbatim as the reference for the rows that write each word out.
+
+
+def _reversal_row_reference(pair, odd, lasts):
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        p_w, q_w = a * p + p_prev, a * q + q_prev
+        num, den = _arg(p_w, q_w, p, q, odd)
+        rev_num, rev_den = _arg(q, q_w, p, p_w, odd)
+        if num * rev_den != rev_num * den:
+            return lasts.index(a)
+    return None
+
+
+def _dominance_row_reference(pair, odd, lasts):
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        if a * q + q_prev <= q + p:
+            return lasts.index(a)
+    return None
+
+
+def _pairwise_row_reference(pair, odd, lasts):
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        p_n, q_n = a * p + p_prev, a * q + q_prev
+        if a == 1:
+            failed = _reversal_row_reference((q_n, q_n + p_n, q, q + p), odd, range(1, 2)) is not None
+        else:
+            left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
+            right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
+            failed = left_num * right_den <= right_num * left_den
+        if failed:
+            return lasts.index(a)
+    return None
+
+
+_entries = st.one_of(st.integers(1, 30), st.integers(1, 10**20))
+
+
+@pytest.mark.parametrize(
+    "row,reference",
+    [
+        (reversal_row, _reversal_row_reference),
+        (dominance_row, _dominance_row_reference),
+        (pairwise_row, _pairwise_row_reference),
+    ],
+    ids=["reversal", "dominance", "pairwise"],
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_entries, _entries, _entries, _entries),
+    st.integers(0, 1),
+    st.sampled_from([1, 2]),
+    st.integers(0, 8),
+)
+# the empty prefix, whose pair holds zeros
+@example((0, 1, 1, 0), 1, 1, 5)
+# a q = q + p - q' at a = 2: dominance fails there, and only with <=
+@example((2, 1, 1, 1), 0, 2, 3)
+# the pair of (1, 2): every relation holds
+@example(convergent_pair((1, 2)), 1, 1, 6)
+def test_rows_match_their_reference_on_any_pair(row, reference, pair, odd, first, size):
+    # not only convergent pairs, so the dominance and pairwise rows fail
+    lasts = range(first, first + size)
+    assert row(pair, odd, lasts) == reference(pair, odd, lasts)
+
+
 def test_joint_pattern_measure_small_cases():
     bm = joint_pattern_measure(2, 3)
     leaves = [Fraction(25, 24), Fraction(49, 48), Fraction(81, 80)]

@@ -1,7 +1,7 @@
 """Exact continued-fraction cylinder arithmetic and block-frequency experiments.
 
 The names below are resolved on first use (PEP 562): `from cflab import
-select_ap` imports `cflab.stats` then, and `import cflab.verify` loads only
+select_ap` imports `cflab.streams` then, and `import cflab.verify` loads only
 `cfcore`, `measure` and `verify`, never the stream and counting modules it
 does not read.
 """
@@ -31,10 +31,10 @@ _HOMES = {
     "count_disjoint": "stats",
     "count_overlapping": "stats",
     "frequency_report": "stats",
-    "select_ap": "stats",
     "DigitSource": "streams",
     "limit": "streams",
     "parse_source_spec": "streams",
+    "select_ap": "streams",
     "source_concat_normal": "streams",
     "source_decimal_interval": "streams",
     "source_periodic": "streams",

@@ -45,10 +45,10 @@ class CylinderInterval(NamedTuple):
 
 
 def word(digits: Iterable[int]) -> Word:
-    """Validate and freeze a digit sequence into a Word."""
+    """Validate and freeze a digit sequence into a Word; a bool is not a digit."""
     w = tuple(digits)
     for d in w:
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise ValueError(f"partial quotients must be integers >= 1, got {d!r}")
     return w
 
@@ -167,15 +167,9 @@ def convergent_pair(w: Word) -> Pair:
 
 
 def cylinder_interval(w: Word) -> CylinderInterval:
-    """Exact endpoints of the cylinder of reals starting with w."""
+    """Exact endpoints of the cylinder of reals starting with w, in order of value."""
     p, q, p_prev, q_prev = convergent_pair(w)
-    own = Fraction(p, q)
-    bumped = Fraction(p + p_prev, q + q_prev)
-    if len(w) % 2:
-        lo, hi = bumped, own
-    else:
-        lo, hi = own, bumped
-    return CylinderInterval(lo, hi)
+    return CylinderInterval(*sorted((Fraction(p, q), Fraction(p + p_prev, q + q_prev))))
 
 
 def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
@@ -184,8 +178,6 @@ def iter_words(max_digit: int, max_len: int) -> Iterator[Word]:
     Order is by length, then lexicographic, so a verification scan always
     reports the same first counterexample.
     """
-    if max_digit < 1:
-        return
     for length in range(1, max_len + 1):
         yield from itertools.product(range(1, max_digit + 1), repeat=length)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cfcore import UsageError, Word, cut, format_word, shown
+from .cfcore import UsageError, Word, cut, format_word, shown, word
 from .measure import DEFAULT_CAP, check_joint_walk, joint_pattern_measure, measure_of_cylinder
-from .stats import ModeDescriptor, StreamStats, frequency_report, select_ap
-from .streams import limit, parse_source_spec
+from .stats import ModeDescriptor, StreamStats, frequency_report
+from .streams import limit, parse_source_spec, select_ap
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_NON_NORMAL = "NON_NORMAL"
@@ -52,6 +52,16 @@ class _ExperimentFields(NamedTuple):
     jobs: int = 1  # read by nothing; kept because the acceptance tests pass it
 
 
+# The fields that hold an int, and those of them that may be None instead.
+_INT_FIELDS = ("n", "b", "k", "cap", "seed", "checkpoint_every", "jobs")
+_UNSET_OK = ("seed", "checkpoint_every")
+
+
+def _is_a(value: object, kinds: type | tuple[type, ...]) -> bool:
+    """value is one of `kinds`, and not a bool, which Python counts as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 class ExperimentConfig(_ExperimentFields):
     """A run's parameters, checked and with every default filled in before it is returned."""
 
@@ -59,6 +69,12 @@ class ExperimentConfig(_ExperimentFields):
 
     def __new__(cls, *args, **kwargs) -> ExperimentConfig:
         self = super().__new__(cls, *args, **kwargs)
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_a(value, int) or value is None and name in _UNSET_OK):
+                raise UsageError(f"{name} must be an int, got {cut(repr(value))}")
+        if not _is_a(self.tolerance, (int, float)):
+            raise UsageError(f"tolerance must be a number, got {cut(repr(self.tolerance))}")
         check_n(self.n)
         # a NaN or non-positive tolerance would flag every pattern whatever the data
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -66,9 +82,14 @@ class ExperimentConfig(_ExperimentFields):
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
         # a copy, so a caller's later append cannot slip a repeat past this check
-        patterns = [tuple(w) for w in self.patterns or ()]
+        try:
+            patterns = [word(w) for w in self.patterns or ()]
+        except ValueError as exc:
+            raise UsageError(f"bad pattern: {exc}") from None
         seen: set[Word] = set()
         for w in patterns:
+            if not w:
+                raise UsageError("pattern must be non-empty")
             if w in seen:
                 raise UsageError(f"pattern {cut(format_word(w))} is given more than once")
             seen.add(w)

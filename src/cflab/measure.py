@@ -13,22 +13,8 @@ between [0; w] and [0; w, N+1], is read off the shifted pair
 (p, q, N p + p', N q + q') the same way.  Three maps on the pair give the
 pairs of a word's neighbours without a second recurrence: reversal swaps
 p and q', prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'),
-and appending a 1 maps it to (p + p', q + q', p, q).
-
-For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
-a*d == c*b, so the row checks `reversal_row` and `pairwise_row` decide
-equality or strict order by cross-multiplying kernel values, exactly;
-`dominance_row` compares two denominators read off the same pairs.  A row
-is the words u.a of one prefix u, for the last digits a in a range, and
-its check returns the index of the first failing word, or None.  The
-`verify` scans call them on the prefixes of `iter_prefix_pairs`; a single
-word w is the row (convergent_pair(w[:-1]), |w| % 2, range(w[-1], w[-1] + 1)).
-A call costs more than a word's arithmetic, so `reversal_row` writes both
-of a word's args out in line and `dominance_row` compares a q with one
-constant per row; only `pairwise_row` calls `_arg`, twice a word.  The
-pair maps stay written out in the loops for the same reason.
-`test_rows_match_their_reference_on_any_pair` pins each row to a copy
-that takes every arg from `_arg`, on any positive pair.
+and appending a 1 maps it to (p + p', q + q', p, q).  The row checks of
+`verify` are built on the kernel and these maps.
 
 The joint measure reads both ends of its bracket off walks of the same
 enumerator, the leaves' cylinders and the inner nodes' child tails, and
@@ -54,7 +40,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, shown
+from .cfcore import UsageError, Word, convergent_pair, iter_prefix_pairs, shown
 
 # The cap on the middle digits of a joint measure when the caller sets none.
 DEFAULT_CAP = 1000
@@ -114,75 +100,6 @@ def measure_of_cylinder(w: Word) -> LogRational:
     return LogRational(Fraction(*_arg(*convergent_pair(w), len(w) % 2)))
 
 
-def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
-    """Index in `lasts` of the first a with gamma(C_w) != gamma(C_reversed(w)), w = u.a, or None.
-
-    pair = convergent_pair(u); `odd` does not enter.  The pair of w is
-    (P, Q, p, q) with P = a p + p', Q = a q + q', and swapping P and q gives
-    the reversed word's, (q, Q, p, P).  Each word is `_arg` of both pairs
-    written out, with no call: the odd branch of `_arg`, as the even branch
-    is its reciprocal and two args are equal iff their reciprocals are.
-    """
-    p, q, p_prev, q_prev = pair
-    for a in lasts:
-        p_w, q_w = a * p + p_prev, a * q + q_prev
-        # _arg(p_w, q_w, p, q, 1) and _arg(q, q_w, p, p_w, 1)
-        num, den = (q_w + p_w) * (q_w + q), q_w * (q_w + q + p_w + p)
-        rev_num, rev_den = (q_w + q) * (q_w + p_w), q_w * (q_w + p_w + q + p)
-        if num * rev_den != rev_num * den:
-            return lasts.index(a)
-    return None
-
-
-def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
-    """Index in `lasts` of the first a with q([0;1,1,u,a]) <= q([0;1,u,a,1]), or None.
-
-    pair = convergent_pair(u); `odd` does not enter.  With (P, Q, p, q) the
-    pair of n = u.a, prepending a 1 maps (P, Q) to (Q, Q + P) and appending
-    one adds (p, q), so q([0;1,1,n]) = 2Q + P > Q + P + q + p = q([0;1,n,1])
-    iff Q = a q + q' > q + p, that is iff a q exceeds the row constant
-    q + p - q'.
-    """
-    p, q, p_prev, q_prev = pair
-    bound = q + p - q_prev
-    for a in lasts:
-        if a * q <= bound:
-            return lasts.index(a)
-    return None
-
-
-def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
-    """Index in `lasts` of the first padding word n = u.a failing the pairwise relation, or None.
-
-    The relation: for last digit >= 2, gamma(C_[1,n,1]) > gamma(C_[1,1,n])
-    strictly; for last digit 1, with n = m.1, the term pairs off exactly
-    against its reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
-    pair = convergent_pair(u), and odd = |n| % 2 is also the parity of
-    1.n.1 and 1.1.n.  With (P, Q, p, q) the pair of n, that of 1.n is
-    (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's,
-    (Q + q, Q + P + q + p, Q, Q + P), and the prepend-1 map 1.1.n's,
-    (Q + P, 2Q + P, q + p, 2q + p).  With n = u.1,
-    rev(1.u.1.1) = 1.1.rev(u).1, so the relation is the reversal check on
-    1.n.1: swapping its pair's first and last entries.  Each word calls
-    `_arg` twice, which tests patch to make the relation fail.
-    """
-    p, q, p_prev, q_prev = pair
-    qp = q + p
-    for a in lasts:
-        q_n = a * q + q_prev
-        qp_n = q_n + a * p + p_prev
-        left_num, left_den = _arg(q_n + q, qp_n + qp, q_n, qp_n, odd)
-        if a == 1:
-            rev_num, rev_den = _arg(qp_n, qp_n + qp, q_n, q_n + q, odd)
-            failed = left_num * rev_den != rev_num * left_den
-        else:
-            right_num, right_den = _arg(qp_n, qp_n + q_n, qp, qp + q, odd)
-            failed = left_num * right_den <= right_num * left_den
-        if failed:
-            return lasts.index(a)
-    return None
-
-
 def _log2_outward(x: Fraction, direction: int) -> float:
     """A float at or past log2(x) in the sign of direction.
 
@@ -220,14 +137,15 @@ class BoundedMeasure(NamedTuple):
 
 
 # Most middle words a joint measure may enumerate.  k=3 at cap 1000 is the
-# largest k=3 run allowed (about 1.2 s on a 2-vCPU host with Python 3.11);
+# largest k=3 run allowed (about 0.6 s on a 2-vCPU host with Python 3.11);
 # k=5 at DEFAULT_CAP (10**12 words) is refused up front instead of running
 # for days.
 MAX_MIDDLE_WORDS = 10**6
 
 
-# The joint measure's products are carried as integers over 2**_DYADIC_BITS.
+# The joint measure's products are carried as integers over _ONE = 2**_DYADIC_BITS.
 _DYADIC_BITS = 128
+_ONE = 1 << _DYADIC_BITS
 
 
 def _dyadic_product(terms: Iterable[tuple[int, int]], up: bool) -> Fraction:
@@ -239,14 +157,14 @@ def _dyadic_product(terms: Iterable[tuple[int, int]], up: bool) -> Fraction:
     less than n parts in all: the result lies within a factor
     1 -+ n 2**-_DYADIC_BITS of the exact product, on the side `up` names.
     """
-    x = 1 << _DYADIC_BITS
+    x = _ONE
     if up:
         for num, den in terms:
             x = -(-x * num // den)
     else:
         for num, den in terms:
             x = x * num // den
-    return Fraction(x, 1 << _DYADIC_BITS)
+    return Fraction(x, _ONE)
 
 
 def _lebesgue_upper(j: int, cap: int) -> Fraction:
@@ -261,17 +179,16 @@ def _lebesgue_upper(j: int, cap: int) -> Fraction:
     rounded up on the grid 2**-_DYADIC_BITS, so the sum is at least
     lambda_j.  At j = 1 the one leaf is C_[1] = (1/2, 1): L_1 = 1/2 exactly.
     """
-    one = 1 << _DYADIC_BITS
     leaves = (
-        -(-one // ((q + q_prev) * (2 * q + q_prev)))
+        -(-_ONE // ((q + q_prev) * (2 * q + q_prev)))
         for _, q, _, q_prev in iter_prefix_pairs(cap, j - 1)
     )
     tails = (
-        -(-one // (q * ((cap + 1) * q + q_prev)))
+        -(-_ONE // (q * ((cap + 1) * q + q_prev)))
         for depth in range(j - 1)
         for _, q, _, q_prev in iter_prefix_pairs(cap, depth)
     )
-    return Fraction(sum(leaves) + sum(tails), one)
+    return Fraction(sum(leaves) + sum(tails), _ONE)
 
 
 def _share(j: int, cap: int) -> Fraction:
@@ -370,6 +287,5 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     # The n = cap**(k-1) floors of lower leave the exact leaf product below
     # lower / (1 - n 2**-_DYADIC_BITS) <= lower (1 + 2n 2**-_DYADIC_BITS), so
     # the tail takes that factor too and lower + tail_bound stays an upper end.
-    one = 1 << _DYADIC_BITS
-    tail = _dyadic_product(chain(tails, [(one + 2 * cap ** (k - 1), one)]), up=True)
+    tail = _dyadic_product(chain(tails, [(_ONE + 2 * cap ** (k - 1), _ONE)]), up=True)
     return BoundedMeasure(LogRational(lower), LogRational(tail))

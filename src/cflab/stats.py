@@ -1,4 +1,4 @@
-"""Streaming occurrence counters: overlapping, disjoint, aligned, AP-selected.
+"""Streaming occurrence counters: overlapping, disjoint and aligned.
 
 Counting is a pure fold over the digit stream.  `frequency_report` pulls
 windows of at most COUNT_WINDOW digits and puts in front of each the last
@@ -39,13 +39,18 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .cfcore import Word, word
-from .streams import DigitSource
 
 # Most digits frequency_report pulls per window; windows also end at checkpoints.
 COUNT_WINDOW = 1 << 16
+
+
+class _Source(Protocol):
+    """What the fold reads of a digit source, such as a `streams.DigitSource`."""
+
+    def take(self, n: int) -> list[int]: ...
 
 
 class ModeDescriptor(NamedTuple):
@@ -191,32 +196,6 @@ def count_disjoint(digits: Sequence[int], w: Word) -> int:
     return _count_mode(digits, w, ModeDescriptor.disjoint())
 
 
-def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
-    """Digits at 1-based positions b, b+k, b+2k, ... of the source.
-
-    Works chunk by chunk: each source chunk is sliced, and the phase of the
-    progression carries over to the next chunk.
-    """
-    if b < 1:
-        raise ValueError("need b >= 1")
-    if k < 2:
-        raise ValueError("need k >= 2")
-
-    def gen() -> Iterator[Sequence[int]]:
-        skip = b - 1  # digits to pass over before the next selected one
-        for chunk in source.chunks():
-            size = len(chunk)
-            if skip >= size:
-                skip -= size
-                continue
-            yield chunk[skip::k]
-            skip = (skip - size) % k
-        out.precision_exhausted = source.precision_exhausted
-
-    out = DigitSource(gen())
-    return out
-
-
 class StreamStats(NamedTuple):
     """Counts for each (pattern, mode) over one pass of a digit stream.
 
@@ -230,7 +209,7 @@ class StreamStats(NamedTuple):
 
 
 def frequency_report(
-    source: DigitSource,
+    source: _Source,
     patterns: Sequence[Word],
     modes: Sequence[ModeDescriptor],
     n: int,

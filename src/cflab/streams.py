@@ -1,4 +1,4 @@
-"""Pull-based digit sources: rationals, periodic words, interval-refined reals.
+"""Pull-based digit sources (rationals, periodic words, interval-refined reals) and views of them.
 
 A DigitSource is a single-consumer stream of partial quotients that
 counts the digits it has emitted.  Construction parameters fully
@@ -13,9 +13,10 @@ meaning, so every consumer gives the same result for any chunking.
 n)` is a view that ends after n digits, cutting the chunk that crosses n and
 keeping its rest pending in the source.  `take(n)` is the list of what
 `limit(source, n)` hands out: min(n, remaining) digits, a fresh list.
-`emitted` counts the digits handed out either way.  `limit` cuts a chunk and
-`stats.select_ap` slices each one, so a pipeline never holds more than a
-chunk beyond what its consumer took.
+`emitted` counts the digits handed out either way.  `select_ap(source, b,
+k)` is a view of the digits at 1-based positions b, b+k, b+2k and so on.
+`limit` cuts a chunk and `select_ap` slices each one, so a pipeline never
+holds more than a chunk beyond what its consumer took.
 
 Certification.  Interval-refined sources never emit an uncertified digit:
 a digit comes out only when both interval endpoints agree on floor(1/x),
@@ -382,6 +383,32 @@ def limit(source: DigitSource, n: int) -> DigitSource:
         while left > 0 and (chunk := source._pull(left)):
             left -= len(chunk)
             yield chunk
+        out.precision_exhausted = source.precision_exhausted
+
+    out = DigitSource(gen())
+    return out
+
+
+def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
+    """Digits at 1-based positions b, b+k, b+2k, ... of the source.
+
+    Works chunk by chunk: each source chunk is sliced, and the phase of the
+    progression carries over to the next chunk.
+    """
+    if b < 1:
+        raise ValueError("need b >= 1")
+    if k < 2:
+        raise ValueError("need k >= 2")
+
+    def gen() -> Iterator[Sequence[int]]:
+        skip = b - 1  # digits to pass over before the next selected one
+        for chunk in source.chunks():
+            size = len(chunk)
+            if skip >= size:
+                skip -= size
+                continue
+            yield chunk[skip::k]
+            skip = (skip - size) % k
         out.precision_exhausted = source.precision_exhausted
 
     out = DigitSource(gen())

@@ -3,18 +3,39 @@
 Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
 bounds.  The exact suites pass one row check to `_scan`, which walks the
-family in `iter_words` order a row at a time: the words u.a of one prefix
-u, whose pair comes from `iter_prefix_pairs`.  So a word costs one
-recurrence step plus a few integer products, written out in the row
-check with no call except a pairwise word's two `_arg` calls (see
-`measure`), and a word tuple is built only for the first counterexample;
-none is ever expected.  Bounds whose family holds more than
-MAX_WORD_DIGITS digits in all are refused before the scan; every word
-has a digit, so that also bounds the words.
-`SUITES` maps each suite name to its runner and the options that runner
-reads, `run_suite` refuses any other option, and every result renders its
-own summary line and `--out` report, so the CLI holds no per-suite schema
-and no default.
+family in `iter_words` order a row at a time.  A row is the words u.a of
+one prefix u, for the last digits a in a range `lasts`, and its check
+takes (convergent_pair(u), |u.a| % 2, lasts), with the pair from
+`iter_prefix_pairs`, and returns the index in `lasts` of the first failing
+word, or None.  A single word w is the row
+(convergent_pair(w[:-1]), |w| % 2, range(w[-1], w[-1] + 1)).
+
+For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
+a*d == c*b, so the row checks `reversal_row` and `pairwise_row` decide
+equality or strict order by cross-multiplying the kernel values of
+`measure._arg`, exactly; `dominance_row` compares two denominators read off
+the same pairs.  Each word's pair comes from u's by one recurrence step,
+and its neighbours' pairs by the maps of `measure`'s docstring.  A call
+costs more than a word's arithmetic, so `reversal_row` writes both of a
+word's args out in line and `dominance_row` compares a q with one constant
+per row; only `pairwise_row` calls `_arg`, twice a word.  The pair maps
+stay written out in the loops for the same reason.  So a word costs one
+recurrence step plus a few integer products, and a word tuple is built
+only for the first counterexample; none is ever expected.
+`test_rows_match_their_reference_on_any_pair` pins each row to a copy
+that takes every arg from `_arg`, on any positive pair.
+
+The reversal identity holds for every 4-tuple of integers, not only for
+convergent pairs: `reversal_row` returns None on any input, and so does
+`pairwise_row` on its words with last digit 1.  Those scans re-derive each
+word's pair and args, but no word can fail them.
+
+Bounds whose family holds more than MAX_WORD_DIGITS digits in all are
+refused before the scan; every word has a digit, so that also bounds the
+words.  `SUITES` maps each suite name to its runner and the options that
+runner reads, `run_suite` refuses any other option, and every result
+renders its own summary line and `--out` report, so the CLI holds no
+per-suite schema and no default.
 """
 
 from __future__ import annotations
@@ -23,25 +44,19 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .cfcore import UsageError, Word, format_word, iter_prefix_pairs, shown
-from .measure import (
-    DEFAULT_CAP,
-    BoundedMeasure,
-    dominance_row,
-    joint_pattern_measure,
-    measure_of_cylinder,
-    pairwise_row,
-    reversal_row,
-)
+from .cfcore import Pair, UsageError, Word, format_word, iter_prefix_pairs, shown
+from .measure import DEFAULT_CAP, BoundedMeasure, _arg, joint_pattern_measure, measure_of_cylinder
 
 # The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
 MAX_DIGIT = 5
 MAX_LEN = 3
 # Most digits a scan's family may hold, the sum of L * max_digit**L, so at
-# most as many words: 10**7 reversal words take about 20 s (2 vCPU, Python
-# 3.11).  At digit 1 each length walks its whole path again on longer
-# integers, so the work grows like max_len**3, and length <= 4000 (8,002,000
-# digits) takes about 4 s.  The bench's 8/6 family holds 1,754,760.
+# most as many words.  On a 2-vCPU host with Python 3.11, the 10**7 one-digit
+# words of run_reversal(10**7, 1) take about 5 s, and the 1,111,110 words of
+# run_reversal(10, 6) about 0.7 s.  At digit 1 each length walks its whole
+# path again on longer integers, so the work grows like max_len**3: length
+# <= 4000 (8,002,000 digits) takes about 3 s, and 4471, the longest allowed,
+# about 5.6 s.  The bench's 8/6 family holds 1,754,760.
 MAX_WORD_DIGITS = 10**7
 
 
@@ -109,8 +124,86 @@ def _scan(suite: str, max_digit: int, max_len: int, check, first: int = 1) -> Ve
     return VerifyResult(suite, True, checked, None, detail)
 
 
+def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first a with gamma(C_w) != gamma(C_reversed(w)), w = u.a, or None.
+
+    pair = convergent_pair(u); `odd` does not enter.  The pair of w is
+    (P, Q, p, q) with P = a p + p', Q = a q + q', and swapping P and q gives
+    the reversed word's, (q, Q, p, P).  Each word is `_arg` of both pairs
+    written out, with no call: the odd branch of `_arg`, as the even branch
+    is its reciprocal and two args are equal iff their reciprocals are.
+    The two args are the same products with their factors in another
+    order, (Q + P)(Q + q) over Q (Q + q + P + p), so they are equal for any
+    integers: the row returns None on every 4-tuple and every a.
+    """
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        p_w, q_w = a * p + p_prev, a * q + q_prev
+        # _arg(p_w, q_w, p, q, 1) and _arg(q, q_w, p, p_w, 1)
+        num, den = (q_w + p_w) * (q_w + q), q_w * (q_w + q + p_w + p)
+        rev_num, rev_den = (q_w + q) * (q_w + p_w), q_w * (q_w + p_w + q + p)
+        if num * rev_den != rev_num * den:
+            return lasts.index(a)
+    return None
+
+
+def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first a with q([0;1,1,u,a]) <= q([0;1,u,a,1]), or None.
+
+    pair = convergent_pair(u); `odd` does not enter.  With (P, Q, p, q) the
+    pair of n = u.a, prepending a 1 maps (P, Q) to (Q, Q + P) and appending
+    one adds (p, q), so q([0;1,1,n]) = 2Q + P > Q + P + q + p = q([0;1,n,1])
+    iff Q = a q + q' > q + p, that is iff a q exceeds the row constant
+    q + p - q'.
+    """
+    p, q, p_prev, q_prev = pair
+    bound = q + p - q_prev
+    for a in lasts:
+        if a * q <= bound:
+            return lasts.index(a)
+    return None
+
+
+def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first padding word n = u.a failing the pairwise relation, or None.
+
+    The relation: for last digit >= 2, gamma(C_[1,n,1]) > gamma(C_[1,1,n])
+    strictly; for last digit 1, with n = m.1, the term pairs off exactly
+    against its reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
+    pair = convergent_pair(u), and odd = |n| % 2 is also the parity of
+    1.n.1 and 1.1.n.  With (P, Q, p, q) the pair of n, that of 1.n is
+    (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's,
+    (Q + q, Q + P + q + p, Q, Q + P), and the prepend-1 map 1.1.n's,
+    (Q + P, 2Q + P, q + p, 2q + p).  With n = u.1,
+    rev(1.u.1.1) = 1.1.rev(u).1, so the relation is the reversal check on
+    1.n.1: swapping its pair's first and last entries.  Like `reversal_row`,
+    that holds for any integers, so only the words with last digit >= 2
+    can fail.  Each word calls `_arg` twice, which tests patch to make the
+    relation fail.
+    """
+    p, q, p_prev, q_prev = pair
+    qp = q + p
+    for a in lasts:
+        q_n = a * q + q_prev
+        qp_n = q_n + a * p + p_prev
+        left_num, left_den = _arg(q_n + q, qp_n + qp, q_n, qp_n, odd)
+        if a == 1:
+            rev_num, rev_den = _arg(qp_n, qp_n + qp, q_n, q_n + q, odd)
+            failed = left_num * rev_den != rev_num * left_den
+        else:
+            right_num, right_den = _arg(qp_n, qp_n + q_n, qp, qp + q, odd)
+            failed = left_num * right_den <= right_num * left_den
+        if failed:
+            return lasts.index(a)
+    return None
+
+
 def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
-    """gamma(C_w) == gamma(C_reversed(w)) for every word in the family."""
+    """gamma(C_w) == gamma(C_reversed(w)) for every word in the family.
+
+    `reversal_row` holds for any integers, so this scan cannot fail: it
+    checks each word's pair and args, but no fact that a word could break.
+    """
     return _scan("reversal", max_digit, max_len, reversal_row)
 
 

@@ -48,6 +48,10 @@ def test_word_validation_rejects_bad_digits():
         word([1, 0, 2])
     with pytest.raises(ValueError):
         word([-3])
+    # True == 1 to Python, but it is no digit: it would print as "True"
+    for digits in [(True, 2), (2, False), ("1",), (1.0,)]:
+        with pytest.raises(ValueError):
+            word(digits)
     assert word([1, 2, 3]) == (1, 2, 3)
 
 

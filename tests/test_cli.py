@@ -171,6 +171,11 @@ def test_verify_import_leaves_streams_and_stats_unloaded(modules, loaded):
     assert _loaded_of(modules, ["array", "cflab.stats", "cflab.streams"]) == loaded
 
 
+def test_stats_import_leaves_streams_and_random_unloaded():
+    # counting reads only a source's take, so it compiles no stream code
+    assert _loaded_of("cflab.stats", ["cflab.streams", "random"]) == []
+
+
 def test_cli_import_loads_what_runs_and_no_more():
     # verify runs import cflab.verify themselves, and CSV reports csv, so an
     # experiment run compiles neither; what the runs run stays imported, so

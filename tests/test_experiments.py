@@ -94,6 +94,25 @@ def test_experiment_config_by_keyword_and_by_position():
         ({"tolerance": float("nan")}, "tolerance must be finite and > 0, got nan"),
         ({"tolerance": 0.0}, "tolerance must be finite and > 0, got 0.0"),
         ({"checkpoint_every": 0}, "need checkpoint_every >= 1, got 0"),
+        # fields a run cannot use are refused before any source is built, and
+        # as usage: a bool is no int, and a pattern must be a non-empty word
+        ({"patterns": [()]}, "pattern must be non-empty"),
+        ({"patterns": [(1,), ()]}, "pattern must be non-empty"),
+        ({"patterns": [(0,)]}, "bad pattern: partial quotients must be integers >= 1, got 0"),
+        ({"patterns": [("1",)]}, "bad pattern: partial quotients must be integers >= 1, got '1'"),
+        ({"patterns": [(1.0,)]}, "bad pattern: partial quotients must be integers >= 1, got 1.0"),
+        ({"patterns": [(True, 2)]}, "bad pattern: partial quotients must be integers >= 1, got True"),
+        ({"n": 1000.0}, "n must be an int, got 1000.0"),
+        ({"n": None}, "n must be an int, got None"),
+        ({"checkpoint_every": 100.0}, "checkpoint_every must be an int, got 100.0"),
+        ({"k": 2.0}, "k must be an int, got 2.0"),
+        ({"b": 1.5}, "b must be an int, got 1.5"),
+        ({"cap": 10.0}, "cap must be an int, got 10.0"),
+        ({"seed": "7"}, "seed must be an int, got '7'"),
+        ({"jobs": True}, "jobs must be an int, got True"),
+        ({"k": True}, "k must be an int, got True"),
+        ({"tolerance": True}, "tolerance must be a number, got True"),
+        ({"tolerance": "0.1"}, "tolerance must be a number, got '0.1'"),
     ],
 )
 def test_experiment_config_refusals_keep_their_messages(options, message):

@@ -1,9 +1,9 @@
 """Exact Gauss-measure arithmetic checks.
 
 The heavier identities (normalization, additivity with an exact remainder,
-reversal, the pairwise inequality family, joint-measure brackets) are all
-decided by integer arithmetic; floats only show up where a closed-form
-oracle is itself irrational.
+joint-measure brackets) are all decided by integer arithmetic; floats only
+show up where a closed-form oracle is itself irrational.  The verify row
+checks are tested in test_verify.py.
 """
 
 import math
@@ -26,14 +26,7 @@ from cflab import (
 )
 from cflab import measure
 from cflab.cfcore import UsageError, convergent_pair
-from cflab.measure import (
-    MAX_MIDDLE_WORDS,
-    _arg,
-    _dyadic_product,
-    dominance_row,
-    pairwise_row,
-    reversal_row,
-)
+from cflab.measure import MAX_MIDDLE_WORDS, _arg, _dyadic_product
 
 
 MEASURE_FULL = LogRational(Fraction(2))  # the whole space, log2(2) = 1
@@ -93,10 +86,6 @@ def _share_oracle(j, cap):
     """sigma_j = min(1/2, L_j ((cap+2)/(cap+1))**2) from the Fraction L_j."""
     return min(Fraction(1, 2), _lebesgue_upper_oracle(j, cap) * Fraction(cap + 2, cap + 1) ** 2)
 
-
-def _holds(check, w):
-    """True iff the row check passes w on the row of w alone."""
-    return check(convergent_pair(w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
 
 
 def _sequential_product(fractions):
@@ -220,150 +209,6 @@ def test_additivity_with_exact_remainder():
     assert _child_tail((2,), 0) == measure_of_cylinder((2,))
 
 
-def test_reversal_examples_and_exhaustive():
-    assert _holds(reversal_row, (1, 2))
-    assert _holds(reversal_row, (3,))
-    assert _holds(reversal_row, (1, 2, 3))
-    for w in iter_words(4, 5):
-        assert _holds(reversal_row, w), w
-
-
-def test_pairwise_examples():
-    assert _holds(pairwise_row, (2,))
-    assert measure_of_cylinder((1, 2, 1)).arg == Fraction(49, 48)
-    assert measure_of_cylinder((1, 1, 2)).arg == Fraction(56, 55)
-    assert _holds(pairwise_row, (1,))
-    assert _holds(pairwise_row, (3, 2))
-
-
-def test_pairwise_exhaustive():
-    for n in iter_words(5, 3):
-        assert _holds(pairwise_row, n), n
-
-
-def test_pairwise_equal_case_is_exact_reversal_pairing():
-    # for last digit 1 the two sides are reversals of each other, so equal
-    for m in iter_words(4, 2):
-        n = m + (1,)
-        left = measure_of_cylinder((1,) + m + (1, 1))
-        right = measure_of_cylinder((1, 1) + m[::-1] + (1,))
-        assert left == right
-        assert _holds(pairwise_row, n)
-
-
-def _constant_arg(p, q, p_prev, q_prev, odd):
-    return 2, 1
-
-
-def _arg_by_p(p, q, p_prev, q_prev, odd):
-    return 1 + p, 1
-
-
-def _arg_by_q_prev(p, q, p_prev, q_prev, odd):
-    return 1 + q_prev, 1
-
-
-@pytest.mark.parametrize(
-    "fake_arg,n",
-    [
-        # equal args on both sides: the strict branch must refuse equality
-        pytest.param(_constant_arg, (2,), id="constant-2"),
-        pytest.param(_constant_arg, (3, 2), id="constant-3,2"),
-        # an arg that changes when p and q' swap tells a word from its reversal,
-        # either way round
-        pytest.param(_arg_by_p, (2, 1), id="by-p-2,1"),
-        pytest.param(_arg_by_p, (3, 1, 1), id="by-p-3,1,1"),
-        pytest.param(_arg_by_q_prev, (2, 1), id="by-q_prev-2,1"),
-    ],
-)
-def test_pairwise_is_false_when_the_relation_fails(monkeypatch, fake_arg, n):
-    monkeypatch.setattr(measure, "_arg", fake_arg)
-    assert not _holds(pairwise_row, n)
-
-
-def test_denominator_dominance_examples():
-    assert _holds(dominance_row, (2,))
-    assert _value((1, 1, 2)).denominator == 5
-    assert _value((1, 2, 1)).denominator == 4
-    assert _holds(dominance_row, (3,))
-    assert _holds(dominance_row, (2, 2))
-
-
-def test_denominator_dominance_exhaustive():
-    # digits <= 5, length <= 4, last digit >= 2: always true
-    for w in iter_words(5, 4):
-        if w[-1] < 2:
-            continue
-        assert _holds(dominance_row, w), w
-
-
-# The row checks as they read when every word went through `_arg`, kept
-# verbatim as the reference for the rows that write each word out.
-
-
-def _reversal_row_reference(pair, odd, lasts):
-    p, q, p_prev, q_prev = pair
-    for a in lasts:
-        p_w, q_w = a * p + p_prev, a * q + q_prev
-        num, den = _arg(p_w, q_w, p, q, odd)
-        rev_num, rev_den = _arg(q, q_w, p, p_w, odd)
-        if num * rev_den != rev_num * den:
-            return lasts.index(a)
-    return None
-
-
-def _dominance_row_reference(pair, odd, lasts):
-    p, q, p_prev, q_prev = pair
-    for a in lasts:
-        if a * q + q_prev <= q + p:
-            return lasts.index(a)
-    return None
-
-
-def _pairwise_row_reference(pair, odd, lasts):
-    p, q, p_prev, q_prev = pair
-    for a in lasts:
-        p_n, q_n = a * p + p_prev, a * q + q_prev
-        if a == 1:
-            failed = _reversal_row_reference((q_n, q_n + p_n, q, q + p), odd, range(1, 2)) is not None
-        else:
-            left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
-            right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
-            failed = left_num * right_den <= right_num * left_den
-        if failed:
-            return lasts.index(a)
-    return None
-
-
-_entries = st.one_of(st.integers(1, 30), st.integers(1, 10**20))
-
-
-@pytest.mark.parametrize(
-    "row,reference",
-    [
-        (reversal_row, _reversal_row_reference),
-        (dominance_row, _dominance_row_reference),
-        (pairwise_row, _pairwise_row_reference),
-    ],
-    ids=["reversal", "dominance", "pairwise"],
-)
-@settings(max_examples=300, deadline=None)
-@given(
-    st.tuples(_entries, _entries, _entries, _entries),
-    st.integers(0, 1),
-    st.sampled_from([1, 2]),
-    st.integers(0, 8),
-)
-# the empty prefix, whose pair holds zeros
-@example((0, 1, 1, 0), 1, 1, 5)
-# a q = q + p - q' at a = 2: dominance fails there, and only with <=
-@example((2, 1, 1, 1), 0, 2, 3)
-# the pair of (1, 2): every relation holds
-@example(convergent_pair((1, 2)), 1, 1, 6)
-def test_rows_match_their_reference_on_any_pair(row, reference, pair, odd, first, size):
-    # not only convergent pairs, so the dominance and pairwise rows fail
-    lasts = range(first, first + size)
-    assert row(pair, odd, lasts) == reference(pair, odd, lasts)
 
 
 def test_joint_pattern_measure_small_cases():
@@ -689,36 +534,3 @@ def test_dyadic_product_brackets_the_exact_product(terms):
     assert high == _rounded_product(fractions, up=True)
     slack = Fraction(len(terms), ONE)
     assert exact * (1 - slack) <= low <= exact <= high <= exact * (1 + slack)
-
-
-@settings(max_examples=200, deadline=None)
-@given(words)
-@example((1,))
-@example((2, 1))
-def test_reversal_verdict_matches_fraction_oracle(w):
-    assert _holds(reversal_row, w) is (_oracle_arg(w) == _oracle_arg(reverse(w)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(words, st.booleans())
-@example((1,), True)
-@example((3,), False)
-def test_pairwise_verdict_matches_fraction_oracle(n, last_digit_one):
-    # last_digit_one forces the reversal-pairing case
-    if last_digit_one:
-        n = n + (1,)
-    if n[-1] >= 2:
-        assert _oracle_arg((1,) + n + (1,)) > _oracle_arg((1, 1) + n)
-    else:
-        m = n[:-1]
-        assert _oracle_arg((1,) + m + (1, 1)) == _oracle_arg((1, 1) + reverse(m) + (1,))
-    assert _holds(pairwise_row, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(words.filter(lambda w: w[-1] >= 2))
-@example((2,))
-def test_denominator_dominance_matches_value_denominators(n):
-    q_left = _value((1, 1) + n).denominator
-    q_right = _value((1,) + n + (1,)).denominator
-    assert _holds(dominance_row, n) is (q_left > q_right)

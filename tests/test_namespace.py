@@ -30,12 +30,12 @@ EXPORTS = {
         "count_disjoint",
         "count_overlapping",
         "frequency_report",
-        "select_ap",
     ],
     "streams": [
         "DigitSource",
         "limit",
         "parse_source_spec",
+        "select_ap",
         "source_concat_normal",
         "source_decimal_interval",
         "source_periodic",

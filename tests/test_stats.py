@@ -25,7 +25,6 @@ from cflab import (
     count_overlapping,
     frequency_report,
     parse_source_spec,
-    select_ap,
     source_periodic,
     source_rational,
 )
@@ -220,13 +219,6 @@ def test_chunked_counting_is_the_single_pass_count_at_any_jobs(digits, w, extra,
     )
     mode = ModeDescriptor.aligned(stride, offset)
     assert count_chunked(digits, w, mode, jobs) == naive_aligned(digits, stride, offset, w)
-
-
-# -------------------------------------------------------------- select_ap
-
-def test_select_ap_on_sources():
-    parity = source_periodic((), (2, 1))
-    assert select_ap(parity, 1, 2).take(6) == [2] * 6
 
 
 # -------------------------------------------------------- frequency report

@@ -562,6 +562,11 @@ def test_select_ap_composition():
     assert composed.take(50) == direct.take(50)
 
 
+def test_select_ap_on_sources():
+    parity = source_periodic((), (2, 1))
+    assert select_ap(parity, 1, 2).take(6) == [2] * 6
+
+
 def test_parse_source_spec_forms():
     assert parse_source_spec("rational:7/16").take(5) == [2, 3, 2]
     assert parse_source_spec("periodic:,2").take(3) == [2, 2, 2]

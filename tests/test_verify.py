@@ -1,13 +1,22 @@
-"""Verification scans: rows in iter_words order, first counterexample, `checked` counts, bounds."""
+"""Verification scans and their row checks.
+
+The scans: rows in iter_words order, first counterexample, `checked`
+counts, bounds.  The row checks: each against Fraction oracles and against
+a copy that takes every arg from `_arg`.
+"""
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cflab import UsageError, iter_words, measure_of_cylinder, reverse, verify
+from cflab import UsageError, cylinder_interval, iter_words, measure_of_cylinder, reverse, verify
 from cflab.cfcore import convergent_pair
+from cflab import measure
+from cflab.measure import _arg
+from cflab.verify import dominance_row, pairwise_row, reversal_row
 
 
 def _row_stand_in(real, family, bad, rows):
@@ -230,3 +239,226 @@ def test_huge_bounds_of_either_sign_are_shown_short(runner, max_digit, max_len, 
     with pytest.raises(UsageError, match="no words to check") as refused:
         runner(max_digit, max_len)
     assert shown in str(refused.value) and len(str(refused.value)) < 120
+
+
+# ------------------------------------------------------------ row checks
+
+
+def _oracle_arg(w):
+    """The cylinder arg as Fractions over the interval endpoints."""
+    iv = cylinder_interval(w)
+    return (1 + iv.hi) / (1 + iv.lo)
+
+
+def _value(w):
+    """[0; w] read off the recurrence: p_n/q_n of convergent_pair(w)."""
+    p, q, _, _ = convergent_pair(w)
+    return Fraction(p, q)
+
+
+words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
+
+
+def test_row_checks_live_in_verify():
+    # next to the scan whose row protocol they implement; measure keeps the kernel
+    assert not {"reversal_row", "dominance_row", "pairwise_row"} & set(vars(measure))
+    assert reversal_row.__module__ == "cflab.verify"
+
+
+def _holds(check, w):
+    """True iff the row check passes w on the row of w alone."""
+    return check(convergent_pair(w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
+
+
+def test_reversal_examples_and_exhaustive():
+    assert _holds(reversal_row, (1, 2))
+    assert _holds(reversal_row, (3,))
+    assert _holds(reversal_row, (1, 2, 3))
+    for w in iter_words(4, 5):
+        assert _holds(reversal_row, w), w
+
+
+def test_pairwise_examples():
+    assert _holds(pairwise_row, (2,))
+    assert measure_of_cylinder((1, 2, 1)).arg == Fraction(49, 48)
+    assert measure_of_cylinder((1, 1, 2)).arg == Fraction(56, 55)
+    assert _holds(pairwise_row, (1,))
+    assert _holds(pairwise_row, (3, 2))
+
+
+def test_pairwise_exhaustive():
+    for n in iter_words(5, 3):
+        assert _holds(pairwise_row, n), n
+
+
+def test_pairwise_equal_case_is_exact_reversal_pairing():
+    # for last digit 1 the two sides are reversals of each other, so equal
+    for m in iter_words(4, 2):
+        n = m + (1,)
+        left = measure_of_cylinder((1,) + m + (1, 1))
+        right = measure_of_cylinder((1, 1) + m[::-1] + (1,))
+        assert left == right
+        assert _holds(pairwise_row, n)
+
+
+def _constant_arg(p, q, p_prev, q_prev, odd):
+    return 2, 1
+
+
+def _arg_by_p(p, q, p_prev, q_prev, odd):
+    return 1 + p, 1
+
+
+def _arg_by_q_prev(p, q, p_prev, q_prev, odd):
+    return 1 + q_prev, 1
+
+
+@pytest.mark.parametrize(
+    "fake_arg,n",
+    [
+        # equal args on both sides: the strict branch must refuse equality
+        pytest.param(_constant_arg, (2,), id="constant-2"),
+        pytest.param(_constant_arg, (3, 2), id="constant-3,2"),
+        # an arg that changes when p and q' swap tells a word from its reversal,
+        # either way round
+        pytest.param(_arg_by_p, (2, 1), id="by-p-2,1"),
+        pytest.param(_arg_by_p, (3, 1, 1), id="by-p-3,1,1"),
+        pytest.param(_arg_by_q_prev, (2, 1), id="by-q_prev-2,1"),
+    ],
+)
+def test_pairwise_is_false_when_the_relation_fails(monkeypatch, fake_arg, n):
+    monkeypatch.setattr(verify, "_arg", fake_arg)
+    assert not _holds(pairwise_row, n)
+
+
+def test_denominator_dominance_examples():
+    assert _holds(dominance_row, (2,))
+    assert _value((1, 1, 2)).denominator == 5
+    assert _value((1, 2, 1)).denominator == 4
+    assert _holds(dominance_row, (3,))
+    assert _holds(dominance_row, (2, 2))
+
+
+def test_denominator_dominance_exhaustive():
+    # digits <= 5, length <= 4, last digit >= 2: always true
+    for w in iter_words(5, 4):
+        if w[-1] < 2:
+            continue
+        assert _holds(dominance_row, w), w
+
+
+# The row checks as they read when every word went through `_arg`, kept
+# verbatim as the reference for the rows that write each word out.
+
+
+def _reversal_row_reference(pair, odd, lasts):
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        p_w, q_w = a * p + p_prev, a * q + q_prev
+        num, den = _arg(p_w, q_w, p, q, odd)
+        rev_num, rev_den = _arg(q, q_w, p, p_w, odd)
+        if num * rev_den != rev_num * den:
+            return lasts.index(a)
+    return None
+
+
+def _dominance_row_reference(pair, odd, lasts):
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        if a * q + q_prev <= q + p:
+            return lasts.index(a)
+    return None
+
+
+def _pairwise_row_reference(pair, odd, lasts):
+    p, q, p_prev, q_prev = pair
+    for a in lasts:
+        p_n, q_n = a * p + p_prev, a * q + q_prev
+        if a == 1:
+            failed = _reversal_row_reference((q_n, q_n + p_n, q, q + p), odd, range(1, 2)) is not None
+        else:
+            left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
+            right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
+            failed = left_num * right_den <= right_num * left_den
+        if failed:
+            return lasts.index(a)
+    return None
+
+
+_entries = st.one_of(st.integers(1, 30), st.integers(1, 10**20))
+
+
+@pytest.mark.parametrize(
+    "row,reference",
+    [
+        (reversal_row, _reversal_row_reference),
+        (dominance_row, _dominance_row_reference),
+        (pairwise_row, _pairwise_row_reference),
+    ],
+    ids=["reversal", "dominance", "pairwise"],
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_entries, _entries, _entries, _entries),
+    st.integers(0, 1),
+    st.sampled_from([1, 2]),
+    st.integers(0, 8),
+)
+# the empty prefix, whose pair holds zeros
+@example((0, 1, 1, 0), 1, 1, 5)
+# a q = q + p - q' at a = 2: dominance fails there, and only with <=
+@example((2, 1, 1, 1), 0, 2, 3)
+# the pair of (1, 2): every relation holds
+@example(convergent_pair((1, 2)), 1, 1, 6)
+def test_rows_match_their_reference_on_any_pair(row, reference, pair, odd, first, size):
+    # not only convergent pairs, so the dominance and pairwise rows fail
+    lasts = range(first, first + size)
+    assert row(pair, odd, lasts) == reference(pair, odd, lasts)
+
+
+_any_int = st.one_of(st.integers(-30, 30), st.integers(-(10**20), 10**20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_any_int, _any_int, _any_int, _any_int), st.integers(0, 1), _any_int, st.integers(0, 8))
+@example((0, 0, 0, 0), 0, 0, 3)
+@example((5, -3, 0, 7), 1, -4, 8)
+def test_reversal_row_cannot_fail_on_any_integers(pair, odd, first, size):
+    # the two args are the same products with their factors reordered, so the
+    # reversal scan decides nothing about words, and neither does pairwise at
+    # last digit 1; a check made decisive has to change this test on purpose
+    assert reversal_row(pair, odd, range(first, first + size)) is None
+    assert pairwise_row(pair, odd, range(1, 2)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(words)
+@example((1,))
+@example((2, 1))
+def test_reversal_verdict_matches_fraction_oracle(w):
+    assert _holds(reversal_row, w) is (_oracle_arg(w) == _oracle_arg(reverse(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, st.booleans())
+@example((1,), True)
+@example((3,), False)
+def test_pairwise_verdict_matches_fraction_oracle(n, last_digit_one):
+    # last_digit_one forces the reversal-pairing case
+    if last_digit_one:
+        n = n + (1,)
+    if n[-1] >= 2:
+        assert _oracle_arg((1,) + n + (1,)) > _oracle_arg((1, 1) + n)
+    else:
+        m = n[:-1]
+        assert _oracle_arg((1,) + m + (1, 1)) == _oracle_arg((1, 1) + reverse(m) + (1,))
+    assert _holds(pairwise_row, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words.filter(lambda w: w[-1] >= 2))
+@example((2,))
+def test_denominator_dominance_matches_value_denominators(n):
+    q_left = _value((1, 1) + n).denominator
+    q_right = _value((1,) + n + (1,)).denominator
+    assert _holds(dominance_row, n) is (q_left > q_right)

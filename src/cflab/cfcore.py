@@ -162,8 +162,11 @@ def convergent_pair(w: Word) -> Pair:
     reversing it swaps p_n and q_{n-1}, prepending a digit 1 maps
     (p, q, p', q') to (q, q + p, q', q' + p'), and appending a 1 maps it to
     (p + p', q + q', p, q).
+
+    w is checked by `word`, so the cylinder functions refuse what it
+    refuses; `iter_prefix_pairs` builds its words itself and skips the check.
     """
-    return _extend(_EMPTY_PAIR, w)
+    return _extend(_EMPTY_PAIR, word(w))
 
 
 def cylinder_interval(w: Word) -> CylinderInterval:

@@ -180,15 +180,13 @@ def run_pillai(config: ExperimentConfig) -> dict:
         )
     rows = _stat_rows(stats, config.patterns, modes)
     summary = []
-    worst = VERDICT_CONSISTENT
     # the final checkpoint's rows, an (overlap, disjoint) pair per pattern
     final = rows[-len(config.patterns) * len(modes) :]
     for overlap_row, disjoint_row in zip(final[::2], final[1::2]):
-        gamma = overlap_row["gamma_float"]
         overlap, disjoint = overlap_row["freq_float"], disjoint_row["freq_float"]
         devs = {
-            "dev_overlap_gamma": abs(overlap - gamma),
-            "dev_disjoint_gamma": abs(disjoint - gamma),
+            "dev_overlap_gamma": overlap_row["abs_err"],
+            "dev_disjoint_gamma": disjoint_row["abs_err"],
             "dev_overlap_disjoint": abs(overlap - disjoint),
         }
         verdict = (
@@ -196,18 +194,17 @@ def run_pillai(config: ExperimentConfig) -> dict:
             if max(devs.values()) < config.tolerance
             else VERDICT_NON_NORMAL
         )
-        if verdict == VERDICT_NON_NORMAL:
-            worst = VERDICT_NON_NORMAL
         summary.append(
             {
                 "pattern": overlap_row["pattern"],
-                "gamma_float": gamma,
+                "gamma_float": overlap_row["gamma_float"],
                 "overlap_freq": overlap,
                 "disjoint_freq": disjoint,
                 **devs,
                 "verdict": verdict,
             }
         )
+    non_normal = any(row["verdict"] == VERDICT_NON_NORMAL for row in summary)
     return {
         "experiment": "pillai",
         "config": config.echo(with_ap=False),
@@ -215,7 +212,7 @@ def run_pillai(config: ExperimentConfig) -> dict:
         "truncated": stats.truncated,
         "rows": rows,
         "summary": summary,
-        "verdict": worst,
+        "verdict": VERDICT_NON_NORMAL if non_normal else VERDICT_CONSISTENT,
     }
 
 
@@ -266,7 +263,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     freq, gamma_11 = rows[-1]["freq_float"], rows[-1]["gamma_float"]
     bracket_lo, bracket_hi = joint.bracket()
     dist_joint = max(0.0, bracket_lo - freq, freq - bracket_hi)
-    dist_gamma = abs(freq - gamma_11)
+    dist_gamma = rows[-1]["abs_err"]
     verdict = VERDICT_NON_NORMAL if dist_joint < dist_gamma else VERDICT_CONSISTENT
     return {
         "experiment": "subsequence",

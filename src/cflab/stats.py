@@ -21,9 +21,9 @@ with byte s set where w starts at s.  Each mode shifts hits down to its
 first new start, keeps a 0x01 byte every stride bytes with one mask per
 stride, and counts the set bits; each distinct (pattern, mode) has its
 own count, also where two modes share their starts (overlap and disjoint
-when |w| = 1).  The list counters and `count_chunked` keep a plain loop
-over the digit list, so the tests check the fold against an independent
-path.
+when |w| = 1).  The list counters and `count_chunked` count the tuple
+windows digits[s : s + |w|] at the mode's starts that equal w, for any
+sequence of ints; the fold is tested against them, an independent path.
 
 A ModeDescriptor owns its mode's semantics, and a mode is its range of
 starts: `starts(|w|, n)` is the range of admissible starts, whose step is
@@ -36,9 +36,11 @@ numbering, while start indices in code are plain 0-based offsets.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .cfcore import Word, word
@@ -110,20 +112,6 @@ class ModeDescriptor(NamedTuple):
         return self.kind
 
 
-def _count_positions(digits: Sequence[int], w: Sequence[int], positions: range) -> int:
-    """Matches of w at the given start offsets; callers clamp the range."""
-    k = len(w)
-    if k == 1:
-        return digits[positions.start : positions.stop : positions.step].count(w[0])
-    wl = list(w)
-    w0 = wl[0]
-    count = 0
-    for s in positions:
-        if digits[s] == w0 and digits[s : s + k] == wl:
-            count += 1
-    return count
-
-
 def _planes(digits: Sequence[int]) -> list[bytes]:
     """A window's byte planes: byte s of plane j is byte j of digit s, little-endian.
 
@@ -176,9 +164,18 @@ def _check_pattern(w: Word) -> Word:
 
 
 def _count_mode(digits: Sequence[int], w: Word, mode: ModeDescriptor) -> int:
-    """The body of the list counters: w's matches over the mode's starts."""
+    """The body of the list counters: the windows digits[s : s + |w|] equal to w.
+
+    s runs over the mode's starts.  Column j of the windows is read from
+    start + j in steps of the stride by islice, which copies nothing, so any
+    sequence of ints is counted in constant extra memory.
+    """
     w = _check_pattern(w)
-    return _count_positions(digits, w, mode.starts(len(w), len(digits)))
+    starts = mode.starts(len(w), len(digits))
+    columns = (
+        islice(digits, starts.start + j, starts.stop + j, starts.step) for j in range(len(w))
+    )
+    return operator.countOf(zip(*columns), w)
 
 
 def count_overlapping(digits: Sequence[int], w: Word) -> int:

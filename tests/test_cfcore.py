@@ -24,6 +24,7 @@ from cflab import (
     word,
 )
 from cflab.cfcore import convergent_pair, iter_prefix_pairs
+from cflab.reports import render_measure
 
 
 @functools.cache  # the exhaustive tests ask for each prefix once per word that has it
@@ -53,6 +54,22 @@ def test_word_validation_rejects_bad_digits():
         with pytest.raises(ValueError):
             word(digits)
     assert word([1, 2, 3]) == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: measure_of_cylinder((2, 0)),
+        lambda: cylinder_interval((2, 0)),
+        lambda: measure_of_cylinder((0,)),
+        lambda: render_measure((True, 2), False, "json"),
+    ],
+    ids=["measure-zero", "interval-zero", "measure-lone-zero", "render-bool"],
+)
+def test_cylinder_functions_refuse_what_word_refuses(call):
+    # they read the word through convergent_pair, which checks it with word
+    with pytest.raises(ValueError, match="partial quotients must be integers >= 1"):
+        call()
 
 
 def test_parse_and_format_roundtrip():

@@ -23,6 +23,7 @@ from cflab import cli, experiments, joint_pattern_measure, verify
 from cflab.cfcore import UsageError, convergent_pair, quote
 from cflab.cli import main
 from cflab.measure import BoundedMeasure, LogRational
+from cflab.reports import render_report
 
 
 def run(capsys, *argv):
@@ -212,20 +213,36 @@ def test_the_subcommand_need_not_be_the_first_token(capsys):
     assert err.splitlines()[-1] == "cflab: error: unrecognized arguments: -x"
 
 
-def test_expand_stops_quietly_when_the_reader_leaves():
-    # as in `cflab expand ... | head`: exit 0 and nothing on stderr
+def _expand_to_a_reader_that_leaves(spec, n):
+    """As `cflab expand spec --n n | head -1`: the line read, exit code, stderr, and
+    the seconds from the reader leaving to the exit."""
     env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
-    argv = [sys.executable, "-m", "cflab.cli", "expand", "periodic:,1", "--n", "1000000"]
+    argv = [sys.executable, "-m", "cflab.cli", "expand", spec, "--n", str(n)]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert proc.stdout.readline() == b"1\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
+        left = time.monotonic()
         err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        code = proc.wait(timeout=60)
+        return line, code, err, time.monotonic() - left
     finally:
         proc.kill()
         proc.wait()
-    assert err == b""
+
+
+def test_expand_stops_quietly_when_the_reader_leaves():
+    # as in `cflab expand ... | head`: exit 0 and nothing on stderr
+    line, code, err, _ = _expand_to_a_reader_that_leaves("periodic:,1", 1000000)
+    assert (line, code, err) == (b"1\n", 0, b"")
+
+
+def test_expand_of_random_digits_stops_drawing_when_the_reader_leaves():
+    # drawing all 10**7 digits takes about 5 s (2 vCPU, Python 3.11); the
+    # broken pipe ends the run within one chunk of digits, about 0.01 s
+    line, code, err, seconds = _expand_to_a_reader_that_leaves("random:seed=1", 10**7)
+    assert (line, code, err) == (b"2\n", 0, b"")
+    assert seconds < 1
 
 
 def test_expand_negative_n_is_usage_error(capsys):
@@ -599,6 +616,12 @@ def test_pillai_refuses_a_source_shorter_than_its_longest_pattern(capsys):
     assert err == "error: the source ended after 3 digits, fewer than the longest pattern's 4\n"
 
 
+def test_pillai_refuses_n_below_10x_the_longest_pattern(capsys):
+    argv = ["--source", "periodic:,1", "--n", "29", "--pattern", "1", "--pattern", "1,1,1"]
+    code, out, err = run(capsys, "pillai", *argv)
+    assert (code, out, err) == (2, "", "error: n must be at least 10x the longest pattern\n")
+
+
 def test_pillai_csv_schema(capsys):
     code, out, _ = run(
         capsys,
@@ -639,6 +662,11 @@ def test_csv_rows_are_the_json_rows_in_order(capsys, argv):
     assert len(rows) > 1
     assert all(list(row) == table[0] for row in rows)
     assert table[1:] == [[str(value) for value in row.values()] for row in rows]
+
+
+def test_render_report_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_report({}, "xml")
 
 
 # ------------------------------------------------------------- subsequence
@@ -683,6 +711,13 @@ def test_subsequence_reports_selected_length(capsys):
     assert report["config"]["b"] == 3 and report["config"]["k"] == 2
     # the echo holds only what the AP run reads: no patterns, no tolerance
     assert list(report["config"]) == ["source", "n", "checkpoint_every", "seed", "b", "k", "cap"]
+
+
+@pytest.mark.parametrize("flags", [["--k", "1"], ["--b", "0"], ["--b", "-3"]])
+def test_subsequence_refuses_k_below_2_or_b_below_1(capsys, flags):
+    # select_ap refuses these too, but with a plain ValueError, not a usage error
+    code, out, err = run(capsys, "subsequence", "--source", "periodic:,1", "--n", "100", *flags)
+    assert (code, out, err) == (2, "", "error: need k >= 2 and b >= 1\n")
 
 
 def test_subsequence_bad_spec_fails_before_the_joint_measure(capsys, monkeypatch):

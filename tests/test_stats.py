@@ -9,6 +9,7 @@ classification, boundary term and all.
 import itertools
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -76,19 +77,26 @@ def test_count_aligned_examples():
 # ----------------------------------------------------- oracle equivalence
 
 def test_counters_equal_naive_oracle_on_random_streams():
+    # the counters take any sequence: a list, a tuple and an array of the same digits
     rng = random.Random(777)
     for trial in range(1000):
         n = rng.randint(1, 200)
         digits = [rng.randint(1, 4) for _ in range(n)]
         k = rng.randint(1, 3)
         w = tuple(rng.randint(1, 4) for _ in range(k))
-        assert count_overlapping(digits, w) == naive_overlap(digits, w)
-        assert count_disjoint(digits, w) == naive_aligned(digits, k, 0, w)
         stride = rng.randint(k, k + 3)
         offset = rng.randint(0, stride - k)
-        assert count_aligned(digits, stride, offset, w) == naive_aligned(
-            digits, stride, offset, w
-        )
+        overlap, disjoint = naive_overlap(digits, w), naive_aligned(digits, k, 0, w)
+        aligned = naive_aligned(digits, stride, offset, w)
+        for seq in (digits, tuple(digits), array("I", digits)):
+            assert count_overlapping(seq, w) == overlap
+            assert count_disjoint(seq, w) == disjoint
+            assert count_aligned(seq, stride, offset, w) == aligned
+            assert count_chunked(seq, w, ModeDescriptor.overlap(), 2) == overlap
+            assert count_chunked(seq, w, ModeDescriptor.disjoint(), 2) == disjoint
+            mode = ModeDescriptor.aligned(stride, offset)
+            assert count_chunked(seq, w, mode, 2) == aligned
+    assert count_overlapping(range(1, 5), (2, 3)) == 1
 
 
 # ------------------------------------------------------ partition identity
@@ -199,6 +207,11 @@ def test_chunked_counting_matches_single_pass():
             stride = k + 2
             mode = ModeDescriptor.aligned(stride, 1)
             assert count_chunked(digits, w, mode, jobs) == count_aligned(digits, stride, 1, w)
+
+
+def test_count_chunked_refuses_jobs_below_1():
+    with pytest.raises(ValueError, match="need jobs >= 1"):
+        count_chunked([1, 2], (1,), ModeDescriptor.overlap(), 0)
 
 
 @settings(max_examples=200, deadline=None)

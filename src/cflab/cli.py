@@ -101,17 +101,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value file; flags override it")
 
 
-def _add_experiment(parser: argparse.ArgumentParser, expect_default: str, tolerance: bool) -> None:
+def _add_experiment(parser: argparse.ArgumentParser, expect_default: str) -> None:
     """Options pillai and subsequence share; --source and --n are checked when run.
 
-    Only pillai reads a tolerance, so only it registers --tolerance.  Options
-    whose default the library owns have none here (see `_given`).
+    Options whose default the library owns have none here (see `_given`).
     """
     parser.add_argument("--source")
     parser.add_argument("--n", type=_int, help="source digits to consume")
     parser.add_argument("--checkpoint-every", type=_int, default=None)
-    if tolerance:
-        parser.add_argument("--tolerance", type=_float)
     parser.add_argument("--expect", choices=("consistent", "non-normal"), default=expect_default)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=_int, default=None, help="seed for bare random: sources")
@@ -186,14 +183,15 @@ def _add_pillai(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="repeatable; comma-separated word",
     )
-    _add_experiment(parser, expect_default="consistent", tolerance=True)
+    parser.add_argument("--tolerance", type=_float)
+    _add_experiment(parser, expect_default="consistent")
 
 
 def _add_subsequence(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=_int)
     parser.add_argument("--k", type=_int)
     parser.add_argument("--cap", type=_int)
-    _add_experiment(parser, expect_default="non-normal", tolerance=False)
+    _add_experiment(parser, expect_default="non-normal")
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:

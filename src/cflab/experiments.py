@@ -1,8 +1,9 @@
 """Experiment orchestration: block-frequency runs and AP-subsequence runs.
 
 Both experiments take a fully explicit config and return a plain report
-dict; every semantic parameter is echoed into the report header so a rerun
-of the same config yields byte-identical output.  `ExperimentConfig` writes
+dict; every parameter a run reads is echoed into the report header, by
+the names the run gives `ExperimentConfig.echo`, so a rerun of the same
+config yields byte-identical output.  `ExperimentConfig` writes
 each field and its default once, on its NamedTuple base; its `__new__` only
 checks them and fills in the two derived values.  `_stat_rows` alone turns
 counts into frequencies and measures; each summary reads the final rows.
@@ -96,20 +97,10 @@ class ExperimentConfig(_ExperimentFields):
         every = max(1, self.n // 10) if self.checkpoint_every is None else self.checkpoint_every
         return self._replace(patterns=patterns, checkpoint_every=every)
 
-    def echo(self, *, with_ap: bool) -> dict:
-        """The parameters the experiment reads; the AP run reads no patterns or tolerance."""
-        base = {
-            "source": self.source,
-            "n": self.n,
-            "patterns": [format_word(w) for w in self.patterns],
-            "checkpoint_every": self.checkpoint_every,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
-        if with_ap:
-            del base["patterns"], base["tolerance"]
-            base.update({"b": self.b, "k": self.k, "cap": self.cap})
-        return base
+    def echo(self, *names: str) -> dict:
+        """The fields `names`, in that order, for a report header; patterns are shown as words."""
+        fields = {**self._asdict(), "patterns": [format_word(w) for w in self.patterns]}
+        return {name: fields[name] for name in names}
 
 
 def _check_report_rows(config: ExperimentConfig, counted: int, keys: int) -> None:
@@ -207,7 +198,7 @@ def run_pillai(config: ExperimentConfig) -> dict:
     non_normal = any(row["verdict"] == VERDICT_NON_NORMAL for row in summary)
     return {
         "experiment": "pillai",
-        "config": config.echo(with_ap=False),
+        "config": config.echo("source", "n", "patterns", "checkpoint_every", "tolerance", "seed"),
         "n": stats.n,
         "truncated": stats.truncated,
         "rows": rows,
@@ -267,7 +258,7 @@ def run_subsequence(config: ExperimentConfig) -> dict:
     verdict = VERDICT_NON_NORMAL if dist_joint < dist_gamma else VERDICT_CONSISTENT
     return {
         "experiment": "subsequence",
-        "config": config.echo(with_ap=True),
+        "config": config.echo("source", "n", "checkpoint_every", "seed", "b", "k", "cap"),
         "source_n": source_n,
         "selected_n": stats.n,
         "truncated": stats.truncated,

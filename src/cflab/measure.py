@@ -16,11 +16,13 @@ p and q', prepending a 1 maps (p, q, p', q') to (q, q + p, q', q' + p'),
 and appending a 1 maps it to (p + p', q + q', p, q).  The row checks of
 `verify` are built on the kernel and these maps.
 
-The joint measure reads both ends of its bracket off walks of the same
-enumerator, the leaves' cylinders and the inner nodes' child tails, and
-multiplies each in `_dyadic_product`, a 128-bit fixed-point product that
-rounds the leaves down and the tails up: each end is a certified dyadic
-rational of about 128 bits, however many terms it has.  Each child tail of
+The joint measure is a bracket [lower, upper] that holds the true value.
+It reads both ends off walks of the same enumerator: lower off the
+leaves' cylinders, and upper off lower and the inner nodes' child tails.
+Each walk's terms are multiplied in `_dyadic_product`, a 128-bit
+fixed-point product that rounds the leaves down and the tails up, so each
+product is a certified dyadic rational of about 128 bits, however many
+terms it has.  Each child tail of
 arg A enters as 1 + sigma A (A - 1).  Its omitted leaves end in a 1 that
 lies j digits past the tail's digit, and they take at most a share sigma A
 of the tail, where A covers how far the Gauss density varies on it and
@@ -115,17 +117,17 @@ def _log2_outward(x: Fraction, direction: int) -> float:
 
 
 class BoundedMeasure(NamedTuple):
-    """Certified dyadic ends: the true value lies in [lower, lower + tail_bound].
+    """Certified dyadic ends: the true value lies in [lower, upper].
 
-    lower + tail_bound is `upper`; adding measures multiplies their args.
+    tail_bound = upper - lower, as adding measures multiplies their args.
     """
 
     lower: LogRational
-    tail_bound: LogRational
+    upper: LogRational
 
     @property
-    def upper(self) -> LogRational:
-        return LogRational(self.lower.arg * self.tail_bound.arg)
+    def tail_bound(self) -> LogRational:
+        return LogRational(self.upper.arg / self.lower.arg)
 
     def bracket(self) -> tuple[float, float]:
         """Outward-rounded float bracket [lo, hi] containing the true value."""
@@ -236,8 +238,8 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     """Bracket gamma(C_[1] intersect T^-k C_[1]) by walks of the middle digits.
 
     The walks visit each 1.u with digits <= cap and |u| <= k-1.  lower sums
-    gamma(C_[1,u,1]) over the leaves, |u| = k-1, rounded down.  tail_bound
-    sums over the inner nodes a bound on what the node omits.  Its child
+    gamma(C_[1,u,1]) over the leaves, |u| = k-1, rounded down.  upper adds
+    to lower, over the inner nodes, a bound on what the node omits.  Its child
     tail I = {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, with arg
     A = (1 + hi)/(1 + lo) = `_arg` of the shifted pair
     (p, q, cap p + p', cap q + q') of 1.u, holds each
@@ -264,9 +266,9 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
       c = sigma_j A.  Since 1 <= A <= 2, c <= 1, and Bernoulli's inequality
       A**c <= 1 + c (A - 1) for 0 <= c <= 1 gives B.
     L_1 = lambda_1 = 1/2, so sigma_1 = 1/2, and the nodes at depth k-2 (every
-    node at k=2) enter as 1 + (A/2)(A - 1).  tail_bound is rounded up, and
-    covers lower's rounding too.  `check_joint_walk` refuses k and cap
-    before any work.
+    node at k=2) enter as 1 + (A/2)(A - 1).  The product of the factors B is
+    rounded up, and covers lower's rounding too.  `check_joint_walk` refuses
+    k and cap before any work.
     """
     check_joint_walk(k, cap)
     head = convergent_pair((1,))
@@ -286,6 +288,6 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     lower = _dyadic_product(leaves, up=False)
     # The n = cap**(k-1) floors of lower leave the exact leaf product below
     # lower / (1 - n 2**-_DYADIC_BITS) <= lower (1 + 2n 2**-_DYADIC_BITS), so
-    # the tail takes that factor too and lower + tail_bound stays an upper end.
+    # the tail takes that factor too and lower * tail stays an upper end.
     tail = _dyadic_product(chain(tails, [(_ONE + 2 * cap ** (k - 1), _ONE)]), up=True)
-    return BoundedMeasure(LogRational(lower), LogRational(tail))
+    return BoundedMeasure(LogRational(lower), LogRational(lower * tail))

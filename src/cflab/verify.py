@@ -255,7 +255,7 @@ class JointK2Result(NamedTuple):
         )
 
     def report(self) -> dict:
-        """The `--out` report: each end's arg by str, as both are dyadics of about 128 bits."""
+        """The `--out` report: the args of lower and of upper/lower by str, dyadics of ~128 bits."""
         lo, hi = self.measure.bracket()
         return {
             "suite": "joint-k2",

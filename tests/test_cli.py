@@ -468,12 +468,15 @@ K2_LINE = (
         (None, K2_LINE.format("pass", "0.1716, 0.1787", "0.171643", "0.007054", True)),
         # no tail: the bracket [lower, lower] misses the oracle
         (
-            lambda real: BoundedMeasure(real.lower, LogRational(1)),
+            lambda real: BoundedMeasure(real.lower, real.lower),
             K2_LINE.format("FAIL", "0.1716, 0.1716", "0.171643", "0.000000", True),
         ),
         # lower at gamma(C_11) exactly, not above it; the bracket still holds the oracle
         (
-            lambda real: BoundedMeasure(verify.measure_of_cylinder((1, 1)), LogRational(9 / 8)),
+            lambda real: BoundedMeasure(
+                verify.measure_of_cylinder((1, 1)),
+                LogRational(verify.measure_of_cylinder((1, 1)).arg * Fraction(9, 8)),
+            ),
             K2_LINE.format("FAIL", "0.1520, 0.3219", "0.152003", "0.169925", False),
         ),
     ],
@@ -711,6 +714,23 @@ def test_subsequence_reports_selected_length(capsys):
     assert report["config"]["b"] == 3 and report["config"]["k"] == 2
     # the echo holds only what the AP run reads: no patterns, no tolerance
     assert list(report["config"]) == ["source", "n", "checkpoint_every", "seed", "b", "k", "cap"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pillai", "--source", "periodic:,1", "--n", "100", "--pattern", "1"],
+        ["subsequence", "--source", "periodic:,1", "--n", "100", "--cap", "5"],
+    ],
+    ids=["pillai", "subsequence"],
+)
+def test_each_run_echoes_exactly_the_options_its_subcommand_registers(capsys, argv):
+    # every option but those of the output and the config file sets a field
+    # the report echoes, and the report echoes no field the subcommand cannot set
+    command = argv[0]
+    dests = vars(cli.build_parser(command).parse_args([command])).keys()
+    _, out, _ = run(capsys, *argv)
+    assert dests - {"command", "expect", "format", "out", "config"} == set(json.loads(out)["config"])
 
 
 @pytest.mark.parametrize("flags", [["--k", "1"], ["--b", "0"], ["--b", "-3"]])

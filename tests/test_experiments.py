@@ -78,7 +78,7 @@ def test_experiment_config_by_keyword_and_by_position():
     # each config gets its own pattern list
     assert bare.patterns is not ExperimentConfig("periodic:,1", 50).patterns
     given = ExperimentConfig("random", 60, [(1,)], 2, 4, 7, 5, 3, 0.25, 8)
-    assert given.echo(with_ap=True) == {
+    assert given.echo("source", "n", "checkpoint_every", "seed", "b", "k", "cap") == {
         "source": "random", "n": 60, "checkpoint_every": 3, "seed": 5, "b": 2, "k": 4, "cap": 7
     }
     assert (given.tolerance, given.jobs) == (0.25, 8)

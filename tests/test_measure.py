@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from cflab import (
     BoundedMeasure,
-    cylinder_interval,
     LogRational,
     iter_words,
     joint_pattern_measure,
@@ -28,20 +27,10 @@ from cflab import measure
 from cflab.cfcore import UsageError, convergent_pair
 from cflab.measure import MAX_MIDDLE_WORDS, _arg, _dyadic_product
 
+from oracles import _gamma_tail_sum, _oracle_arg, _value, words
+
 
 MEASURE_FULL = LogRational(Fraction(2))  # the whole space, log2(2) = 1
-
-
-def _oracle_arg(w):
-    """The cylinder arg as Fractions over the interval endpoints."""
-    iv = cylinder_interval(w)
-    return (1 + iv.hi) / (1 + iv.lo)
-
-
-def _value(w):
-    """[0; w] read off the recurrence: p_n/q_n of convergent_pair(w)."""
-    p, q, _, _ = convergent_pair(w)
-    return Fraction(p, q)
 
 
 def _kernel_arg(w, m=1):
@@ -135,9 +124,6 @@ def _assert_dyadic_ends(bm, leaves, factors):
     assert bm.lower.arg == lower and bm.tail_bound.arg == tail
     exact_lower, exact_tail = _sequential_product(leaves), _sequential_product(factors)
     assert lower <= exact_lower and bm.upper.arg >= exact_lower * exact_tail
-
-
-words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
 
 
 def test_logrational_invariants():
@@ -370,6 +356,43 @@ def test_each_k3_node_factor_holds_its_omitted_leaves(cap):
             for v in product(range(1, fine + 1), repeat=j - 1)
         )
         assert _dyadic_product(omitted, up=False) <= factor, u
+
+
+def test_gamma_tail_sum_at_one_is_the_k2_closed_form():
+    # the k=2 terms telescope against the Wallis product, and so does the
+    # Gamma product at u = (1,)
+    assert _gamma_tail_sum((1,)) == pytest.approx(K2_ORACLE, abs=1e-13)
+
+
+def test_k3_brackets_hold_the_gamma_oracle_on_both_sides():
+    # J_3 sums the Gamma sums of the nodes (1, a); the terms fall as 1/a**2,
+    # so the partial sum S(A) misses about c/A, and 2 S(2A) - S(A) cancels
+    # that term.  Two such estimates agree far inside the margin.
+    partial = {}
+    total = 0.0
+    for a in range(1, 80_001):
+        total += _gamma_tail_sum((1, a))
+        if a in (20_000, 40_000, 80_000):
+            partial[a] = total
+    j3 = 2 * partial[80_000] - partial[40_000]
+    assert abs(j3 - (2 * partial[40_000] - partial[20_000])) < 1e-9
+    assert j3 == pytest.approx(0.1703540675, abs=1e-9)
+    # each end must miss J_3 by more than the margin, on its own side
+    for cap in [*range(1, 61), *range(75, 301, 15)]:
+        lo, hi = joint_pattern_measure(3, cap).bracket()
+        assert lo < j3 - 1e-9 and j3 + 1e-9 < hi, cap
+
+
+@pytest.mark.parametrize("cap", [1, 10, 150])
+def test_each_k3_node_factor_holds_its_exact_omitted_mass(cap):
+    # node (1, a) omits the leaves (1, a, b, 1) with b > cap: the Gamma sum
+    # less the kept leaves, each read off its exact arg
+    for a in range(1, 21):
+        u = (1, a)
+        kept = math.fsum(math.log1p(_oracle_arg(u + (b, 1)) - 1) for b in range(1, cap + 1))
+        omitted = _gamma_tail_sum(u) - kept / math.log(2)
+        num, den = measure._tail_factor(*_kernel_arg(u, cap + 1), measure._share(1, cap))
+        assert 0 < omitted <= math.log1p(Fraction(num - den, den)) / math.log(2), a
 
 
 @settings(max_examples=40, deadline=None)

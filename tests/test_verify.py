@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cflab import UsageError, cylinder_interval, iter_words, measure_of_cylinder, reverse, verify
+from cflab import UsageError, iter_words, measure_of_cylinder, reverse, verify
 from cflab.cfcore import convergent_pair
 from cflab import measure
 from cflab.measure import _arg
 from cflab.verify import dominance_row, pairwise_row, reversal_row
+
+from oracles import _oracle_arg, _value, words
 
 
 def _row_stand_in(real, family, bad, rows):
@@ -242,21 +244,6 @@ def test_huge_bounds_of_either_sign_are_shown_short(runner, max_digit, max_len, 
 
 
 # ------------------------------------------------------------ row checks
-
-
-def _oracle_arg(w):
-    """The cylinder arg as Fractions over the interval endpoints."""
-    iv = cylinder_interval(w)
-    return (1 + iv.hi) / (1 + iv.lo)
-
-
-def _value(w):
-    """[0; w] read off the recurrence: p_n/q_n of convergent_pair(w)."""
-    p, q, _, _ = convergent_pair(w)
-    return Fraction(p, q)
-
-
-words = st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(tuple)
 
 
 def test_row_checks_live_in_verify():

@@ -15,6 +15,7 @@ import contextlib
 import os
 import re
 import sys
+from typing import Iterable, Iterator
 
 from . import experiments
 from .cfcore import UsageError, bad_text, cut, parse_word, quote, shown
@@ -88,12 +89,27 @@ def _user_file():
         raise UsageError(_cut_runs(str(exc))) from None
 
 
-def _write_output(data: bytes, out: str | None) -> None:
+def _write(texts: Iterable[str], out: str | None) -> bool:
+    """Write texts, in order, to the file `out`, or to stdout when it is None.
+
+    Each text is drawn as it is written, so a generator of them keeps memory
+    flat.  A reader of stdout that leaves early, as in `cflab expand ... |
+    head`, ends the writing: no more text is drawn, what is still buffered
+    goes to /dev/null at exit, and False is returned.
+    """
     if out:
-        with _user_file(), open(out, "wb") as file:
-            file.write(data)
-    else:
-        sys.stdout.write(data.decode())
+        with _user_file(), open(out, "w", encoding="utf-8", newline="") as file:
+            file.writelines(texts)
+        return True
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -230,15 +246,31 @@ def _require(args, *flags: str) -> None:
 
 
 def _cmd_measure(args) -> int:
-    _write_output(render_measure(parse_word(args.word), args.interval, args.format), args.out)
+    _write([render_measure(parse_word(args.word), args.interval, args.format).decode()], args.out)
     return 0
 
 
-def _write_digits(source, out) -> None:
-    """One line per digit, chunk by chunk, so memory stays flat in the digit count."""
+def _digit_lines(source) -> Iterator[str]:
+    """One line per digit, one text per chunk, so memory stays flat in the digit count.
+
+    A digit too long for the interpreter to print, past the decimal digits
+    sys.get_int_max_str_digits allows (Python 3.11 on), is refused after
+    the lines of the digits before it.
+    """
     for chunk in source.chunks():
-        out.write("".join(f"{d}\n" for d in chunk))
-    out.flush()
+        try:
+            text = "".join(f"{d}\n" for d in chunk)
+        except ValueError:
+            lines: list[str] = []
+            with contextlib.suppress(ValueError):  # += keeps the lines made before the error
+                lines += (f"{d}\n" for d in chunk)
+            yield "".join(lines)
+            at = source.emitted - len(chunk) + len(lines) + 1
+            raise UsageError(
+                f"digit {at:,} has more than {sys.get_int_max_str_digits():,} decimal digits, "
+                "the interpreter's limit for int-to-str conversion"
+            ) from None
+        yield text
 
 
 def _cmd_expand(args) -> int:
@@ -247,19 +279,8 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"--n must be >= 0, got {shown(args.n)}")
     check_n(args.n)
     source = limit(parse_source_spec(args.source, seed=args.seed), args.n)
-    if args.out:
-        with _user_file(), open(args.out, "w", encoding="utf-8", newline="") as out:
-            _write_digits(source, out)
-    else:
-        try:
-            _write_digits(source, sys.stdout)
-        except BrokenPipeError:
-            # the reader left early, as in `cflab expand ... | head`: stop drawing
-            # digits, and let what is still buffered go nowhere at exit
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 0
+    if not _write(_digit_lines(source), args.out):
+        return 0  # the reader left: it reads no note either
     if source.precision_exhausted:
         print(f"note: precision exhausted after {source.emitted} digits", file=sys.stderr)
     elif source.emitted < args.n:
@@ -271,9 +292,9 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite
 
     result = run_suite(args.suite, **_given(args, *_verify_options()))
-    print(result.summary())
+    _write([result.summary() + "\n"], None)
     if args.out:
-        _write_output(render_json(result.report()), args.out)
+        _write([render_json(result.report()).decode()], args.out)
     return 0 if result.passed else CHECK_FAILED
 
 
@@ -284,7 +305,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _finish_experiment(report: dict, args) -> int:
-    _write_output(render_report(report, args.format), args.out)
+    _write([render_report(report, args.format).decode()], args.out)
     observed_non_normal = report["verdict"] == VERDICT_NON_NORMAL
     expected_non_normal = args.expect == "non-normal"
     return 0 if observed_non_normal == expected_non_normal else CHECK_FAILED

@@ -70,6 +70,10 @@ class ExperimentConfig(_ExperimentFields):
 
     def __new__(cls, *args, **kwargs) -> ExperimentConfig:
         self = super().__new__(cls, *args, **kwargs)
+        # the source is echoed into the report header, where a line break
+        # would end a CSV comment line early
+        if not (isinstance(self.source, str) and self.source.isprintable()):
+            raise UsageError(f"source must be a printable str, got {cut(repr(self.source))}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not (_is_a(value, int) or value is None and name in _UNSET_OK):
@@ -82,6 +86,8 @@ class ExperimentConfig(_ExperimentFields):
             raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
+        if self.jobs < 1:
+            raise UsageError(f"need jobs >= 1, got {shown(self.jobs)}")
         # a copy, so a caller's later append cannot slip a repeat past this check
         try:
             patterns = [word(w) for w in self.patterns or ()]

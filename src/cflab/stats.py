@@ -12,7 +12,9 @@ Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
 CACM 1992), one indicator per digit value.  The fold writes each window,
 carry included, once into little-endian byte planes, exact for any
 digit: plane j holds byte j of every digit of the window, and there are
-as many planes as the window's widest digit has bytes.  For each digit
+as many planes as the window's widest digit has bytes.  Past the 4 bytes
+of an array cell, only the widest digit a pattern uses counts: the other
+digits are written as 0, which no pattern holds.  For each digit
 value d that a pattern uses, I_d is an int whose byte s is 1 where the
 window holds d at s: the AND over the planes of where each holds its
 byte of d, and 0 for a d wider than the planes.  Up to 8 values share one
@@ -41,7 +43,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Container, Iterable, NamedTuple, Protocol, Sequence
 
 from .cfcore import Word, word
 
@@ -112,17 +114,20 @@ class ModeDescriptor(NamedTuple):
         return self.kind
 
 
-def _planes(digits: Sequence[int]) -> list[bytes]:
+def _planes(digits: Sequence[int], values: Container[int]) -> list[bytes]:
     """A window's byte planes: byte s of plane j is byte j of digit s, little-endian.
 
     The digits go into an unsigned array in C, one plane per byte of its
-    cell; a digit too wide for the cell sends the window to int.to_bytes,
-    every digit as wide as the widest one.  Planes that are zero throughout
-    are dropped from the top.
+    cell.  A digit too wide for the cell sends the window to int.to_bytes,
+    each digit not among the pattern `values` written as 0 first: so the
+    planes are as many as the widest digit a pattern holds has bytes, and
+    a 0 matches no pattern.  Planes that are zero throughout are dropped
+    from the top.
     """
     try:
         raw, width = array("I", digits).tobytes(), array("I").itemsize
     except OverflowError:
+        digits = [d if d in values else 0 for d in digits]
         width = -(-max(digits).bit_length() // 8)
         raw = b"".join(d.to_bytes(width, sys.byteorder) for d in digits)
     planes = [raw[j::width] for j in range(width)][:: 1 if sys.byteorder == "little" else -1]
@@ -248,7 +253,7 @@ def frequency_report(
         window[:0] = tail
         tail = window[max(0, len(window) - seam) :]
         base = pulled - len(window)  # absolute position of the window's first digit
-        planes = _planes(window)
+        planes = _planes(window, values)
         del window  # one copy of the window at a time keeps the peak memory down
         # The planes live on until the next window's replace them.  Freed here,
         # they let the allocator hand the heap top back for each window to

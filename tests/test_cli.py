@@ -245,6 +245,53 @@ def test_expand_of_random_digits_stops_drawing_when_the_reader_leaves():
     assert seconds < 1
 
 
+def _run_with_stdout_closed(argv):
+    """As `cflab argv | true` once true has exited: the exit code and stderr of a run
+    whose stdout is a pipe with its read end already closed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cflab.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+PERIODIC_TWOS = ["pillai", "--source", "periodic:,2", "--n", "100", "--pattern", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["measure", "1,1"], 0),
+        (["expand", "random:seed=1", "--n", "1000"], 0),
+        (["verify", "reversal"], 0),
+        ([*PERIODIC_TWOS, "--expect", "non-normal"], 0),
+        (PERIODIC_TWOS, 1),  # a verdict that contradicts the expectation
+        (["subsequence", "--source", "random:seed=11", "--n", "2000", "--cap", "50"], 0),
+    ],
+    ids=["measure", "expand", "verify", "pillai", "pillai-exit-1", "subsequence"],
+)
+def test_a_run_whose_reader_has_left_exits_with_its_own_code(argv, code):
+    # the run's verdict is its exit code, whether or not its output is read
+    assert _run_with_stdout_closed(argv) == (code, b"")
+
+
+def test_verify_writes_its_report_after_the_reader_of_its_line_has_left(tmp_path, capsys):
+    out, again = tmp_path / "reversal.json", tmp_path / "again.json"
+    assert _run_with_stdout_closed(["verify", "reversal", "--out", str(out)]) == (0, b"")
+    assert main(["verify", "reversal", "--out", str(again)]) == 0
+    assert capsys.readouterr().out.startswith("reversal: pass")
+    assert out.read_bytes() == again.read_bytes()
+
+
 def test_expand_negative_n_is_usage_error(capsys):
     code, out, err = run(capsys, "expand", "rational:7/16", "--n", "-1")
     assert code == 2
@@ -1404,6 +1451,26 @@ def test_decimal_text_past_the_int_digit_cap_is_a_short_usage_error(capsys):
     assert "sys." not in err
 
 
+@pytest.mark.skipif(not INT_DIGIT_CAP, reason="this Python prints ints of any length")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_expand_of_a_digit_too_long_to_print_stops_before_it_in_one_short_line(
+    capsys, monkeypatch, tmp_path, to_file
+):
+    # the fourth digit has one decimal digit more than the interpreter prints
+    chunks = [[1, 2], [3, 10**INT_DIGIT_CAP, 4]]
+    monkeypatch.setattr(cli, "parse_source_spec", lambda spec, seed: cflab.DigitSource(iter(chunks)))
+    path = tmp_path / "digits.txt"
+    argv = ["expand", "periodic:,1", "--n", "5", *(["--out", str(path)] if to_file else [])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert (path.read_text() if to_file else out) == "1\n2\n3\n"
+    assert err == (
+        f"error: digit 4 has more than {INT_DIGIT_CAP:,} decimal digits, "
+        "the interpreter's limit for int-to-str conversion\n"
+    )
+    assert len(err.encode()) <= 201
+
+
 NINES = "9" * max(5000, INT_DIGIT_CAP + 1)
 
 
@@ -1815,6 +1882,7 @@ def _config(draw):
 @example(["pillai"], f"source=periodic:,1\nn=100\n{TEXT}=1\n")
 @example(["pillai", "--expect", SPACED], None)
 @example(["measure", EMOJI], None)
+@example(["expand", "decimal:1.5e-5000:e-12000", "--n", "3"], None)
 def test_cli_exits_0_1_or_2_and_refuses_in_one_short_line(tmp_path_factory, argv, config):
     # no exception escapes main (argparse's SystemExit is its exit code), the
     # code is 0, 1 or 2, and a usage error ends in one line of at most 200 bytes
@@ -1822,3 +1890,118 @@ def test_cli_exits_0_1_or_2_and_refuses_in_one_short_line(tmp_path_factory, argv
     assert code in (0, 1, 2)
     if code == 2:
         assert len(line.encode()) <= 200, line[:300]
+
+
+# ---------------------------------------------------------------- CI pins
+
+# What CI's "Console script" and "Joint tail shares" steps pin, with the
+# values written there: the sha256 of a run's stdout, or of its --out file
+# when the command ends in --out, or the one line the run prints.
+CI_PINS = [
+    (
+        "measure 1,2,3 --interval --format csv",
+        "57c1c211fa345cbcee6d83f317bc915837ad7eb84a2637a36b4c6490e2f7957b",
+    ),
+    (
+        "measure 2,2 --interval --format csv",
+        "350533d2252766fa370b4cbbe3b365cbd95d319514e94e61231effec3f4622d2",
+    ),
+    (
+        "measure 1,2,3 --interval",
+        "cc2d83ad6dcf6fffb871b27b360f95b83857aa680417a126a3d2c068bdfc1c6c",
+    ),
+    (
+        "expand concat-normal --n 300000",
+        "1667f3f551eb4bca0852c7efd1859458b13e9abc7e5bba4bf7c16d9ddb24f8e9",
+    ),
+    (
+        "expand random:seed=7 --n 300000",
+        "e7ec91d0f1f1869033ec0262848c733320ecfd9c506b626b6a7fc426a7df4295",
+    ),
+    (
+        "pillai --source concat-normal --n 300000 --pattern 1 --pattern 2 --pattern 3"
+        " --pattern 1,1 --pattern 1,2 --pattern 2,1 --pattern 1,1,1 --pattern 1,2,1"
+        " --expect non-normal",
+        "d7be852568e645d86bb2d15489cbc8a8791118110e66ca5ca3af9c90f279c2b5",
+    ),
+    (
+        "pillai --source periodic:,1,4294967296 --n 200000 --pattern 4294967296,1 --pattern 1"
+        " --expect non-normal",
+        "9fbdc724637fe9a3a1f5d9019427ba17f6e9289e2bae5156acaf3a58a71556a7",
+    ),
+    (
+        "verify joint-k2 --cap 50 --out",
+        "b2103cb94591cbb90240e7fe20c11f77431a0d54a37f951205fe6a959d3bb129",
+    ),
+    (
+        "verify reversal --max-digit 4 --max-len 5 --out",
+        "45a349342ca832486870866a48d0777f8832cb525b1382a93b05da45cb3e489e",
+    ),
+    (
+        "verify dominance --max-digit 5 --max-len 4 --out",
+        "aea5e3bd077dd4c56eac8a0a5e05f2ef0292929f14f75fe76557184d23d6c9f7",
+    ),
+    (
+        "verify pairwise --max-digit 5 --max-len 3 --out",
+        "9ec1d9a4fc1e2a2700cfef16c4a4127b831a635ea88aa315e14b13bad2fa0942",
+    ),
+    (
+        "verify dominance --max-digit 8 --max-len 6",
+        "dominance: pass (262143 cases checked; digits <= 8, length <= 6, last digit >= 2)",
+    ),
+    (
+        "verify reversal --max-digit 6 --max-len 6",
+        "reversal: pass (55986 cases checked; digits <= 6, length <= 6)",
+    ),
+    (
+        "verify pairwise --max-digit 8 --max-len 5",
+        "pairwise: pass (37448 cases checked; digits <= 8, length <= 5)",
+    ),
+    (
+        "pillai --source concat-normal --n 100000 --pattern 1,2 --pattern 300,1 --format csv"
+        " --expect non-normal",
+        "8189e46c23499fb8d6a498e2706b90c273ff745021913890da55d00ba1f807b8",
+    ),
+    (
+        "pillai --source concat-normal --n 300000 --pattern 1 --pattern 2 --pattern 3"
+        " --pattern 1,1 --pattern 1,2 --pattern 2,1 --pattern 1,1,1 --pattern 1,2,1"
+        " --expect non-normal --format csv",
+        "c3458d73d420a4ac5b39827976c7568dccca71197d3d308915b6b0c63d2673cd",
+    ),
+    (
+        "subsequence --source random:seed=7 --n 200000 --b 3 --k 3 --cap 50 --format csv",
+        "54ea394a0217fc04ce86cd2bb64e62dc18a60dd5bfe49eb2fbf78b3a770d7f00",
+    ),
+    (
+        "subsequence --source random:seed=11 --n 20000",
+        "bc318f69cc3918ddc5e94f0cbee02c2d18abbb9b7a337ae4d57001b87e7e741b",
+    ),
+    (
+        "verify joint-k2 --cap 1000",
+        "joint-k2: pass (cap 1000; bracket [0.1782, 0.1786] vs oracle 0.17858;"
+        " gamma(C_11) = 0.1520; lower 0.178219, tail 0.000360, exceeds gamma(C_11): True)",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,pin", CI_PINS, ids=[command[:60] for command, _ in CI_PINS])
+def test_the_bytes_ci_pins(capsys, tmp_path, command, pin):
+    argv = command.split()
+    path = tmp_path / "report"
+    if argv[-1] == "--out":
+        argv.append(str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if " " in pin:  # a summary line; a sha256 has no blank
+        assert out == pin + "\n"
+    else:
+        data = path.read_bytes() if path.exists() else out.encode()
+        assert hashlib.sha256(data).hexdigest() == pin
+
+
+def test_the_k3_joint_bracket_ci_pins(capsys):
+    argv = ["subsequence", "--source", "random:seed=11", "--n", "20000", "--k", "3", "--cap", "150"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    bracket = json.loads(out)["summary"]["joint_bracket"]
+    assert str(bracket) == "[0.16669429316915188, 0.17040537583696092]"

@@ -165,3 +165,20 @@ def test_thirty_thousand_distinct_patterns_reach_the_row_limit_at_once():
     with pytest.raises(UsageError, match="the report would have 600000 rows"):
         run_pillai(ExperimentConfig(source="periodic:,1", n=100, patterns=patterns))
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        # a line break the spec parser would strip, one it would not, and no str at all
+        ({"source": "random:seed=1\n"}, r"source must be a printable str, got 'random:seed=1\n'"),
+        ({"source": "periodic:,1\n,2"}, r"source must be a printable str, got 'periodic:,1\n,2'"),
+        ({"source": 5}, "source must be a printable str, got 5"),
+        ({"jobs": 0}, "need jobs >= 1, got 0"),
+        ({"jobs": -3}, "need jobs >= 1, got -3"),
+    ],
+)
+def test_experiment_config_refuses_a_source_it_cannot_echo_and_jobs_below_1(options, message):
+    with pytest.raises(UsageError) as refused:
+        ExperimentConfig(**{"source": "periodic:,1", "n": 100, **options})
+    assert str(refused.value) == message

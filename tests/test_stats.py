@@ -7,16 +7,22 @@ classification, boundary term and all.
 """
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cflab
 from cflab import (
     DigitSource,
     ModeDescriptor,
@@ -353,7 +359,7 @@ def digits_of(planes):
 )
 def test_planes_hold_each_digits_bytes(window):
     # as many planes as the widest digit has bytes, past the array cell too
-    planes = _planes(window)
+    planes = _planes(window, set(window))
     assert digits_of(planes) == window
     assert len(planes) == max(1, -(-max(window, default=0).bit_length() // 8))
 
@@ -449,6 +455,44 @@ def test_frequency_report_memory_is_flat_in_n():
             tracemalloc.stop()
         assert result.checkpoints[-1][1][((1,), modes[0])] == n
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# 65,536 digits of 1 to 3, one of them replaced by 2**8000, a digit of 1,001
+# bytes; the patterns hold no digit past the array cell but 2**40, which the
+# window does not hold.  Prints the peak RSS growth of the count in MB, then
+# the final counts.
+WIDE_DIGIT_RUN = """
+import json, random, resource
+from cflab import DigitSource, ModeDescriptor, frequency_report
+rng = random.Random(5)
+digits = [rng.randint(1, 3) for _ in range(65536)]
+digits[1000] = 2**8000
+patterns = [(1,), (1, 2), (3, 1, 2), (2**40,)]
+modes = [ModeDescriptor.overlap(), ModeDescriptor.disjoint()]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+stats = frequency_report(DigitSource(iter([digits])), patterns, modes, len(digits), len(digits))
+grew = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(grew, json.dumps([stats.checkpoints[-1][1][w, m] for w in patterns for m in modes]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
+def test_a_wide_digit_no_pattern_holds_keeps_the_planes_narrow():
+    # written at the wide digit's width, the window's planes would take about
+    # 130 MB (2 x 65,536 x 1,001 bytes); the digits no pattern holds are
+    # written as 0, so they take a few hundred KB
+    env = {**os.environ, "PYTHONPATH": str(Path(cflab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", WIDE_DIGIT_RUN], capture_output=True, env=env, timeout=60, check=True
+    )
+    grew, counts = proc.stdout.decode().split(" ", 1)
+    assert float(grew) < 16, grew
+    rng = random.Random(5)
+    digits = [rng.randint(1, 3) for _ in range(65536)]
+    digits[1000] = 2**8000
+    patterns = [(1,), (1, 2), (3, 1, 2), (2**40,)]
+    expected = [f(digits, w) for w in patterns for f in (count_overlapping, count_disjoint)]
+    assert json.loads(counts) == expected
 
 
 def test_frequency_report_validation():

@@ -11,7 +11,7 @@ counts into frequencies and measures; each summary reads the final rows.
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import NamedTuple
 
 from .cfcore import UsageError, Word, cut, format_word, shown, word
@@ -81,9 +81,10 @@ class ExperimentConfig(_ExperimentFields):
         if not _is_a(self.tolerance, (int, float)):
             raise UsageError(f"tolerance must be a number, got {cut(repr(self.tolerance))}")
         check_n(self.n)
-        # a NaN or non-positive tolerance would flag every pattern whatever the data
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise UsageError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        # a NaN or non-positive tolerance would flag every pattern whatever the
+        # data; an int past the largest float is compared exactly, not converted
+        if not 0 < self.tolerance <= sys.float_info.max:
+            raise UsageError(f"tolerance must be finite and > 0, got {cut(repr(self.tolerance))}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise UsageError(f"need checkpoint_every >= 1, got {shown(self.checkpoint_every)}")
         if self.jobs < 1:

@@ -2,33 +2,34 @@
 
 Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
-bounds.  The exact suites pass one row check to `_scan`, which walks the
-family in `iter_words` order a row at a time.  A row is the words u.a of
-one prefix u, for the last digits a in a range `lasts`, and its check
-takes (convergent_pair(u), |u.a| % 2, lasts), with the pair from
-`iter_prefix_pairs`, and returns the index in `lasts` of the first failing
-word, or None.  A single word w is the row
-(convergent_pair(w[:-1]), |w| % 2, range(w[-1], w[-1] + 1)).
+bounds.  The exact suites pass one row check and the walk it reads to
+`_scan`, which walks the family in `iter_words` order a row at a time.  A
+row is the words u.a of one prefix u, for the last digits a in a range
+`lasts`, and its check takes (item, |u.a| % 2, lasts) and returns the index
+in `lasts` of the first failing word, or None.  The item is the walk's
+yield for u: convergent_pair(u) from `iter_prefix_pairs` for dominance,
+and (convergent_pair(u), convergent_pair(rev u)) from `_paired_walk` for
+reversal and pairwise.  A single word w is the row of w[:-1] with
+lasts = range(w[-1], w[-1] + 1).
 
-For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
-a*d == c*b, so the row checks `reversal_row` and `pairwise_row` decide
-equality or strict order by cross-multiplying the kernel values of
-`measure._arg`, exactly; `dominance_row` compares two denominators read off
-the same pairs.  Each word's pair comes from u's by one recurrence step,
-and its neighbours' pairs by the maps of `measure`'s docstring.  A call
-costs more than a word's arithmetic, so `reversal_row` writes both of a
-word's args out in line and `dominance_row` compares a q with one constant
-per row; only `pairwise_row` calls `_arg`, twice a word.  The pair maps
-stay written out in the loops for the same reason.  So a word costs one
-recurrence step plus a few integer products, and a word tuple is built
-only for the first counterexample; none is ever expected.
-`test_rows_match_their_reference_on_any_pair` pins each row to a copy
-that takes every arg from `_arg`, on any positive pair.
-
-The reversal identity holds for every 4-tuple of integers, not only for
-convergent pairs: `reversal_row` returns None on any input, and so does
-`pairwise_row` on its words with last digit 1.  Those scans re-derive each
-word's pair and args, but no word can fail them.
+The reversal row checks the transpose identity: a prepended to rev(u)'s
+pair, by the prepend step, equals u.a's pair, by the append step, with p
+and q' swapped.  The two pairs come off two slots of the walk, so a word
+fails whenever the append step, the prepend step or the walk's two slots
+disagree.  gamma(C_w) = gamma(C_rev w) then follows, as `measure._arg`
+takes the same value when p and q' swap, for any integers (ROADMAP
+direction 2).  For positive b and d, a/b < c/d iff a*d < c*b and
+a/b == c/d iff a*d == c*b, so `pairwise_row` decides equality or strict
+order by cross-multiplying `_arg` values, exactly; `dominance_row`
+compares two denominators read off the same pair.  Each word's pair comes
+from u's by one recurrence step, and its neighbours' pairs by the maps of
+`measure`'s docstring.  A call costs more than a word's arithmetic, so
+only `pairwise_row` calls `_arg`, twice a word, and the pair maps stay
+written out in the loops.  So a word costs one recurrence step plus a few
+integer products, and a word tuple is built only for the first
+counterexample; none is ever expected.
+`test_rows_match_their_reference_on_any_pair` pins each row to a copy that
+builds every pair and arg by a call, on any positive pairs.
 
 Bounds whose family holds more than MAX_WORD_DIGITS digits in all are
 refused before the scan; every word has a digit, so that also bounds the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cfcore import Pair, UsageError, Word, format_word, iter_prefix_pairs, shown
 from .measure import DEFAULT_CAP, BoundedMeasure, _arg, joint_pattern_measure, measure_of_cylinder
@@ -52,11 +53,12 @@ MAX_DIGIT = 5
 MAX_LEN = 3
 # Most digits a scan's family may hold, the sum of L * max_digit**L, so at
 # most as many words.  On a 2-vCPU host with Python 3.11, the 10**7 one-digit
-# words of run_reversal(10**7, 1) take about 5 s, and the 1,111,110 words of
-# run_reversal(10, 6) about 0.7 s.  At digit 1 each length walks its whole
-# path again on longer integers, so the work grows like max_len**3: length
-# <= 4000 (8,002,000 digits) takes about 3 s, and 4471, the longest allowed,
-# about 5.6 s.  The bench's 8/6 family holds 1,754,760.
+# words of run_reversal(10**7, 1) take about 2 s, and the 1,111,110 words of
+# run_reversal(10, 6) about 0.35 s.  At digit 1 each length walks its whole
+# path again on longer integers, twice for the reversal and pairwise scans,
+# so the work grows like max_len**3: run_reversal(1, 4000) (8,002,000 digits)
+# takes about 4 s, and 4471, the longest length allowed, about 5.2-6.5 s.
+# The bench's 8/6 family holds 1,754,760.
 MAX_WORD_DIGITS = 10**7
 
 
@@ -94,15 +96,34 @@ def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
         )
 
 
-def _scan(suite: str, max_digit: int, max_len: int, check, first: int = 1) -> VerifyResult:
+# convergent_pair of the empty word, (0, 1, 1, 0), in the order (q, q', p, p')
+_REVERSED_SEED = (1, 0, 0, 1)
+
+
+def _paired_walk(max_digit: int, depth: int) -> Iterator[tuple[Pair, Pair]]:
+    """Yield (convergent_pair(u), convergent_pair(rev u)) for u in `iter_prefix_pairs` order.
+
+    Prepending b to (p, q, p', q') gives (q, b q + p, q', b q' + p'), which
+    is the append step on (q, q', p, p') read back in that order.  So a
+    second `iter_prefix_pairs` walk from the empty word's pair in that
+    order, _REVERSED_SEED, appends each digit of u where rev(u) prepends
+    it, and each of its yields (q, q', p, p') is read back as rev(u)'s pair.
+    """
+    reversed_pairs = iter_prefix_pairs(max_digit, depth, _REVERSED_SEED)
+    for pair, (q, q_prev, p, p_prev) in zip(iter_prefix_pairs(max_digit, depth), reversed_pairs):
+        yield pair, (p, q, p_prev, q_prev)
+
+
+def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1) -> VerifyResult:
     """Run the row check over the family and report its first failing word.
 
     The family is the words of digits <= max_digit and lengths <= max_len
     whose last digit is at least `first`, in iter_words order.  Each prefix
-    u is a row: check(convergent_pair(u), |u.a| % 2, lasts) is the index in
-    lasts = range(first, max_digit + 1) of the first failing word u.a, or
-    None.  `checked` counts the words up to and including the first
-    failure.  A family with no words is a usage error, not a vacuous pass.
+    u is a row: check(item, |u.a| % 2, lasts), with item the yield for u of
+    walk(max_digit, |u|), is the index in lasts = range(first, max_digit + 1)
+    of the first failing word u.a, or None.  `checked` counts the words up
+    to and including the first failure.  A family with no words is a usage
+    error, not a vacuous pass.
     """
     detail = f"digits <= {shown(max_digit)}, length <= {shown(max_len)}"
     if first > 1:
@@ -112,8 +133,8 @@ def _scan(suite: str, max_digit: int, max_len: int, check, first: int = 1) -> Ve
     checked = 0
     for length in range(1, max_len + 1) if lasts else ():
         odd = length % 2
-        for row, pair in enumerate(iter_prefix_pairs(max_digit, length - 1)):
-            failed = check(pair, odd, lasts)
+        for row, item in enumerate(walk(max_digit, length - 1)):
+            failed = check(item, odd, lasts)
             if failed is not None:
                 prefixes = itertools.product(range(1, max_digit + 1), repeat=length - 1)
                 w = next(itertools.islice(prefixes, row, None)) + (lasts[failed],)
@@ -124,25 +145,21 @@ def _scan(suite: str, max_digit: int, max_len: int, check, first: int = 1) -> Ve
     return VerifyResult(suite, True, checked, None, detail)
 
 
-def reversal_row(pair: Pair, odd: int, lasts: range) -> int | None:
-    """Index in `lasts` of the first a with gamma(C_w) != gamma(C_reversed(w)), w = u.a, or None.
+def reversal_row(item: tuple[Pair, Pair], odd: int, lasts: range) -> int | None:
+    """Index in `lasts` of the first a whose word w = u.a fails the transpose identity, or None.
 
-    pair = convergent_pair(u); `odd` does not enter.  The pair of w is
-    (P, Q, p, q) with P = a p + p', Q = a q + q', and swapping P and q gives
-    the reversed word's, (q, Q, p, P).  Each word is `_arg` of both pairs
-    written out, with no call: the odd branch of `_arg`, as the even branch
-    is its reciprocal and two args are equal iff their reciprocals are.
-    The two args are the same products with their factors in another
-    order, (Q + P)(Q + q) over Q (Q + q + P + p), so they are equal for any
-    integers: the row returns None on every 4-tuple and every a.
+    item = (convergent_pair(u), convergent_pair(rev u)); `odd` does not
+    enter.  The pair of w is (P, Q, p, q), with P = a p + p' and
+    Q = a q + q' by the append step, and rev(w) = a.rev(u), whose pair is
+    (s, a s + r, s', a s' + r') by the prepend step on rev(u)'s pair
+    (r, s, r', s').  The identity says that it equals (q, Q, p, P), w's pair
+    with P and q swapped: one tuple comparison a word, and no product past
+    the two steps.  gamma(C_w) = gamma(C_rev w) follows, as `_arg` takes
+    the same value when the first and last entries of a pair swap.
     """
-    p, q, p_prev, q_prev = pair
+    (p, q, p_prev, q_prev), (r, s, r_prev, s_prev) = item
     for a in lasts:
-        p_w, q_w = a * p + p_prev, a * q + q_prev
-        # _arg(p_w, q_w, p, q, 1) and _arg(q, q_w, p, p_w, 1)
-        num, den = (q_w + p_w) * (q_w + q), q_w * (q_w + q + p_w + p)
-        rev_num, rev_den = (q_w + q) * (q_w + p_w), q_w * (q_w + p_w + q + p)
-        if num * rev_den != rev_num * den:
+        if (s, a * s + r, s_prev, a * s_prev + r_prev) != (q, a * q + q_prev, p, a * p + p_prev):
             return lasts.index(a)
     return None
 
@@ -164,31 +181,34 @@ def dominance_row(pair: Pair, odd: int, lasts: range) -> int | None:
     return None
 
 
-def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
+def pairwise_row(item: tuple[Pair, Pair], odd: int, lasts: range) -> int | None:
     """Index in `lasts` of the first padding word n = u.a failing the pairwise relation, or None.
 
     The relation: for last digit >= 2, gamma(C_[1,n,1]) > gamma(C_[1,1,n])
     strictly; for last digit 1, with n = m.1, the term pairs off exactly
     against its reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
-    pair = convergent_pair(u), and odd = |n| % 2 is also the parity of
-    1.n.1 and 1.1.n.  With (P, Q, p, q) the pair of n, that of 1.n is
-    (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's,
-    (Q + q, Q + P + q + p, Q, Q + P), and the prepend-1 map 1.1.n's,
-    (Q + P, 2Q + P, q + p, 2q + p).  With n = u.1,
-    rev(1.u.1.1) = 1.1.rev(u).1, so the relation is the reversal check on
-    1.n.1: swapping its pair's first and last entries.  Like `reversal_row`,
-    that holds for any integers, so only the words with last digit >= 2
-    can fail.  Each word calls `_arg` twice, which tests patch to make the
-    relation fail.
+    item = (convergent_pair(u), convergent_pair(rev u)), and
+    odd = |n| % 2 is also the parity of 1.n.1, 1.1.n and 1.1.rev(u).1.
+    With (P, Q, p, q) the pair of n, that of 1.n is (Q, Q + P, q, q + p);
+    the append-1 map gives 1.n.1's, (Q + q, Q + P + q + p, Q, Q + P), and
+    the prepend-1 map 1.1.n's, (Q + P, 2Q + P, q + p, 2q + p).  At a = 1,
+    rev(u)'s pair (r, s, r', s') gives 1.1.rev(u)'s,
+    (s + r, 2s + r, s' + r', 2s' + r'), by the prepend-1 map twice, and the
+    append-1 map then 1.1.rev(u).1's.  That arg is read off the walk's
+    second slot, not off 1.u.1.1's pair by a swap, so the equality rests on
+    the walk's two slots, the append step and the prepend step agreeing;
+    when they do, `_arg`'s p <-> q' symmetry makes it hold.  Each word calls
+    `_arg` twice, which tests patch to make the relation fail.
     """
-    p, q, p_prev, q_prev = pair
+    (p, q, p_prev, q_prev), (r, s, r_prev, s_prev) = item
     qp = q + p
     for a in lasts:
         q_n = a * q + q_prev
         qp_n = q_n + a * p + p_prev
         left_num, left_den = _arg(q_n + q, qp_n + qp, q_n, qp_n, odd)
         if a == 1:
-            rev_num, rev_den = _arg(qp_n, qp_n + qp, q_n, q_n + q, odd)
+            sr, sr_prev = s + r, s_prev + r_prev
+            rev_num, rev_den = _arg(sr + sr_prev, sr + s + sr_prev + s_prev, sr, sr + s, odd)
             failed = left_num * rev_den != rev_num * left_den
         else:
             right_num, right_den = _arg(qp_n, qp_n + q_n, qp, qp + q, odd)
@@ -199,22 +219,24 @@ def pairwise_row(pair: Pair, odd: int, lasts: range) -> int | None:
 
 
 def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
-    """gamma(C_w) == gamma(C_reversed(w)) for every word in the family.
+    """The transpose identity, and so gamma(C_w) == gamma(C_reversed(w)), for every word.
 
-    `reversal_row` holds for any integers, so this scan cannot fail: it
-    checks each word's pair and args, but no fact that a word could break.
+    Each word's pair and its reversal's come off the two slots of
+    `_paired_walk` and one append or prepend step, and `reversal_row` checks
+    that they agree; gamma equality then follows from `_arg`'s p <-> q'
+    symmetry.
     """
-    return _scan("reversal", max_digit, max_len, reversal_row)
+    return _scan("reversal", max_digit, max_len, reversal_row, _paired_walk)
 
 
 def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """Denominator dominance for every word with last digit >= 2."""
-    return _scan("dominance", max_digit, max_len, dominance_row, first=2)
+    return _scan("dominance", max_digit, max_len, dominance_row, iter_prefix_pairs, first=2)
 
 
 def run_pairwise(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
-    return _scan("pairwise", max_digit, max_len, pairwise_row)
+    return _scan("pairwise", max_digit, max_len, pairwise_row, _paired_walk)
 
 
 def joint_k2_oracle() -> float:

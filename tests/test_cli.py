@@ -471,10 +471,11 @@ def test_verify_scan_report_bytes(
 ):
     if fails:
         real = getattr(verify, check)
-        row_of_2 = convergent_pair((2,))  # the prefix of the row that holds 2,3
+        pair = convergent_pair((2,))  # the prefix of the row that holds 2,3, its own reversal
+        row_of_2 = pair if check == "dominance_row" else (pair, pair)
 
-        def fail_at_2_3(pair, odd, lasts):
-            return lasts.index(3) if pair == row_of_2 else real(pair, odd, lasts)
+        def fail_at_2_3(item, odd, lasts):
+            return lasts.index(3) if item == row_of_2 else real(item, odd, lasts)
 
         monkeypatch.setattr(verify, check, fail_at_2_3)
     out_path = tmp_path / "scan.json"

@@ -93,6 +93,10 @@ def test_experiment_config_by_keyword_and_by_position():
         ({"n": 10**8 + 1}, "n must be at most 100,000,000, got 100,000,001"),
         ({"tolerance": float("nan")}, "tolerance must be finite and > 0, got nan"),
         ({"tolerance": 0.0}, "tolerance must be finite and > 0, got 0.0"),
+        # ints too large for a float, of either sign, are refused, not overflowed
+        ({"tolerance": 10**400}, "tolerance must be finite and > 0, got " + "1" + "0" * 39 + "..."),
+        ({"tolerance": -(10**400)}, "tolerance must be finite and > 0, got -" + "1" + "0" * 38 + "..."),
+        ({"tolerance": float("inf")}, "tolerance must be finite and > 0, got inf"),
         ({"checkpoint_every": 0}, "need checkpoint_every >= 1, got 0"),
         # fields a run cannot use are refused before any source is built, and
         # as usage: a bool is no int, and a pattern must be a non-empty word

@@ -27,7 +27,7 @@ from cflab import measure
 from cflab.cfcore import UsageError, convergent_pair
 from cflab.measure import MAX_MIDDLE_WORDS, _arg, _dyadic_product
 
-from oracles import _gamma_tail_sum, _oracle_arg, _value, words
+from oracles import _gamma_tail_sum, _oracle_arg, _value, lag_measure, second_eigenvalue, words
 
 
 MEASURE_FULL = LogRational(Fraction(2))  # the whole space, log2(2) = 1
@@ -88,6 +88,8 @@ ONE = 2**128  # the joint measure's ends are integers over this
 
 # log2(32 / (9 pi)), the closed form of the k=2 joint measure
 K2_ORACLE = math.log2(32 / (9 * math.pi))
+# J_3 by the Gamma form, to 1e-9 (test_k3_brackets_hold_the_gamma_oracle_on_both_sides)
+J3_GAMMA_FORM = 0.1703540675
 
 
 def _rounded_product(fractions, up):
@@ -376,7 +378,7 @@ def test_k3_brackets_hold_the_gamma_oracle_on_both_sides():
             partial[a] = total
     j3 = 2 * partial[80_000] - partial[40_000]
     assert abs(j3 - (2 * partial[40_000] - partial[20_000])) < 1e-9
-    assert j3 == pytest.approx(0.1703540675, abs=1e-9)
+    assert j3 == pytest.approx(J3_GAMMA_FORM, abs=1e-9)
     # each end must miss J_3 by more than the margin, on its own side
     for cap in [*range(1, 61), *range(75, 301, 15)]:
         lo, hi = joint_pattern_measure(3, cap).bracket()
@@ -393,6 +395,45 @@ def test_each_k3_node_factor_holds_its_exact_omitted_mass(cap):
         omitted = _gamma_tail_sum(u) - kept / math.log(2)
         num, den = measure._tail_factor(*_kernel_arg(u, cap + 1), measure._share(1, cap))
         assert 0 < omitted <= math.log1p(Fraction(num - den, den)) / math.log(2), a
+
+
+# The transfer-operator oracle: J_k = gamma(C_1 intersect T^-k C_1) is
+# lag_measure((1,), k - 1, (1,)), good to about 1e-12 at every k.
+
+
+def test_lag_measure_gives_the_closed_forms_at_lags_1_and_2():
+    # J_1 = gamma(C_11), and J_2 is the k=2 joint measure
+    assert lag_measure((1,), 0, (1,)) == pytest.approx(math.log2(10 / 9), abs=1e-11)
+    assert lag_measure((1,), 1, (1,)) == pytest.approx(K2_ORACLE, abs=1e-11)
+
+
+def test_lag_measure_gives_the_gamma_form_at_lag_3():
+    assert lag_measure((1,), 2, (1,)) == pytest.approx(J3_GAMMA_FORM, abs=1e-9)
+
+
+def test_transfer_operator_has_wirsings_second_eigenvalue():
+    # Wirsing (1974): the Gauss-Kuzmin operator's second eigenvalue
+    assert second_eigenvalue() == pytest.approx(-0.3036630028987, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "u,v",
+    [((1,), (1,)), ((2, 3), (1,)), ((7,), (1, 1)), ((1, 2, 3), (4, 5, 6)), ((1,) * 5, (3,) * 4), ((100,), (1,))],
+)
+def test_lag_measure_at_gap_0_is_the_cylinder_of_u_then_v(u, v):
+    # from the exact arg by log1p, as LogRational.float loses digits on small measures
+    exact = math.log1p(measure_of_cylinder(u + v).arg - 1) / math.log(2)
+    assert lag_measure(u, 0, v) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("k,caps,j_k", [(4, range(1, 61), 0.1728355001), (5, range(1, 16), 0.1720803725)])
+def test_k4_and_k5_brackets_hold_the_operator_oracle_on_both_sides(k, caps, j_k):
+    j = lag_measure((1,), k - 1, (1,))
+    assert j == pytest.approx(j_k, abs=1e-10)
+    # each end must miss J_k by more than the oracle's error, on its own side
+    for cap in caps:
+        lo, hi = joint_pattern_measure(k, cap).bracket()
+        assert lo < j - 1e-9 and j + 1e-9 < hi, cap
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,18 +2,26 @@
 
 The scans: rows in iter_words order, first counterexample, `checked`
 counts, bounds.  The row checks: each against Fraction oracles and against
-a copy that takes every arg from `_arg`.
+a copy that builds every pair and arg by a call; the reversal and pairwise
+rows fail on a wrong reversed pair, and so does the reversal scan when the
+row's recurrence step is broken.
 """
 
+import itertools
+import os
 import re
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cflab import UsageError, iter_words, measure_of_cylinder, reverse, verify
-from cflab.cfcore import convergent_pair
+from cflab.cfcore import _extend, convergent_pair
 from cflab import measure
 from cflab.measure import _arg
 from cflab.verify import dominance_row, pairwise_row, reversal_row
@@ -21,19 +29,29 @@ from cflab.verify import dominance_row, pairwise_row, reversal_row
 from oracles import _oracle_arg, _value, words
 
 
+def _item(check, u):
+    """What the scan's walk gives `check` for the prefix u: u's pair, and rev(u)'s but for dominance."""
+    pair = convergent_pair(u)
+    return pair if check is dominance_row else (pair, convergent_pair(reverse(u)))
+
+
 def _row_stand_in(real, family, bad, rows):
     """`real` with the words of `bad` failing; each row checked is recorded in `rows`.
 
-    Each prefix of the family is found by its pair, as a row check sees it.
+    Each prefix of the family is found by its walk item, as a row check
+    sees it: its pair, or its pair and its reversal's.
     """
-    prefixes = {convergent_pair(w[:-1]): w[:-1] for w in family}
+    prefixes = {}
+    for u in {w[:-1] for w in family}:
+        pair = convergent_pair(u)
+        prefixes[pair] = prefixes[pair, convergent_pair(reverse(u))] = u
 
-    def check(pair, odd, lasts):
-        u = prefixes[pair]
+    def check(item, odd, lasts):
+        u = prefixes[item]
         assert odd == (len(u) + 1) % 2
         rows.append([u + (a,) for a in lasts])
         failed = [i for i, a in enumerate(lasts) if u + (a,) in bad]
-        return failed[0] if failed else real(pair, odd, lasts)
+        return failed[0] if failed else real(item, odd, lasts)
 
     return check
 
@@ -85,11 +103,18 @@ def test_scan_rows_cover_the_family_in_iter_words_order(max_digit, max_len, firs
     check = _row_stand_in(lambda *row: None, list(iter_words(max_digit, max_len)), set(), rows)
     if not family:
         with pytest.raises(UsageError, match="no words to check"):
-            verify._scan("s", max_digit, max_len, check, first)
+            verify._scan("s", max_digit, max_len, check, verify.iter_prefix_pairs, first)
         return
-    result = verify._scan("s", max_digit, max_len, check, first)
+    result = verify._scan("s", max_digit, max_len, check, verify.iter_prefix_pairs, first)
     assert [w for row in rows for w in row] == family
     assert result.passed and result.checked == len(family)
+
+
+@pytest.mark.parametrize("max_digit,depth", [(4, 4), (1, 6), (7, 3), (3, 5), (5, 0), (0, 2)])
+def test_paired_walk_yields_each_pair_with_its_reversal_in_product_order(max_digit, depth):
+    prefixes = itertools.product(range(1, max_digit + 1), repeat=depth)
+    expected = [(convergent_pair(u), convergent_pair(reverse(u))) for u in prefixes]
+    assert list(verify._paired_walk(max_digit, depth)) == expected
 
 
 def test_passing_scan_counts_the_whole_family():
@@ -155,11 +180,6 @@ def test_a_word_limit_beside_the_digit_limit_would_refuse_nothing_more(max_digit
     assert refused == _refused_by_words_or_digits(max_digit, max_len)
 
 
-def _prefix_pair(u):
-    # convergent_pair of the empty word is the recurrence's seed
-    return convergent_pair(u) if u else (0, 1, 1, 0)
-
-
 def _first_failing(words, holds):
     return next((i for i, w in enumerate(words) if not holds(w)), None)
 
@@ -192,7 +212,7 @@ def test_row_checks_match_a_per_word_oracle(check_name, u, lo, size):
     check = getattr(verify, check_name)
     words = [u + (a,) for a in lasts]
     expected = _first_failing(words, ORACLES[check_name])
-    assert check(_prefix_pair(u), (len(u) + 1) % 2, lasts) == expected
+    assert check(_item(check, u), (len(u) + 1) % 2, lasts) == expected
 
 
 @pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
@@ -254,7 +274,7 @@ def test_row_checks_live_in_verify():
 
 def _holds(check, w):
     """True iff the row check passes w on the row of w alone."""
-    return check(convergent_pair(w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
+    return check(_item(check, w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
 
 
 def test_reversal_examples_and_exhaustive():
@@ -334,17 +354,26 @@ def test_denominator_dominance_exhaustive():
         assert _holds(dominance_row, w), w
 
 
-# The row checks as they read when every word went through `_arg`, kept
-# verbatim as the reference for the rows that write each word out.
-
-
-def _reversal_row_reference(pair, odd, lasts):
+def _transpose(pair):
+    """pair with its first and last entries swapped: rev(w)'s pair, for w's."""
     p, q, p_prev, q_prev = pair
+    return q_prev, q, p_prev, p
+
+
+def _prepend(b, pair):
+    """The pair of b.v, from the pair of v."""
+    p, q, p_prev, q_prev = pair
+    return q, b * q + p, q_prev, b * q_prev + p_prev
+
+
+# The row checks with every pair built by a call to a step and every arg
+# taken from `_arg`, as the reference for the rows that write each word out.
+
+
+def _reversal_row_reference(item, odd, lasts):
+    pair, rev = item
     for a in lasts:
-        p_w, q_w = a * p + p_prev, a * q + q_prev
-        num, den = _arg(p_w, q_w, p, q, odd)
-        rev_num, rev_den = _arg(q, q_w, p, p_w, odd)
-        if num * rev_den != rev_num * den:
+        if _prepend(a, rev) != _transpose(_extend(pair, (a,))):
             return lasts.index(a)
     return None
 
@@ -357,12 +386,16 @@ def _dominance_row_reference(pair, odd, lasts):
     return None
 
 
-def _pairwise_row_reference(pair, odd, lasts):
+def _pairwise_row_reference(item, odd, lasts):
+    pair, rev = item
     p, q, p_prev, q_prev = pair
     for a in lasts:
         p_n, q_n = a * p + p_prev, a * q + q_prev
         if a == 1:
-            failed = _reversal_row_reference((q_n, q_n + p_n, q, q + p), odd, range(1, 2)) is not None
+            # 1.u.1.1 against 1.1.rev(u).1, built from the walk's two slots
+            left_num, left_den = _arg(*_extend(_prepend(1, pair), (1, 1)), odd)
+            rev_num, rev_den = _arg(*_extend(_prepend(1, _prepend(1, rev)), (1,)), odd)
+            failed = left_num * rev_den != rev_num * left_den
         else:
             left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
             right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
@@ -373,6 +406,7 @@ def _pairwise_row_reference(pair, odd, lasts):
 
 
 _entries = st.one_of(st.integers(1, 30), st.integers(1, 10**20))
+_pairs = st.tuples(_entries, _entries, _entries, _entries)
 
 
 @pytest.mark.parametrize(
@@ -386,36 +420,56 @@ _entries = st.one_of(st.integers(1, 30), st.integers(1, 10**20))
 )
 @settings(max_examples=300, deadline=None)
 @given(
-    st.tuples(_entries, _entries, _entries, _entries),
+    _pairs,
+    st.one_of(st.none(), _pairs),
     st.integers(0, 1),
     st.sampled_from([1, 2]),
     st.integers(0, 8),
 )
 # the empty prefix, whose pair holds zeros
-@example((0, 1, 1, 0), 1, 1, 5)
+@example((0, 1, 1, 0), None, 1, 1, 5)
 # a q = q + p - q' at a = 2: dominance fails there, and only with <=
-@example((2, 1, 1, 1), 0, 2, 3)
-# the pair of (1, 2): every relation holds
-@example(convergent_pair((1, 2)), 1, 1, 6)
-def test_rows_match_their_reference_on_any_pair(row, reference, pair, odd, first, size):
-    # not only convergent pairs, so the dominance and pairwise rows fail
+@example((2, 1, 1, 1), None, 0, 2, 3)
+# the pair of (1, 2) and of its reversal: every relation holds
+@example(convergent_pair((1, 2)), convergent_pair((2, 1)), 1, 1, 6)
+def test_rows_match_their_reference_on_any_pair(row, reference, pair, rev, odd, first, size):
+    # not only convergent pairs, so every row fails; a rev of None stands for
+    # pair transposed, on which the reversal row passes
     lasts = range(first, first + size)
-    assert row(pair, odd, lasts) == reference(pair, odd, lasts)
+    item = pair if row is dominance_row else (pair, _transpose(pair) if rev is None else rev)
+    assert row(item, odd, lasts) == reference(item, odd, lasts)
 
 
-_any_int = st.one_of(st.integers(-30, 30), st.integers(-(10**20), 10**20))
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("entry", range(4), ids=["r", "s", "r_prev", "s_prev"])
+def test_a_reversed_pair_off_by_one_fails_both_rows(entry, delta):
+    # reversal fails at the row's first word whatever its last digits; the
+    # pairwise words ending in 2 or more never read the reversed pair
+    for u in [(), *iter_words(3, 3), (7, 1, 12, 5)]:
+        rev = list(convergent_pair(reverse(u)))
+        rev[entry] += delta
+        item, odd = (convergent_pair(u), tuple(rev)), (len(u) + 1) % 2
+        assert reversal_row(item, odd, range(1, 5)) == 0, u
+        assert reversal_row(item, odd, range(3, 5)) == 0, u
+        assert pairwise_row(item, odd, range(1, 5)) == 0, u
+        assert pairwise_row(item, odd, range(2, 5)) is None, u
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.tuples(_any_int, _any_int, _any_int, _any_int), st.integers(0, 1), _any_int, st.integers(0, 8))
-@example((0, 0, 0, 0), 0, 0, 3)
-@example((5, -3, 0, 7), 1, -4, 8)
-def test_reversal_row_cannot_fail_on_any_integers(pair, odd, first, size):
-    # the two args are the same products with their factors reordered, so the
-    # reversal scan decides nothing about words, and neither does pairwise at
-    # last digit 1; a check made decisive has to change this test on purpose
-    assert reversal_row(pair, odd, range(first, first + size)) is None
-    assert pairwise_row(pair, odd, range(1, 2)) is None
+def test_reversal_scan_fails_when_the_row_step_drops_p_prev(tmp_path):
+    # a copy of the package whose row appends a to u's pair as a * p, not
+    # a * p + p': the first word, 1, already breaks the transpose identity
+    src = tmp_path / "src"
+    shutil.copytree(Path(__file__).parents[1] / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    row_file = src / "cflab" / "verify.py"
+    text = row_file.read_text()
+    assert text.count("a * p + p_prev):") == 1
+    row_file.write_text(text.replace("a * p + p_prev):", "a * p):"))
+    run = "from cflab.verify import run_reversal; print(run_reversal(4, 5).summary())"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == (
+        "reversal: FAIL (1 cases checked; digits <= 4, length <= 5); counterexample 1\n"
+    )
 
 
 @settings(max_examples=200, deadline=None)

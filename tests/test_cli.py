@@ -471,11 +471,13 @@ def test_verify_scan_report_bytes(
 ):
     if fails:
         real = getattr(verify, check)
-        pair = convergent_pair((2,))  # the prefix of the row that holds 2,3, its own reversal
-        row_of_2 = pair if check == "dominance_row" else (pair, pair)
+        pair = convergent_pair(())  # the parent of the row that holds 2,3, its own reversal
+        row_of_empty = pair if check == "dominance_row" else (pair, pair)
 
-        def fail_at_2_3(item, odd, lasts):
-            return lasts.index(3) if item == row_of_2 else real(item, odd, lasts)
+        def fail_at_2_3(item, odd, mids, lasts):
+            if item == row_of_empty:
+                return mids.index(2) * len(lasts) + lasts.index(3)
+            return real(item, odd, mids, lasts)
 
         monkeypatch.setattr(verify, check, fail_at_2_3)
     out_path = tmp_path / "scan.json"

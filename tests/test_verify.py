@@ -1,10 +1,10 @@
 """Verification scans and their row checks.
 
-The scans: rows in iter_words order, first counterexample, `checked`
-counts, bounds.  The row checks: each against Fraction oracles and against
-a copy that builds every pair and arg by a call; the reversal and pairwise
-rows fail on a wrong reversed pair, and so does the reversal scan when the
-row's recurrence step is broken.
+The scans: rows of one parent each in iter_words order, first
+counterexample, `checked` counts, bounds.  The row checks: each against
+Fraction oracles and against a copy that builds every pair and arg by a
+call; the reversal and pairwise rows fail on a wrong reversed pair, and
+each scan fails when a step it reads, or the length-1 parent, is broken.
 """
 
 import itertools
@@ -29,29 +29,49 @@ from cflab.verify import dominance_row, pairwise_row, reversal_row
 from oracles import _oracle_arg, _value, words
 
 
+# The parent of the length-1 words: the steps by digit 1 take it to the empty word.
+LENGTH_1_PARENT = (1, 0, -1, 1)
+
+
 def _item(check, u):
-    """What the scan's walk gives `check` for the prefix u: u's pair, and rev(u)'s but for dominance."""
-    pair = convergent_pair(u)
-    return pair if check is dominance_row else (pair, convergent_pair(reverse(u)))
+    """What the scan gives `check` for the words u.a: its parent's walk item, and u[-1] as mids.
+
+    The parent of u = v.b is v, walked as v's pair, and rev(v)'s but for
+    dominance; u = () stands for the length-1 words, the row of the
+    length-1 parent in each slot, with mids = range(1, 2).
+    """
+    if u:
+        v, mids = u[:-1], range(u[-1], u[-1] + 1)
+        pair, rev = convergent_pair(v), convergent_pair(reverse(v))
+    else:
+        pair = rev = LENGTH_1_PARENT
+        mids = range(1, 2)
+    return (pair if check is dominance_row else (pair, rev)), mids
 
 
 def _row_stand_in(real, family, bad, rows):
     """`real` with the words of `bad` failing; each row checked is recorded in `rows`.
 
-    Each prefix of the family is found by its walk item, as a row check
-    sees it: its pair, or its pair and its reversal's.
+    Each parent of the family is found by its walk item, as a row check
+    sees it: its pair, or its pair and its reversal's.  The length-1
+    parent, None here, stands for the words of length 1.
     """
-    prefixes = {}
-    for u in {w[:-1] for w in family}:
-        pair = convergent_pair(u)
-        prefixes[pair] = prefixes[pair, convergent_pair(reverse(u))] = u
+    parents = {LENGTH_1_PARENT: None, (LENGTH_1_PARENT, LENGTH_1_PARENT): None}
+    for v in {w[:-2] for w in family if len(w) > 1}:
+        pair = convergent_pair(v)
+        parents[pair] = parents[pair, convergent_pair(reverse(v))] = v
 
-    def check(item, odd, lasts):
-        u = prefixes[item]
-        assert odd == (len(u) + 1) % 2
-        rows.append([u + (a,) for a in lasts])
-        failed = [i for i, a in enumerate(lasts) if u + (a,) in bad]
-        return failed[0] if failed else real(item, odd, lasts)
+    def check(item, odd, mids, lasts):
+        v = parents[item]
+        if v is None:
+            assert mids == range(1, 2)
+            words = [(a,) for a in lasts]
+        else:
+            words = [v + (b, a) for b in mids for a in lasts]
+        assert all(odd == len(w) % 2 for w in words)
+        rows.append(words)
+        failed = [i for i, w in enumerate(words) if w in bad]
+        return failed[0] if failed else real(item, odd, mids, lasts)
 
     return check
 
@@ -65,18 +85,32 @@ SCANS = [
 
 @pytest.mark.parametrize("runner,check_name,first", SCANS)
 @pytest.mark.parametrize(
-    "where", ["family start", "row start", "row middle", "row end", "family end"]
+    "where",
+    [
+        "family start",
+        "row start",
+        "row middle",
+        "row end",
+        "middle 3 start",
+        "middle 4 end",
+        "length 1",
+        "family end",
+    ],
 )
 def test_failed_scan_counts_words_up_to_the_first_counterexample(
     monkeypatch, runner, check_name, first, where
 ):
-    # digits <= 4: each row of the prefix (2, 1) holds 2,1,first .. 2,1,4
+    # digits <= 4: the row of the parent (2,) holds 2,b,a for b = 1..4 and
+    # a = first..4, b before a; "row start" to "row end" are its words at b = 1
     family = [w for w in iter_words(4, 3) if w[-1] >= first]
     target = {
         "family start": family[0],
         "row start": (2, 1, first),
         "row middle": (2, 1, first + 1),
         "row end": (2, 1, 4),
+        "middle 3 start": (2, 3, first),
+        "middle 4 end": (2, 4, 4),
+        "length 1": (4,),
         "family end": family[-1],
     }[where]
     at = family.index(target)
@@ -97,7 +131,7 @@ def test_failed_scan_counts_words_up_to_the_first_counterexample(
 @pytest.mark.parametrize("max_digit,max_len", [(0, 2), (1, 4), (3, 3), (5, 2), (2, 5)])
 def test_scan_rows_cover_the_family_in_iter_words_order(max_digit, max_len, first):
     # the rows' words, concatenated, are iter_words with the last digits
-    # below `first` left out, and each row is given its prefix's pair
+    # below `first` left out, and each row is given its parent's pair
     family = [w for w in iter_words(max_digit, max_len) if w[-1] >= first]
     rows = []
     check = _row_stand_in(lambda *row: None, list(iter_words(max_digit, max_len)), set(), rows)
@@ -212,7 +246,8 @@ def test_row_checks_match_a_per_word_oracle(check_name, u, lo, size):
     check = getattr(verify, check_name)
     words = [u + (a,) for a in lasts]
     expected = _first_failing(words, ORACLES[check_name])
-    assert check(_item(check, u), (len(u) + 1) % 2, lasts) == expected
+    item, mids = _item(check, u)
+    assert check(item, (len(u) + 1) % 2, mids, lasts) == expected
 
 
 @pytest.mark.parametrize("runner", [verify.run_reversal, verify.run_dominance, verify.run_pairwise])
@@ -274,7 +309,8 @@ def test_row_checks_live_in_verify():
 
 def _holds(check, w):
     """True iff the row check passes w on the row of w alone."""
-    return check(_item(check, w[:-1]), len(w) % 2, range(w[-1], w[-1] + 1)) is None
+    item, mids = _item(check, w[:-1])
+    return check(item, len(w) % 2, mids, range(w[-1], w[-1] + 1)) is None
 
 
 def test_reversal_examples_and_exhaustive():
@@ -366,8 +402,31 @@ def _prepend(b, pair):
     return q, b * q + p, q_prev, b * q_prev + p_prev
 
 
+def _step(item, b):
+    """The walk item of v.b, from v's: the append step, and the prepend step on rev(v)'s pair."""
+    if len(item) == 4:
+        return _extend(item, (b,))
+    pair, rev = item
+    return _extend(pair, (b,)), _prepend(b, rev)
+
+
 # The row checks with every pair built by a call to a step and every arg
 # taken from `_arg`, as the reference for the rows that write each word out.
+# Each takes the item of u = v.b and the last digits a of the words u.a;
+# `_row_reference` loops over b.
+
+
+def _row_reference(prefix_reference):
+    """The row check of the words v.b.a, from `prefix_reference` on each u = v.b's item."""
+
+    def reference(item, odd, mids, lasts):
+        for i, b in enumerate(mids):
+            failed = prefix_reference(_step(item, b), odd, lasts)
+            if failed is not None:
+                return i * len(lasts) + failed
+        return None
+
+    return reference
 
 
 def _reversal_row_reference(item, odd, lasts):
@@ -395,7 +454,7 @@ def _pairwise_row_reference(item, odd, lasts):
             # 1.u.1.1 against 1.1.rev(u).1, built from the walk's two slots
             left_num, left_den = _arg(*_extend(_prepend(1, pair), (1, 1)), odd)
             rev_num, rev_den = _arg(*_extend(_prepend(1, _prepend(1, rev)), (1,)), odd)
-            failed = left_num * rev_den != rev_num * left_den
+            failed = not rev_den or left_num * rev_den != rev_num * left_den
         else:
             left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
             right_num, right_den = _arg(q_n + p_n, 2 * q_n + p_n, q + p, 2 * q + p, odd)
@@ -412,9 +471,9 @@ _pairs = st.tuples(_entries, _entries, _entries, _entries)
 @pytest.mark.parametrize(
     "row,reference",
     [
-        (reversal_row, _reversal_row_reference),
-        (dominance_row, _dominance_row_reference),
-        (pairwise_row, _pairwise_row_reference),
+        (reversal_row, _row_reference(_reversal_row_reference)),
+        (dominance_row, _row_reference(_dominance_row_reference)),
+        (pairwise_row, _row_reference(_pairwise_row_reference)),
     ],
     ids=["reversal", "dominance", "pairwise"],
 )
@@ -423,53 +482,115 @@ _pairs = st.tuples(_entries, _entries, _entries, _entries)
     _pairs,
     st.one_of(st.none(), _pairs),
     st.integers(0, 1),
+    st.sampled_from([range(1, 2), range(1, 4), range(3, 5), range(1, 1)]),
     st.sampled_from([1, 2]),
     st.integers(0, 8),
 )
-# the empty prefix, whose pair holds zeros
-@example((0, 1, 1, 0), None, 1, 1, 5)
-# a q = q + p - q' at a = 2: dominance fails there, and only with <=
-@example((2, 1, 1, 1), None, 0, 2, 3)
-# the pair of (1, 2) and of its reversal: every relation holds
-@example(convergent_pair((1, 2)), convergent_pair((2, 1)), 1, 1, 6)
-def test_rows_match_their_reference_on_any_pair(row, reference, pair, rev, odd, first, size):
+# the length-1 parent, whose pair holds a zero and a negative entry
+@example(LENGTH_1_PARENT, LENGTH_1_PARENT, 1, range(1, 2), 1, 5)
+# the empty parent, whose pair holds zeros
+@example((0, 1, 1, 0), None, 0, range(1, 4), 1, 5)
+# u = v.1 has the pair (2, 1, 1, 1), where a q = q + p - q' at a = 2:
+# dominance fails there, and only with <=
+@example((1, 1, 1, 0), None, 0, range(1, 2), 2, 3)
+# the pair of (1, 2) and of its reversal: every relation holds on its row
+@example(convergent_pair((1, 2)), convergent_pair((2, 1)), 0, range(1, 4), 1, 6)
+def test_rows_match_their_reference_on_any_pair(row, reference, pair, rev, odd, mids, first, size):
     # not only convergent pairs, so every row fails; a rev of None stands for
     # pair transposed, on which the reversal row passes
     lasts = range(first, first + size)
     item = pair if row is dominance_row else (pair, _transpose(pair) if rev is None else rev)
-    assert row(item, odd, lasts) == reference(item, odd, lasts)
+    assert row(item, odd, mids, lasts) == reference(item, odd, mids, lasts)
 
 
 @pytest.mark.parametrize("delta", [1, -1])
 @pytest.mark.parametrize("entry", range(4), ids=["r", "s", "r_prev", "s_prev"])
 def test_a_reversed_pair_off_by_one_fails_both_rows(entry, delta):
-    # reversal fails at the row's first word whatever its last digits; the
-    # pairwise words ending in 2 or more never read the reversed pair
+    # each entry of the parent's reversed pair enters rev(u)'s by the prepend
+    # step, so reversal fails at the row's first word whatever its last
+    # digits; the pairwise words ending in 2 or more never read the reversed pair
     for u in [(), *iter_words(3, 3), (7, 1, 12, 5)]:
-        rev = list(convergent_pair(reverse(u)))
+        (pair, rev), mids = _item(reversal_row, u)
+        rev = list(rev)
         rev[entry] += delta
-        item, odd = (convergent_pair(u), tuple(rev)), (len(u) + 1) % 2
-        assert reversal_row(item, odd, range(1, 5)) == 0, u
-        assert reversal_row(item, odd, range(3, 5)) == 0, u
-        assert pairwise_row(item, odd, range(1, 5)) == 0, u
-        assert pairwise_row(item, odd, range(2, 5)) is None, u
+        item, odd = (pair, tuple(rev)), (len(u) + 1) % 2
+        assert reversal_row(item, odd, mids, range(1, 5)) == 0, u
+        assert reversal_row(item, odd, mids, range(3, 5)) == 0, u
+        assert pairwise_row(item, odd, mids, range(1, 5)) == 0, u
+        assert pairwise_row(item, odd, mids, range(2, 5)) is None, u
 
 
-def test_reversal_scan_fails_when_the_row_step_drops_p_prev(tmp_path):
-    # a copy of the package whose row appends a to u's pair as a * p, not
-    # a * p + p': the first word, 1, already breaks the transpose identity
+def _failed_at(suite, w, last_digit=""):
+    detail = "digits <= 4, length <= 5" + last_digit
+    return f"{suite}: FAIL (1 cases checked; {detail}); counterexample {w}"
+
+
+@pytest.mark.parametrize(
+    "old,new,count,lines",
+    [
+        # the a step of the reversal row drops p': the first word, 1, already
+        # breaks the transpose identity
+        pytest.param(
+            "!= a * p + p_prev", "!= a * p", 1, [_failed_at("reversal", 1)], id="a-step-drops-p_prev"
+        ),
+        # the b step of every row drops p', so u = v.b's pair is wrong
+        pytest.param(
+            "b * x + x_prev",
+            "b * x",
+            3,
+            [
+                _failed_at("reversal", 1),
+                _failed_at("dominance", 2, ", last digit >= 2"),
+                _failed_at("pairwise", 1),
+            ],
+            id="b-step-drops-p_prev",
+        ),
+        # the prepend-b step of the rows that read rev(u) drops r
+        pytest.param(
+            "b * z + t,",
+            "b * z,",
+            2,
+            [_failed_at("reversal", 1), _failed_at("pairwise", 1)],
+            id="prepend-b-step-drops-r",
+        ),
+        # a length-1 parent with p = q' passes the transpose identity, so the
+        # reversal scan cannot see it; the other two scans read its pair
+        pytest.param(
+            "_LENGTH_1_PARENT = (1, 0, -1, 1)",
+            "_LENGTH_1_PARENT = (1, 0, 0, 1)",
+            1,
+            [
+                _failed_at("dominance", 2, ", last digit >= 2"),
+                "pairwise: FAIL (2 cases checked; digits <= 4, length <= 5); counterexample 2",
+            ],
+            id="length-1-parent-1,0,0,1",
+        ),
+    ],
+)
+def test_scans_that_read_a_broken_step_fail(tmp_path, old, new, count, lines):
+    # a copy of the package with one edit to verify.py, its scans run in a
+    # subprocess: each scan that reads the edited step fails, at the word named
     src = tmp_path / "src"
     shutil.copytree(Path(__file__).parents[1] / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     row_file = src / "cflab" / "verify.py"
     text = row_file.read_text()
-    assert text.count("a * p + p_prev):") == 1
-    row_file.write_text(text.replace("a * p + p_prev):", "a * p):"))
-    run = "from cflab.verify import run_reversal; print(run_reversal(4, 5).summary())"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == (
-        "reversal: FAIL (1 cases checked; digits <= 4, length <= 5); counterexample 1\n"
+    assert text.count(old) == count
+    row_file.write_text(text.replace(old, new))
+    suites = [line.split(":")[0] for line in lines]
+    run = (
+        "import sys; from cflab.verify import run_suite\n"
+        "for name in sys.argv[1:]: print(run_suite(name, max_digit=4, max_len=5).summary())"
     )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", run, *suites], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "".join(line + "\n" for line in lines)
+
+
+def test_both_steps_by_1_take_the_length_1_parent_to_the_empty_word():
+    assert verify._LENGTH_1_PARENT == LENGTH_1_PARENT
+    assert _extend(LENGTH_1_PARENT, (1,)) == convergent_pair(()) == _prepend(1, LENGTH_1_PARENT)
 
 
 @settings(max_examples=200, deadline=None)

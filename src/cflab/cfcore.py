@@ -193,9 +193,13 @@ def iter_prefix_pairs(max_digit: int, depth: int, head: Pair = _EMPTY_PAIR) -> I
     limit.  Raising the last digit of v.a adds (p', q') to (p, q) of its
     pair (p, q, p', q'); past max_digit the walk climbs by the inverse step
     to (p', q', p - a p', q - a q') of v, then comes down by digits 1.
+    Depth -1 yields the one pair that the append step by digit 1 takes to
+    `head`, the inverse step at a = 1, whatever max_digit; a depth below -1
+    is outside this contract.
     """
-    if depth == 0:
-        yield head
+    if depth < 1:
+        p, q, p_prev, q_prev = head
+        yield head if depth == 0 else (p_prev, q_prev, p - p_prev, q - q_prev)
         return
     if max_digit < 1:
         return

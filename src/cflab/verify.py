@@ -13,11 +13,13 @@ convergent_pair(v) from `iter_prefix_pairs` for dominance, and
 reversal and pairwise.  The row builds u = v.b's pair by the append step
 and, where it reads it, rev(u) = b.rev(v)'s by the prepend step, so the
 walks run one level shallower than the words and a row holds max_digit
-times as many.  The length-1 words are the row of _LENGTH_1_PARENT,
-(1, 0, -1, 1) in each slot, with mids = range(1, 2): the append step and
-the prepend step by digit 1 both take it to the empty word's pair.  A
-single word w of length >= 2 is the row of w[:-2] with
-mids = range(w[-2], w[-2] + 1) and lasts = range(w[-1], w[-1] + 1).
+times as many.  The length-1 words are the row of the walk's yield at
+depth -1, with mids = range(1, 2): each slot's parent, (1, 0, -1, 1), is
+the pair that its own walk's step by digit 1 takes to that walk's seed, so
+the reversal row reads the two slots' seeds and inverse steps, not one
+hand-written pair placed in both.  A single word w of length >= 2 is the
+row of w[:-2] with mids = range(w[-2], w[-2] + 1) and
+lasts = range(w[-1], w[-1] + 1).
 
 The reversal row checks the transpose identity: a prepended to rev(u)'s
 pair, by the prepend step, equals u.a's pair, by the append step, with p
@@ -53,7 +55,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple
 
-from .cfcore import _EMPTY_PAIR, Pair, UsageError, Word, format_word, iter_prefix_pairs, shown
+from .cfcore import Pair, UsageError, Word, format_word, iter_prefix_pairs, shown
 from .measure import DEFAULT_CAP, BoundedMeasure, _arg, joint_pattern_measure, measure_of_cylinder
 
 # The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
@@ -104,27 +106,20 @@ def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
         )
 
 
-# The parent of the length-1 words: the append step by digit 1, and the
-# prepend step by digit 1, both take it to the empty word's pair (0, 1, 1, 0).
-_LENGTH_1_PARENT = (1, 0, -1, 1)
-
-
-def _paired_walk(
-    max_digit: int, depth: int, head: Pair = _EMPTY_PAIR
-) -> Iterator[tuple[Pair, Pair]]:
+def _paired_walk(max_digit: int, depth: int) -> Iterator[tuple[Pair, Pair]]:
     """Yield (convergent_pair(u), convergent_pair(rev u)) for u in `iter_prefix_pairs` order.
 
     Prepending b to (p, q, p', q') gives (q, b q + p, q', b q' + p'), which
     is the append step on (q, q', p, p') read back in that order.  So a
-    second `iter_prefix_pairs` walk from `head` in that order appends each
-    digit of u where rev(u) prepends it, and each of its yields
-    (q, q', p, p') is read back as rev(u)'s pair.  Both walks start at
-    `head`, the empty word's pair but for the length-1 parent, which `_scan`
-    asks for at depth 0 and so gets in both slots.
+    second `iter_prefix_pairs` walk from the empty word's pair in that
+    order, (1, 0, 0, 1), appends each digit of u where rev(u) prepends it,
+    and each of its yields (q, q', p, p') is read back as rev(u)'s pair.
+    At depth -1 each walk yields the pair that its own step by digit 1
+    takes to its seed: (1, 0, -1, 1) in both slots, the length-1 parent,
+    which no hand-written pair stands in for.
     """
-    p, q, p_prev, q_prev = head
-    pairs = iter_prefix_pairs(max_digit, depth, head)
-    reversed_pairs = iter_prefix_pairs(max_digit, depth, (q, q_prev, p, p_prev))
+    pairs = iter_prefix_pairs(max_digit, depth)
+    reversed_pairs = iter_prefix_pairs(max_digit, depth, (1, 0, 0, 1))
     for pair, (q, q_prev, p, p_prev) in zip(pairs, reversed_pairs):
         yield pair, (p, q, p_prev, q_prev)
 
@@ -138,12 +133,12 @@ def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1)
     the last digits a in lasts = range(first, max_digit + 1), b before a:
     check(item, |v.b.a| % 2, mids, lasts), with item the yield for v of
     walk(max_digit, |v|), is the index in that order of the first failing
-    word, or None.  Each length L >= 2 walks its parents at depth L - 2,
-    with mids = range(1, max_digit + 1).  The length-1 words are the row of
-    _LENGTH_1_PARENT, walk(max_digit, 0, _LENGTH_1_PARENT), with
-    mids = range(1, 2): the step by digit 1 takes it to the empty word.
-    `checked` counts the words up to and including the first failure.  A
-    family with no words is a usage error, not a vacuous pass.
+    word, or None.  Each length L walks its parents at depth L - 2, with
+    mids = range(1, max_digit + 1) but at L = 1: there the walk at depth -1
+    yields the one parent, the pair that the step by digit 1 takes to the
+    empty word's, and mids = range(1, 2).  `checked` counts the words up to
+    and including the first failure.  A family with no words is a usage
+    error, not a vacuous pass.
     """
     detail = f"digits <= {shown(max_digit)}, length <= {shown(max_len)}"
     if first > 1:
@@ -153,12 +148,9 @@ def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1)
     lasts = range(first, max_digit + 1)
     checked = 0
     for length in range(1, max_len + 1) if lasts else ():
-        if length == 1:
-            parents, mids = walk(max_digit, 0, _LENGTH_1_PARENT), range(1, 2)
-        else:
-            parents, mids = walk(max_digit, length - 2), digits
+        mids = digits if length > 1 else range(1, 2)
         odd = length % 2
-        for row, item in enumerate(parents):
+        for row, item in enumerate(walk(max_digit, length - 2)):
             failed = check(item, odd, mids, lasts)
             if failed is not None:
                 b, a = divmod(failed, len(lasts))

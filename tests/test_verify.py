@@ -4,7 +4,8 @@ The scans: rows of one parent each in iter_words order, first
 counterexample, `checked` counts, bounds.  The row checks: each against
 Fraction oracles and against a copy that builds every pair and arg by a
 call; the reversal and pairwise rows fail on a wrong reversed pair, and
-each scan fails when a step it reads, or the length-1 parent, is broken.
+each scan fails when a step it reads, or the depth -1 step that gives the
+length-1 parent, is broken.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cflab import UsageError, iter_words, measure_of_cylinder, reverse, verify
-from cflab.cfcore import _extend, convergent_pair
+from cflab.cfcore import _extend, convergent_pair, iter_prefix_pairs
 from cflab import measure
 from cflab.measure import _arg
 from cflab.verify import dominance_row, pairwise_row, reversal_row
@@ -29,8 +30,8 @@ from cflab.verify import dominance_row, pairwise_row, reversal_row
 from oracles import _oracle_arg, _value, words
 
 
-# The parent of the length-1 words: the steps by digit 1 take it to the empty word.
-LENGTH_1_PARENT = (1, 0, -1, 1)
+# The parent of the length-1 words: the append step by digit 1 takes it to the empty word.
+LENGTH_1_PARENT = next(iter_prefix_pairs(1, -1))
 
 
 def _item(check, u):
@@ -526,15 +527,21 @@ def _failed_at(suite, w, last_digit=""):
 
 
 @pytest.mark.parametrize(
-    "old,new,count,lines",
+    "file,old,new,count,lines",
     [
         # the a step of the reversal row drops p': the first word, 1, already
         # breaks the transpose identity
         pytest.param(
-            "!= a * p + p_prev", "!= a * p", 1, [_failed_at("reversal", 1)], id="a-step-drops-p_prev"
+            "verify.py",
+            "!= a * p + p_prev",
+            "!= a * p",
+            1,
+            [_failed_at("reversal", 1)],
+            id="a-step-drops-p_prev",
         ),
         # the b step of every row drops p', so u = v.b's pair is wrong
         pytest.param(
+            "verify.py",
             "b * x + x_prev",
             "b * x",
             3,
@@ -547,35 +554,53 @@ def _failed_at(suite, w, last_digit=""):
         ),
         # the prepend-b step of the rows that read rev(u) drops r
         pytest.param(
+            "verify.py",
             "b * z + t,",
             "b * z,",
             2,
             [_failed_at("reversal", 1), _failed_at("pairwise", 1)],
             id="prepend-b-step-drops-r",
         ),
-        # a length-1 parent with p = q' passes the transpose identity, so the
-        # reversal scan cannot see it; the other two scans read its pair
+        # the depth -1 step drops -p': the first slot's length-1 parent
+        # becomes (1, 0, 0, 1), while p' = 0 in the second slot's seed keeps
+        # its parent, so the slots disagree and every scan fails
         pytest.param(
-            "_LENGTH_1_PARENT = (1, 0, -1, 1)",
-            "_LENGTH_1_PARENT = (1, 0, 0, 1)",
+            "cfcore.py",
+            "p - p_prev",
+            "p",
             1,
             [
+                _failed_at("reversal", 1),
                 _failed_at("dominance", 2, ", last digit >= 2"),
-                "pairwise: FAIL (2 cases checked; digits <= 4, length <= 5); counterexample 2",
+                _failed_at("pairwise", 1),
             ],
-            id="length-1-parent-1,0,0,1",
+            id="length-1-parent-drops-p_prev",
+        ),
+        # the depth -1 step drops -q': q' = 0 in the empty word's pair, so
+        # only the second slot's parent moves, and dominance reads only the first
+        pytest.param(
+            "cfcore.py",
+            "q - q_prev",
+            "q",
+            1,
+            [
+                _failed_at("reversal", 1),
+                "dominance: pass (1023 cases checked; digits <= 4, length <= 5, last digit >= 2)",
+                _failed_at("pairwise", 1),
+            ],
+            id="length-1-parent-drops-q_prev",
         ),
     ],
 )
-def test_scans_that_read_a_broken_step_fail(tmp_path, old, new, count, lines):
-    # a copy of the package with one edit to verify.py, its scans run in a
+def test_scans_that_read_a_broken_step_fail(tmp_path, file, old, new, count, lines):
+    # a copy of the package with one edit to `file`, its scans run in a
     # subprocess: each scan that reads the edited step fails, at the word named
     src = tmp_path / "src"
     shutil.copytree(Path(__file__).parents[1] / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    row_file = src / "cflab" / "verify.py"
-    text = row_file.read_text()
+    edited = src / "cflab" / file
+    text = edited.read_text()
     assert text.count(old) == count
-    row_file.write_text(text.replace(old, new))
+    edited.write_text(text.replace(old, new))
     suites = [line.split(":")[0] for line in lines]
     run = (
         "import sys; from cflab.verify import run_suite\n"
@@ -588,9 +613,13 @@ def test_scans_that_read_a_broken_step_fail(tmp_path, old, new, count, lines):
     assert done.stdout == "".join(line + "\n" for line in lines)
 
 
-def test_both_steps_by_1_take_the_length_1_parent_to_the_empty_word():
-    assert verify._LENGTH_1_PARENT == LENGTH_1_PARENT
-    assert _extend(LENGTH_1_PARENT, (1,)) == convergent_pair(()) == _prepend(1, LENGTH_1_PARENT)
+@settings(max_examples=200, deadline=None)
+@given(_pairs)
+# the two seeds of `_paired_walk`: the empty word's pair, and it in (q, q', p, p') order
+@example(convergent_pair(()))
+@example((1, 0, 0, 1))
+def test_the_append_step_by_1_takes_the_depth_minus_1_pair_to_its_head(head):
+    assert _extend(next(iter_prefix_pairs(1, -1, head)), (1,)) == head
 
 
 @settings(max_examples=200, deadline=None)

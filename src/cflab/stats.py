@@ -1,29 +1,36 @@
 """Streaming occurrence counters: overlapping, disjoint and aligned.
 
-Counting is a pure fold over the digit stream.  `frequency_report` pulls
-windows of at most COUNT_WINDOW digits and puts in front of each the last
-max|w|-1 digits of the one before (the seam carry, kept as digits).  A
+Counting is a pure fold over the digit stream.  `frequency_report` reads
+the source's runs by `pull`, at most COUNT_WINDOW digits a window, and
+puts in front of each window the last max|w|-1 digits of the one before
+(the seam carry, kept as digits, read off the window's last runs).  A
 window counts the admissible starts among the first `pulled` digits that
 were not admissible among the digits pulled before it, so a start is
-counted exactly once whatever the windows and chunks are, and memory
-stays O(window + checkpoints) for any n.
+counted exactly once whatever the windows and runs are, and memory stays
+O(window + checkpoints) for any n.
 
 Shift-and (Baeza-Yates & Gonnet, "A new approach to text searching",
 CACM 1992), one indicator per digit value.  The fold writes each window,
 carry included, once into little-endian byte planes, exact for any
-digit: plane j holds byte j of every digit of the window, and there are
-as many planes as the window's widest digit has bytes.  Past the 4 bytes
-of an array cell, only the widest digit a pattern uses counts: the other
-digits are written as 0, which no pattern holds.  For each digit
-value d that a pattern uses, I_d is an int whose byte s is 1 where the
-window holds d at s: the AND over the planes of where each holds its
-byte of d, and 0 for a d wider than the planes.  Up to 8 values share one
-translate per plane.  A pattern w has hits = AND over j of I_(w[j]) >> 8j,
-with byte s set where w starts at s.  Each mode shifts hits down to its
-first new start, keeps a 0x01 byte every stride bytes with one mask per
-stride, and counts the set bits; each distinct (pattern, mode) has its
-own count, also where two modes share their starts (overlap and disjoint
-when |w| = 1).  The list counters and `count_chunked` count the tuple
+digit: its runs go one after another into one array of 4-byte cells, no
+list of the window's digits is built, and plane j holds byte j of every
+digit of the window, as many planes as its widest digit has bytes.  Past
+the 4 bytes of an array cell, only the widest digit a pattern uses
+counts: the other digits are written as 0, which no pattern holds.  For
+each digit value d that a pattern uses, I_d is an int whose byte s is 1
+where the window holds d at s: the AND over the planes of where each
+holds its byte of d, and 0 for a d wider than the planes.  Up to 8
+values share one translate per plane.  A pattern w has
+hits = AND over j of I_(w[j]) >> 8j,
+with byte s set where w starts at s, and no byte set past the window's
+last start.  A mode of stride 1 counts every start from its first new one
+up: one popcount of hits, shared by the pattern's stride-1 modes (overlap,
+and disjoint and aligned(1, 0) when |w| = 1), less the set bits of the
+carried starts below that first new start, a few bytes.  Any other mode
+shifts hits down to its first new start, keeps a 0x01 byte every stride
+bytes with one mask per stride, and counts the set bits.  Each distinct
+(pattern, mode) has its own count, also where two modes share their
+starts.  The list counters and `count_chunked` count the tuple
 windows digits[s : s + |w|] at the mode's starts that equal w, for any
 sequence of ints; the fold is tested against them, an independent path.
 
@@ -52,9 +59,13 @@ COUNT_WINDOW = 1 << 16
 
 
 class _Source(Protocol):
-    """What the fold reads of a digit source, such as a `streams.DigitSource`."""
+    """What the fold reads of a digit source, such as a `streams.DigitSource`.
 
-    def take(self, n: int) -> list[int]: ...
+    pull(most) is the next run of at most `most` digits, a list or a tuple
+    the fold only reads, and empty once the source has ended.
+    """
+
+    def pull(self, most: int) -> Sequence[int]: ...
 
 
 class ModeDescriptor(NamedTuple):
@@ -114,24 +125,28 @@ class ModeDescriptor(NamedTuple):
         return self.kind
 
 
-def _planes(digits: Sequence[int], values: Container[int]) -> list[bytes]:
+def _planes(runs: Sequence[Sequence[int]], values: Container[int]) -> list[bytes]:
     """A window's byte planes: byte s of plane j is byte j of digit s, little-endian.
 
-    The digits go into an unsigned array in C, one plane per byte of its
-    cell.  A digit too wide for the cell sends the window to int.to_bytes,
-    each digit not among the pattern `values` written as 0 first: so the
-    planes are as many as the widest digit a pattern holds has bytes, and
-    a 0 matches no pattern.  Planes that are zero throughout are dropped
-    from the top.
+    The window is its runs, lists or tuples, one after another.  They go
+    into one unsigned array in C by one `fromlist` a run, one plane per
+    byte of its cell.  A digit too wide for the cell sends the window to
+    int.to_bytes, each digit not among the pattern `values` written as 0
+    first: so the planes are as many as the widest digit a pattern holds
+    has bytes, and a 0 matches no pattern.  Planes that are zero throughout
+    are dropped from the top.
     """
+    cells = array("I")
     try:
-        raw, width = array("I", digits).tobytes(), array("I").itemsize
+        for run in runs:
+            cells.fromlist(run if isinstance(run, list) else list(run))
+        raw, width = cells.tobytes(), cells.itemsize
     except OverflowError:
-        digits = [d if d in values else 0 for d in digits]
+        digits = [d if d in values else 0 for run in runs for d in run]
         width = -(-max(digits).bit_length() // 8)
         raw = b"".join(d.to_bytes(width, sys.byteorder) for d in digits)
     planes = [raw[j::width] for j in range(width)][:: 1 if sys.byteorder == "little" else -1]
-    del raw  # one copy of the window at a time keeps the peak memory down
+    del cells, raw  # one copy of the window at a time keeps the peak memory down
     while len(planes) > 1 and planes[-1] == bytes(len(planes[0])):
         planes.pop()
     return planes
@@ -246,15 +261,20 @@ def frequency_report(
     pulled = 0
     mark = min(checkpoint_every, n)
     while pulled < n:
-        window = source.take(min(COUNT_WINDOW, mark - pulled))
-        if not window:  # the source has ended
+        # the window's runs: the carry, then what the source gives up to `end`
+        runs: list[Sequence[int]] = [tail]
+        before, end = pulled, min(pulled + COUNT_WINDOW, mark)
+        while pulled < end and (run := source.pull(end - pulled)):
+            runs.append(run)
+            pulled += len(run)
+        if pulled == before:  # the source has ended
             break
-        before, pulled = pulled, pulled + len(window)
-        window[:0] = tail
-        tail = window[max(0, len(window) - seam) :]
-        base = pulled - len(window)  # absolute position of the window's first digit
-        planes = _planes(window, values)
-        del window  # one copy of the window at a time keeps the peak memory down
+        base = before - len(tail)  # absolute position of the window's first digit
+        # the next carry: the last seam digits lie in the last seam runs, as each
+        # pulled run holds a digit, but any run, the carry too, may be shorter
+        tail = [d for run in runs[-seam:] for d in run[-seam:]][-seam:] if seam else []
+        planes = _planes(runs, values)
+        del runs  # they may hold the window's chunks, which nothing else holds now
         # The planes live on until the next window's replace them.  Freed here,
         # they let the allocator hand the heap top back for each window to
         # fault in again: about 7,500 minor faults in place of 1,500 over
@@ -266,10 +286,16 @@ def frequency_report(
             hits = indicator[w[0]]
             for j in range(1, len(w)):
                 hits &= indicator[w[j]] >> 8 * j
+            everywhere = hits.bit_count()
             for mode in modes:
                 # the starts whose match ends in fresh digits
                 new = mode.starts(len(w), pulled)[len(mode.starts(len(w), before)) :]
-                counts[w, mode] += (hits >> 8 * (new.start - base) & masks[new.step]).bit_count()
+                shift = 8 * (new.start - base)
+                if new.step == 1:
+                    # all starts but the carried ones below the first new start
+                    counts[w, mode] += everywhere - (hits & (1 << shift) - 1).bit_count()
+                else:
+                    counts[w, mode] += (hits >> shift & masks[new.step]).bit_count()
         del indicator, hits
         if pulled == mark:
             checkpoints.append((mark, dict(counts)))

@@ -9,14 +9,16 @@ Chunks.  A source wraps an iterator of chunks: sequences of digits (lists
 or tuples; empty ones are skipped) that no consumer mutates.  The stream
 is the concatenation of its chunks and where they split carries no
 meaning, so every consumer gives the same result for any chunking.
-`chunks()` hands out the rest of the stream run by run, and `limit(source,
-n)` is a view that ends after n digits, cutting the chunk that crosses n and
-keeping its rest pending in the source.  `take(n)` is the list of what
-`limit(source, n)` hands out: min(n, remaining) digits, a fresh list.
-`emitted` counts the digits handed out either way.  `select_ap(source, b,
-k)` is a view of the digits at 1-based positions b, b+k, b+2k and so on.
-`limit` cuts a chunk and `select_ap` slices each one, so a pipeline never
-holds more than a chunk beyond what its consumer took.
+Every read goes through `pull(most)`, the next run of at most `most`
+digits: the rest of the current chunk, cut at `most` with its rest kept
+pending, and `()` once the stream has ended.  `chunks()` hands out the
+rest of the stream run by run, `take(n)` is the next min(n, remaining)
+digits as a fresh list, and `limit(source, n)` is a view that ends after
+n digits.  `emitted` counts the digits handed out, whichever read did it.
+`select_ap(source, b, k)` is a view of the digits at 1-based positions b,
+b+k, b+2k and so on.  `limit` cuts a chunk and `select_ap` slices each
+one, so a pipeline never holds more than a chunk beyond what its consumer
+took.
 
 Certification.  Interval-refined sources never emit an uncertified digit:
 a digit comes out only when both interval endpoints agree on floor(1/x),
@@ -95,11 +97,13 @@ class DigitSource:
         self._chunk: Sequence[int] = ()
         self._pos = 0
 
-    def _pull(self, most: int | None = None) -> Sequence[int]:
+    def pull(self, most: int | None = None) -> Sequence[int]:
         """The next run of at most `most` digits (the rest of a chunk if None).
 
-        Empty once the stream has ended.  A chunk cut short stays pending
-        for the next pull.
+        A run is a chunk or a slice of one, a list or a tuple that no one
+        may mutate, and never longer than `most`, which is None or at least
+        1.  A chunk cut short stays pending, and its rest comes next.  An
+        empty run, `()`, means the stream has ended.
         """
         chunk, pos = self._chunk, self._pos
         while pos >= len(chunk):
@@ -115,14 +119,16 @@ class DigitSource:
 
     def chunks(self) -> Iterator[Sequence[int]]:
         """The rest of the stream as non-empty runs of digits, never to be mutated."""
-        while chunk := self._pull():
+        while chunk := self.pull():
             yield chunk
 
     def take(self, n: int) -> list[int]:
-        """Pull up to n digits (fewer if the source ends first), read through `limit`."""
+        """The next n digits (fewer if the source ends first) as a fresh list."""
+        if n < 0:
+            raise ValueError("need n >= 0")
         out: list[int] = []
-        for chunk in limit(self, n).chunks():
-            out += chunk
+        while len(out) < n and (run := self.pull(n - len(out))):
+            out += run
         return out
 
 
@@ -380,7 +386,7 @@ def limit(source: DigitSource, n: int) -> DigitSource:
 
     def gen() -> Iterator[Sequence[int]]:
         left = n
-        while left > 0 and (chunk := source._pull(left)):
+        while left > 0 and (chunk := source.pull(left)):
             left -= len(chunk)
             yield chunk
         out.precision_exhausted = source.precision_exhausted
@@ -402,7 +408,7 @@ def select_ap(source: DigitSource, b: int, k: int) -> DigitSource:
 
     def gen() -> Iterator[Sequence[int]]:
         skip = b - 1  # digits to pass over before the next selected one
-        for chunk in source.chunks():
+        while chunk := source.pull():
             size = len(chunk)
             if skip >= size:
                 skip -= size

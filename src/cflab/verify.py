@@ -17,9 +17,12 @@ times as many.  The length-1 words are the row of the walk's yield at
 depth -1, with mids = range(1, 2): each slot's parent, (1, 0, -1, 1), is
 the pair that its own walk's step by digit 1 takes to that walk's seed, so
 the reversal row reads the two slots' seeds and inverse steps, not one
-hand-written pair placed in both.  A single word w of length >= 2 is the
-row of w[:-2] with mids = range(w[-2], w[-2] + 1) and
-lasts = range(w[-1], w[-1] + 1).
+hand-written pair placed in both.  The scan checks that each slot's
+parent steps by digit 1 back to its seed before the row runs, and fails
+at the first word if not: two wrong parents can still agree with each
+other, as the transpose identity only compares the slots.  A single word
+w of length >= 2 is the row of w[:-2] with mids = range(w[-2], w[-2] + 1)
+and lasts = range(w[-1], w[-1] + 1).
 
 The reversal row checks the transpose identity: a prepended to rev(u)'s
 pair, by the prepend step, equals u.a's pair, by the append step, with p
@@ -124,6 +127,19 @@ def _paired_walk(max_digit: int, depth: int) -> Iterator[tuple[Pair, Pair]]:
         yield pair, (p, q, p_prev, q_prev)
 
 
+def _step_by_1(item: Pair | tuple[Pair, Pair]) -> Pair | tuple[Pair, Pair]:
+    """The walk item of v.1 from v's: the append step by digit 1 on a pair.
+
+    On a (pair, reversed pair) item of `_paired_walk`, the reversed pair
+    takes the prepend step, as rev(v.1) = 1.rev(v).
+    """
+    if len(item) == 2:
+        pair, (t, z, t_prev, z_prev) = item
+        return _step_by_1(pair), (z, z + t, z_prev, z_prev + t_prev)
+    x, y, x_prev, y_prev = item
+    return x + x_prev, y + y_prev, x, y
+
+
 def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1) -> VerifyResult:
     """Run the row check over the family and report its first failing word.
 
@@ -136,8 +152,10 @@ def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1)
     word, or None.  Each length L walks its parents at depth L - 2, with
     mids = range(1, max_digit + 1) but at L = 1: there the walk at depth -1
     yields the one parent, the pair that the step by digit 1 takes to the
-    empty word's, and mids = range(1, 2).  `checked` counts the words up to
-    and including the first failure.  A family with no words is a usage
+    empty word's, and mids = range(1, 2).  That parent is checked first:
+    unless `_step_by_1` takes it to the walk's yield at depth 0, its seed,
+    the first word fails, with 1 word checked.  `checked` counts the words
+    up to and including the first failure.  A family with no words is a usage
     error, not a vacuous pass.
     """
     detail = f"digits <= {shown(max_digit)}, length <= {shown(max_len)}"
@@ -149,6 +167,10 @@ def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1)
     checked = 0
     for length in range(1, max_len + 1) if lasts else ():
         mids = digits if length > 1 else range(1, 2)
+        # a length-1 parent that does not step back to the seed gives every
+        # length-1 word a wrong pair, the first word first
+        if length == 1 and _step_by_1(next(walk(max_digit, -1))) != next(walk(max_digit, 0)):
+            return VerifyResult(suite, False, 1, (first,), detail)
         odd = length % 2
         for row, item in enumerate(walk(max_digit, length - 2)):
             failed = check(item, odd, mids, lasts)

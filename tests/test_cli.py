@@ -173,7 +173,7 @@ def test_verify_import_leaves_streams_and_stats_unloaded(modules, loaded):
 
 
 def test_stats_import_leaves_streams_and_random_unloaded():
-    # counting reads only a source's take, so it compiles no stream code
+    # counting reads only a source's pull, so it compiles no stream code
     assert _loaded_of("cflab.stats", ["cflab.streams", "random"]) == []
 
 

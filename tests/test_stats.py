@@ -276,7 +276,9 @@ def test_frequency_report_truncates_and_flags():
 
 @st.composite
 def fold_cases(draw, alphabet=st.integers(1, 3)):
-    chunks = draw(st.lists(st.lists(alphabet, max_size=9), max_size=12))
+    # a source's chunks are lists or tuples, and the fold reads either as runs
+    chunk = st.lists(alphabet, max_size=9).flatmap(lambda c: st.sampled_from([c, tuple(c)]))
+    chunks = draw(st.lists(chunk, max_size=12))
     patterns = draw(
         st.lists(
             st.lists(alphabet, min_size=1, max_size=4).map(tuple),
@@ -305,9 +307,14 @@ def check_fold(case):
             source, patterns, [overlap, disjoint, aligned], n, checkpoint_every
         )
 
-    digits = list(itertools.chain.from_iterable(chunks))[:n]
+    stream = list(itertools.chain.from_iterable(chunks))
+    digits = stream[:n]
     assert result.n == len(digits)
     assert result.truncated == (len(digits) < n)
+    # the fold pulls no digit past n: the source hands out the rest unread,
+    # as subsequence's count of the digits among the first n relies on
+    assert source.emitted == result.n
+    assert [d for run in source.chunks() for d in run] == stream[result.n :]
     marks = list(range(checkpoint_every, len(digits) + 1, checkpoint_every))
     if not marks or marks[-1] != len(digits):
         marks.append(len(digits))
@@ -352,16 +359,20 @@ def digits_of(planes):
 
 @pytest.mark.parametrize(
     "window",
-    [[], [1], [254], [255], [256], [65535], [65536], [2**24], [2**32 - 1], [2**32], [2**70],
-     [1, 254, 255, 256, 65535, 65536, 2**24, 2**32 - 1, 3],
-     # a long window that one digit past the array cell sends to int.to_bytes
-     list(range(1, 9000)) + [2**40] + [256, 2**32 - 1] * 2000],
+    [[[]], [[1]], [(254,)], [[255]], [(256,)], [[65535]], [[65536]], [[2**24]], [[2**32 - 1]],
+     [(2**32,)], [[2**70]],
+     [[], [1, 254], (255, 256, 65535), [], [65536, 2**24], (2**32 - 1, 3)],
+     # a long window that one digit past the array cell sends to int.to_bytes,
+     # after a whole run went into the array
+     [list(range(1, 9000)), (2**40,) + (256, 2**32 - 1) * 2000]],
 )
 def test_planes_hold_each_digits_bytes(window):
+    # each window is given as its runs, lists or tuples, as the fold pulls it;
     # as many planes as the widest digit has bytes, past the array cell too
-    planes = _planes(window, set(window))
-    assert digits_of(planes) == window
-    assert len(planes) == max(1, -(-max(window, default=0).bit_length() // 8))
+    digits = [d for run in window for d in run]
+    planes = _planes(window, set(digits))
+    assert digits_of(planes) == digits
+    assert len(planes) == max(1, -(-max(digits, default=0).bit_length() // 8))
 
 
 # small digits, one nonzero byte at any place of a 32-bit cell, any 32-bit

@@ -436,6 +436,34 @@ def ones_chunks(digits: list[int]) -> DigitSource:
     return chunked(digits, range(len(digits)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    chunks=st.lists(
+        st.lists(st.integers(1, 9), max_size=8).flatmap(lambda c: st.sampled_from([c, tuple(c)])),
+        max_size=10,
+    ),
+    mosts=st.lists(st.one_of(st.none(), st.integers(1, 12)), max_size=40),
+)
+@example(chunks=[[1, 2, 3, 4, 5], (), (6, 7)], mosts=[2, 1, None, 9, 3])
+def test_pull_hands_out_the_stream_in_runs_of_at_most_most(chunks, mosts):
+    # each run is the rest of its chunk, cut at `most`: concatenated the runs
+    # are the stream, and a cut chunk's rest comes before the next chunk
+    stream = [d for chunk in chunks for d in chunk]
+    ends = list(itertools.accumulate(map(len, chunks)))
+    src = DigitSource(iter(chunks))
+    pos = 0
+    for most in mosts + [None] * (len(chunks) + 1):
+        run = src.pull(most)
+        assert most is None or len(run) <= most
+        end = min((e for e in ends if e > pos), default=pos)
+        assert list(run) == stream[pos : end if most is None else min(end, pos + most)]
+        pos += len(run)
+        assert src.emitted == pos
+    assert pos == len(stream)
+    assert src.pull() == () and src.pull(3) == ()
+    assert src.emitted == len(stream)
+
+
 def test_take_zero_and_negative():
     src = source_rational(7, 16)
     assert src.take(0) == []

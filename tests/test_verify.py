@@ -590,6 +590,21 @@ def _failed_at(suite, w, last_digit=""):
             ],
             id="length-1-parent-drops-q_prev",
         ),
+        # the depth -1 step swaps p' and q': both slots' parents go wrong in a
+        # way the transpose identity cannot see, as each stays the other's
+        # transpose; the scans fail because neither steps back to its seed
+        pytest.param(
+            "cfcore.py",
+            "(p_prev, q_prev, p - p_prev",
+            "(q_prev, p_prev, p - p_prev",
+            1,
+            [
+                _failed_at("reversal", 1),
+                _failed_at("dominance", 2, ", last digit >= 2"),
+                _failed_at("pairwise", 1),
+            ],
+            id="length-1-parent-swaps-p_prev-q_prev",
+        ),
     ],
 )
 def test_scans_that_read_a_broken_step_fail(tmp_path, file, old, new, count, lines):

@@ -246,7 +246,7 @@ def _require(args, *flags: str) -> None:
 
 
 def _cmd_measure(args) -> int:
-    _write([render_measure(parse_word(args.word), args.interval, args.format).decode()], args.out)
+    _write([render_measure(parse_word(args.word), args.interval, args.format)], args.out)
     return 0
 
 
@@ -294,7 +294,7 @@ def _cmd_verify(args) -> int:
     result = run_suite(args.suite, **_given(args, *_verify_options()))
     _write([result.summary() + "\n"], None)
     if args.out:
-        _write([render_json(result.report()).decode()], args.out)
+        _write([render_json(result.report())], args.out)
     return 0 if result.passed else CHECK_FAILED
 
 
@@ -305,7 +305,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _finish_experiment(report: dict, args) -> int:
-    _write([render_report(report, args.format).decode()], args.out)
+    _write([render_report(report, args.format)], args.out)
     observed_non_normal = report["verdict"] == VERDICT_NON_NORMAL
     expected_non_normal = args.expect == "non-normal"
     return 0 if observed_non_normal == expected_non_normal else CHECK_FAILED

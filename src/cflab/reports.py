@@ -5,7 +5,9 @@ json) or str, rationals through str (or a bounded form when huge), dict
 key order is fixed by construction, newlines are always "\\n", and nothing
 time- or host-dependent is ever written.  `render_measure` builds the
 measure report itself; experiment reports come built from `experiments`,
-and verify reports from each result's `report()`.
+and verify reports from each result's `report()`.  Each renderer returns
+its text as a str, which the CLI writes as UTF-8 with no newline
+translation.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ def _bounded_rational(x: Fraction) -> str:
     return f"~{float(x)!r} ({num_bits}-bit/{den_bits}-bit rational)"
 
 
-def render_json(report: dict) -> bytes:
-    return (json.dumps(report, indent=2) + "\n").encode()
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
 
 
 def _csv_rows(rows) -> str:
@@ -43,7 +45,7 @@ def _csv_rows(rows) -> str:
     return buf.getvalue()
 
 
-def render_measure(w: Word, with_interval: bool, fmt: str | None) -> bytes:
+def render_measure(w: Word, with_interval: bool, fmt: str | None) -> str:
     """gamma(C_w), and the cylinder's endpoints if asked, as JSON, as CSV, or (fmt None) as text.
 
     CSV splits the interval into interval_lo and interval_hi columns.
@@ -59,12 +61,12 @@ def render_measure(w: Word, with_interval: bool, fmt: str | None) -> bytes:
         return render_json({**report, "interval": interval} if interval else report)
     if fmt == "csv":
         report.update(zip(("interval_lo", "interval_hi"), interval))
-        return _csv_rows([report.keys(), report.values()]).encode()
+        return _csv_rows([report.keys(), report.values()])
     text = f"log2({report['log2_arg']}) ≈ {report['float']:.6f}\n"
-    return (text + ("({}, {})\n".format(*interval) if interval else "")).encode()
+    return text + ("({}, {})\n".format(*interval) if interval else "")
 
 
-def render_experiment_csv(report: dict) -> bytes:
+def render_experiment_csv(report: dict) -> str:
     """Config echo as comment lines, then the rows: the first row's keys head the columns.
 
     Every row has the same keys in the same order (experiments._stat_rows).
@@ -76,10 +78,10 @@ def render_experiment_csv(report: dict) -> bytes:
         comments += f"# {key}={value}\n"
     comments += f"# verdict={report['verdict']}\n"
     rows = report["rows"]  # never empty: every run has a final checkpoint
-    return (comments + _csv_rows([rows[0].keys(), *(row.values() for row in rows)])).encode()
+    return comments + _csv_rows([rows[0].keys(), *(row.values() for row in rows)])
 
 
-def render_report(report: dict, fmt: str) -> bytes:
+def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return render_json(report)
     if fmt == "csv":

@@ -188,13 +188,15 @@ def _count_mode(digits: Sequence[int], w: Word, mode: ModeDescriptor) -> int:
 
     s runs over the mode's starts.  Column j of the windows is read from
     start + j in steps of the stride by islice, which copies nothing, so any
-    sequence of ints is counted in constant extra memory.
+    sequence of ints is counted in constant extra memory.  islice takes no
+    bound past sys.maxsize, so the range is cut to len(digits): no start
+    lies past it, and a stride of at least len(digits) admits one at most.
     """
     w = _check_pattern(w)
-    starts = mode.starts(len(w), len(digits))
-    columns = (
-        islice(digits, starts.start + j, starts.stop + j, starts.step) for j in range(len(w))
-    )
+    n = len(digits)
+    starts = mode.starts(len(w), n)
+    start, stop, step = (min(x, max(1, n)) for x in (starts.start, starts.stop, starts.step))
+    columns = (islice(digits, start + j, stop + j, step) for j in range(len(w)))
     return operator.countOf(zip(*columns), w)
 
 
@@ -252,11 +254,15 @@ def frequency_report(
     seam = max(len(w) for w in patterns) - 1
     checkpoints: list[tuple[int, dict]] = []
     # stride -> a 0x01 byte every stride bytes, as long as a window with its
-    # carry; 1 is always there, for the indicators.  Made before the first
-    # window, since ints made between windows fragment the heap
+    # carry, so a stride past the window keeps one byte; 1 is always there,
+    # for the indicators.  Made before the first window, since ints made
+    # between windows fragment the heap
     span = seam + min(COUNT_WINDOW, n)
     strides = {mode.starts(len(w), 0).step for w, mode in counts} | {1}
-    masks = {c: int.from_bytes((b"\x01" + bytes(c - 1)) * -(-span // c), "little") for c in strides}
+    masks = {
+        c: int.from_bytes((b"\x01" + bytes(min(c, span) - 1)) * -(-span // c), "little")
+        for c in strides
+    }
     tail: list[int] = []  # the last seam digits pulled
     pulled = 0
     mark = min(checkpoint_every, n)

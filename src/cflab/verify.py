@@ -2,33 +2,36 @@
 
 Each suite machine-checks an inequality or identity family that the rest of
 the package relies on, over every word within the given digit/length
-bounds.  The exact suites pass one row check and the walk it reads to
-`_scan`, which walks the family in `iter_words` order a row at a time.  A
-row is the words v.b.a of one parent v, for the middle digits b in a range
-`mids` and the last digits a in a range `lasts`, and its check takes
+bounds.  The exact suites pass one row check and the seeds its row reads
+to `_scan`, which walks the family in `iter_words` order a row at a time.
+A row is the words v.b.a of one parent v, for the middle digits b in a
+range `mids` and the last digits a in a range `lasts`, and its check takes
 (item, |v.b.a| % 2, mids, lasts) and returns the index of the first
-failing word, b before a, or None.  The item is the walk's yield for v:
-convergent_pair(v) from `iter_prefix_pairs` for dominance, and
-(convergent_pair(v), convergent_pair(rev v)) from `_paired_walk` for
-reversal and pairwise.  The row builds u = v.b's pair by the append step
-and, where it reads it, rev(u) = b.rev(v)'s by the prepend step, so the
-walks run one level shallower than the words and a row holds max_digit
-times as many.  The length-1 words are the row of the walk's yield at
-depth -1, with mids = range(1, 2): each slot's parent, (1, 0, -1, 1), is
-the pair that its own walk's step by digit 1 takes to that walk's seed, so
-the reversal row reads the two slots' seeds and inverse steps, not one
-hand-written pair placed in both.  The scan checks that each slot's
-parent steps by digit 1 back to its seed before the row runs, and fails
-at the first word if not: two wrong parents can still agree with each
-other, as the transpose identity only compares the slots.  A single word
-w of length >= 2 is the row of w[:-2] with mids = range(w[-2], w[-2] + 1)
-and lasts = range(w[-1], w[-1] + 1).
+failing word, b before a, or None.  The item is the yields for v of one
+`iter_prefix_pairs` walk per seed, zipped, each slot a pair as its walk
+gives it.  From `_SEEDS[0]`, the empty word's pair, the walk yields
+convergent_pair(v).  From `_SEEDS[1]`, that pair in the order
+(q, q', p, p'), it yields rev(v)'s pair in that order: prepending b to
+(p, q, p', q') gives (q, b q + p, q', b q' + p'), the append step on
+(q, q', p, p').  Dominance reads the first seed, reversal and pairwise
+both.  The row builds u = v.b's pair, and where it reads it
+rev(u) = b.rev(v)'s, by the append step on each slot, so the walks run one
+level shallower than the words and a row holds max_digit times as many.
+The length-1 words are the row of the walks' yields at depth -1, with
+mids = range(1, 2): each is the pair that the append step by digit 1
+takes to its own seed, so the reversal row reads the two seeds' inverse
+steps, not one hand-written pair placed in both.  The scan checks that
+each slot's parent steps by digit 1 back to its seed before the row runs,
+and fails at the first word if not: two wrong parents can still agree
+with each other, as the transpose identity only compares the slots.  A
+single word w of length >= 2 is the row of w[:-2] with
+mids = range(w[-2], w[-2] + 1) and lasts = range(w[-1], w[-1] + 1).
 
 The reversal row checks the transpose identity: a prepended to rev(u)'s
 pair, by the prepend step, equals u.a's pair, by the append step, with p
 and q' swapped, four int comparisons a word.  The two pairs come off the
-walk's two slots by one step each, so a word fails whenever the append
-step, the prepend step or the walk's two slots disagree.
+item's two slots by one step each, so a word fails whenever the two
+walks, their seeds or the steps disagree.
 gamma(C_w) = gamma(C_rev w) then follows, as `measure._arg` takes the
 same value when p and q' swap, for any integers (ROADMAP direction 2).
 For positive b and d, a/b < c/d iff a*d < c*b and a/b == c/d iff
@@ -56,9 +59,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .cfcore import Pair, UsageError, Word, format_word, iter_prefix_pairs, shown
+from .cfcore import Pair, UsageError, Word, _extend, format_word, iter_prefix_pairs, shown
 from .measure import DEFAULT_CAP, BoundedMeasure, _arg, joint_pattern_measure, measure_of_cylinder
 
 # The word family a scan checks unless given bounds: 5 + 5**2 + 5**3 = 155 words.
@@ -73,6 +76,9 @@ MAX_LEN = 3
 # takes about 3.8 s, and 4471, the longest length allowed, about 4.9-5.8 s.
 # The bench's 8/6 family holds 1,754,760.
 MAX_WORD_DIGITS = 10**7
+# The walks' seeds: the empty word's pair, whose walk yields v's pair, and
+# it in the order (q, q', p, p'), whose walk yields rev(v)'s in that order.
+_SEEDS = ((0, 1, 1, 0), (1, 0, 0, 1))
 
 
 class VerifyResult(NamedTuple):
@@ -109,54 +115,23 @@ def _refuse_large(suite: str, max_digit: int, max_len: int) -> None:
         )
 
 
-def _paired_walk(max_digit: int, depth: int) -> Iterator[tuple[Pair, Pair]]:
-    """Yield (convergent_pair(u), convergent_pair(rev u)) for u in `iter_prefix_pairs` order.
-
-    Prepending b to (p, q, p', q') gives (q, b q + p, q', b q' + p'), which
-    is the append step on (q, q', p, p') read back in that order.  So a
-    second `iter_prefix_pairs` walk from the empty word's pair in that
-    order, (1, 0, 0, 1), appends each digit of u where rev(u) prepends it,
-    and each of its yields (q, q', p, p') is read back as rev(u)'s pair.
-    At depth -1 each walk yields the pair that its own step by digit 1
-    takes to its seed: (1, 0, -1, 1) in both slots, the length-1 parent,
-    which no hand-written pair stands in for.
-    """
-    pairs = iter_prefix_pairs(max_digit, depth)
-    reversed_pairs = iter_prefix_pairs(max_digit, depth, (1, 0, 0, 1))
-    for pair, (q, q_prev, p, p_prev) in zip(pairs, reversed_pairs):
-        yield pair, (p, q, p_prev, q_prev)
-
-
-def _step_by_1(item: Pair | tuple[Pair, Pair]) -> Pair | tuple[Pair, Pair]:
-    """The walk item of v.1 from v's: the append step by digit 1 on a pair.
-
-    On a (pair, reversed pair) item of `_paired_walk`, the reversed pair
-    takes the prepend step, as rev(v.1) = 1.rev(v).
-    """
-    if len(item) == 2:
-        pair, (t, z, t_prev, z_prev) = item
-        return _step_by_1(pair), (z, z + t, z_prev, z_prev + t_prev)
-    x, y, x_prev, y_prev = item
-    return x + x_prev, y + y_prev, x, y
-
-
-def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1) -> VerifyResult:
+def _scan(suite: str, max_digit: int, max_len: int, check, seeds, first: int = 1) -> VerifyResult:
     """Run the row check over the family and report its first failing word.
 
     The family is the words of digits <= max_digit and lengths <= max_len
     whose last digit is at least `first`, in iter_words order.  A row is
     the words v.b.a of one parent v, for the middle digits b in `mids` and
     the last digits a in lasts = range(first, max_digit + 1), b before a:
-    check(item, |v.b.a| % 2, mids, lasts), with item the yield for v of
-    walk(max_digit, |v|), is the index in that order of the first failing
-    word, or None.  Each length L walks its parents at depth L - 2, with
-    mids = range(1, max_digit + 1) but at L = 1: there the walk at depth -1
-    yields the one parent, the pair that the step by digit 1 takes to the
-    empty word's, and mids = range(1, 2).  That parent is checked first:
-    unless `_step_by_1` takes it to the walk's yield at depth 0, its seed,
-    the first word fails, with 1 word checked.  `checked` counts the words
-    up to and including the first failure.  A family with no words is a usage
-    error, not a vacuous pass.
+    check(item, |v.b.a| % 2, mids, lasts), with item the tuple of the
+    yields for v of the `iter_prefix_pairs` walks from `seeds`, is the
+    index in that order of the first failing word, or None.  Each length L
+    walks its parents at depth L - 2, with mids = range(1, max_digit + 1)
+    but at L = 1: there the walks at depth -1 yield the one parent, in each
+    slot the pair that the append step by digit 1 takes to that slot's
+    seed, and mids = range(1, 2).  That parent is checked first: unless
+    each slot steps back to its seed, the first word fails, with 1 word
+    checked.  `checked` counts the words up to and including the first
+    failure.  A family with no words is a usage error, not a vacuous pass.
     """
     detail = f"digits <= {shown(max_digit)}, length <= {shown(max_len)}"
     if first > 1:
@@ -164,15 +139,19 @@ def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1)
     _refuse_large(suite, max_digit, max_len)
     digits = range(1, max_digit + 1)
     lasts = range(first, max_digit + 1)
+
+    def walk(depth: int):
+        return zip(*(iter_prefix_pairs(max_digit, depth, h) for h in seeds))
+
     checked = 0
     for length in range(1, max_len + 1) if lasts else ():
         mids = digits if length > 1 else range(1, 2)
-        # a length-1 parent that does not step back to the seed gives every
+        # a length-1 parent that does not step back to its seed gives every
         # length-1 word a wrong pair, the first word first
-        if length == 1 and _step_by_1(next(walk(max_digit, -1))) != next(walk(max_digit, 0)):
+        if length == 1 and any(_extend(v, (1,)) != h for v, h in zip(next(walk(-1)), seeds)):
             return VerifyResult(suite, False, 1, (first,), detail)
         odd = length % 2
-        for row, item in enumerate(walk(max_digit, length - 2)):
+        for row, item in enumerate(walk(length - 2)):
             failed = check(item, odd, mids, lasts)
             if failed is not None:
                 b, a = divmod(failed, len(lasts))
@@ -190,11 +169,12 @@ def _scan(suite: str, max_digit: int, max_len: int, check, walk, first: int = 1)
 def reversal_row(item: tuple[Pair, Pair], odd: int, mids: range, lasts: range) -> int | None:
     """Index of the first word w = v.b.a of the row that fails the transpose identity, or None.
 
-    item = (convergent_pair(v), convergent_pair(rev v)); `odd` does not
-    enter.  With (x, y, x', y') v's pair, u = v.b has the pair
+    item = (convergent_pair(v), rev(v)'s pair in walk order); `odd` does
+    not enter.  With (x, y, x', y') v's pair, u = v.b has the pair
     (p, q, p', q') = (b x + x', b y + y', x, y) by the append step, and
-    with (t, z, t', z') rev(v)'s, rev(u) = b.rev(v) has
-    (r, s, r', s') = (z, b z + t, z', b z' + t') by the prepend step.  The
+    with (t, z, t', z') rev(v)'s, the second slot (z, z', t, t'),
+    rev(u) = b.rev(v) has (r, s, r', s') = (z, b z + t, z', b z' + t') by
+    the prepend step, the append step on that slot.  The
     pair of w = u.a is (P, Q, p, q), with P = a p + p' and Q = a q + q', and
     rev(w) = a.rev(u) has (s, a s + r, s', a s' + r').  The identity says
     that it equals (q, Q, p, P), w's pair with P and q swapped: four int
@@ -202,7 +182,7 @@ def reversal_row(item: tuple[Pair, Pair], odd: int, mids: range, lasts: range) -
     gamma(C_w) = gamma(C_rev w) follows, as `_arg` takes the same value
     when the first and last entries of a pair swap.
     """
-    (x, y, x_prev, y_prev), (t, z, t_prev, z_prev) = item
+    (x, y, x_prev, y_prev), (z, z_prev, t, t_prev) = item
     for b in mids:
         p, q, p_prev, q_prev = b * x + x_prev, b * y + y_prev, x, y
         r, s, r_prev, s_prev = z, b * z + t, z_prev, b * z_prev + t_prev
@@ -217,10 +197,10 @@ def reversal_row(item: tuple[Pair, Pair], odd: int, mids: range, lasts: range) -
     return None
 
 
-def dominance_row(pair: Pair, odd: int, mids: range, lasts: range) -> int | None:
+def dominance_row(item: tuple[Pair], odd: int, mids: range, lasts: range) -> int | None:
     """Index of the first word n = v.b.a of the row with q([0;1,1,n]) <= q([0;1,n,1]), or None.
 
-    pair = convergent_pair(v); `odd` does not enter.  u = v.b has the pair
+    item = (convergent_pair(v),); `odd` does not enter.  u = v.b has the pair
     (p, q, p', q') = (b x + x', b y + y', x, y) by the append step on v's
     pair (x, y, x', y').  With (P, Q, p, q) the pair of n = u.a, prepending
     a 1 maps (P, Q) to (Q, Q + P) and appending one adds (p, q), so
@@ -228,7 +208,7 @@ def dominance_row(pair: Pair, odd: int, mids: range, lasts: range) -> int | None
     Q = a q + q' > q + p, that is iff a q exceeds the constant q + p - q'
     of u.
     """
-    x, y, x_prev, y_prev = pair
+    ((x, y, x_prev, y_prev),) = item
     for b in mids:
         p, q, q_prev = b * x + x_prev, b * y + y_prev, y
         bound = q + p - q_prev
@@ -244,8 +224,9 @@ def pairwise_row(item: tuple[Pair, Pair], odd: int, mids: range, lasts: range) -
     The relation: for last digit >= 2, gamma(C_[1,n,1]) > gamma(C_[1,1,n])
     strictly; for last digit 1, with n = m.1, the term pairs off exactly
     against its reversal, gamma(C_[1,m,1,1]) = gamma(C_[1,1,rev(m),1]).
-    item = (convergent_pair(v), convergent_pair(rev v)), and
-    odd = |n| % 2 is also the parity of 1.n.1, 1.1.n and 1.1.rev(u).1.
+    item = (convergent_pair(v), rev(v)'s pair in walk order), as in
+    `reversal_row`, and odd = |n| % 2 is also the parity of 1.n.1, 1.1.n
+    and 1.1.rev(u).1.
     u = v.b has the pair (p, q, p', q') by the append step, as in
     `reversal_row`.  With (P, Q, p, q) the pair of n, that of 1.n is
     (Q, Q + P, q, q + p); the append-1 map gives 1.n.1's,
@@ -254,15 +235,15 @@ def pairwise_row(item: tuple[Pair, Pair], odd: int, mids: range, lasts: range) -
     pair (r, s, r', s') by the prepend step, as in `reversal_row`, which
     gives 1.1.rev(u)'s, (s + r, 2s + r, s' + r', 2s' + r'), by the
     prepend-1 map twice, and the append-1 map then 1.1.rev(u).1's.  That
-    arg is read off the walk's second slot, not off 1.u.1.1's pair by a
-    swap, so the equality rests on the walk's two slots, the append step
-    and the prepend step agreeing; when they do, `_arg`'s p <-> q' symmetry
+    arg is read off the item's second slot, not off 1.u.1.1's pair by a
+    swap, so the equality rests on the two walks, their seeds and the steps
+    agreeing; when they do, `_arg`'s p <-> q' symmetry
     makes it hold.  A zero denominator there, which only a wrong reversed
     pair gives, fails the word, as cross-multiplying would take 0/0 as equal
     to any arg.  Each word calls `_arg` twice, which tests patch to make the
     relation fail.
     """
-    (x, y, x_prev, y_prev), (t, z, t_prev, z_prev) = item
+    (x, y, x_prev, y_prev), (z, z_prev, t, t_prev) = item
     for b in mids:
         p, q, p_prev, q_prev = b * x + x_prev, b * y + y_prev, x, y
         qp = q + p
@@ -286,22 +267,22 @@ def pairwise_row(item: tuple[Pair, Pair], odd: int, mids: range, lasts: range) -
 def run_reversal(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """The transpose identity, and so gamma(C_w) == gamma(C_reversed(w)), for every word.
 
-    Each word's pair and its reversal's come off the two slots of
-    `_paired_walk`, for its parent, and two append or prepend steps, and
-    `reversal_row` checks that they agree; gamma equality then follows from
-    `_arg`'s p <-> q' symmetry.
+    Each word's pair and its reversal's come off the walks from the two
+    `_SEEDS`, for its parent, by two append steps each, and `reversal_row`
+    checks that they agree; gamma equality then follows from `_arg`'s
+    p <-> q' symmetry.
     """
-    return _scan("reversal", max_digit, max_len, reversal_row, _paired_walk)
+    return _scan("reversal", max_digit, max_len, reversal_row, _SEEDS)
 
 
 def run_dominance(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """Denominator dominance for every word with last digit >= 2."""
-    return _scan("dominance", max_digit, max_len, dominance_row, iter_prefix_pairs, first=2)
+    return _scan("dominance", max_digit, max_len, dominance_row, _SEEDS[:1], first=2)
 
 
 def run_pairwise(max_digit: int = MAX_DIGIT, max_len: int = MAX_LEN) -> VerifyResult:
     """The pairwise relation of C_[1,n,1] and C_[1,1,n] for every padding word n."""
-    return _scan("pairwise", max_digit, max_len, pairwise_row, _paired_walk)
+    return _scan("pairwise", max_digit, max_len, pairwise_row, _SEEDS)
 
 
 def joint_k2_oracle() -> float:

@@ -468,6 +468,34 @@ def test_frequency_report_memory_is_flat_in_n():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_frequency_report_memory_is_bounded_by_the_window_not_the_stride():
+    # a stride past the window admits one start in it, so its mask is the
+    # window's length: 100 bytes here, not 10**7
+    mode = ModeDescriptor.aligned(10**7, 0)
+    tracemalloc.start()
+    try:
+        frequency_report(source_periodic((), (1,)), [(1,)], [mode], 100, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
+@pytest.mark.parametrize(
+    "stride,offset", [(10**7, 0), (10**7, 3), (10**30, 0), (10**30, 10**29)]
+)
+def test_fold_and_list_counter_agree_at_strides_past_the_digits(stride, offset):
+    # one start at most, and none past the digits; islice takes no bound
+    # past sys.maxsize, nor bytes() a length that large
+    digits = [1, 2] * 50
+    mode = ModeDescriptor.aligned(stride, offset)
+    stats = frequency_report(source_periodic((), (1, 2)), [(1,), (2, 1)], [mode], 100, 100)
+    for w in [(1,), (2, 1)]:
+        count = count_aligned(digits, stride, offset, w)
+        assert stats.checkpoints[-1][1][w, mode] == count == naive_aligned(digits, stride, offset, w)
+    assert count_aligned(digits, stride, 0, (1,)) == 1
+
+
 # 65,536 digits of 1 to 3, one of them replaced by 2**8000, a digit of 1,001
 # bytes; the patterns hold no digit past the array cell but 2**40, which the
 # window does not hold.  Prints the peak RSS growth of the count in MB, then

@@ -30,37 +30,54 @@ from cflab.verify import dominance_row, pairwise_row, reversal_row
 from oracles import _oracle_arg, _value, words
 
 
-# The parent of the length-1 words: the append step by digit 1 takes it to the empty word.
-LENGTH_1_PARENT = next(iter_prefix_pairs(1, -1))
+def _walk_order(pair):
+    """(p, q, p', q') as the walk from the second seed gives it: (q, q', p, p')."""
+    p, q, p_prev, q_prev = pair
+    return q, q_prev, p, p_prev
+
+
+def _read_back(slot):
+    """The pair (p, q, p', q') of a second-seed slot (q, q', p, p')."""
+    q, q_prev, p, p_prev = slot
+    return p, q, p_prev, q_prev
+
+
+def _walks(max_digit, depth):
+    """The items a two-seed scan reads at `depth`: the walks from `_SEEDS`, zipped."""
+    return zip(*(iter_prefix_pairs(max_digit, depth, h) for h in verify._SEEDS))
+
+
+# The parent of the length-1 words, one raw slot a seed: the append step by
+# digit 1 takes each slot to its seed.
+LENGTH_1_PARENT = next(_walks(1, -1))
 
 
 def _item(check, u):
     """What the scan gives `check` for the words u.a: its parent's walk item, and u[-1] as mids.
 
-    The parent of u = v.b is v, walked as v's pair, and rev(v)'s but for
-    dominance; u = () stands for the length-1 words, the row of the
-    length-1 parent in each slot, with mids = range(1, 2).
+    The parent of u = v.b is v, walked as v's pair, and rev(v)'s in walk
+    order but for dominance; u = () stands for the length-1 words, the row
+    of the length-1 parent, with mids = range(1, 2).
     """
     if u:
         v, mids = u[:-1], range(u[-1], u[-1] + 1)
-        pair, rev = convergent_pair(v), convergent_pair(reverse(v))
+        item = convergent_pair(v), _walk_order(convergent_pair(reverse(v)))
     else:
-        pair = rev = LENGTH_1_PARENT
-        mids = range(1, 2)
-    return (pair if check is dominance_row else (pair, rev)), mids
+        item, mids = LENGTH_1_PARENT, range(1, 2)
+    return (item[:1] if check is dominance_row else item), mids
 
 
 def _row_stand_in(real, family, bad, rows):
     """`real` with the words of `bad` failing; each row checked is recorded in `rows`.
 
     Each parent of the family is found by its walk item, as a row check
-    sees it: its pair, or its pair and its reversal's.  The length-1
-    parent, None here, stands for the words of length 1.
+    sees it: its pair, or its pair and its reversal's in walk order.  The
+    length-1 parent, None here, stands for the words of length 1.
     """
-    parents = {LENGTH_1_PARENT: None, (LENGTH_1_PARENT, LENGTH_1_PARENT): None}
+    parents = {LENGTH_1_PARENT: None, LENGTH_1_PARENT[:1]: None}
     for v in {w[:-2] for w in family if len(w) > 1}:
-        pair = convergent_pair(v)
-        parents[pair] = parents[pair, convergent_pair(reverse(v))] = v
+        item = convergent_pair(v), _walk_order(convergent_pair(reverse(v)))
+        parents[item[:1]] = parents[item] = v
 
     def check(item, odd, mids, lasts):
         v = parents[item]
@@ -128,28 +145,31 @@ def test_failed_scan_counts_words_up_to_the_first_counterexample(
     assert f"{at + 1} cases checked" in result.summary()
 
 
+@pytest.mark.parametrize("seeds", [1, 2], ids=["one seed", "two seeds"])
 @pytest.mark.parametrize("first", [1, 2, 3, 6])
 @pytest.mark.parametrize("max_digit,max_len", [(0, 2), (1, 4), (3, 3), (5, 2), (2, 5)])
-def test_scan_rows_cover_the_family_in_iter_words_order(max_digit, max_len, first):
+def test_scan_rows_cover_the_family_in_iter_words_order(max_digit, max_len, first, seeds):
     # the rows' words, concatenated, are iter_words with the last digits
-    # below `first` left out, and each row is given its parent's pair
+    # below `first` left out, and each row is given its parent's item
     family = [w for w in iter_words(max_digit, max_len) if w[-1] >= first]
     rows = []
     check = _row_stand_in(lambda *row: None, list(iter_words(max_digit, max_len)), set(), rows)
+    seeds = verify._SEEDS[:seeds]
     if not family:
         with pytest.raises(UsageError, match="no words to check"):
-            verify._scan("s", max_digit, max_len, check, verify.iter_prefix_pairs, first)
+            verify._scan("s", max_digit, max_len, check, seeds, first)
         return
-    result = verify._scan("s", max_digit, max_len, check, verify.iter_prefix_pairs, first)
+    result = verify._scan("s", max_digit, max_len, check, seeds, first)
     assert [w for row in rows for w in row] == family
     assert result.passed and result.checked == len(family)
 
 
 @pytest.mark.parametrize("max_digit,depth", [(4, 4), (1, 6), (7, 3), (3, 5), (5, 0), (0, 2)])
-def test_paired_walk_yields_each_pair_with_its_reversal_in_product_order(max_digit, depth):
+def test_seeded_walks_yield_each_pair_with_its_reversal_in_product_order(max_digit, depth):
+    # the second slot, read as (q, q', p, p'), is the pair of the reversal
     prefixes = itertools.product(range(1, max_digit + 1), repeat=depth)
     expected = [(convergent_pair(u), convergent_pair(reverse(u))) for u in prefixes]
-    assert list(verify._paired_walk(max_digit, depth)) == expected
+    assert [(pair, _read_back(rev)) for pair, rev in _walks(max_digit, depth)] == expected
 
 
 def test_passing_scan_counts_the_whole_family():
@@ -404,11 +424,8 @@ def _prepend(b, pair):
 
 
 def _step(item, b):
-    """The walk item of v.b, from v's: the append step, and the prepend step on rev(v)'s pair."""
-    if len(item) == 4:
-        return _extend(item, (b,))
-    pair, rev = item
-    return _extend(pair, (b,)), _prepend(b, rev)
+    """The walk item of v.b, from v's: the append step on each slot."""
+    return tuple(_extend(slot, (b,)) for slot in item)
 
 
 # The row checks with every pair built by a call to a step and every arg
@@ -433,13 +450,13 @@ def _row_reference(prefix_reference):
 def _reversal_row_reference(item, odd, lasts):
     pair, rev = item
     for a in lasts:
-        if _prepend(a, rev) != _transpose(_extend(pair, (a,))):
+        if _prepend(a, _read_back(rev)) != _transpose(_extend(pair, (a,))):
             return lasts.index(a)
     return None
 
 
-def _dominance_row_reference(pair, odd, lasts):
-    p, q, p_prev, q_prev = pair
+def _dominance_row_reference(item, odd, lasts):
+    ((p, q, p_prev, q_prev),) = item
     for a in lasts:
         if a * q + q_prev <= q + p:
             return lasts.index(a)
@@ -454,7 +471,7 @@ def _pairwise_row_reference(item, odd, lasts):
         if a == 1:
             # 1.u.1.1 against 1.1.rev(u).1, built from the walk's two slots
             left_num, left_den = _arg(*_extend(_prepend(1, pair), (1, 1)), odd)
-            rev_num, rev_den = _arg(*_extend(_prepend(1, _prepend(1, rev)), (1,)), odd)
+            rev_num, rev_den = _arg(*_extend(_prepend(1, _prepend(1, _read_back(rev))), (1,)), odd)
             failed = not rev_den or left_num * rev_den != rev_num * left_den
         else:
             left_num, left_den = _arg(q_n + q, q_n + p_n + q + p, q_n, q_n + p_n, odd)
@@ -488,27 +505,29 @@ _pairs = st.tuples(_entries, _entries, _entries, _entries)
     st.integers(0, 8),
 )
 # the length-1 parent, whose pair holds a zero and a negative entry
-@example(LENGTH_1_PARENT, LENGTH_1_PARENT, 1, range(1, 2), 1, 5)
+@example(*LENGTH_1_PARENT, 1, range(1, 2), 1, 5)
 # the empty parent, whose pair holds zeros
 @example((0, 1, 1, 0), None, 0, range(1, 4), 1, 5)
 # u = v.1 has the pair (2, 1, 1, 1), where a q = q + p - q' at a = 2:
 # dominance fails there, and only with <=
 @example((1, 1, 1, 0), None, 0, range(1, 2), 2, 3)
 # the pair of (1, 2) and of its reversal: every relation holds on its row
-@example(convergent_pair((1, 2)), convergent_pair((2, 1)), 0, range(1, 4), 1, 6)
+@example(convergent_pair((1, 2)), _walk_order(convergent_pair((2, 1))), 0, range(1, 4), 1, 6)
 def test_rows_match_their_reference_on_any_pair(row, reference, pair, rev, odd, mids, first, size):
     # not only convergent pairs, so every row fails; a rev of None stands for
-    # pair transposed, on which the reversal row passes
+    # pair transposed, in walk order, on which the reversal row passes
     lasts = range(first, first + size)
-    item = pair if row is dominance_row else (pair, _transpose(pair) if rev is None else rev)
+    if rev is None:
+        rev = _walk_order(_transpose(pair))
+    item = (pair,) if row is dominance_row else (pair, rev)
     assert row(item, odd, mids, lasts) == reference(item, odd, mids, lasts)
 
 
 @pytest.mark.parametrize("delta", [1, -1])
-@pytest.mark.parametrize("entry", range(4), ids=["r", "s", "r_prev", "s_prev"])
+@pytest.mark.parametrize("entry", range(4), ids=["r", "r_prev", "s", "s_prev"])
 def test_a_reversed_pair_off_by_one_fails_both_rows(entry, delta):
-    # each entry of the parent's reversed pair enters rev(u)'s by the prepend
-    # step, so reversal fails at the row's first word whatever its last
+    # each entry of the parent's reversed pair, in walk order (z, z', t, t'),
+    # enters rev(u)'s (r, r', s, s') by the prepend step, so reversal fails at the row's first word whatever its last
     # digits; the pairwise words ending in 2 or more never read the reversed pair
     for u in [(), *iter_words(3, 3), (7, 1, 12, 5)]:
         (pair, rev), mids = _item(reversal_row, u)
@@ -605,6 +624,22 @@ def _failed_at(suite, w, last_digit=""):
             ],
             id="length-1-parent-swaps-p_prev-q_prev",
         ),
+        # the second seed gains p = 1: its depth -1 parent still steps back
+        # to it, but no longer reads as the empty word's pair transposed, so
+        # the first length-1 row that reads rev(u) fails; dominance reads
+        # only the first seed
+        pytest.param(
+            "verify.py",
+            "_SEEDS = ((0, 1, 1, 0), (1, 0, 0, 1))",
+            "_SEEDS = ((0, 1, 1, 0), (1, 0, 1, 1))",
+            1,
+            [
+                _failed_at("reversal", 1),
+                "dominance: pass (1023 cases checked; digits <= 4, length <= 5, last digit >= 2)",
+                _failed_at("pairwise", 1),
+            ],
+            id="second-seed-gains-p",
+        ),
     ],
 )
 def test_scans_that_read_a_broken_step_fail(tmp_path, file, old, new, count, lines):
@@ -630,9 +665,9 @@ def test_scans_that_read_a_broken_step_fail(tmp_path, file, old, new, count, lin
 
 @settings(max_examples=200, deadline=None)
 @given(_pairs)
-# the two seeds of `_paired_walk`: the empty word's pair, and it in (q, q', p, p') order
-@example(convergent_pair(()))
-@example((1, 0, 0, 1))
+# the scans' two seeds: the empty word's pair, and it in (q, q', p, p') order
+@example(verify._SEEDS[0])
+@example(verify._SEEDS[1])
 def test_the_append_step_by_1_takes_the_depth_minus_1_pair_to_its_head(head):
     assert _extend(next(iter_prefix_pairs(1, -1, head)), (1,)) == head
 

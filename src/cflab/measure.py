@@ -17,22 +17,23 @@ and appending a 1 maps it to (p + p', q + q', p, q).  The row checks of
 `verify` are built on the kernel and these maps.
 
 The joint measure is a bracket [lower, upper] that holds the true value.
-It reads both ends off walks of the same enumerator: lower off the
-leaves' cylinders, and upper off lower and the inner nodes' child tails.
-Each walk's terms are multiplied in `_dyadic_product`, a 128-bit
-fixed-point product that rounds the leaves down and the tails up, so each
-product is a certified dyadic rational of about 128 bits, however many
-terms it has.  Each child tail of
+It reads both ends off one cover, `_cover`, the tree of the middle words
+with digits <= cap: lower off the leaves' cylinders, which `_cover` builds
+as rows of their parents, and upper off lower and the inner nodes' child
+tails, which it yields depth by depth.  Each end's terms are multiplied in
+`_dyadic_product`, a 128-bit fixed-point product that rounds the leaves
+down and the tails up, so each product is a certified dyadic rational of
+about 128 bits, however many terms it has.  Each child tail of
 arg A enters as 1 + sigma A (A - 1).  Its omitted leaves end in a 1 that
 lies j digits past the tail's digit, and they take at most a share sigma A
 of the tail, where A covers how far the Gauss density varies on it and
 sigma is the smaller of two Lebesgue shares: 1/2, that of a next digit 1
 in any cylinder, and L_j ((N+2)/(N+1))**2 at cap N.  L_j bounds the
-Lebesgue measure of {y : a_j(y) = 1} by a walk of the same enumerator, and
-the factor covers how far the pushforward of Lebesgue measure past a digit
-> N varies.  Bernoulli's inequality then bounds A**(sigma A) by
-1 + sigma A (A - 1) (see `joint_pattern_measure`).  L_1 = 1/2, so the
-nodes next to the leaves enter as 1 + (A/2)(A - 1).
+Lebesgue measure of {y : a_j(y) = 1} by the lengths of the same cover from
+the empty word, and the factor covers how far the pushforward of Lebesgue
+measure past a digit > N varies.  Bernoulli's inequality then bounds
+A**(sigma A) by 1 + sigma A (A - 1) (see `joint_pattern_measure`).
+L_1 = 1/2, so the nodes next to the leaves enter as 1 + (A/2)(A - 1).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .cfcore import UsageError, Word, convergent_pair, iter_prefix_pairs, shown
+from .cfcore import Pair, UsageError, Word, convergent_pair, iter_prefix_pairs, shown
 
 # The cap on the middle digits of a joint measure when the caller sets none.
 DEFAULT_CAP = 1000
@@ -169,28 +170,47 @@ def _dyadic_product(terms: Iterable[tuple[int, int]], up: bool) -> Fraction:
     return Fraction(x, _ONE)
 
 
+def _cover(cap: int, depth: int, head: Pair) -> Iterator[Iterator[Pair]]:
+    """Yield the tree of the words h.u with digits <= cap and |u| <= depth, level by level.
+
+    h is the word whose pair is `head`.  For each d < depth it yields the
+    walk of the inner nodes h.u, |u| = d, each pair (p, q, p', q') shifted
+    to (p, q, cap p + p', cap q + q'), the pair of the node's child tail
+    past cap; then it yields the pairs of the leaves h.u.1, |u| = depth, in
+    itertools.product order.  The leaves are built as rows: each parent h.v
+    at depth - 1 steps its last digit a = 1, 2, ... by adding (p, q), which
+    gives h.v.a's pair (P, Q, p, q), and the append-1 map closes it into
+    (P + p, Q + q, P, Q), so no walk visits the leaf depth.  At depth 0 the
+    row is the one leaf h.1, of the parent `iter_prefix_pairs` yields at
+    depth -1.  Each pair's interval has length 1/(q (q + q')) and the arg
+    `_arg` reads off it.
+    """
+
+    def leaves() -> Iterator[Pair]:
+        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, depth - 1, head):
+            for _ in range(cap if depth else 1):
+                p_prev, q_prev = p + p_prev, q + q_prev
+                yield p + p_prev, q + q_prev, p_prev, q_prev
+
+    for d in range(depth):
+        walk = iter_prefix_pairs(cap, d, head)
+        yield ((p, q, cap * p + p_prev, cap * q + q_prev) for p, q, p_prev, q_prev in walk)
+    yield leaves()
+
+
 def _lebesgue_upper(j: int, cap: int) -> Fraction:
     """L_j >= lambda_j, the Lebesgue measure of {y in (0, 1) : a_j(y) = 1}.
 
-    One walk over the words v with digits <= cap and |v| <= j-1, with
-    (q, q') read off each v's pair: each leaf v.1, |v| = j-1, adds its
-    length 1/(Q (Q + Q')), where (Q, Q') = (q + q', q) by the append-1 map,
-    and each inner node v adds its whole child tail, the interval between
-    [0; v] and [0; v, cap+1], of length 1/(q ((cap+1) q + q')).  Every y
-    with a_j(y) = 1 lies in a leaf or in a child tail, and every term is
-    rounded up on the grid 2**-_DYADIC_BITS, so the sum is at least
-    lambda_j.  At j = 1 the one leaf is C_[1] = (1/2, 1): L_1 = 1/2 exactly.
+    It sums the lengths 1/(q (q + q')) of the pairs of one `_cover` from the
+    empty word at depth j-1: each inner node v's whole child tail, the
+    interval between [0; v] and [0; v, cap+1], and the leaves v.1,
+    |v| = j-1.  Every y with a_j(y) = 1 lies in a leaf or in a child tail,
+    and every term is rounded up on the grid 2**-_DYADIC_BITS, so the sum
+    is at least lambda_j.  At j = 1 the one leaf is C_[1] = (1/2, 1):
+    L_1 = 1/2 exactly.
     """
-    leaves = (
-        -(-_ONE // ((q + q_prev) * (2 * q + q_prev)))
-        for _, q, _, q_prev in iter_prefix_pairs(cap, j - 1)
-    )
-    tails = (
-        -(-_ONE // (q * ((cap + 1) * q + q_prev)))
-        for depth in range(j - 1)
-        for _, q, _, q_prev in iter_prefix_pairs(cap, depth)
-    )
-    return Fraction(sum(leaves) + sum(tails), _ONE)
+    cover = chain.from_iterable(_cover(cap, j - 1, convergent_pair(())))
+    return Fraction(sum(-(-_ONE // (q * (q + q_prev))) for _, q, _, q_prev in cover), _ONE)
 
 
 def _share(j: int, cap: int) -> Fraction:
@@ -235,18 +255,19 @@ def check_joint_walk(k: int, cap: int) -> None:
 
 
 def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
-    """Bracket gamma(C_[1] intersect T^-k C_[1]) by walks of the middle digits.
+    """Bracket gamma(C_[1] intersect T^-k C_[1]) by one cover of the middle digits.
 
-    The walks visit each 1.u with digits <= cap and |u| <= k-1.  lower sums
-    gamma(C_[1,u,1]) over the leaves, |u| = k-1, rounded down.  upper adds
-    to lower, over the inner nodes, a bound on what the node omits.  Its child
-    tail I = {x in C_[1,u] : digit |u| + 2 of x exceeds cap}, with arg
-    A = (1 + hi)/(1 + lo) = `_arg` of the shifted pair
-    (p, q, cap p + p', cap q + q') of 1.u, holds each
-    omitted leaf C_[1,u,a,v,1], a > cap and |v| = j - 1 with j = k-1-|u|,
-    and every omitted leaf lies in exactly one such I.  The node adds
-    log2 B, B = `_tail_factor`(A, sigma_j) = 1 + sigma_j A (A - 1), with
-    N = cap and sigma_j = `_share`(j, N) = min(1/2, L_j ((N+2)/(N+1))**2),
+    `_cover`(cap, k-1) from the word 1 holds each 1.u with digits <= cap and
+    |u| <= k-1.  lower sums gamma(C_[1,u,1]) over its leaves, |u| = k-1,
+    built as rows of their parents, rounded down.  upper adds to lower, over
+    the inner nodes, which the cover yields depth by depth, a bound on what
+    the node omits.  Its child tail I = {x in C_[1,u] : digit |u| + 2 of x
+    exceeds cap}, with arg A = (1 + hi)/(1 + lo) = `_arg` of the shifted
+    pair (p, q, cap p + p', cap q + q') of 1.u that the cover yields, holds
+    each omitted leaf C_[1,u,a,v,1], a > cap and |v| = j - 1 with
+    j = k-1-|u|, and every omitted leaf lies in exactly one such I.  The
+    node adds log2 B, B = `_tail_factor`(A, sigma_j) = 1 + sigma_j A (A - 1),
+    with N = cap and sigma_j = `_share`(j, N) = min(1/2, L_j ((N+2)/(N+1))**2),
     where L_j = `_lebesgue_upper`(j, N) bounds the Lebesgue measure lambda_j
     of {y in (0, 1) : a_j(y) = 1}:
     - Over any C_w in I the Gauss density 1/((1+x) ln 2) varies by at most
@@ -271,23 +292,19 @@ def joint_pattern_measure(k: int, cap: int) -> BoundedMeasure:
     k and cap before any work.
     """
     check_joint_walk(k, cap)
-    head = convergent_pair((1,))
-    # the pairs of the leaves 1.u, closed by the append-1 map into those of 1.u.1
+    *tails, leaves = _cover(cap, k - 1, convergent_pair((1,)))
     odd = (k - 1) % 2
-    leaves = (
-        _arg(p + p_prev, q + q_prev, p, q, odd)
-        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, k - 1, head)
-    )
     # the omitted leaves of a node at depth d end k-1-d digits past its tail's digit
     shares = [_share(k - 1 - depth, cap) for depth in range(k - 1)]
-    tails = (
-        _tail_factor(*_arg(p, q, cap * p + p_prev, cap * q + q_prev, (1 + depth) % 2), shares[depth])
-        for depth in range(k - 1)
-        for p, q, p_prev, q_prev in iter_prefix_pairs(cap, depth, head)
+    factors = (
+        _tail_factor(*_arg(*pair, (1 + depth) % 2), shares[depth])
+        for depth, level in enumerate(tails)
+        for pair in level
     )
-    lower = _dyadic_product(leaves, up=False)
+    leaf_args = (_arg(p, q, p_prev, q_prev, odd) for p, q, p_prev, q_prev in leaves)
+    lower = _dyadic_product(leaf_args, up=False)
     # The n = cap**(k-1) floors of lower leave the exact leaf product below
     # lower / (1 - n 2**-_DYADIC_BITS) <= lower (1 + 2n 2**-_DYADIC_BITS), so
     # the tail takes that factor too and lower * tail stays an upper end.
-    tail = _dyadic_product(chain(tails, [(_ONE + 2 * cap ** (k - 1), _ONE)]), up=True)
+    tail = _dyadic_product(chain(factors, [(_ONE + 2 * cap ** (k - 1), _ONE)]), up=True)
     return BoundedMeasure(LogRational(lower), LogRational(lower * tail))

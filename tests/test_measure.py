@@ -9,7 +9,7 @@ checks are tested in test_verify.py.
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +24,7 @@ from cflab import (
     reverse,
 )
 from cflab import measure
-from cflab.cfcore import UsageError, convergent_pair
+from cflab.cfcore import UsageError, convergent_pair, iter_prefix_pairs
 from cflab.measure import MAX_MIDDLE_WORDS, _arg, _dyadic_product
 
 from oracles import _gamma_tail_sum, _oracle_arg, _value, lag_measure, second_eigenvalue, words
@@ -310,7 +310,9 @@ def test_lebesgue_upper_at_one_digit_is_exactly_a_half():
         assert measure._share(1, cap) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("j,cap", [(1, 5), (2, 1), (2, 7), (2, 40), (3, 1), (3, 6), (4, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "j,cap", [(1, 5), (2, 1), (2, 7), (2, 40), (3, 1), (3, 6), (4, 3), (4, 5), (5, 2)]
+)
 def test_lebesgue_upper_matches_the_fraction_oracle(j, cap):
     assert measure._lebesgue_upper(j, cap) == _lebesgue_upper_oracle(j, cap)
     assert measure._share(j, cap) == _share_oracle(j, cap)
@@ -463,10 +465,41 @@ def test_halved_bracket_contains_the_true_value(k_cap_fine):
         assert bm.lower <= joint_pattern_measure(k, fine).lower <= bm.upper
 
 
-@pytest.mark.parametrize("k,cap", [(2, 1), (2, 7), (3, 1), (3, 6), (4, 3), (5, 2), (6, 1)])
+@pytest.mark.parametrize("k,cap", [(2, 1), (2, 7), (3, 1), (3, 6), (4, 3), (4, 12), (5, 2), (6, 1)])
 def test_joint_tail_is_the_sum_of_inner_child_tails(k, cap):
-    # each inner word 1.u, |u| <= k-2, from its own convergent_pair
+    # each inner word 1.u, |u| <= k-2, from its own convergent_pair; at
+    # (4, 12) sigma_2 < 1/2, so the depth-1 nodes take the Lebesgue share
+    # and the depth-0 node another, and the tails must keep their order
     _assert_dyadic_ends(joint_pattern_measure(k, cap), *_exact_ends(k, cap))
+
+
+def _same(xs, ys):
+    """xs and ys yield equal items in the same order, and as many of them."""
+    return all(x == y for x, y in zip_longest(xs, ys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just(()), st.just((1,)), words), st.integers(1, 8), st.integers(0, 4))
+# depth 0: the one leaf h.1, off the depth -1 parent
+@example((1,), 8, 0)
+# the empty head: q' = 0, and the depth -1 parent has q = 0
+@example((), 1, 0)
+@example((), 8, 0)
+@example((), 3, 4)
+# k = 2 at the middle-word limit: one row of 10**6 leaves
+@example((1,), 10**6, 1)
+def test_cover_yields_the_walks_it_replaces(w, cap, depth):
+    # the leaves are each depth-walk pair closed by the append-1 map, and
+    # the tails each shallower walk shifted by cap, depth by depth
+    head = convergent_pair(w)
+    *tails, leaves = measure._cover(cap, depth, head)
+    walk = iter_prefix_pairs(cap, depth, head)
+    assert _same(leaves, ((p + p_prev, q + q_prev, p, q) for p, q, p_prev, q_prev in walk))
+    assert len(tails) == depth
+    for d, level in enumerate(tails):
+        walk = iter_prefix_pairs(cap, d, head)
+        shifted = ((p, q, cap * p + p_prev, cap * q + q_prev) for p, q, p_prev, q_prev in walk)
+        assert _same(level, shifted)
 
 
 def _log2_oracle(x):
